@@ -75,18 +75,24 @@ void BM_PartialSerial(benchmark::State& state) {
   util::set_parallelism(0);
 }
 
-// The 8x8-tiled table layout (see core::TableLayout), exercised at the
-// sizes where a slab plane outgrows L2.
-void BM_TwoLevelTiled(benchmark::State& state) {
+// The 8x8-tiled table layout (see core::TableLayout) against its
+// row-major twin, at the sizes where a slab plane outgrows L2.
+void run_two_level_layout(benchmark::State& state, core::TableLayout layout) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto chain = chain::make_uniform(n, 25000.0);
   const platform::CostModel costs(platform::hera());
   for (auto _ : state) {
-    const auto result =
-        core::optimize_two_level(chain, costs, core::TableLayout::kTiled);
+    const auto result = core::optimize_two_level(chain, costs, layout);
     benchmark::DoNotOptimize(result.expected_makespan);
   }
   state.counters["n"] = static_cast<double>(n);
+}
+
+void BM_TwoLevelTiled(benchmark::State& state) {
+  run_two_level_layout(state, core::TableLayout::kTiled);
+}
+void BM_TwoLevelRowMajor(benchmark::State& state) {
+  run_two_level_layout(state, core::TableLayout::kRowMajor);
 }
 
 // Monotonicity-pruned scans (core::ScanMode::kMonotonePruned): same
@@ -199,38 +205,15 @@ void BM_TwoLevelPrunedAvx512(benchmark::State& state) {
                      core::simd::SimdTier::kAvx512);
 }
 
-// Intra-slab parallelism: the same two-level solve with big slabs split
-// across the worker pool (threshold 64) vs the classic one-slab-per-worker
-// schedule (threshold 0 disables splitting).
-void run_two_level_split(benchmark::State& state, std::size_t threshold) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto chain = chain::make_uniform(n, 25000.0);
-  const platform::CostModel costs(platform::hera());
-  for (auto _ : state) {
-    core::DpContext ctx(chain, costs, core::DpContext::kDefaultMaxN,
-                        /*build_row_tables=*/false);
-    ctx.set_intra_slab_threshold(threshold);
-    const auto result = core::optimize(core::Algorithm::kADMVstar, ctx);
-    benchmark::DoNotOptimize(result.expected_makespan);
-  }
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["threshold"] = static_cast<double>(threshold);
-}
-
-void BM_TwoLevelNoSplit(benchmark::State& state) {
-  run_two_level_split(state, 0);
-}
-void BM_TwoLevelSplit(benchmark::State& state) {
-  run_two_level_split(state, 64);
-}
-
 }  // namespace
 
 BENCHMARK(BM_SingleLevel)->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Arg(200)
     ->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevel)->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Arg(200)
     ->Arg(300)->Arg(400)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelTiled)->Arg(200)->Arg(400)
+BENCHMARK(BM_TwoLevelTiled)->Arg(400)->Arg(900)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TwoLevelRowMajor)->Arg(400)->Arg(900)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partial)->Arg(10)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
     ->Unit(benchmark::kMillisecond);
@@ -259,10 +242,6 @@ BENCHMARK(BM_SingleLevelAvx512)->Arg(200)->Arg(400)
 BENCHMARK(BM_TwoLevelPrunedScalar)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelPrunedAvx512)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelNoSplit)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelSplit)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

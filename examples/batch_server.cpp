@@ -13,12 +13,13 @@
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 
 int main(int argc, char** argv) {
   using namespace chainckpt;
   util::CliParser cli;
   cli.add_option("waves", "4", "request waves in the batch");
-  cli.add_flag("serial", "solve in order instead of the work-queue");
+  cli.add_flag("serial", "solve on one thread instead of the worker pool");
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help_text("batch_server: BatchSolver workload demo");
@@ -47,7 +48,8 @@ int main(int argc, char** argv) {
             << platform::table1_platforms().size() << " platforms\n\n";
 
   // 2. Solve the burst through the shared work-queue.
-  core::BatchSolver solver{{.parallel = !cli.get_flag("serial")}};
+  if (cli.get_flag("serial")) util::set_parallelism(1);
+  core::BatchSolver solver;
   const auto t0 = std::chrono::steady_clock::now();
   const auto results = solver.solve(jobs);
   const auto t1 = std::chrono::steady_clock::now();

@@ -1,23 +1,21 @@
 // Wire server: expose a SolverService on the network edge -- the binary
 // the CI smoke lane boots and drives with tools/wire_smoke.py.
 //
-//   $ ./wire_server [--port 7433] [--http-port 7434] [--workers 0]
+//   $ ./wire_server [--port 7433] [--workers 0]
 //                   [--quotas "2:0.001:0.002,5:1.5:3"]
 //
 // --quotas is a comma-separated list of tenant:rate:burst triples
 // (units/second and units; see docs/PROTOCOL.md for quota tuning); any
 // tenant not listed is unlimited.  Port 0 picks an ephemeral port; the
-// bound ports are printed one per line ("wire 127.0.0.1:7433") so a
-// harness can scrape them.  Runs until SIGINT/SIGTERM.
+// bound port is printed as "wire 127.0.0.1:7433" so a harness can scrape
+// it.  Runs until SIGINT/SIGTERM.
 #include <csignal>
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <thread>
 
-#include "net/http_gateway.hpp"
 #include "net/wire_server.hpp"
 #include "service/solver_service.hpp"
 #include "util/cli.hpp"
@@ -54,7 +52,6 @@ int main(int argc, char** argv) {
   using namespace chainckpt;
   util::CliParser cli;
   cli.add_option("port", "7433", "wire protocol TCP port (0 = ephemeral)");
-  cli.add_option("http-port", "7434", "HTTP/JSON gateway port (-1 = off)");
   cli.add_option("workers", "0", "solver workers (0 = hardware threads)");
   cli.add_option("quotas", "", "tenant:rate:burst[,tenant:rate:burst...]");
   cli.parse(argc, argv);
@@ -75,24 +72,12 @@ int main(int argc, char** argv) {
   server.start();
   std::cout << "wire 127.0.0.1:" << server.port() << std::endl;
 
-  std::unique_ptr<net::HttpGateway> gateway;
-  const std::int64_t http_port = cli.get_int("http-port");
-  if (http_port >= 0) {
-    net::HttpGatewayOptions http_options;
-    http_options.port = static_cast<std::uint16_t>(http_port);
-    gateway = std::make_unique<net::HttpGateway>(svc, server.governor(),
-                                                 http_options);
-    gateway->start();
-    std::cout << "http 127.0.0.1:" << gateway->port() << std::endl;
-  }
-
   std::signal(SIGINT, handle_signal);
   std::signal(SIGTERM, handle_signal);
   while (g_stop == 0) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
 
-  if (gateway) gateway->stop();
   server.stop();
   const net::WireServerStats stats = server.stats();
   std::cout << "served " << stats.frames_received << " frames, "

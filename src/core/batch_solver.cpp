@@ -164,11 +164,7 @@ std::vector<OptimizationResult> BatchSolver::solve(
     task.entry->table = std::move(table);
     task.entry->seg = std::move(seg);
   };
-  if (options_.parallel) {
-    util::parallel_for(0, builds.size(), build_one);
-  } else {
-    for (std::size_t b = 0; b < builds.size(); ++b) build_one(b);
-  }
+  util::parallel_for(0, builds.size(), build_one);
   stats_.tables_built += builds.size();
 
   // Phase 3: the work-queue.  Dynamic scheduling load-balances the
@@ -185,11 +181,7 @@ std::vector<OptimizationResult> BatchSolver::solve(
       results[i] = optimize(job.algorithm, job.chain, job.costs);
     }
   };
-  if (options_.parallel) {
-    util::parallel_for(0, jobs.size(), solve_one);
-  } else {
-    for (std::size_t i = 0; i < jobs.size(); ++i) solve_one(i);
-  }
+  util::parallel_for(0, jobs.size(), solve_one);
   stats_.jobs_solved += jobs.size();
   for (const OptimizationResult& result : results) {
     stats_.scan += result.scan;
@@ -360,7 +352,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   TableKey ckpt_key;
   std::shared_ptr<SolveCheckpoint> ckpt;
   bool resumed = false;
-  if (options_.keep_checkpoints && is_checkpointable(job.algorithm)) {
+  if (is_checkpointable(job.algorithm)) {
     ckpt_key = make_checkpoint_key(key, job.algorithm, options_.layout,
                                    options_.scan_mode);
     {

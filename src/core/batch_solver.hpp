@@ -76,10 +76,6 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  /// Solve jobs through the shared work-queue (dynamic scheduling over
-  /// util::parallel_for).  false runs an in-order serial loop; results are
-  /// identical either way (determinism contract).
-  bool parallel = true;
   /// Storage layout of the dense level-DP tables (ADMV*/ADMV jobs).
   TableLayout layout = TableLayout::kRowMajor;
   /// Inner argmin scan mode for the DP jobs (see
@@ -97,18 +93,17 @@ struct BatchOptions {
   /// their next use -- results are unaffected.  Runtime-adjustable via
   /// set_cache_budget().
   std::size_t cache_budget_bytes = 0;
-  /// Retain a resumable core::SolveCheckpoint when a solve_job() for a
-  /// multi-level DP (kADMVstar/kADMV) is interrupted: a later solve_job()
-  /// of the same workload (same tables key, algorithm, layout, and scan
-  /// mode) resumes it, re-executing only the slabs the interrupted run
-  /// did not finish, with bit-identical results.  The retained state is
-  /// the job's O(n^2)-O(n^3) argmin/value tables, so a service that
-  /// interrupts large solves should bound it with
-  /// checkpoint_budget_bytes; release_scratch() always drops it.
-  bool keep_checkpoints = true;
-  /// LRU byte budget over retained checkpoints; 0 keeps them unbounded.
-  /// Oldest-interrupted first; a dropped checkpoint just means the job
-  /// starts from scratch on its next submission.
+  /// LRU byte budget over retained interruption checkpoints; 0 keeps them
+  /// unbounded.  When a solve_job() for a multi-level DP (kADMVstar/kADMV)
+  /// is interrupted, its core::SolveCheckpoint is retained: a later
+  /// solve_job() of the same workload (same tables key, algorithm, layout,
+  /// and scan mode) resumes it, re-executing only the slabs the
+  /// interrupted run did not finish, with bit-identical results.  The
+  /// retained state is the job's O(n^2)-O(n^3) argmin/value tables, so a
+  /// service that interrupts large solves should bound it here;
+  /// release_scratch() always drops it.  Oldest-interrupted first; a
+  /// dropped checkpoint just means the job starts from scratch on its next
+  /// submission.
   std::size_t checkpoint_budget_bytes = 0;
   /// Memoize final plans in a core::PlanCache and serve repeat solve_job()
   /// submissions from it: exact key matches return the stored result

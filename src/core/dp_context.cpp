@@ -1,10 +1,8 @@
 #include "core/dp_context.hpp"
 
-#include <cstdlib>
 #include <utility>
 
 #include "util/assert.hpp"
-#include "util/log.hpp"
 
 namespace chainckpt::core {
 
@@ -24,23 +22,6 @@ void check_context(const chain::TaskChain& chain,
 }
 
 }  // namespace
-
-std::size_t DpContext::default_intra_slab_threshold() noexcept {
-  static const std::size_t value = [] {
-    constexpr std::size_t kDefault = 256;
-    const char* env = std::getenv("CHAINCKPT_INTRA_SLAB");
-    if (env == nullptr || *env == '\0') return kDefault;
-    char* end = nullptr;
-    const unsigned long long parsed = std::strtoull(env, &end, 10);
-    if (end == env || *end != '\0') {
-      util::log_warn() << "CHAINCKPT_INTRA_SLAB=\"" << env
-                       << "\" is not a row count; using " << kDefault;
-      return kDefault;
-    }
-    return static_cast<std::size_t>(parsed);
-  }();
-  return value;
-}
 
 DpContext::DpContext(chain::TaskChain chain, platform::CostModel costs,
                      std::size_t max_n, bool build_row_tables)

@@ -126,29 +126,6 @@ class DpContext {
     return has_simd_override_ ? simd_override_ : simd::active_tier();
   }
 
-  /// Minimum slab height (rows = n - d1) at which the multi-level DPs
-  /// split a slab's per-j row work across workers instead of assigning
-  /// the whole slab to one (see run_level_dp_impl).  0 disables
-  /// splitting.  The default comes from CHAINCKPT_INTRA_SLAB when set,
-  /// else 256.  Results are bitwise identical for every value.
-  void set_intra_slab_threshold(std::size_t rows) noexcept {
-    intra_slab_threshold_ = rows;
-  }
-  std::size_t intra_slab_threshold() const noexcept {
-    return intra_slab_threshold_;
-  }
-
-  /// j-steps between sub-slab checkpoint granule commits while a split
-  /// slab runs on a SolveCheckpoint; 0 (the default) picks an automatic
-  /// spacing.  Granules only bound re-execution after an interruption --
-  /// any value yields bitwise-identical results.
-  void set_checkpoint_granule(std::size_t steps) noexcept {
-    checkpoint_granule_ = steps;
-  }
-  std::size_t checkpoint_granule() const noexcept {
-    return checkpoint_granule_;
-  }
-
   std::size_t n() const noexcept { return chain_.size(); }
   const chain::TaskChain& chain() const noexcept { return chain_; }
   const platform::CostModel& costs() const noexcept { return costs_; }
@@ -163,10 +140,6 @@ class DpContext {
     return analysis::make_interval(*table_, i, j);
   }
 
-  /// Process default for intra_slab_threshold(): CHAINCKPT_INTRA_SLAB
-  /// parsed once, else 256.
-  static std::size_t default_intra_slab_threshold() noexcept;
-
  private:
   chain::TaskChain chain_;
   platform::CostModel costs_;
@@ -176,8 +149,6 @@ class DpContext {
   SolveCheckpoint* checkpoint_ = nullptr;
   simd::SimdTier simd_override_ = simd::SimdTier::kScalar;
   bool has_simd_override_ = false;
-  std::size_t intra_slab_threshold_ = default_intra_slab_threshold();
-  std::size_t checkpoint_granule_ = 0;
   /// shared_ptr so a BatchSolver cache entry and every context borrowing
   /// it stay valid independently of each other's lifetime; the
   /// build-your-own constructors simply own the single reference.

@@ -173,185 +173,6 @@ inline SlabScratch& slab_scratch() {
 /// argument.
 enum class LevelScanProfile { kFull, kMemChainOnly };
 
-/// One row-split slab of the level DP (intra-slab parallelism).  The
-/// tallest slabs (small d1) dominate a run's critical path under the
-/// classic slab-per-worker schedule: slab d1 = 0 alone carries O(n^2)
-/// scan steps while the workers that drew short slabs idle.  Here the
-/// per-j row work (m1 in [d1, j)) is chunked into fixed kSplitChunkRows
-/// blocks and spread across workers; the E_mem fold and the j-frontier
-/// stay sequential (the fold consumes every row of the step).
-///
-/// Determinism: within one j step the rows are independent -- each reads
-/// only its own plane row, its own scanner row state, and E_mem entries
-/// finalized at earlier j -- and the parallel_for barrier orders steps,
-/// so results are bitwise identical for every worker count and chunk
-/// assignment.  Each chunk owns a private MonotoneScanner (row states are
-/// per-row, so the per-chunk partition is exact; the additive counters
-/// merge to the single-scanner totals).
-///
-/// Sub-slab granules: with a checkpoint attached, every
-/// ctx.checkpoint_granule() j-steps the slab freezes its loop-carried
-/// state into the checkpoint (SolveCheckpoint::SlabGranule) so an
-/// interrupted solve re-executes at most one granule of a tall slab
-/// instead of the whole slab.  The per-(m1, j) step body must stay in
-/// lock-step with the classic body in run_level_dp_impl below -- same
-/// kernels, same order -- which the tier/worker-sweep batteries pin.
-template <bool kWindowV1, bool kWindowMem, typename K, typename ColumnScanner>
-void run_split_slab(const DpContext& ctx, LevelTables& t,
-                    const ColumnScanner& scan, std::size_t d1,
-                    const analysis::QiCertificate* cert,
-                    SolveCheckpoint* ckpt, ScanStats& slab_stats_out) {
-  constexpr std::size_t kSplitChunkRows = 64;
-  const std::size_t n = ctx.n();
-  const auto& costs = ctx.costs();
-  const CancelToken* cancel = ctx.cancel_token();
-  const bool keep_values = !t.everif.empty();
-  SlabScratch& scratch = slab_scratch();
-  scratch.ensure(n);
-  double* plane = scratch.plane.data();
-  double* column = scratch.column.data();
-  const std::size_t stride = n + 1;
-  const double* emem_row = t.emem.data() + t.idx2(d1, 0);
-
-  const std::size_t max_chunks =
-      (n - d1 + kSplitChunkRows - 1) / kSplitChunkRows;
-  std::vector<MonotoneScanner> chunk_scanners;
-  if constexpr (kWindowV1) {
-    chunk_scanners.reserve(max_chunks);
-    for (std::size_t ci = 0; ci < max_chunks; ++ci) {
-      chunk_scanners.emplace_back(n);
-    }
-  }
-  MonotoneScanner mem_scanner(kWindowMem ? n : 0);
-  ScanStats granule_seed;
-
-  std::size_t j_start = d1 + 1;
-  if (ckpt != nullptr) {
-    if (const SolveCheckpoint::SlabGranule* g = ckpt->take_granule(d1)) {
-      // Re-install the frozen loop-carried state: the plane rows the
-      // later steps re-read, the scanner row states, and the running
-      // counters.  Table entries for j <= j_done already live in the
-      // checkpoint's tables.
-      const std::size_t rows = g->j_done - d1;
-      std::copy(g->plane_rows.begin(),
-                g->plane_rows.begin() +
-                    static_cast<std::ptrdiff_t>(rows * stride),
-                plane + d1 * stride);
-      if constexpr (kWindowV1) {
-        for (std::size_t m1 = d1; m1 < g->j_done; ++m1) {
-          chunk_scanners[(m1 - d1) / kSplitChunkRows].restore_row(
-              m1, g->v1_rows[m1 - d1]);
-        }
-      }
-      if constexpr (kWindowMem) {
-        if (g->has_mem_row) mem_scanner.restore_row(d1, g->mem_row);
-      }
-      granule_seed = g->scan;
-      j_start = g->j_done + 1;
-    }
-  }
-  if (j_start == d1 + 1) {
-    if constexpr (kWindowMem) mem_scanner.begin_row(d1, cert->row_ok(d1));
-    t.emem[t.idx2(d1, d1)] = 0.0;  // E_mem(d1, d1) = 0
-    t.best_m1[t.idx2(d1, d1)] = static_cast<std::int32_t>(d1);
-  }
-
-  constexpr std::size_t kDefaultGranuleSteps = 64;
-  const std::size_t granule_every = ctx.checkpoint_granule() > 0
-                                        ? ctx.checkpoint_granule()
-                                        : kDefaultGranuleSteps;
-  for (std::size_t j = j_start; j <= n; ++j) {
-    poll_cancellation(cancel);
-    const std::size_t nchunks =
-        (j - d1 + kSplitChunkRows - 1) / kSplitChunkRows;
-    util::parallel_for(0, nchunks, [&](std::size_t ci) {
-      const std::size_t m_lo = d1 + ci * kSplitChunkRows;
-      const std::size_t m_hi = std::min(j, m_lo + kSplitChunkRows);
-      for (std::size_t m1 = m_lo; m1 < m_hi; ++m1) {
-        // -- lock-step with the classic per-(m1, j) body below --
-        double* row = plane + m1 * stride;
-        if (m1 + 1 == j) {
-          row[m1] = 0.0;  // E_verif(d1, m1, m1) = 0
-          if (keep_values) t.everif[t.idx3(d1, m1, m1)] = 0.0;
-          if constexpr (kWindowV1) {
-            chunk_scanners[ci].begin_row(m1, cert->row_ok(m1));
-          }
-        }
-        const double emem_at_m1 = emem_row[m1];
-        CHAINCKPT_ASSERT(emem_at_m1 == emem_at_m1,
-                         "E_mem(d1, m1) must be finalized before use");
-        double best = std::numeric_limits<double>::infinity();
-        std::int32_t best_arg = -1;
-        if constexpr (kWindowV1) {
-          chunk_scanners[ci].step(
-              m1, j,
-              [&](std::size_t lo, std::size_t hi, double& b,
-                  std::int32_t& a) {
-                scan(d1, m1, lo, hi, j, emem_at_m1, row, b, a);
-              },
-              best, best_arg);
-        } else {
-          scan(d1, m1, m1, j, j, emem_at_m1, row, best, best_arg);
-        }
-        row[j] = best;
-        column[m1] = best;
-        if (keep_values) t.everif[t.idx3(d1, m1, j)] = best;
-        t.best_v1[t.idx3(d1, m1, j)] = best_arg;
-      }
-    });
-    // E_mem(d1, j): sequential fold over the gathered column, after the
-    // barrier -- every row of this step has landed.
-    double best = std::numeric_limits<double>::infinity();
-    std::int32_t best_arg = -1;
-    if constexpr (kWindowMem) {
-      mem_scanner.step(
-          d1, j,
-          [&](std::size_t lo, std::size_t hi, double& b, std::int32_t& a) {
-            K::sum(emem_row, column, lo, hi, b, a);
-          },
-          best, best_arg);
-    } else {
-      K::sum(emem_row, column, d1, j, best, best_arg);
-    }
-    t.emem[t.idx2(d1, j)] = best + costs.c_mem_after(j);
-    t.best_m1[t.idx2(d1, j)] = best_arg;
-
-    if (ckpt != nullptr && j < n && (j - d1) % granule_every == 0) {
-      SolveCheckpoint::SlabGranule g;
-      g.d1 = d1;
-      g.j_done = j;
-      const std::size_t rows = j - d1;
-      g.plane_rows.assign(plane + d1 * stride,
-                          plane + (d1 + rows) * stride);
-      if constexpr (kWindowV1) {
-        g.v1_rows.resize(rows);
-        for (std::size_t m1 = d1; m1 < j; ++m1) {
-          g.v1_rows[m1 - d1] =
-              chunk_scanners[(m1 - d1) / kSplitChunkRows].snapshot_row(m1);
-        }
-      }
-      if constexpr (kWindowMem) {
-        g.mem_row = mem_scanner.snapshot_row(d1);
-        g.has_mem_row = true;
-      }
-      // Running totals up to j_done, so a resume seeds (not re-adds).
-      g.scan = granule_seed;
-      if constexpr (kWindowV1) {
-        for (const MonotoneScanner& sc : chunk_scanners) g.scan += sc.stats();
-      }
-      if constexpr (kWindowMem) g.scan += mem_scanner.stats();
-      ckpt->commit_granule(std::move(g));
-    }
-  }
-  slab_stats_out = granule_seed;
-  if constexpr (kWindowV1) {
-    for (const MonotoneScanner& sc : chunk_scanners) {
-      slab_stats_out += sc.stats();
-    }
-  }
-  if constexpr (kWindowMem) slab_stats_out += mem_scanner.stats();
-}
-
 /// `scan_stats`, when non-null, accumulates the pruning counters of every
 /// slab (plus zeros in dense mode).
 ///
@@ -398,38 +219,9 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
           ? static_cast<std::size_t>(std::max(1, util::hardware_parallelism()))
           : 0);
 
-  // Intra-slab parallelism: the tallest slabs (smallest d1) carry the
-  // critical path, so they run FIRST, sequentially at the slab level,
-  // each with its per-j row work split across the workers (nested
-  // regions would serialize, hence not inside the parallel_for).  The
-  // split set is capped -- past ~2 slabs per worker the classic schedule
-  // balances fine and per-j regions only add overhead.
-  std::size_t split_end = 0;
-  const std::size_t threshold = ctx.intra_slab_threshold();
-  const int workers = util::hardware_parallelism();
-  if (threshold > 0 && workers > 1 && !util::in_parallel_region() &&
-      n >= threshold) {
-    split_end = std::min({n + 1 - threshold,
-                          static_cast<std::size_t>(2 * workers), n});
-  }
-  for (std::size_t d1 = 0; d1 < split_end; ++d1) {
-    if (ckpt != nullptr && ckpt->slab_done(d1)) {
-      ckpt->note_skipped_slab();
-      continue;
-    }
-    ScanStats slab_stats;
-    run_split_slab<kWindowV1, kWindowMem, K>(ctx, t, scan, d1, cert, ckpt,
-                                             slab_stats);
-    if (ckpt != nullptr) {
-      ckpt->commit_slab(d1, slab_stats);
-    } else if (fold_local_stats) {
-      worker_stats[0].scan += slab_stats;
-    }
-  }
-
   // Independent d1 slabs: E_verif(d1, *, *) and E_mem(d1, *).
   const bool keep_values = !t.everif.empty();
-  util::parallel_for(split_end, n, [&](std::size_t d1) {
+  util::parallel_for(0, n, [&](std::size_t d1) {
     if (ckpt != nullptr && ckpt->slab_done(d1)) {
       // An earlier (interrupted) run already committed this slab's rows
       // of the tables; they are final -- skip the whole frontier.

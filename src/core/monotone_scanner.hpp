@@ -108,30 +108,6 @@ class MonotoneScanner {
  public:
   explicit MonotoneScanner(std::size_t n) : rows_(n + 1) {}
 
-  /// Frozen per-row scan state, captured by snapshot_row() at a sub-slab
-  /// checkpoint granule and re-installed by restore_row() when the slab
-  /// resumes (see core::SolveCheckpoint).  Restoring does NOT re-count
-  /// the row in windowed_rows/gated_rows -- begin_row() counted it in the
-  /// interrupted run and the granule carries those totals -- so resumed
-  /// counters match an uninterrupted solve exactly.
-  struct RowSnapshot {
-    bool windowed = false;
-    std::int32_t last_arg = -1;
-    double last_value = 0.0;
-  };
-
-  RowSnapshot snapshot_row(std::size_t m1) const noexcept {
-    const RowState& row = rows_[m1];
-    return RowSnapshot{row.windowed, row.last_arg, row.last_value};
-  }
-
-  void restore_row(std::size_t m1, const RowSnapshot& snap) noexcept {
-    RowState& row = rows_[m1];
-    row.windowed = snap.windowed;
-    row.last_arg = snap.last_arg;
-    row.last_value = snap.last_value;
-  }
-
   /// Starts row m1.  `qi_ok` is the per-row verdict of the QI gate
   /// (analysis::QiCertificate::row_ok(m1)); a false verdict pins the row
   /// to the dense scan.

@@ -19,7 +19,6 @@ void SolveCheckpoint::begin_run(std::size_t n, TableLayout layout,
   last_run_executed_ = 0;
   last_run_skipped_ = 0;
   last_run_resumed_ = matches;
-  last_run_resumed_from_granule_ = false;
   if (matches) return;
   // Shape change (or first run): any stored progress is for a different
   // solve -- drop it.  Callers keying checkpoints by workload (see
@@ -28,9 +27,6 @@ void SolveCheckpoint::begin_run(std::size_t n, TableLayout layout,
                                                   keep_verif_values);
   slab_done_.assign(n, 0);
   scan_ = ScanStats{};
-  granule_ = SlabGranule{};
-  granule_valid_ = false;
-  granules_committed_ = 0;
   n_ = n;
   layout_ = layout;
   keep_verif_values_ = keep_verif_values;
@@ -44,25 +40,6 @@ void SolveCheckpoint::commit_slab(std::size_t d1,
   slab_done_[d1] = 1;
   scan_ += slab_scan;
   ++last_run_executed_;
-  if (granule_valid_ && granule_.d1 == d1) {
-    // The slab this granule protected is fully committed; retire it.
-    granule_ = SlabGranule{};
-    granule_valid_ = false;
-  }
-}
-
-void SolveCheckpoint::commit_granule(SlabGranule granule) {
-  const std::lock_guard<std::mutex> lock(commit_mutex_);
-  granule_ = std::move(granule);
-  granule_valid_ = true;
-  ++granules_committed_;
-}
-
-const SolveCheckpoint::SlabGranule* SolveCheckpoint::take_granule(
-    std::size_t d1) noexcept {
-  if (!granule_valid_ || granule_.d1 != d1) return nullptr;
-  last_run_resumed_from_granule_ = true;
-  return &granule_;
 }
 
 void SolveCheckpoint::note_skipped_slab() {
@@ -76,9 +53,7 @@ std::size_t SolveCheckpoint::slabs_completed() const noexcept {
 }
 
 std::size_t SolveCheckpoint::resident_bytes() const noexcept {
-  std::size_t bytes = util::vector_bytes(slab_done_) +
-                      util::vector_bytes(granule_.plane_rows) +
-                      util::vector_bytes(granule_.v1_rows);
+  std::size_t bytes = util::vector_bytes(slab_done_);
   if (tables_ != nullptr) {
     const detail::LevelTables& t = *tables_;
     bytes += util::vector_bytes(t.everif) + util::vector_bytes(t.best_v1) +

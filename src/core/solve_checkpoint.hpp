@@ -46,40 +46,6 @@ struct LevelTables;
 
 class SolveCheckpoint {
  public:
-  /// Mid-slab progress of ONE split slab (intra-slab parallelism, see
-  /// run_level_dp_impl): slabs tall enough to be row-split across workers
-  /// can dominate a run's critical path, so the driver commits a granule
-  /// every few j-steps instead of only at slab exit.  A granule freezes
-  /// everything the j-loop carries between steps: the frontier j_done,
-  /// the slab scratch plane prefix (the E_verif(d1, m1, v1) rows the
-  /// later steps re-read), the MonotoneScanner row states, and the
-  /// running scan totals.  The E_mem/argmin entries for j <= j_done
-  /// already live in the checkpoint's tables.  Split slabs run one at a
-  /// time, so a single slot suffices; commit_slab() drops it.
-  ///
-  /// Validity is independent of worker count, chunking, and SIMD tier
-  /// (all bitwise-identical by contract): a resumed run may use any of
-  /// them.  A resumed run that does not split slab d1 simply ignores the
-  /// granule and recomputes the slab -- same bits either way.
-  struct SlabGranule {
-    std::size_t d1 = 0;
-    /// Every j <= j_done of the slab is fully computed (tables + plane).
-    std::size_t j_done = 0;
-    /// Scratch plane rows m1 in [d1, j_done), stride n + 1, copied from
-    /// offset d1 * stride of the live plane.
-    std::vector<double> plane_rows;
-    /// Per-row v1-scan states for m1 in [d1, j_done), index 0 = row d1;
-    /// empty when the run didn't window the v1 scans.
-    std::vector<MonotoneScanner::RowSnapshot> v1_rows;
-    /// E_mem chain row state; meaningful only under a windowed mem chain.
-    MonotoneScanner::RowSnapshot mem_row;
-    /// Whether mem_row was captured (the run windowed the mem chain).
-    bool has_mem_row = false;
-    /// Slab scan totals accumulated up to j_done -- running totals, not
-    /// a delta; the resumed slab seeds its counters from this.
-    ScanStats scan;
-  };
-
   SolveCheckpoint();
   ~SolveCheckpoint();
 
@@ -110,27 +76,6 @@ class SolveCheckpoint {
   /// Thread-safe.
   void note_skipped_slab();
 
-  /// Stores mid-slab progress for a split slab (replacing any earlier
-  /// granule -- the new one strictly supersedes it).  Thread-safe, though
-  /// split slabs run sequentially by construction.
-  void commit_granule(SlabGranule granule);
-
-  /// The stored granule for slab d1, or nullptr when none matches.
-  /// A hit marks the current run as granule-resumed
-  /// (last_run_resumed_from_granule()).  The granule stays stored -- and
-  /// keeps protecting progress up to its j_done -- until commit_slab(d1)
-  /// retires it.
-  const SlabGranule* take_granule(std::size_t d1) noexcept;
-
-  /// Granule commits accumulated across every run of this solve shape.
-  std::size_t granules_committed() const noexcept {
-    return granules_committed_;
-  }
-  /// True when the most recent run resumed a slab mid-way from a granule.
-  bool last_run_resumed_from_granule() const noexcept {
-    return last_run_resumed_from_granule_;
-  }
-
   /// ScanStats accumulated over every committed slab (all runs).
   const ScanStats& scan() const noexcept { return scan_; }
 
@@ -159,10 +104,6 @@ class SolveCheckpoint {
   std::shared_ptr<detail::LevelTables> tables_;
   std::vector<std::uint8_t> slab_done_;
   ScanStats scan_;
-  SlabGranule granule_;
-  bool granule_valid_ = false;
-  std::size_t granules_committed_ = 0;
-  bool last_run_resumed_from_granule_ = false;
   /// Shape of the stored progress; a mismatch on begin_run() resets.
   std::size_t n_ = 0;
   TableLayout layout_;

@@ -88,8 +88,8 @@ bool decode_cancel_ack(const std::uint8_t* data, std::size_t size,
 
 // ---------------------------------------------------------------- stats
 /// ServiceStats (including the per-tenant counter map) as deterministic
-/// JSON -- the kStatsReply payload and the HTTP gateway's /v1/stats body.
-/// Doubles print %.17g, tenants in ascending id order.
+/// JSON -- the kStatsReply payload.  Doubles print %.17g, tenants in
+/// ascending id order.
 std::string service_stats_to_json(const service::ServiceStats& stats);
 
 }  // namespace chainckpt::net

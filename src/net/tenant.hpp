@@ -57,8 +57,8 @@ struct TenantEdgeStats {
 
 /// Token-bucket registry keyed by tenant id.  Time is injected as
 /// seconds-since-epoch doubles so tests can drive the clock explicitly.
-/// Thread-safe: shared between the wire server's I/O thread and the HTTP
-/// gateway's acceptor thread.
+/// Thread-safe: the wire server's I/O thread charges it while
+/// WireServer::tenant_stats() reads it from any thread.
 class TenantGovernor {
  public:
   /// `default_quota` applies to tenants with no explicit entry.

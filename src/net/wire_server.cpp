@@ -224,8 +224,6 @@ std::map<std::uint64_t, TenantEdgeStats> WireServer::tenant_stats() const {
   return state_->governor.stats();
 }
 
-TenantGovernor& WireServer::governor() noexcept { return state_->governor; }
-
 namespace {
 
 /// Everything the io_loop needs per iteration but must not keep across

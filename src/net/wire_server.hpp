@@ -116,10 +116,6 @@ class WireServer {
   /// Per-tenant edge verdicts (quota admits/throttles/refunds).
   std::map<std::uint64_t, TenantEdgeStats> tenant_stats() const;
 
-  /// The quota registry, shared with the HTTP gateway when one fronts
-  /// the same service.
-  TenantGovernor& governor() noexcept;
-
   /// Shared I/O state (public only so the file-local I/O driver can name
   /// it; the definition is internal to wire_server.cpp).
   struct State;

@@ -70,9 +70,9 @@ struct ServiceOptions {
   /// the header comment.
   std::size_t workers = 0;
   /// Passed through to the embedded BatchSolver: table layout, scan mode,
-  /// max_n, the LRU cache budget, and the interruption-checkpoint policy
-  /// (keep_checkpoints/checkpoint_budget_bytes -- what makes preempted
-  /// jobs resume instead of restart).
+  /// max_n, the LRU cache budget, and the budget for retained
+  /// interruption checkpoints (checkpoint_budget_bytes -- the checkpoints
+  /// are what make preempted jobs resume instead of restart).
   core::BatchOptions solver;
   /// Admission pricing, budget, and the deadline-feasibility screen
   /// (service/admission.hpp).

@@ -42,9 +42,4 @@ int worker_index() noexcept {
 #endif
 }
 
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body) {
-  detail::parallel_for_impl(begin, end, body);
-}
-
 }  // namespace chainckpt::util

@@ -5,11 +5,9 @@
 // maps onto OpenMP when available and degrades to a serial loop otherwise,
 // so the library has no hard dependency on a threading runtime.
 //
-// The primary overload is a header-only template: the body is invoked
-// through its static type, so lambdas inline into the loop with zero
-// type-erasure (no std::function construction, no indirect call per
-// iteration).  A std::function overload is kept with the original mangled
-// symbol for ABI-stable callers that hold an erased callable already.
+// parallel_for is a header-only template: the body is invoked through its
+// static type, so lambdas inline into the loop with zero type-erasure (no
+// std::function construction, no indirect call per iteration).
 //
 // Determinism contract: the callable receives the iteration index and must
 // derive any randomness from it (see Xoshiro256::stream), so results are
@@ -18,7 +16,6 @@
 
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <mutex>
 
 namespace chainckpt::util {
@@ -43,13 +40,12 @@ bool in_parallel_region() noexcept;
 /// shrink hardware_parallelism() between sizing and use.
 int worker_index() noexcept;
 
-namespace detail {
-
-/// Shared loop skeleton for both overloads.  Exceptions thrown by the body
-/// are captured and the first one is rethrown on the calling thread after
-/// the loop completes (OpenMP regions must not leak exceptions).
+/// Runs body(i) for i in [begin, end) with dynamic scheduling.  Exceptions
+/// thrown by the body are captured and the first one is rethrown on the
+/// calling thread after the loop completes (OpenMP regions must not leak
+/// exceptions).
 template <typename Body>
-void parallel_for_impl(std::size_t begin, std::size_t end, const Body& body) {
+void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
   if (begin >= end) return;
   const std::size_t count = end - begin;
   const int threads = hardware_parallelism();
@@ -82,21 +78,5 @@ void parallel_for_impl(std::size_t begin, std::size_t end, const Body& body) {
 #endif
   if (first_error) std::rethrow_exception(first_error);
 }
-
-}  // namespace detail
-
-/// Runs body(i) for i in [begin, end) with dynamic scheduling.  The body is
-/// called through its concrete type -- prefer this overload everywhere.
-template <typename Body>
-inline void parallel_for(std::size_t begin, std::size_t end,
-                         const Body& body) {
-  detail::parallel_for_impl(begin, end, body);
-}
-
-/// Type-erased overload, kept so callers that already hold a std::function
-/// (and pre-built binaries linking the old symbol) keep working.  Overload
-/// resolution prefers this non-template for actual std::function arguments.
-void parallel_for(std::size_t begin, std::size_t end,
-                  const std::function<void(std::size_t)>& body);
 
 }  // namespace chainckpt::util

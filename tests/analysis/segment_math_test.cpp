@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "chain/patterns.hpp"
+#include "platform/registry.hpp"
 #include "util/math.hpp"
 
 namespace chainckpt::analysis {
@@ -29,6 +31,28 @@ TEST(Interval, MakeIntervalReadsWeightTable) {
   EXPECT_DOUBLE_EQ(seg.w, 2000.0);
   EXPECT_NEAR(seg.em1_f, std::expm1(2e-2), 1e-15);
   EXPECT_NEAR(seg.em1_s, std::expm1(4e-2), 1e-15);
+}
+
+TEST(Interval, PaperQuotedTaskFailureProbabilitiesOnHera) {
+  // HighLow discussion: "a large task [3000s] will fail with probability
+  // 1.3%, as opposed to ... 0.096% for small tasks [~222s]" on Hera.  The
+  // combined fail-stop + silent probability is 1 - e^{-(lf + ls) W}.
+  const platform::Platform hera = platform::hera();
+  const chain::TaskChain c(std::vector<double>{3000.0, 10000.0 / 45.0});
+  const chain::WeightTable t(c, hera.lambda_f, hera.lambda_s);
+  EXPECT_NEAR(1.0 - 1.0 / make_interval(t, 0, 1).exp_fs(), 0.013, 0.0005);
+  EXPECT_NEAR(1.0 - 1.0 / make_interval(t, 1, 2).exp_fs(), 0.00096,
+              0.00005);
+}
+
+TEST(LawInterval, PaperQuotedTimeLostOnHera) {
+  // HighLow discussion: T_lost ~ 1500s for a 3000s task on Hera (Eq. (3)
+  // through the shape-1 law integral).
+  const platform::Platform hera = platform::hera();
+  const chain::TaskChain c(std::vector<double>{3000.0});
+  const chain::WeightTable t(c, hera.lambda_f, hera.lambda_s);
+  const WeibullLawTasks tasks(t, hera.lambda_f, 1.0);
+  EXPECT_NEAR(make_law_interval(t, tasks, 0, 1).t_lost, 1500.0, 1.0);
 }
 
 TEST(Em1fOverLambda, MatchesBothBranches) {

@@ -50,10 +50,12 @@ TEST(BatchSolver, MatchesPerChainOptimizeBitIdentically) {
 
 TEST(BatchSolver, SerialAndParallelBatchesAgreeBitwise) {
   const auto jobs = mixed_batch();
-  BatchSolver parallel_solver{{.parallel = true}};
-  BatchSolver serial_solver{{.parallel = false}};
+  BatchSolver parallel_solver;
+  BatchSolver serial_solver;
   const auto par = parallel_solver.solve(jobs);
+  util::set_parallelism(1);
   const auto ser = serial_solver.solve(jobs);
+  util::set_parallelism(0);
   ASSERT_EQ(par.size(), ser.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(par[i].expected_makespan, ser[i].expected_makespan) << i;

@@ -314,26 +314,5 @@ TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {
   EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
 }
 
-TEST(SolveCheckpoint, DisabledCheckpointsKeepNothing) {
-  const SerialGuard serial;
-  BatchOptions options;
-  options.keep_checkpoints = false;
-  BatchSolver solver(options);
-  const BatchJob job{Algorithm::kADMVstar, chain::make_uniform(48, 25000.0),
-                     platform::CostModel{platform::hera()}};
-  CancelToken token;
-  token.trip_after_polls(800);
-  EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
-  const BatchStats stats = solver.stats_snapshot();
-  EXPECT_EQ(stats.checkpoints_saved, 0u);
-  EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
-  // The retry simply restarts -- and is still exact.
-  const OptimizationResult result = solver.solve_job(job);
-  BatchSolver fresh;
-  const OptimizationResult expected = fresh.solve_job(job);
-  EXPECT_EQ(result.expected_makespan, expected.expected_makespan);
-  EXPECT_EQ(result.plan, expected.plan);
-}
-
 }  // namespace
 }  // namespace chainckpt::core

@@ -3,11 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <functional>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 namespace chainckpt::util {
@@ -61,32 +59,14 @@ TEST(ParallelFor, ResultIndependentOfThreadCount) {
   EXPECT_EQ(serial, parallel);
 }
 
-TEST(ParallelFor, TypeErasedOverloadStillWorks) {
-  // ABI-stable entry point: an actual std::function must resolve to the
-  // non-template overload and behave identically to the template.
-  std::vector<std::atomic<int>> visits(64);
-  const std::function<void(std::size_t)> body = [&](std::size_t i) {
-    visits[i].fetch_add(1);
-  };
-  parallel_for(0, visits.size(), body);
-  for (std::size_t i = 0; i < visits.size(); ++i) {
-    EXPECT_EQ(visits[i].load(), 1);
-  }
-}
-
-TEST(ParallelFor, MoveOnlyCallableRequiresZeroErasureTemplate) {
-  // A move-only closure cannot convert to std::function, so this call
-  // compiles ONLY through the zero-erasure template overload -- deleting
-  // that overload breaks this test at compile time.
+TEST(ParallelFor, AcceptsMoveOnlyCallable) {
+  // The body is taken by reference and called through its own type, never
+  // copied into a std::function, so a move-only closure compiles.
   auto counter = std::make_unique<std::atomic<int>>(0);
   std::atomic<int>* const observed = counter.get();
   const auto move_only = [c = std::move(counter)](std::size_t) {
     c->fetch_add(1);
   };
-  // (std::function's converting constructor is not SFINAE-constrained on
-  // copyability in C++17, so this can't be a static_assert: the guard is
-  // that erasing move_only is a hard instantiation error, which this call
-  // would trigger if only the type-erased overload existed.)
   parallel_for(0, 4, move_only);
   EXPECT_EQ(observed->load(), 4);
 }

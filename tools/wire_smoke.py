@@ -10,13 +10,17 @@ codecs) fails here.  Drives a live server (examples/wire_server.cpp):
   2. a streamed solve round-trip that must succeed with a finite
      expected makespan and echo our tenant id,
   3. a quota rejection: a throttled tenant's second submit must bounce
-     with a kRetryAfter frame carrying a positive retry-after hint.
+     with a kRetryAfter frame carrying a positive retry-after hint,
+  4. a stats round-trip: the kStatsReply JSON must parse with Python's
+     own parser, and its per-tenant counters must reconcile with the
+     global ones and with steps 2-3.
 
 Usage (the CI smoke lane):
   wire_server --port 7433 --quotas "2:0.000001:0.000001" &
   python3 tools/wire_smoke.py --port 7433
 """
 import argparse
+import json
 import socket
 import struct
 import sys
@@ -27,11 +31,16 @@ HEADER = struct.Struct("<4sBBHQQI")  # magic ver type flags tenant request len
 
 # FrameType values (src/net/frame.hpp).
 HELLO, WELCOME, SUBMIT, SUBMIT_ACK = 1, 2, 3, 4
-RESULT, RETRY_AFTER, ERROR, GOODBYE = 9, 10, 11, 14
+RESULT, RETRY_AFTER, ERROR = 9, 10, 11
+STATS_REQUEST, STATS_REPLY, GOODBYE = 12, 13, 14
 FLAG_STREAM_RESULT = 1
 
 # JobState values (src/service/job.hpp).
 SUCCEEDED, REJECTED = 2, 6
+
+# Counters kept both globally and per tenant (service::TenantCounters).
+TENANT_COUNTERS = ("submitted", "rejected", "succeeded", "failed",
+                   "cancelled", "expired", "preempted")
 
 
 def frame(ftype, tenant, request_id, payload=b"", flags=0):
@@ -140,6 +149,24 @@ def main():
         retry_ms, _reason = struct.unpack_from("<IB", payload)
         check(retry_ms > 0, "positive retry-after hint (%d ms)" % retry_ms)
         s.sendall(frame(GOODBYE, t, 3))
+
+    # 3. Stats round-trip: the ServiceStats JSON reconciles with itself
+    #    and with the traffic above.
+    with socket.create_connection((args.host, args.port), timeout=30) as s:
+        s.sendall(frame(STATS_REQUEST, 1, 1))
+        ftype, _, request_id, payload = read_frame(s)
+        check(ftype == STATS_REPLY and request_id == 1, "stats replied")
+        stats = json.loads(payload.decode())
+        tenants = stats["tenants"]
+        for counter in TENANT_COUNTERS:
+            total = sum(counters[counter] for counters in tenants.values())
+            check(total == stats[counter],
+                  "per-tenant %s sums to the global count (%d)"
+                  % (counter, stats[counter]))
+        check(tenants["1"]["succeeded"] >= 1, "tenant 1 shows a success")
+        check(tenants[str(args.throttled_tenant)]["submitted"] == 1,
+              "throttled tenant shows exactly one submission")
+        s.sendall(frame(GOODBYE, 1, 2))
 
     print("wire smoke passed")
 
