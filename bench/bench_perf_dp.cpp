@@ -12,7 +12,6 @@
 
 #include "bench_common.hpp"
 #include "chain/patterns.hpp"
-#include "core/dp_two_level.hpp"
 #include "core/optimizer.hpp"
 #include "core/simd/simd_dispatch.hpp"
 #include "platform/cost_model.hpp"
@@ -43,10 +42,10 @@ void run_algorithm_mode(benchmark::State& state, core::Algorithm algorithm,
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto chain = chain::make_uniform(n, 25000.0);
   const platform::CostModel costs(platform::hera());
-  const bool rows = algorithm == core::Algorithm::kADMV;
   core::ScanStats last;
   for (auto _ : state) {
-    core::DpContext ctx(chain, costs, core::DpContext::kDefaultMaxN, rows);
+    core::DpContext ctx(chain, costs, core::DpContext::kDefaultMaxN,
+                        /*build_row_tables=*/false);
     ctx.set_scan_mode(mode);
     const auto result = core::optimize(algorithm, ctx);
     benchmark::DoNotOptimize(result.expected_makespan);
@@ -75,26 +74,6 @@ void BM_PartialSerial(benchmark::State& state) {
   util::set_parallelism(0);
 }
 
-// The 8x8-tiled table layout (see core::TableLayout) against its
-// row-major twin, at the sizes where a slab plane outgrows L2.
-void run_two_level_layout(benchmark::State& state, core::TableLayout layout) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto chain = chain::make_uniform(n, 25000.0);
-  const platform::CostModel costs(platform::hera());
-  for (auto _ : state) {
-    const auto result = core::optimize_two_level(chain, costs, layout);
-    benchmark::DoNotOptimize(result.expected_makespan);
-  }
-  state.counters["n"] = static_cast<double>(n);
-}
-
-void BM_TwoLevelTiled(benchmark::State& state) {
-  run_two_level_layout(state, core::TableLayout::kTiled);
-}
-void BM_TwoLevelRowMajor(benchmark::State& state) {
-  run_two_level_layout(state, core::TableLayout::kRowMajor);
-}
-
 // Monotonicity-pruned scans (core::ScanMode::kMonotonePruned): same
 // inputs and bit-identical outputs as the dense rows above, with the
 // prune/fallback counters attached.
@@ -104,10 +83,6 @@ void BM_SingleLevelPruned(benchmark::State& state) {
 }
 void BM_TwoLevelPruned(benchmark::State& state) {
   run_algorithm_mode(state, core::Algorithm::kADMVstar,
-                     core::ScanMode::kMonotonePruned);
-}
-void BM_PartialPruned(benchmark::State& state) {
-  run_algorithm_mode(state, core::Algorithm::kADMV,
                      core::ScanMode::kMonotonePruned);
 }
 
@@ -211,10 +186,6 @@ BENCHMARK(BM_SingleLevel)->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Arg(200)
     ->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevel)->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Arg(200)
     ->Arg(300)->Arg(400)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelTiled)->Arg(400)->Arg(900)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelRowMajor)->Arg(400)->Arg(900)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partial)->Arg(10)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 // The paper's "a few seconds for n = 50" figure was single-threaded.
@@ -222,8 +193,6 @@ BENCHMARK(BM_PartialSerial)->Arg(50)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SingleLevelPruned)->Arg(100)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelPruned)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_PartialPruned)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelRandomDense)->Arg(100)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelRandomPruned)->Arg(100)->Unit(benchmark::kMillisecond);

@@ -15,7 +15,8 @@
 //   --seed <n>             master seed (cell seeds derive from it by name)
 //   --timing               include wall-clock service-lane metrics (opts the
 //                          report OUT of byte determinism)
-//   --serial               run cells on one thread (identical bytes either way)
+//   --serial               run on one thread via util::set_parallelism(1)
+//                          (identical bytes either way)
 //   --write-golden <dir>   re-pin the golden corpus: for every *.json spec in
 //                          <dir>, solve and rewrite its `expected` digests
 //   --spec-dir <dir>       sweep a user-supplied spec corpus (every *.json,
@@ -35,6 +36,7 @@
 #include "scenario/runner.hpp"
 #include "scenario/spec_io.hpp"
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -150,7 +152,7 @@ int main(int argc, char** argv) {
   parser.add_option("spec-dir", "",
                     "run the specs in <dir> instead of the generated matrix");
   parser.add_flag("timing", "include wall-clock service metrics");
-  parser.add_flag("serial", "run cells serially");
+  parser.add_flag("serial", "run on one thread");
   parser.add_flag("list", "print cell names and exit");
   try {
     parser.parse(argc, argv);
@@ -172,8 +174,8 @@ int main(int argc, char** argv) {
 
   scenario::RunnerOptions ropts;
   ropts.include_timing = parser.get_flag("timing");
-  ropts.parallel = !parser.get_flag("serial");
   ropts.master_seed = mopts.master_seed;
+  if (parser.get_flag("serial")) util::set_parallelism(1);
 
   const std::string mode = parser.get("mode");
   if (!parser.get("write-golden").empty()) {

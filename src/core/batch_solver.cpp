@@ -96,14 +96,12 @@ BatchSolver::TableKey BatchSolver::make_key(
 }
 
 BatchSolver::TableKey BatchSolver::make_checkpoint_key(
-    const TableKey& tables_key, Algorithm algorithm, TableLayout layout,
-    ScanMode scan_mode) {
+    const TableKey& tables_key, Algorithm algorithm, ScanMode scan_mode) {
   TableKey key = tables_key;
   // One metadata word: anything that changes the tables a resumed run
   // writes (algorithm picks the engine and whether E_verif values are
-  // kept; layout changes idx3; scan mode changes the committed counters).
+  // kept; scan mode changes the committed counters).
   key.bits.push_back((static_cast<std::uint64_t>(algorithm) << 16) |
-                     (static_cast<std::uint64_t>(layout) << 8) |
                      static_cast<std::uint64_t>(scan_mode));
   return key;
 }
@@ -176,7 +174,7 @@ std::vector<OptimizationResult> BatchSolver::solve(
       DpContext ctx(job.chain, job.costs, entry->table, entry->seg,
                     options_.max_n);
       ctx.set_scan_mode(options_.scan_mode);
-      results[i] = optimize(job.algorithm, ctx, options_.layout);
+      results[i] = optimize(job.algorithm, ctx);
     } else {
       results[i] = optimize(job.algorithm, job.chain, job.costs);
     }
@@ -353,8 +351,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   std::shared_ptr<SolveCheckpoint> ckpt;
   bool resumed = false;
   if (is_checkpointable(job.algorithm)) {
-    ckpt_key = make_checkpoint_key(key, job.algorithm, options_.layout,
-                                   options_.scan_mode);
+    ckpt_key = make_checkpoint_key(key, job.algorithm, options_.scan_mode);
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       const auto it = checkpoints_.find(ckpt_key);
@@ -374,10 +371,9 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   ctx.set_scan_mode(options_.scan_mode);
   ctx.set_cancel_token(cancel);
   ctx.set_checkpoint(ckpt.get());
-  if (have_warm_bound) ctx.set_warm_upper_bound(warm_bound);
   OptimizationResult result;
   try {
-    result = optimize(job.algorithm, ctx, options_.layout);
+    result = optimize(job.algorithm, ctx);
   } catch (const SolveInterrupted&) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
@@ -447,14 +443,6 @@ std::size_t BatchSolver::release_scratch() {
   freed += util::release_all_arenas();
   const std::lock_guard<std::mutex> lock(mutex_);
   stats_.released_bytes += freed;
-  return freed;
-}
-
-std::size_t BatchSolver::discard_checkpoints() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t freed = checkpoint_bytes_locked();
-  stats_.checkpoints_dropped += checkpoints_.size();
-  checkpoints_.clear();
   return freed;
 }
 

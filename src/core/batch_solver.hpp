@@ -76,8 +76,6 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  /// Storage layout of the dense level-DP tables (ADMV*/ADMV jobs).
-  TableLayout layout = TableLayout::kRowMajor;
   /// Inner argmin scan mode for the DP jobs (see
   /// core/monotone_scanner.hpp).  kMonotonePruned is bit-compatible with
   /// kDense under the QI gate + boundary guard and reports its pruning
@@ -96,8 +94,8 @@ struct BatchOptions {
   /// LRU byte budget over retained interruption checkpoints; 0 keeps them
   /// unbounded.  When a solve_job() for a multi-level DP (kADMVstar/kADMV)
   /// is interrupted, its core::SolveCheckpoint is retained: a later
-  /// solve_job() of the same workload (same tables key, algorithm, layout,
-  /// and scan mode) resumes it, re-executing only the slabs the
+  /// solve_job() of the same workload (same tables key, algorithm, and
+  /// scan mode) resumes it, re-executing only the slabs the
   /// interrupted run did not finish, with bit-identical results.  The
   /// retained state is the job's O(n^2)-O(n^3) argmin/value tables, so a
   /// service that interrupts large solves should bound it here;
@@ -195,11 +193,6 @@ class BatchSolver {
   /// BatchSolver or standalone optimizer call.
   std::size_t release_scratch();
 
-  /// Drops every retained interruption checkpoint (jobs restart from
-  /// scratch on their next submission); returns the bytes freed.  Safe
-  /// against concurrent solve_job() calls.
-  std::size_t discard_checkpoints();
-
   /// Bytes held by the retained interruption checkpoints.
   std::size_t checkpoint_resident_bytes() const;
 
@@ -279,7 +272,7 @@ class BatchSolver {
   };
 
   /// A retained interruption checkpoint: the partial progress of one
-  /// (workload, algorithm, layout, scan mode), checked OUT of the store
+  /// (workload, algorithm, scan mode), checked OUT of the store
   /// for the duration of a solve (exclusive ownership) and checked back
   /// in only if the solve is interrupted again.  Keyed by the TableKey
   /// bits extended with one metadata word, so a checkpoint can never be
@@ -292,8 +285,7 @@ class BatchSolver {
   static TableKey make_key(const chain::TaskChain& chain,
                            const platform::CostModel& costs);
   static TableKey make_checkpoint_key(const TableKey& tables_key,
-                                      Algorithm algorithm, TableLayout layout,
-                                      ScanMode scan_mode);
+                                      Algorithm algorithm, ScanMode scan_mode);
   static std::size_t entry_bytes(const TableEntry& entry) noexcept;
 
   /// The following helpers require mutex_ to be held.

@@ -21,24 +21,13 @@ class SolveCheckpoint;
 /// Result of any optimizer: the chosen plan and its expected makespan
 /// (the DP objective value; re-scoring the plan through the analytic
 /// evaluator reproduces it).  `scan` holds the prune/fallback counters of
-/// the inner argmin scans; it is all-zero for ScanMode::kDense solves and
-/// for the heuristic baselines.
+/// the inner argmin scans; it is all-zero for ScanMode::kDense solves, for
+/// AD and ADMV (which always scan dense), and for the heuristic baselines.
 struct OptimizationResult {
   plan::ResiliencePlan plan;
   double expected_makespan = 0.0;
   ScanStats scan{};
 };
-
-/// Memory layout of the dense O(n^3) level-DP tables.
-///
-/// kRowMajor keeps each (d1, m1, ·) row contiguous (the layout the value
-/// scans were written for).  kTiled blocks every (m1, v2) plane into 8x8
-/// tiles so walks along EITHER axis touch full cache lines -- the m1-scan
-/// of the E_mem pass and the sparse reconstruction reads stay
-/// cache-friendly once a slab plane outgrows L2.  The DP itself runs on a
-/// contiguous thread-local scratch plane either way, so the two layouts
-/// produce bitwise-identical tables and plans.
-enum class TableLayout { kRowMajor, kTiled };
 
 /// Precomputed chain/cost/interval data shared by all DP levels.
 class DpContext {
@@ -47,11 +36,11 @@ class DpContext {
 
   /// `max_n` bounds the O(n^3) table memory of the multi-level DPs; the
   /// default (900) corresponds to ~8.8 GiB across the value + argmin
-  /// tables of the largest DP.  The tiled layout and the scratch-plane
-  /// hot path keep that regime compute-bound; pass a larger max_n
-  /// explicitly if you have the memory.  `build_row_tables = false`
-  /// skips the SegmentTables row arrays that only the ADMV partial
-  /// solver reads (see analysis::SegmentTables).
+  /// tables of the largest DP.  The scratch-plane hot path keeps that
+  /// regime compute-bound; pass a larger max_n explicitly if you have the
+  /// memory.  `build_row_tables = false` skips the SegmentTables row
+  /// arrays that only the ADMV partial solver reads (see
+  /// analysis::SegmentTables).
   DpContext(chain::TaskChain chain, platform::CostModel costs,
             std::size_t max_n = kDefaultMaxN, bool build_row_tables = true);
 
@@ -70,8 +59,10 @@ class DpContext {
 
   /// Selects how the DPs run their inner argmin scans (see
   /// core/monotone_scanner.hpp).  Dense by default; set to
-  /// kMonotonePruned before handing the context to an optimizer.  The AD
-  /// baseline's degenerate single-cell scan ignores the knob.
+  /// kMonotonePruned before handing the context to an optimizer.  ADV*
+  /// and ADMV* honor it.  AD (whose scans are a single cell) and ADMV
+  /// (whose pruned scans measured no gain) ignore it and always run
+  /// dense, reporting zero scan counters.
   void set_scan_mode(ScanMode mode) noexcept { scan_mode_ = mode; }
   ScanMode scan_mode() const noexcept { return scan_mode_; }
 
@@ -85,26 +76,13 @@ class DpContext {
   }
   const CancelToken* cancel_token() const noexcept { return cancel_; }
 
-  /// Advisory upper bound on the optimal objective, supplied by the plan
-  /// cache when a stale-but-rescored plan exists (its evaluator score
-  /// bounds the optimum from above).  The DP kernels deliberately do NOT
-  /// prune on it -- that would break the bitwise-determinism contract of
-  /// cached vs cold solves -- but BatchSolver uses it as a post-solve
-  /// oracle guard (a fresh objective above the bound indicates a solver
-  /// or certificate bug; see BatchStats::warm_bound_violations).  <= 0
-  /// (the default) means "no bound known".
-  void set_warm_upper_bound(double bound) noexcept {
-    warm_upper_bound_ = bound;
-  }
-  double warm_upper_bound() const noexcept { return warm_upper_bound_; }
-
   /// Attaches a resumable checkpoint (core/solve_checkpoint.hpp) for the
   /// multi-level DPs (kADMVstar/kADMV): completed d1 slabs are committed
   /// into it, and a run that starts on a checkpoint holding progress for
   /// the same workload skips them.  The checkpoint must outlive the solve
   /// and belong to this solve exclusively while it runs.  nullptr (the
-  /// default) solves without checkpointing; the single-level DPs ignore
-  /// it.  Not owned.
+  /// default) runs each solve on a solve-local checkpoint that is dropped
+  /// with its result; the single-level DPs ignore it.  Not owned.
   void set_checkpoint(SolveCheckpoint* checkpoint) noexcept {
     checkpoint_ = checkpoint;
   }
@@ -145,7 +123,6 @@ class DpContext {
   platform::CostModel costs_;
   ScanMode scan_mode_ = ScanMode::kDense;
   const CancelToken* cancel_ = nullptr;
-  double warm_upper_bound_ = 0.0;
   SolveCheckpoint* checkpoint_ = nullptr;
   simd::SimdTier simd_override_ = simd::SimdTier::kScalar;
   bool has_simd_override_ = false;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <limits>
-#include <memory>
 #include <vector>
 
 #include "core/cancellation.hpp"
@@ -186,40 +185,35 @@ struct PartialSegmentSolver {
 }  // namespace
 
 OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
-                                         const platform::CostModel& costs,
-                                         TableLayout layout) {
+                                         const platform::CostModel& costs) {
   const DpContext ctx(chain, costs);
-  return optimize_with_partial(ctx, layout);
+  return optimize_with_partial(ctx);
 }
 
-OptimizationResult optimize_with_partial(const DpContext& ctx,
-                                         TableLayout layout) {
+OptimizationResult optimize_with_partial(const DpContext& ctx) {
   CHAINCKPT_REQUIRE(ctx.seg_tables().has_rows(),
                     "ADMV needs a context built with row tables");
   // Entry checkpoint; the per-(d1, j) checkpoints of the O(n^6) engine
-  // run live in run_level_dp_impl, outside this solver's fused kernels
+  // run live in run_level_dp, outside this solver's fused kernels
   // (whose call structure must not change -- see the scan note below).
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
   const std::size_t n = ctx.n();
   // ADMV keeps the E_verif value table (its partial reconstruction reads
-  // it), so a checkpoint holds everything a resumed run needs; without
-  // one the tables are plain solve-local state.
-  SolveCheckpoint* ckpt = ctx.checkpoint();
-  std::unique_ptr<detail::LevelTables> local;
-  if (ckpt != nullptr) {
-    ckpt->begin_run(n, layout, /*keep_verif_values=*/true, ctx.scan_mode());
-  } else {
-    local = std::make_unique<detail::LevelTables>(n, layout);
-  }
-  detail::LevelTables& tables = ckpt != nullptr ? ckpt->tables() : *local;
+  // it), so the checkpoint -- attached, or else solve-local -- holds
+  // everything a resumed run needs.
+  SolveCheckpoint local;
+  SolveCheckpoint& ckpt =
+      ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
+  ckpt.begin_run(n, /*keep_verif_values=*/true, ctx.scan_mode());
+  const detail::LevelTables& tables = ckpt.tables();
   const PartialSegmentSolver solver{ctx};
   const auto& cm = ctx.costs();
   const double g = cm.miss();
 
-  // Under kMemChainOnly (below) this kernel is invoked exactly once per
-  // (d1, m1, j) step with [lo, hi) = [m1, j), so the planes are built
-  // once per scan, exactly as the PartialScratch contract describes.  A
-  // profile that windowed the v1 scans would re-enter the kernel per
+  // The engine runs this DP dense (below), so this kernel is invoked
+  // exactly once per (d1, m1, j) step with [lo, hi) = [m1, j), and the
+  // planes are built once per scan, exactly as the PartialScratch
+  // contract describes.  A windowed v1 scan would re-enter the kernel per
   // step and would need to key the plane builds.
   const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t lo,
                         std::size_t hi, std::size_t j, double emem_at_m1,
@@ -242,18 +236,16 @@ OptimizationResult optimize_with_partial(const DpContext& ctx,
     }
   };
 
-  // ADMV windows only its E_mem m1 chain: measured on the partial
-  // segment costs, the v1 argmin stays pinned to m1 (nothing to prune)
-  // and the fused inner solver's codegen is sensitive to the v1-scan
-  // call structure (see LevelScanProfile).  K is pinned to ScalarKernels
-  // for the same reason: each of its "candidates" is a full O(len^2)
-  // inner DP, not a stream element, so there is nothing for the vector
-  // argmin tiers to vectorize -- and re-instantiating the engine around
-  // the fused solver for each tier would only risk its codegen.
-  ScanStats scan_stats;
-  detail::run_level_dp<simd::ScalarKernels>(
-      ctx, tables, scan, &scan_stats,
-      detail::LevelScanProfile::kMemChainOnly);
+  // ADMV ignores the scan mode and always runs dense: measured on the
+  // partial segment costs, the v1 argmin stays pinned to m1 (nothing to
+  // prune), the fused inner solver's codegen is sensitive to the v1-scan
+  // call structure, and windowing the O(n^3) E_mem m1 chain alone never
+  // paid (PERFORMANCE.md).  K is pinned to ScalarKernels for the same
+  // reason: each of its "candidates" is a full O(len^2) inner DP, not a
+  // stream element, so there is nothing for the vector argmin tiers to
+  // vectorize -- and re-instantiating the engine around the fused solver
+  // for each tier would only risk its codegen.
+  detail::run_level_dp<false, simd::ScalarKernels>(ctx, ckpt, scan);
 
   // Partial positions of a winning segment are re-derived from the (now
   // final) E_verif / E_mem tables: same inputs, same deterministic inner
@@ -278,7 +270,7 @@ OptimizationResult optimize_with_partial(const DpContext& ctx,
   };
 
   return OptimizationResult{detail::extract_plan(ctx, tables, partials),
-                            tables.edisk[n], scan_stats};
+                            tables.edisk[n], ckpt.scan()};
 }
 
 }  // namespace chainckpt::core

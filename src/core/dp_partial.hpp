@@ -26,18 +26,16 @@
 
 namespace chainckpt::core {
 
-/// Returns the optimal ADMV plan and its expected makespan.  `layout`
-/// selects the storage layout of the dense DP tables (values and plans are
-/// identical under both; see core::TableLayout).
-OptimizationResult optimize_with_partial(
-    const chain::TaskChain& chain, const platform::CostModel& costs,
-    TableLayout layout = TableLayout::kRowMajor);
+/// Returns the optimal ADMV plan and its expected makespan.  ADMV ignores
+/// DpContext::scan_mode(): its scans always run dense and report zero
+/// scan counters.
+OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
+                                         const platform::CostModel& costs);
 
 /// Same solver on a prebuilt context -- the shared-SegmentTables path used
 /// by core::BatchSolver.  The inner DP reads the row-oriented coefficient
 /// arrays, so the context must have been built with row tables (throws
 /// std::invalid_argument otherwise).
-OptimizationResult optimize_with_partial(
-    const DpContext& ctx, TableLayout layout = TableLayout::kRowMajor);
+OptimizationResult optimize_with_partial(const DpContext& ctx);
 
 }  // namespace chainckpt::core

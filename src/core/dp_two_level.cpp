@@ -1,7 +1,6 @@
 #include "core/dp_two_level.hpp"
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/level_dp.hpp"
@@ -9,37 +8,30 @@
 namespace chainckpt::core {
 
 OptimizationResult optimize_two_level(const chain::TaskChain& chain,
-                                      const platform::CostModel& costs,
-                                      TableLayout layout) {
+                                      const platform::CostModel& costs) {
   const DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
                       /*build_row_tables=*/false);
-  return optimize_two_level(ctx, layout);
+  return optimize_two_level(ctx);
 }
 
 namespace {
 
 /// The solve body, instantiated once per SIMD kernel tier K so the fused
 /// Eq. (4) scan compiles straight onto K::affine with no dispatch inside
-/// the step (see run_level_dp_impl's codegen note).  K = ScalarKernels
+/// the step (see run_level_dp's codegen note).  K = ScalarKernels
 /// reproduces the historic loop token for token; the vector tiers are
 /// bitwise identical to it by the kernel determinism contract.
 template <typename K>
-OptimizationResult optimize_two_level_impl(const DpContext& ctx,
-                                           TableLayout layout) {
+OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   // ADMV* never re-reads E_verif values (plan extraction needs only the
-  // argmin tables), so skip the O(n^3) value table entirely.  With a
-  // checkpoint attached the tables live inside it so committed slabs
-  // survive an interruption; otherwise they are plain solve-local state.
-  SolveCheckpoint* ckpt = ctx.checkpoint();
-  std::unique_ptr<detail::LevelTables> local;
-  if (ckpt != nullptr) {
-    ckpt->begin_run(ctx.n(), layout, /*keep_verif_values=*/false,
-                    ctx.scan_mode());
-  } else {
-    local = std::make_unique<detail::LevelTables>(
-        ctx.n(), layout, /*keep_verif_values=*/false);
-  }
-  detail::LevelTables& tables = ckpt != nullptr ? ckpt->tables() : *local;
+  // argmin tables), so skip the O(n^3) value table entirely.  The tables
+  // live in the attached checkpoint, so committed slabs survive an
+  // interruption, or else in a solve-local one.
+  SolveCheckpoint local;
+  SolveCheckpoint& ckpt =
+      ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
+  ckpt.begin_run(ctx.n(), /*keep_verif_values=*/false, ctx.scan_mode());
+  const detail::LevelTables& tables = ckpt.tables();
 
   const auto& seg = ctx.seg_tables();
   const auto& cm = ctx.costs();
@@ -58,32 +50,34 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx,
               seg.d_col(j), k1, k2, lo, hi, best, best_arg);
   };
 
-  ScanStats scan_stats;
-  detail::run_level_dp<K>(ctx, tables, scan, &scan_stats);
+  if (ctx.scan_mode() == ScanMode::kMonotonePruned) {
+    detail::run_level_dp<true, K>(ctx, ckpt, scan);
+  } else {
+    detail::run_level_dp<false, K>(ctx, ckpt, scan);
+  }
 
   const auto no_partials = [](std::size_t, std::size_t, std::size_t,
                               std::size_t) {
     return std::vector<std::size_t>{};
   };
   return OptimizationResult{detail::extract_plan(ctx, tables, no_partials),
-                            tables.edisk[ctx.n()], scan_stats};
+                            tables.edisk[ctx.n()], ckpt.scan()};
 }
 
 }  // namespace
 
-OptimizationResult optimize_two_level(const DpContext& ctx,
-                                      TableLayout layout) {
+OptimizationResult optimize_two_level(const DpContext& ctx) {
   // Entry checkpoint: a token that fired while the job sat in a queue
   // aborts before the O(n^3) tables are even allocated.  The per-step
-  // checkpoints live in run_level_dp_impl.
+  // checkpoints live in run_level_dp.
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
   switch (ctx.simd_tier()) {
     case simd::SimdTier::kAvx512:
-      return optimize_two_level_impl<simd::Avx512Kernels>(ctx, layout);
+      return optimize_two_level_impl<simd::Avx512Kernels>(ctx);
     case simd::SimdTier::kAvx2:
-      return optimize_two_level_impl<simd::Avx2Kernels>(ctx, layout);
+      return optimize_two_level_impl<simd::Avx2Kernels>(ctx);
     default:
-      return optimize_two_level_impl<simd::ScalarKernels>(ctx, layout);
+      return optimize_two_level_impl<simd::ScalarKernels>(ctx);
   }
 }
 

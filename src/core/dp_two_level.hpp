@@ -9,17 +9,13 @@
 
 namespace chainckpt::core {
 
-/// Returns the optimal ADMV* plan and its expected makespan.  `layout`
-/// selects the storage layout of the dense DP tables (values and plans are
-/// identical under both; see core::TableLayout).
-OptimizationResult optimize_two_level(
-    const chain::TaskChain& chain, const platform::CostModel& costs,
-    TableLayout layout = TableLayout::kRowMajor);
+/// Returns the optimal ADMV* plan and its expected makespan.
+OptimizationResult optimize_two_level(const chain::TaskChain& chain,
+                                      const platform::CostModel& costs);
 
 /// Same solver on a prebuilt context -- the shared-SegmentTables path used
 /// by core::BatchSolver.  Only the column tables are read, so a context
 /// built with `build_row_tables = false` suffices.
-OptimizationResult optimize_two_level(
-    const DpContext& ctx, TableLayout layout = TableLayout::kRowMajor);
+OptimizationResult optimize_two_level(const DpContext& ctx);
 
 }  // namespace chainckpt::core

@@ -21,10 +21,12 @@
 // which is what the parallelization exploits.  Each slab runs on a
 // contiguous thread-local scratch plane (SlabScratch) so the v1 scans read
 // unit-stride rows and the m1-scan of the E_mem pass reads a gathered
-// contiguous column, independent of the global LevelTables layout.
+// contiguous column instead of striding through the global LevelTables.
+// The tables themselves always live in a SolveCheckpoint -- the one the
+// caller attached, or a solve-local one -- so every solve commits its
+// slabs the same way and reports its scan counters from the same place.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -42,14 +44,13 @@ namespace chainckpt::core::detail {
 
 struct LevelTables {
   std::size_t n = 0;
-  /// E_verif(d1, m1, v2); valid for d1<=m1<=v2.  Flattened per idx3(),
-  /// whose mapping depends on the layout (see core::TableLayout).  Empty
-  /// when constructed with keep_verif_values = false: the DP itself reads
-  /// E_verif only from its slab scratch plane, so the O(n^3) value table
-  /// is needed solely by consumers that re-derive segment interiors after
-  /// the fact (ADMV's partial reconstruction) -- ADMV* skips it, which
-  /// removes roughly two-thirds of its peak memory and a hot-loop store
-  /// stream.
+  /// E_verif(d1, m1, v2); valid for d1<=m1<=v2.  Flattened row-major per
+  /// idx3().  Empty when constructed with keep_verif_values = false: the
+  /// DP itself reads E_verif only from its slab scratch plane, so the
+  /// O(n^3) value table is needed solely by consumers that re-derive
+  /// segment interiors after the fact (ADMV's partial reconstruction) --
+  /// ADMV* skips it, which removes roughly two-thirds of its peak memory
+  /// and a hot-loop store stream.
   std::vector<double> everif;
   std::vector<std::int32_t> best_v1;
   /// E_mem(d1, m2), flattened over (n+1)^2; valid for d1<=m2.
@@ -59,36 +60,18 @@ struct LevelTables {
   std::vector<double> edisk;
   std::vector<std::int32_t> best_d1;
 
-  explicit LevelTables(std::size_t n_in,
-                       TableLayout layout = TableLayout::kRowMajor,
-                       bool keep_verif_values = true)
+  LevelTables(std::size_t n_in, bool keep_verif_values)
       : n(n_in),
+        everif(keep_verif_values ? (n + 1) * (n + 1) * (n + 1) : 0,
+               std::numeric_limits<double>::quiet_NaN()),
+        best_v1((n + 1) * (n + 1) * (n + 1), -1),
         emem((n + 1) * (n + 1), std::numeric_limits<double>::quiet_NaN()),
         best_m1((n + 1) * (n + 1), -1),
         edisk(n + 1, std::numeric_limits<double>::quiet_NaN()),
-        best_d1(n + 1, -1),
-        tiled_(layout == TableLayout::kTiled) {
-    if (tiled_) {
-      // Pad the (m1, v2) plane to whole 8x8 tiles; tile rows are
-      // contiguous, so both m1-walks and v2-walks use full cache lines.
-      tdim_ = (n + 8) & ~std::size_t{7};
-      plane_ = tdim_ * tdim_;
-    } else {
-      plane_ = (n + 1) * (n + 1);
-    }
-    if (keep_verif_values) {
-      everif.assign((n + 1) * plane_,
-                    std::numeric_limits<double>::quiet_NaN());
-    }
-    best_v1.assign((n + 1) * plane_, -1);
-  }
+        best_d1(n + 1, -1) {}
 
   std::size_t idx3(std::size_t d1, std::size_t m1, std::size_t v2) const {
-    if (tiled_) {
-      return d1 * plane_ + ((m1 >> 3) * (tdim_ >> 3) + (v2 >> 3)) * 64 +
-             ((m1 & 7) << 3) + (v2 & 7);
-    }
-    return d1 * plane_ + m1 * (n + 1) + v2;
+    return (d1 * (n + 1) + m1) * (n + 1) + v2;
   }
   std::size_t idx2(std::size_t d1, std::size_t m2) const {
     return d1 * (n + 1) + m2;
@@ -100,11 +83,6 @@ struct LevelTables {
   double emem_at(std::size_t d1, std::size_t m2) const {
     return emem[idx2(d1, m2)];
   }
-
- private:
-  bool tiled_ = false;
-  std::size_t tdim_ = 0;
-  std::size_t plane_ = 0;
 };
 
 /// Per-slab scratch: the (m1, v1) plane of E_verif values for the current
@@ -150,82 +128,53 @@ inline SlabScratch& slab_scratch() {
 /// for v1 in [lo, hi) into `best`/`best_arg` with the strict-less
 /// leftmost-argmin rule (matching the determinism contract); callers seed
 /// best = +inf, best_arg = -1.  The dense formulation passes
-/// [lo, hi) = [m1, j); ScanMode::kMonotonePruned drives sub-ranges
-/// through core::MonotoneScanner, whose gate + guard keep the combined
-/// result bit-identical to the dense scan.  It must be safe to call
-/// concurrently for different d1.
+/// [lo, hi) = [m1, j); kWindowed drives sub-ranges through
+/// core::MonotoneScanner, whose gate + guard keep the combined result
+/// bit-identical to the dense scan.  It must be safe to call concurrently
+/// for different d1.
 ///
-/// Which inner scans of the engine the pruned mode windows.  kFull
-/// windows both the v1 scans and the E_mem m1 chain (the Eq. (4) DPs,
-/// whose v1 argmin drifts right with j).  kMemChainOnly windows only the
-/// m1 chain: measured on the ADMV segment costs, the v1 argmin is
-/// degenerate (pinned to m1, nothing to prune) and its heavy fused inner
-/// solver is acutely sensitive to the extra v1-scan call structure, so
-/// the partial DP keeps its v1 scans dense by construction.
+/// kWindowed (ScanMode::kMonotonePruned) windows both the v1 scans and
+/// the E_mem m1 chain.  Only ADMV* runs it: ADMV's v1 argmin stays pinned
+/// to m1 and windowing its O(n^3) m1 chain measured no gain, so the
+/// partial DP always runs dense.  Gate honesty: the QI certificate probes
+/// the Eq. (4) column streams, which is the cost function the v1 scans
+/// fold; for the E_mem chain (whose candidates are derived E_verif/E_mem
+/// values) it is a structural proxy, and the per-step boundary guard plus
+/// the oracle/property batteries carry the safety argument.
 ///
-/// Gate honesty: the QI certificate probes the Eq. (4) column streams.
-/// For the v1 scans of the Eq. (4) DPs that is the cost function being
-/// scanned; for the E_mem chain (whose candidates are derived
-/// E_verif/E_mem values, and under kMemChainOnly come from the
-/// partial-framework solver entirely) the certificate is a structural
-/// proxy, not a check of the scanned function -- there the per-step
-/// boundary guard plus the oracle/property batteries carry the safety
-/// argument.
-enum class LevelScanProfile { kFull, kMemChainOnly };
-
-/// `scan_stats`, when non-null, accumulates the pruning counters of every
-/// slab (plus zeros in dense mode).
+/// The tables are `ckpt`'s own (begin_run() must have sized them): every
+/// slab whose (d1, j)-frontier reaches j = n commits into the checkpoint
+/// at slab exit, together with its scan counters, and slabs an earlier
+/// run already committed are skipped at slab entry -- so a CancelToken
+/// firing mid-run leaves the committed slabs resumable, and the solve's
+/// counters are ckpt.scan().  Both sit OUTSIDE the per-(d1, j) step body.
 ///
-/// When ctx.checkpoint() is set, `t` must be the checkpoint's own tables
-/// (the drivers arrange this): every slab whose (d1, j)-frontier reaches
-/// j = n commits into the checkpoint at slab exit, slabs an earlier run
-/// already committed are skipped at slab entry, and a CancelToken firing
-/// mid-run leaves the committed slabs resumable.  Both branches sit
-/// OUTSIDE the per-(d1, j) step body, which stays byte-for-byte the
-/// uncheckpointed loop.
-///
-/// Both window modes are compile-time parameters of the implementation:
-/// the dense instantiation must stay token-identical to the
-/// scanner-free engine -- even a dead runtime branch or an out-of-line
-/// call in the step body measurably deoptimizes the fused kernels GCC
-/// inlines into the slab (2x swings on the ADMV inner solver) -- so
-/// run_level_dp dispatches once on ctx.scan_mode() and the profile.
-/// The SIMD tier K follows the same discipline: a compile-time kernel
-/// facade (core/simd/argmin_kernels.hpp), dispatched once at driver
-/// entry, never a runtime branch in the step body.
-template <bool kWindowV1, bool kWindowMem, typename K,
-          typename ColumnScanner>
-void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
-                       const ColumnScanner& scan, ScanStats* scan_stats) {
+/// Codegen discipline: the dense instantiation must stay token-identical
+/// to the scanner-free engine -- even a dead runtime branch or an
+/// out-of-line call in the step body measurably deoptimizes the fused
+/// kernels GCC inlines into the slab (2x swings on the ADMV inner solver)
+/// -- so the window mode is a compile-time parameter, chosen once per
+/// solve by the driver.  The SIMD tier K follows the same discipline: a
+/// compile-time kernel facade (core/simd/argmin_kernels.hpp), dispatched
+/// once at driver entry, never a runtime branch in the step body; every
+/// tier is bitwise identical.
+template <bool kWindowed, typename K, typename ColumnScanner>
+void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
+                  const ColumnScanner& scan) {
   const std::size_t n = ctx.n();
   const auto& costs = ctx.costs();
   const CancelToken* cancel = ctx.cancel_token();
-  SolveCheckpoint* ckpt = ctx.checkpoint();
+  LevelTables& t = ckpt.tables();
   const analysis::QiCertificate* cert =
-      (kWindowV1 || kWindowMem) ? &ctx.seg_tables().verify_quadrangle()
-                                : nullptr;
-
-  // Per-worker scan accumulators, folded once after the region -- the
-  // old per-slab mutex serialized every slab exit through one lock.
-  // Sized before the region; worker_index() is clamped on use in case a
-  // forced set_parallelism() shrank the count in between.
-  struct alignas(64) WorkerStats {
-    ScanStats scan;
-  };
-  const bool fold_local_stats =
-      (kWindowV1 || kWindowMem) && ckpt == nullptr && scan_stats != nullptr;
-  std::vector<WorkerStats> worker_stats(
-      fold_local_stats
-          ? static_cast<std::size_t>(std::max(1, util::hardware_parallelism()))
-          : 0);
+      kWindowed ? &ctx.seg_tables().verify_quadrangle() : nullptr;
 
   // Independent d1 slabs: E_verif(d1, *, *) and E_mem(d1, *).
   const bool keep_values = !t.everif.empty();
   util::parallel_for(0, n, [&](std::size_t d1) {
-    if (ckpt != nullptr && ckpt->slab_done(d1)) {
+    if (ckpt.slab_done(d1)) {
       // An earlier (interrupted) run already committed this slab's rows
       // of the tables; they are final -- skip the whole frontier.
-      ckpt->note_skipped_slab();
+      ckpt.note_skipped_slab();
       return;
     }
     SlabScratch& scratch = slab_scratch();
@@ -234,15 +183,15 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
     double* column = scratch.column.data();
     const std::size_t stride = n + 1;
     const double* emem_row = t.emem.data() + t.idx2(d1, 0);
-    MonotoneScanner scanner(kWindowV1 ? n : 0);
-    MonotoneScanner mem_scanner(kWindowMem ? n : 0);
-    if constexpr (kWindowMem) mem_scanner.begin_row(d1, cert->row_ok(d1));
+    MonotoneScanner scanner(kWindowed ? n : 0);
+    MonotoneScanner mem_scanner(kWindowed ? n : 0);
+    if constexpr (kWindowed) mem_scanner.begin_row(d1, cert->row_ok(d1));
 
     t.emem[t.idx2(d1, d1)] = 0.0;  // E_mem(d1, d1) = 0
     t.best_m1[t.idx2(d1, d1)] = static_cast<std::int32_t>(d1);
     for (std::size_t j = d1 + 1; j <= n; ++j) {
       // Cancellation checkpoint: per (d1, j) step, OUTSIDE the fused m1/v1
-      // kernels whose codegen must stay untouched (see the dispatch note
+      // kernels whose codegen must stay untouched (see the codegen note
       // above).  A fired token unwinds this slab; the other slabs poll the
       // same token and unwind too, and parallel_for rethrows the first
       // SolveInterrupted on the calling thread.
@@ -253,14 +202,14 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
         if (m1 + 1 == j) {
           row[m1] = 0.0;  // E_verif(d1, m1, m1) = 0
           if (keep_values) t.everif[t.idx3(d1, m1, m1)] = 0.0;
-          if constexpr (kWindowV1) scanner.begin_row(m1, cert->row_ok(m1));
+          if constexpr (kWindowed) scanner.begin_row(m1, cert->row_ok(m1));
         }
         const double emem_at_m1 = emem_row[m1];
         CHAINCKPT_ASSERT(emem_at_m1 == emem_at_m1,
                          "E_mem(d1, m1) must be finalized before use");
         double best = std::numeric_limits<double>::infinity();
         std::int32_t best_arg = -1;
-        if constexpr (kWindowV1) {
+        if constexpr (kWindowed) {
           scanner.step(
               m1, j,
               [&](std::size_t lo, std::size_t hi, double& b,
@@ -279,7 +228,7 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
       // E_mem(d1, j): contiguous scan over the gathered E_verif column.
       double best = std::numeric_limits<double>::infinity();
       std::int32_t best_arg = -1;
-      if constexpr (kWindowMem) {
+      if constexpr (kWindowed) {
         mem_scanner.step(
             d1, j,
             [&](std::size_t lo, std::size_t hi, double& b,
@@ -293,31 +242,15 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
       t.emem[t.idx2(d1, j)] = best + costs.c_mem_after(j);
       t.best_m1[t.idx2(d1, j)] = best_arg;
     }
-    // Slab exit: fold this slab's scan counters out, and commit the slab
-    // to the checkpoint -- its table rows are final from here on.
+    // Slab exit: commit the slab and its scan counters -- its table rows
+    // are final from here on.
     ScanStats slab_stats;
-    if constexpr (kWindowV1) slab_stats += scanner.stats();
-    if constexpr (kWindowMem) slab_stats += mem_scanner.stats();
-    if (ckpt != nullptr) {
-      ckpt->commit_slab(d1, slab_stats);
-    } else if constexpr (kWindowV1 || kWindowMem) {
-      if (fold_local_stats) {
-        const std::size_t slot =
-            std::min(static_cast<std::size_t>(util::worker_index()),
-                     worker_stats.size() - 1);
-        worker_stats[slot].scan += slab_stats;
-      }
+    if constexpr (kWindowed) {
+      slab_stats += scanner.stats();
+      slab_stats += mem_scanner.stats();
     }
+    ckpt.commit_slab(d1, slab_stats);
   });
-  if (fold_local_stats) {
-    for (const WorkerStats& ws : worker_stats) *scan_stats += ws.scan;
-  }
-  if (ckpt != nullptr && scan_stats != nullptr) {
-    // Committed totals across every run of this solve, so an interrupted
-    // and resumed solve reports the same counters as an uninterrupted
-    // one.
-    *scan_stats += ckpt->scan();
-  }
 
   // E_disk: sequential over d2 (cheap O(n^2) pass).
   t.edisk[0] = 0.0;
@@ -351,27 +284,6 @@ void run_level_dp_impl(const DpContext& ctx, LevelTables& t,
       t.edisk[d2] = best + costs.c_disk_after(d2);
       t.best_d1[d2] = best_arg;
     }
-  }
-}
-
-/// K is the SIMD kernel facade the engine's unit-stride folds run on
-/// (core/simd/argmin_kernels.hpp); callers dispatch once on
-/// ctx.simd_tier() and pass the matching facade explicitly -- the tier
-/// must be supported (DpContext clamps) and every tier is bitwise
-/// identical.
-template <typename K, typename ColumnScanner>
-void run_level_dp(const DpContext& ctx, LevelTables& t,
-                  const ColumnScanner& scan,
-                  ScanStats* scan_stats = nullptr,
-                  LevelScanProfile profile = LevelScanProfile::kFull) {
-  if (ctx.scan_mode() == ScanMode::kMonotonePruned) {
-    if (profile == LevelScanProfile::kFull) {
-      run_level_dp_impl<true, true, K>(ctx, t, scan, scan_stats);
-    } else {
-      run_level_dp_impl<false, true, K>(ctx, t, scan, scan_stats);
-    }
-  } else {
-    run_level_dp_impl<false, false, K>(ctx, t, scan, scan_stats);
   }
 }
 

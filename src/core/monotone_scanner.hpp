@@ -16,8 +16,8 @@
 //      checks the quadrangle inequality on every coefficient stream the
 //      Eq. (4) kernel reads; rows whose coefficient suffix violates it
 //      are scanned densely from the start (ScanStats::gated_rows).  For
-//      scans over derived values rather than those streams (the E_mem
-//      m1 chain -- see detail::LevelScanProfile) the certificate is a
+//      scans over derived values rather than those streams (ADMV*'s E_mem
+//      m1 chain -- see detail::run_level_dp) the certificate is a
 //      structural proxy and the remaining fences carry the weight.
 //   2. Boundary guard (per step): the window starts one cell LEFT of the
 //      previous argmin; if the leftmost argmin lands on that boundary

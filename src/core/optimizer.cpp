@@ -48,14 +48,14 @@ OptimizationResult optimize(Algorithm algorithm,
                             const platform::CostModel& costs) {
   switch (algorithm) {
     case Algorithm::kAD:
-      return optimize_single_level(chain, costs,
-                                   {.allow_extra_verifications = false});
     case Algorithm::kADVstar:
-      return optimize_single_level(chain, costs);
     case Algorithm::kADMVstar:
-      return optimize_two_level(chain, costs);
-    case Algorithm::kADMV:
-      return optimize_with_partial(chain, costs);
+    case Algorithm::kADMV: {
+      // Only the ADMV inner DP reads the row-oriented coefficient arrays.
+      const DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
+                          /*build_row_tables=*/algorithm == Algorithm::kADMV);
+      return optimize(algorithm, ctx);
+    }
     case Algorithm::kPeriodic:
       return optimize_periodic(chain, costs);
     case Algorithm::kDaly:
@@ -64,8 +64,7 @@ OptimizationResult optimize(Algorithm algorithm,
   throw std::invalid_argument("unknown algorithm enum value");
 }
 
-OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx,
-                            TableLayout layout) {
+OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx) {
   switch (algorithm) {
     case Algorithm::kAD:
       return optimize_single_level(ctx,
@@ -73,9 +72,9 @@ OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx,
     case Algorithm::kADVstar:
       return optimize_single_level(ctx);
     case Algorithm::kADMVstar:
-      return optimize_two_level(ctx, layout);
+      return optimize_two_level(ctx);
     case Algorithm::kADMV:
-      return optimize_with_partial(ctx, layout);
+      return optimize_with_partial(ctx);
     case Algorithm::kPeriodic:
       return optimize_periodic(ctx.chain(), ctx.costs());
     case Algorithm::kDaly:

@@ -37,8 +37,7 @@ OptimizationResult optimize(Algorithm algorithm,
 /// built with row tables (throws std::invalid_argument otherwise); the
 /// heuristic baselines ignore the context's tables and read only its
 /// chain and cost model.
-OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx,
-                            TableLayout layout = TableLayout::kRowMajor);
+OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx);
 
 /// The three algorithms compared in the paper's evaluation, in paper
 /// order: { kADVstar, kADMVstar, kADMV }.

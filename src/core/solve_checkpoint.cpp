@@ -6,14 +6,9 @@
 
 namespace chainckpt::core {
 
-SolveCheckpoint::SolveCheckpoint()
-    : layout_(TableLayout::kRowMajor), scan_mode_(ScanMode::kDense) {}
-
-SolveCheckpoint::~SolveCheckpoint() = default;
-
-void SolveCheckpoint::begin_run(std::size_t n, TableLayout layout,
-                                bool keep_verif_values, ScanMode scan_mode) {
-  const bool matches = valid_ && n_ == n && layout_ == layout &&
+void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values,
+                                ScanMode scan_mode) {
+  const bool matches = valid_ && n_ == n &&
                        keep_verif_values_ == keep_verif_values &&
                        scan_mode_ == scan_mode;
   last_run_executed_ = 0;
@@ -23,12 +18,10 @@ void SolveCheckpoint::begin_run(std::size_t n, TableLayout layout,
   // Shape change (or first run): any stored progress is for a different
   // solve -- drop it.  Callers keying checkpoints by workload (see
   // core::BatchSolver) never hit this reset on a resume.
-  tables_ = std::make_shared<detail::LevelTables>(n, layout,
-                                                  keep_verif_values);
+  tables_ = std::make_shared<detail::LevelTables>(n, keep_verif_values);
   slab_done_.assign(n, 0);
   scan_ = ScanStats{};
   n_ = n;
-  layout_ = layout;
   keep_verif_values_ = keep_verif_values;
   scan_mode_ = scan_mode;
   valid_ = true;

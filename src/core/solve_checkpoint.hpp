@@ -5,7 +5,7 @@
 // solver itself: an ADMV solve is O(n^6), and a service that cancels,
 // preempts, or deadline-expires one should not pay the whole solve again
 // when the job comes back.  SolveCheckpoint is the solver's own
-// checkpoint: the level-DP engine (detail::run_level_dp_impl) works in
+// checkpoint: the level-DP engine (detail::run_level_dp) works in
 // independent d1 slabs, and every slab that completes its full
 // (d1, j)-frontier commits its rows of the E_verif/E_mem tables.  When a
 // CancelToken fires mid-run, the completed slabs stay committed here; a
@@ -21,11 +21,13 @@
 // solve_checkpoint_test.cpp pins both by interrupting at every checkpoint
 // boundary.
 //
-// Ownership: a checkpoint belongs to exactly one solve at a time (the DP
-// mutates it without internal locking beyond the slab-commit mutex).
-// core::BatchSolver keeps interrupted checkpoints keyed alongside its
-// cached tables and checks one out per solve_job(); standalone callers
-// attach one through DpContext::set_checkpoint().
+// Ownership: a checkpoint owns the level tables of every ADMV*/ADMV
+// solve -- the drivers run on the one attached through
+// DpContext::set_checkpoint(), or else on a solve-local one -- and it
+// belongs to exactly one solve at a time (the DP mutates it without
+// internal locking beyond the slab-commit mutex).  core::BatchSolver
+// keeps interrupted checkpoints keyed alongside its cached tables and
+// checks one out per solve_job().
 #pragma once
 
 #include <cstddef>
@@ -38,16 +40,13 @@
 
 namespace chainckpt::core {
 
-enum class TableLayout;
-
 namespace detail {
 struct LevelTables;
 }
 
 class SolveCheckpoint {
  public:
-  SolveCheckpoint();
-  ~SolveCheckpoint();
+  SolveCheckpoint() = default;
 
   SolveCheckpoint(const SolveCheckpoint&) = delete;
   SolveCheckpoint& operator=(const SolveCheckpoint&) = delete;
@@ -56,8 +55,7 @@ class SolveCheckpoint {
   /// and slab flags when the run shape matches the stored progress;
   /// otherwise discards the progress and allocates fresh tables.  Resets
   /// the per-run counters either way.
-  void begin_run(std::size_t n, TableLayout layout, bool keep_verif_values,
-                 ScanMode scan_mode);
+  void begin_run(std::size_t n, bool keep_verif_values, ScanMode scan_mode);
 
   /// The level tables the run writes into; valid after begin_run().
   detail::LevelTables& tables() noexcept { return *tables_; }
@@ -76,7 +74,9 @@ class SolveCheckpoint {
   /// Thread-safe.
   void note_skipped_slab();
 
-  /// ScanStats accumulated over every committed slab (all runs).
+  /// ScanStats accumulated over every committed slab (all runs) -- the
+  /// solve's scan counters, so an interrupted and resumed solve reports
+  /// the same counters as an uninterrupted one.
   const ScanStats& scan() const noexcept { return scan_; }
 
   std::size_t slabs_total() const noexcept { return slab_done_.size(); }
@@ -106,9 +106,8 @@ class SolveCheckpoint {
   ScanStats scan_;
   /// Shape of the stored progress; a mismatch on begin_run() resets.
   std::size_t n_ = 0;
-  TableLayout layout_;
   bool keep_verif_values_ = false;
-  ScanMode scan_mode_;
+  ScanMode scan_mode_ = ScanMode::kDense;
   bool valid_ = false;
 
   std::size_t last_run_executed_ = 0;

@@ -25,26 +25,21 @@ namespace chainckpt::scenario {
 namespace {
 
 /// One DP-lane configuration.  The first entry is the reference solve
-/// (dense scan, scalar kernels, row-major tables) whose plan feeds the
-/// sim and service lanes; the rest must reproduce it bit for bit.
+/// (dense scan, scalar kernels) whose plan feeds the sim and service
+/// lanes; the rest must reproduce it bit for bit.
 struct SolveConfig {
   core::ScanMode scan;
   core::simd::SimdTier tier;
-  core::TableLayout layout;
 };
 
 const SolveConfig kConfigs[] = {
-    {core::ScanMode::kDense, core::simd::SimdTier::kScalar,
-     core::TableLayout::kRowMajor},
-    {core::ScanMode::kMonotonePruned, core::simd::SimdTier::kScalar,
-     core::TableLayout::kRowMajor},
+    {core::ScanMode::kDense, core::simd::SimdTier::kScalar},
+    {core::ScanMode::kMonotonePruned, core::simd::SimdTier::kScalar},
     // kAvx512 clamps to the best tier this CPU/build supports -- on a
     // scalar-only host these repeat the scalar kernels, keeping the
     // config COUNT (and hence the report bytes) machine-independent.
-    {core::ScanMode::kDense, core::simd::SimdTier::kAvx512,
-     core::TableLayout::kTiled},
-    {core::ScanMode::kMonotonePruned, core::simd::SimdTier::kAvx512,
-     core::TableLayout::kRowMajor},
+    {core::ScanMode::kDense, core::simd::SimdTier::kAvx512},
+    {core::ScanMode::kMonotonePruned, core::simd::SimdTier::kAvx512},
 };
 
 std::string double_bits_hex(double v) {
@@ -116,8 +111,7 @@ std::vector<core::OptimizationResult> run_dp_lane(const ScenarioSpec& spec,
       core::DpContext ctx(cell.chain, cell.modeled_costs);
       ctx.set_scan_mode(config.scan);
       ctx.set_simd_tier(config.tier);
-      core::OptimizationResult result =
-          core::optimize(algorithm, ctx, config.layout);
+      core::OptimizationResult result = core::optimize(algorithm, ctx);
       const std::uint64_t digest =
           result_digest(result.plan, result.expected_makespan);
       ++lane.configs;
@@ -477,14 +471,9 @@ ScenarioReport run_matrix(const std::vector<ScenarioSpec>& specs,
   ScenarioReport report;
   report.master_seed = options.master_seed;
   report.cells.resize(specs.size());
-  const auto body = [&](std::size_t i) {
+  util::parallel_for(0, specs.size(), [&](std::size_t i) {
     report.cells[i] = run_cell(specs[i], options);
-  };
-  if (options.parallel) {
-    util::parallel_for(0, specs.size(), body);
-  } else {
-    for (std::size_t i = 0; i < specs.size(); ++i) body(i);
-  }
+  });
   report.finalize();
   return report;
 }

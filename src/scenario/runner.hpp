@@ -1,8 +1,8 @@
 // ScenarioRunner: drives one cell (or the whole matrix) through the three
 // lanes the battery checks:
 //
-//   DP lane       -- every algorithm in the spec solved under several
-//                    (scan mode x SIMD tier x table layout) configurations;
+//   DP lane       -- every algorithm in the spec solved under four
+//                    (scan mode x SIMD tier) configurations;
 //                    all must be bit-identical (plan bytes + objective
 //                    bits), pinning the determinism contract per cell.
 //   Sim lane      -- Monte-Carlo replicas of the reference plan under the
@@ -21,7 +21,8 @@
 // run_matrix() parallelizes ACROSS cells (util::parallel_for); each
 // cell's own experiment parallelism degrades to serial inside the region,
 // so per-cell results are independent of the outer schedule and the
-// report keeps its byte-determinism contract (scenario/report.hpp).
+// report keeps its byte-determinism contract (scenario/report.hpp).  For
+// a serial run, call util::set_parallelism(1) first.
 #pragma once
 
 #include <cstdint>
@@ -40,9 +41,6 @@ struct RunnerOptions {
   /// collapse on near-deterministic cells.
   double z_flag = 4.5;
   double rel_floor = 0.005;
-  /// Parallelize run_matrix across cells.  Results are identical either
-  /// way (per-cell determinism).
-  bool parallel = true;
   /// Record wall-clock latency metrics in the service lane.  Opts the
   /// report OUT of byte determinism -- leave false for golden/CI runs.
   bool include_timing = false;

@@ -69,8 +69,8 @@ struct ServiceOptions {
   /// concurrency is min(workers, OpenMP threads) -- see the pool note in
   /// the header comment.
   std::size_t workers = 0;
-  /// Passed through to the embedded BatchSolver: table layout, scan mode,
-  /// max_n, the LRU cache budget, and the budget for retained
+  /// Passed through to the embedded BatchSolver: scan mode, max_n, the
+  /// LRU cache budget, the plan cache, and the budget for retained
   /// interruption checkpoints (checkpoint_budget_bytes -- the checkpoints
   /// are what make preempted jobs resume instead of restart).
   core::BatchOptions solver;

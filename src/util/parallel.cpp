@@ -26,20 +26,4 @@ void set_parallelism(int threads) noexcept {
   g_forced_threads.store(threads < 0 ? 0 : threads);
 }
 
-bool in_parallel_region() noexcept {
-#ifdef _OPENMP
-  return omp_in_parallel() != 0;
-#else
-  return false;
-#endif
-}
-
-int worker_index() noexcept {
-#ifdef _OPENMP
-  return omp_get_thread_num();
-#else
-  return 0;
-#endif
-}
-
 }  // namespace chainckpt::util

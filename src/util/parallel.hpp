@@ -11,7 +11,11 @@
 //
 // Determinism contract: the callable receives the iteration index and must
 // derive any randomness from it (see Xoshiro256::stream), so results are
-// identical for every thread count.
+// identical for every thread count.  The wrapper exposes no worker
+// identity: bodies that accumulate write per-index slots folded in index
+// order afterwards (the single-level DP's row counters), or commit per
+// index (core::SolveCheckpoint's slab commits).  A parallel_for nested
+// inside another one's body runs serially.
 #pragma once
 
 #include <cstddef>
@@ -26,19 +30,6 @@ int hardware_parallelism() noexcept;
 /// Force the worker count for subsequent parallel_for calls; 0 restores the
 /// runtime default.  Mostly used by tests and benches.
 void set_parallelism(int threads) noexcept;
-
-/// True when called from inside a parallel_for worker.  Nested parallel
-/// regions degrade to serial execution, so solvers that size scratch by
-/// worker count use this to avoid over-allocating when they are themselves
-/// an item of an outer loop (e.g. one chain of a BatchSolver batch).
-bool in_parallel_region() noexcept;
-
-/// Index of the calling worker inside the current parallel_for region, in
-/// [0, hardware_parallelism()); 0 outside any region.  Lets loop bodies
-/// accumulate into per-worker slots without a mutex -- callers must still
-/// clamp against their slot count, since a forced set_parallelism() can
-/// shrink hardware_parallelism() between sizing and use.
-int worker_index() noexcept;
 
 /// Runs body(i) for i in [begin, end) with dynamic scheduling.  Exceptions
 /// thrown by the body are captured and the first one is rethrown on the

@@ -89,22 +89,44 @@ INSTANTIATE_TEST_SUITE_P(Platforms, RandomDominance,
                          ::testing::Values("Hera", "Atlas", "Coastal",
                                            "CoastalSSD"));
 
+void expect_same_scan(const ScanStats& a, const ScanStats& b,
+                      const std::string& label) {
+  EXPECT_EQ(a.dense_cells, b.dense_cells) << label;
+  EXPECT_EQ(a.cells_scanned, b.cells_scanned) << label;
+  EXPECT_EQ(a.steps, b.steps) << label;
+  EXPECT_EQ(a.guard_checks, b.guard_checks) << label;
+  EXPECT_EQ(a.guard_fallbacks, b.guard_fallbacks) << label;
+  EXPECT_EQ(a.gated_rows, b.gated_rows) << label;
+  EXPECT_EQ(a.order_fallback_rows, b.order_fallback_rows) << label;
+  EXPECT_EQ(a.windowed_rows, b.windowed_rows) << label;
+}
+
 /// Determinism guard for the hot-path refactor: for random chains, every
-/// algorithm must produce bitwise-identical expected makespans and
-/// identical plans under forced-serial, default, and oversubscribed
-/// parallelism (see the contract in util/parallel.hpp).
+/// algorithm must produce bitwise-identical expected makespans, identical
+/// plans, and identical scan counters under forced-serial, default, and
+/// oversubscribed parallelism (see the contract in util/parallel.hpp).
+/// The pruned passes pin the counter paths: ADV* folds per-row slots,
+/// ADMV* commits per slab into its checkpoint.
 TEST(Determinism, SerialAndParallelRunsAgreeExactly) {
   util::Xoshiro256 rng(0xD5EED);
   for (const char* name : {"Hera", "Coastal"}) {
     const auto platform = platform::by_name(name);
     const platform::CostModel costs(platform);
     const auto chain = chain::make_random(20, 25000.0, rng);
+    const std::size_t first_pruned = 3;
 
     const auto run_all = [&] {
       std::vector<OptimizationResult> results;
       results.push_back(optimize_single_level(chain, costs));
       results.push_back(optimize_two_level(chain, costs));
       results.push_back(optimize_with_partial(chain, costs));
+      for (const Algorithm algorithm :
+           {Algorithm::kADVstar, Algorithm::kADMVstar}) {
+        DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
+                      /*build_row_tables=*/false);
+        ctx.set_scan_mode(ScanMode::kMonotonePruned);
+        results.push_back(optimize(algorithm, ctx));
+      }
       return results;
     };
 
@@ -117,37 +139,26 @@ TEST(Determinism, SerialAndParallelRunsAgreeExactly) {
     util::set_parallelism(0);
 
     for (std::size_t a = 0; a < serial.size(); ++a) {
+      const std::string label =
+          std::string(name) + " algorithm " + std::to_string(a);
       EXPECT_DOUBLE_EQ(serial[a].expected_makespan, dflt[a].expected_makespan)
-          << name << " algorithm " << a << " serial vs default";
+          << label << " serial vs default";
       EXPECT_DOUBLE_EQ(serial[a].expected_makespan, wide[a].expected_makespan)
-          << name << " algorithm " << a << " serial vs 4 threads";
+          << label << " serial vs 4 threads";
       EXPECT_EQ(serial[a].plan.compact_string(),
                 dflt[a].plan.compact_string())
-          << name << " algorithm " << a << " plan serial vs default";
+          << label << " plan serial vs default";
       EXPECT_EQ(serial[a].plan.compact_string(),
                 wide[a].plan.compact_string())
-          << name << " algorithm " << a << " plan serial vs 4 threads";
+          << label << " plan serial vs 4 threads";
+      expect_same_scan(serial[a].scan, dflt[a].scan,
+                       label + " scan serial vs default");
+      expect_same_scan(serial[a].scan, wide[a].scan,
+                       label + " scan serial vs 4 threads");
+      if (a >= first_pruned) {
+        EXPECT_GT(serial[a].scan.steps, 0u) << label << ": nothing windowed";
+      }
     }
-  }
-}
-
-/// The tiled table layout must be a pure storage change: same objective,
-/// same plan, bit for bit.
-TEST(Determinism, TiledLayoutMatchesRowMajor) {
-  util::Xoshiro256 rng(0x711ED);
-  const platform::CostModel costs(platform::hera());
-  for (int trial = 0; trial < 3; ++trial) {
-    const auto chain = chain::make_random(22, 25000.0, rng);
-    const auto row2 = optimize_two_level(chain, costs, TableLayout::kRowMajor);
-    const auto tile2 = optimize_two_level(chain, costs, TableLayout::kTiled);
-    EXPECT_DOUBLE_EQ(row2.expected_makespan, tile2.expected_makespan);
-    EXPECT_EQ(row2.plan.compact_string(), tile2.plan.compact_string());
-
-    const auto rowp =
-        optimize_with_partial(chain, costs, TableLayout::kRowMajor);
-    const auto tilep = optimize_with_partial(chain, costs, TableLayout::kTiled);
-    EXPECT_DOUBLE_EQ(rowp.expected_makespan, tilep.expected_makespan);
-    EXPECT_EQ(rowp.plan.compact_string(), tilep.plan.compact_string());
   }
 }
 
@@ -228,8 +239,9 @@ TEST(PrunedEquivalence, QuadrangleViolationEngagesFallbackAndStaysExact) {
   // Fabricated per-position verification costs with a cliff: V* huge
   // after task 8, near-zero after task 9.  The exvg stream then violates
   // the quadrangle inequality, verify_quadrangle() must report it, and
-  // the pruned solve must gate the affected rows dense (fallback counter
-  // > 0) while still matching the dense scan bit for bit.
+  // the pruned ADV*/ADMV* solves must gate the affected rows dense
+  // (fallback counter > 0) while still matching the dense scan bit for
+  // bit.  ADMV always scans dense and must match with zero counters.
   const std::size_t n = 16;
   const platform::Platform base = platform::hera();
   std::vector<double> c_disk(n, base.c_disk), c_mem(n, base.c_mem);
@@ -254,8 +266,13 @@ TEST(PrunedEquivalence, QuadrangleViolationEngagesFallbackAndStaysExact) {
     const auto pruned = optimize(algorithm, pruned_ctx);
     EXPECT_EQ(dense.expected_makespan, pruned.expected_makespan);
     EXPECT_EQ(dense.plan.compact_string(), pruned.plan.compact_string());
-    EXPECT_GT(pruned.scan.gated_rows, 0u)
-        << to_string(algorithm) << ": QI fallback did not engage";
+    if (algorithm == Algorithm::kADMV) {
+      // ADMV ignores the scan mode: nothing is windowed, so no counters.
+      EXPECT_EQ(pruned.scan.steps, 0u) << "ADMV ran a windowed scan";
+    } else {
+      EXPECT_GT(pruned.scan.gated_rows, 0u)
+          << to_string(algorithm) << ": QI fallback did not engage";
+    }
   }
 }
 

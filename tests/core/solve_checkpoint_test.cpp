@@ -31,7 +31,7 @@ OptimizationResult solve_plain(Algorithm algorithm,
   DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
                 algorithm == Algorithm::kADMV);
   ctx.set_scan_mode(mode);
-  return optimize(algorithm, ctx, TableLayout::kRowMajor);
+  return optimize(algorithm, ctx);
 }
 
 void expect_same_scan(const ScanStats& a, const ScanStats& b) {
@@ -65,8 +65,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
     ctx.set_cancel_token(&token);
     ctx.set_checkpoint(&ckpt);
     try {
-      const OptimizationResult result =
-          optimize(algorithm, ctx, TableLayout::kRowMajor);
+      const OptimizationResult result = optimize(algorithm, ctx);
       // Completed in one go; the checkpoint must not have perturbed it.
       EXPECT_EQ(result.expected_makespan, baseline.expected_makespan);
       EXPECT_EQ(result.plan, baseline.plan);
@@ -84,8 +83,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
                 algorithm == Algorithm::kADMV);
   ctx.set_scan_mode(mode);
   ctx.set_checkpoint(&ckpt);
-  const OptimizationResult resumed =
-      optimize(algorithm, ctx, TableLayout::kRowMajor);
+  const OptimizationResult resumed = optimize(algorithm, ctx);
 
   EXPECT_EQ(resumed.expected_makespan, baseline.expected_makespan)
       << "k=" << k;
@@ -244,8 +242,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
     token.trip_after_polls(200);
     ctx.set_cancel_token(&token);
     ctx.set_checkpoint(&ckpt);
-    EXPECT_THROW(optimize(Algorithm::kADMVstar, ctx, TableLayout::kRowMajor),
-                 SolveInterrupted);
+    EXPECT_THROW(optimize(Algorithm::kADMVstar, ctx), SolveInterrupted);
   }
   ASSERT_TRUE(ckpt.has_progress());
   // A different chain length must discard the stored progress, not
@@ -253,8 +250,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
   const auto chain20 = chain::make_uniform(20, 25000.0);
   DpContext ctx(chain20, costs, DpContext::kDefaultMaxN, false);
   ctx.set_checkpoint(&ckpt);
-  const OptimizationResult result =
-      optimize(Algorithm::kADMVstar, ctx, TableLayout::kRowMajor);
+  const OptimizationResult result = optimize(Algorithm::kADMVstar, ctx);
   EXPECT_FALSE(ckpt.last_run_resumed());
   EXPECT_EQ(ckpt.last_run_slabs_skipped(), 0u);
   const OptimizationResult fresh =

@@ -36,9 +36,10 @@ TEST(MatrixSlow, FullSweepIsByteDeterministicAndInModelCellsAgree) {
   const std::string parallel_json = report_to_json(parallel_report);
 
   // Byte-identical under a serial schedule...
-  RunnerOptions serial = ropts;
-  serial.parallel = false;
-  EXPECT_EQ(report_to_json(run_matrix(specs, serial)), parallel_json);
+  util::set_parallelism(1);
+  const std::string serial_json = report_to_json(run_matrix(specs, ropts));
+  util::set_parallelism(0);
+  EXPECT_EQ(serial_json, parallel_json);
 
   // ...and under a different thread count.
   util::set_parallelism(3);
