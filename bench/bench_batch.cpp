@@ -49,7 +49,11 @@ std::vector<core::BatchJob> mixed_workload(std::size_t copies) {
 
 void BM_BatchMixed(benchmark::State& state) {
   const auto jobs = mixed_workload(static_cast<std::size_t>(state.range(0)));
-  core::BatchSolver solver;
+  // Plan cache off: every iteration after the first would be all exact
+  // hits, and this bench times the solves.
+  core::BatchOptions options;
+  options.enable_plan_cache = false;
+  core::BatchSolver solver{options};
   for (auto _ : state) {
     const auto results = solver.solve(jobs);
     benchmark::DoNotOptimize(results.data());

@@ -44,8 +44,7 @@ void run_algorithm_mode(benchmark::State& state, core::Algorithm algorithm,
   const platform::CostModel costs(platform::hera());
   core::ScanStats last;
   for (auto _ : state) {
-    core::DpContext ctx(chain, costs, core::DpContext::kDefaultMaxN,
-                        /*build_row_tables=*/false);
+    core::DpContext ctx(chain, costs);
     ctx.set_scan_mode(mode);
     const auto result = core::optimize(algorithm, ctx);
     benchmark::DoNotOptimize(result.expected_makespan);
@@ -100,8 +99,7 @@ void run_random_platforms(benchmark::State& state, core::ScanMode mode) {
   }
   for (auto _ : state) {
     for (const auto& [chain, costs] : cases) {
-      core::DpContext ctx(chain, costs, core::DpContext::kDefaultMaxN,
-                          /*build_row_tables=*/false);
+      core::DpContext ctx(chain, costs);
       ctx.set_scan_mode(mode);
       const auto result = core::optimize(core::Algorithm::kADMVstar, ctx);
       benchmark::DoNotOptimize(result.expected_makespan);
@@ -129,13 +127,11 @@ void run_algorithm_tier(benchmark::State& state, core::Algorithm algorithm,
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto chain = chain::make_uniform(n, 25000.0);
   const platform::CostModel costs(platform::hera());
-  core::DpContext probe(chain, costs, core::DpContext::kDefaultMaxN,
-                        /*build_row_tables=*/false);
+  core::DpContext probe(chain, costs);
   probe.set_simd_tier(tier);
   const core::simd::SimdTier ran = probe.simd_tier();
   for (auto _ : state) {
-    core::DpContext ctx(chain, costs, core::DpContext::kDefaultMaxN,
-                        /*build_row_tables=*/false);
+    core::DpContext ctx(chain, costs);
     ctx.set_scan_mode(mode);
     ctx.set_simd_tier(tier);
     const auto result = core::optimize(algorithm, ctx);

@@ -57,8 +57,9 @@ int main(int argc, char** argv) {
   std::cout << "Solved " << results.size() << " chains in " << seconds
             << "s (" << static_cast<double>(results.size()) / seconds
             << " chains/sec)\n";
-  std::cout << "Tables built: " << solver.stats().tables_built
-            << ", reused: " << solver.stats().tables_reused
+  const core::BatchStats stats = solver.stats_snapshot();
+  std::cout << "Tables built: " << stats.tables_built
+            << ", reused: " << stats.tables_reused
             << ", resident: " << solver.resident_bytes() / (1024.0 * 1024.0)
             << " MiB\n\n";
 

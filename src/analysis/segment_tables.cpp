@@ -16,13 +16,105 @@ bool bits_differ(double a, double b) noexcept {
   return std::memcmp(&a, &b, sizeof(double)) != 0;
 }
 
+/// One interval's coefficients, as both orientations store them.  The
+/// e_right_step ingredients (ef, pf, tl) are filled only for the row
+/// table.
+struct IntervalCoeffs {
+  double w = 0.0;
+  double x = 0.0;  ///< (e^{lf W} - 1)/lf, or its law integral
+  double es = 0.0;
+  double b = 0.0;
+  double c = 0.0;
+  double d = 0.0;
+  double fs = 0.0;
+  double ef = 0.0;
+  double pf = 0.0;
+  double tl = 0.0;
+};
+
+/// The coefficients both laws derive the same way from (w, em1_f, em1_s).
+void set_shared(IntervalCoeffs& k, const Interval& seg) noexcept {
+  k.w = seg.w;
+  k.es = seg.exp_s();
+  k.b = k.es * seg.em1_f;
+  k.c = seg.em1_fs();
+  k.d = seg.em1_s;
+  k.fs = seg.exp_fs();
+}
+
+/// Calls visit(i, j, coeffs) for every interval 0 <= i <= j <= n, i-major.
+/// This is the one place each planning law's expression trees live: the
+/// same trees as segment_math.cpp / WeightTable, so the stored
+/// coefficients are bitwise what the scalar path computes -- for full
+/// builds, masked patch rebuilds and the row table alike.
+///
+/// Law dispatch: a Weibull law at shape exactly 1 *delegates* to the
+/// exponential walk, which makes the k = 1 reduction bitwise (the raw
+/// Weibull formulas are only equal up to association order: they sum
+/// per-task hazards where the exponential path multiplies lambda_f by a
+/// prefix-difference weight).
+template <bool kStepTerms, typename Visit>
+void for_each_interval(const chain::WeightTable& table,
+                       const platform::PlanningLaw& law, Visit&& visit) {
+  const std::size_t n = table.n();
+  IntervalCoeffs k;
+  if (law.is_exponential()) {
+    // Paper Eq. (4) coefficients.
+    const double lambda_f = table.lambda_f();
+    for (std::size_t i = 0; i <= n; ++i) {
+      for (std::size_t j = i; j <= n; ++j) {
+        const Interval seg{table.weight(i, j), table.em1_f(i, j),
+                           table.em1_s(i, j)};
+        set_shared(k, seg);
+        k.x = em1f_over_lambda(seg, lambda_f);
+        if constexpr (kStepTerms) {
+          k.ef = seg.exp_f();
+          k.pf = seg.em1_f / k.ef;
+          // expected_time_lost dominates the row-build cost.
+          k.tl = util::expected_time_lost(lambda_f, seg.w);
+        }
+        visit(i, j, k);
+      }
+    }
+    return;
+  }
+  // Law-integrated coefficients (platform::FailureLaw::kWeibull):
+  // em1_f/x/tl/pf/ef/fs replaced by their renewal-law integrals -- see the
+  // LawInterval block of segment_math.hpp.
+  const WeibullLawTasks tasks(table, table.lambda_f(), law.weibull_shape);
+  for (std::size_t i = 0; i <= n; ++i) {
+    // Incremental law accumulators over j, in the exact operation order of
+    // make_law_interval so evaluator-side LawInterval values are bitwise
+    // equal to the stored streams.
+    double hazard = 0.0;
+    double lambda_acc = 0.0;
+    for (std::size_t j = i; j <= n; ++j) {
+      if (j > i) {
+        const double survive_prefix = std::exp(-hazard);
+        lambda_acc +=
+            survive_prefix * (tasks.p_fail(j) * table.weight(i, j - 1) +
+                              tasks.elapsed_when_failed(j));
+        hazard += tasks.rho(j);
+      }
+      const Interval seg{table.weight(i, j), std::expm1(hazard),
+                         table.em1_s(i, j)};
+      set_shared(k, seg);
+      k.ef = seg.exp_f();
+      k.x = lambda_acc * k.ef + seg.w;
+      if constexpr (kStepTerms) {
+        k.pf = seg.em1_f / k.ef;
+        k.tl = k.pf > 0.0 ? lambda_acc / k.pf : 0.5 * seg.w;
+      }
+      visit(i, j, k);
+    }
+  }
+}
+
 }  // namespace
 
 SegmentTables::SegmentTables(const chain::WeightTable& table,
-                             const platform::CostModel& costs,
-                             bool build_rows)
+                             const platform::CostModel& costs)
     : n_(table.n()),
-      has_rows_(build_rows),
       lambda_f_(table.lambda_f()),
       lambda_s_(table.lambda_s()),
       law_(costs.planning_law()) {
@@ -31,43 +123,23 @@ SegmentTables::SegmentTables(const chain::WeightTable& table,
 
 SegmentTables::SegmentTables(const SegmentTables& base,
                              const chain::WeightTable& table,
-                             const platform::CostModel& costs, bool build_rows,
+                             const platform::CostModel& costs,
                              PatchSummary* summary)
     : n_(table.n()),
-      has_rows_(build_rows),
       lambda_f_(table.lambda_f()),
       lambda_s_(table.lambda_s()),
       law_(costs.planning_law()) {
   CHAINCKPT_REQUIRE(base.n_ == n_,
                     "segment-table patch donor has a different chain length");
-  unsigned mask = stream_mask_for(base, table, costs);
-  if (build_rows && !base.has_rows_) {
-    // The donor never built the row arrays; everything row-oriented must
-    // be filled from scratch (the b/c/d bits cover the row mirrors too).
-    mask |= kStreamB | kStreamC | kStreamD | kStreamExv | kStreamTl |
-            kStreamPf | kStreamEf | kStreamW;
-  }
+  const unsigned mask = stream_mask_for(base, table, costs);
   build(table, costs, mask, &base);
   if (summary != nullptr) {
-    const auto arrays_for = [this](unsigned m) {
-      std::size_t count = 0;
-      for (const unsigned col_bit :
-           {kStreamExvg, kStreamFs, kStreamVg, kStreamVp}) {
-        if (m & col_bit) ++count;
-      }
-      for (const unsigned shared_bit : {kStreamB, kStreamC, kStreamD}) {
-        if (m & shared_bit) count += has_rows_ ? 2 : 1;
-      }
-      if (has_rows_) {
-        for (const unsigned row_bit :
-             {kStreamExv, kStreamTl, kStreamPf, kStreamEf, kStreamW}) {
-          if (m & row_bit) ++count;
-        }
-      }
-      return count;
-    };
-    summary->streams_rebuilt = arrays_for(mask);
-    summary->streams_reused = arrays_for(kStreamAll) - summary->streams_rebuilt;
+    std::size_t rebuilt = 0;
+    for (unsigned bit = 0; bit < kStreamCount; ++bit) {
+      if (mask & (1u << bit)) ++rebuilt;
+    }
+    summary->streams_rebuilt = rebuilt;
+    summary->streams_reused = kStreamCount - rebuilt;
     summary->qi_rebuilt =
         (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD)) != 0;
   }
@@ -86,22 +158,17 @@ unsigned SegmentTables::stream_mask_for(const SegmentTables& base,
     law_changed = bits_differ(law.weibull_shape, base.law_.weibull_shape);
   }
   bool vg_changed = false;
-  bool vp_changed = false;
   for (std::size_t i = 1; i <= base.n_; ++i) {
     vg_changed |= bits_differ(costs.v_guaranteed_after(i), base.vg_[i]);
-    vp_changed |= bits_differ(costs.v_partial_after(i), base.vp_[i]);
   }
   unsigned mask = 0;
   if (lf_changed || law_changed) {
-    mask |= kStreamExvg | kStreamB | kStreamC | kStreamFs | kStreamExv |
-            kStreamTl | kStreamPf | kStreamEf;
+    mask |= kStreamExvg | kStreamB | kStreamC | kStreamFs;
   }
   if (ls_changed) {
-    mask |= kStreamExvg | kStreamB | kStreamC | kStreamD | kStreamFs |
-            kStreamExv;
+    mask |= kStreamExvg | kStreamB | kStreamC | kStreamD | kStreamFs;
   }
   if (vg_changed) mask |= kStreamExvg | kStreamVg;
-  if (vp_changed) mask |= kStreamExv | kStreamVp;
   return mask;
 }
 
@@ -123,12 +190,8 @@ void SegmentTables::build(const chain::WeightTable& table,
     }
   };
   prepare(vg_, &SegmentTables::vg_, kStreamVg, stride);
-  prepare(vp_, &SegmentTables::vp_, kStreamVp, stride);
   if (mask & kStreamVg) {
     for (std::size_t i = 1; i <= n_; ++i) vg_[i] = costs.v_guaranteed_after(i);
-  }
-  if (mask & kStreamVp) {
-    for (std::size_t i = 1; i <= n_; ++i) vp_[i] = costs.v_partial_after(i);
   }
 
   prepare(exvg_c_, &SegmentTables::exvg_c_, kStreamExvg, cells);
@@ -136,134 +199,23 @@ void SegmentTables::build(const chain::WeightTable& table,
   prepare(c_c_, &SegmentTables::c_c_, kStreamC, cells);
   prepare(d_c_, &SegmentTables::d_c_, kStreamD, cells);
   prepare(fs_c_, &SegmentTables::fs_c_, kStreamFs, cells);
-  if (has_rows_) {
-    prepare(exv_r_, &SegmentTables::exv_r_, kStreamExv, cells);
-    prepare(b_r_, &SegmentTables::b_r_, kStreamB, cells);
-    prepare(c_r_, &SegmentTables::c_r_, kStreamC, cells);
-    prepare(d_r_, &SegmentTables::d_r_, kStreamD, cells);
-    prepare(tl_r_, &SegmentTables::tl_r_, kStreamTl, cells);
-    prepare(pf_r_, &SegmentTables::pf_r_, kStreamPf, cells);
-    prepare(ef_r_, &SegmentTables::ef_r_, kStreamEf, cells);
-    prepare(w_r_, &SegmentTables::w_r_, kStreamW, cells);
-  }
 
-  // Planning-law dispatch: a Weibull law at shape exactly 1 *delegates* to
-  // the exponential build, which makes the k = 1 reduction bitwise (the raw
-  // Weibull formulas are only equal up to association order: they sum
-  // per-task hazards where the exponential path multiplies lambda_f by a
-  // prefix-difference weight).
-  const unsigned col_mask = kStreamExvg | kStreamB | kStreamC | kStreamD |
-                            kStreamFs;
-  const unsigned row_mask = kStreamExv | kStreamB | kStreamC | kStreamD |
-                            kStreamTl | kStreamPf | kStreamEf | kStreamW;
-  const bool need_fill =
-      (mask & col_mask) != 0 || (has_rows_ && (mask & row_mask) != 0);
-  if (need_fill) {
-    if (law_.is_exponential()) {
-      build_exponential(table, mask);
-    } else {
-      build_weibull(table, law_.weibull_shape, mask);
-    }
+  if (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD | kStreamFs)) {
+    for_each_interval<false>(
+        table, law_,
+        [&](std::size_t i, std::size_t j, const IntervalCoeffs& k) {
+          const std::size_t cm = j * stride + i;
+          if (mask & kStreamExvg) exvg_c_[cm] = k.es * (k.x + vg_[j]);
+          if (mask & kStreamB) b_c_[cm] = k.b;
+          if (mask & kStreamC) c_c_[cm] = k.c;
+          if (mask & kStreamD) d_c_[cm] = k.d;
+          if (mask & kStreamFs) fs_c_[cm] = k.fs;
+        });
   }
   if (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD)) {
     build_qi_certificate();
   } else {
     qi_ = base->qi_;
-  }
-}
-
-void SegmentTables::build_exponential(const chain::WeightTable& table,
-                                      unsigned mask) {
-  const std::size_t stride = n_ + 1;
-  const double lambda_f = table.lambda_f();
-  for (std::size_t i = 0; i <= n_; ++i) {
-    for (std::size_t j = i; j <= n_; ++j) {
-      // Same expression trees as segment_math.cpp / WeightTable, so the
-      // stored coefficients are bitwise what the scalar path computes --
-      // for full builds and masked patch rebuilds alike.
-      const double em1_f = table.em1_f(i, j);
-      const double em1_s = table.em1_s(i, j);
-      const double w = table.weight(i, j);
-      const Interval seg{w, em1_f, em1_s};
-      const double x = em1f_over_lambda(seg, lambda_f);
-      const double es = seg.exp_s();
-      const double b = es * em1_f;
-      const double c = seg.em1_fs();
-      const double d = em1_s;
-      const std::size_t cm = j * stride + i;
-      if (mask & kStreamExvg) exvg_c_[cm] = es * (x + vg_[j]);
-      if (mask & kStreamB) b_c_[cm] = b;
-      if (mask & kStreamC) c_c_[cm] = c;
-      if (mask & kStreamD) d_c_[cm] = d;
-      if (mask & kStreamFs) fs_c_[cm] = seg.exp_fs();
-      if (has_rows_) {
-        const double ef = seg.exp_f();
-        const std::size_t rm = i * stride + j;
-        if (mask & kStreamExv) exv_r_[rm] = es * (x + vp_[j]);
-        if (mask & kStreamB) b_r_[rm] = b;
-        if (mask & kStreamC) c_r_[rm] = c;
-        if (mask & kStreamD) d_r_[rm] = d;
-        // expected_time_lost dominates the row-build cost; a patch that
-        // keeps lambda_f skips it entirely.
-        if (mask & kStreamTl) {
-          tl_r_[rm] = util::expected_time_lost(lambda_f, w);
-        }
-        if (mask & kStreamPf) pf_r_[rm] = em1_f / ef;
-        if (mask & kStreamEf) ef_r_[rm] = ef;
-        if (mask & kStreamW) w_r_[rm] = w;
-      }
-    }
-  }
-}
-
-void SegmentTables::build_weibull(const chain::WeightTable& table,
-                                  double shape, unsigned mask) {
-  const std::size_t stride = n_ + 1;
-  const WeibullLawTasks tasks(table, table.lambda_f(), shape);
-  for (std::size_t i = 0; i <= n_; ++i) {
-    // Incremental law accumulators over j, in the exact operation order of
-    // make_law_interval so evaluator-side LawInterval values are bitwise
-    // equal to the stored streams.
-    double hazard = 0.0;
-    double lambda_acc = 0.0;
-    for (std::size_t j = i; j <= n_; ++j) {
-      if (j > i) {
-        const double survive_prefix = std::exp(-hazard);
-        lambda_acc +=
-            survive_prefix * (tasks.p_fail(j) * table.weight(i, j - 1) +
-                              tasks.elapsed_when_failed(j));
-        hazard += tasks.rho(j);
-      }
-      LawInterval seg;
-      seg.w = table.weight(i, j);
-      seg.em1_f = std::expm1(hazard);
-      seg.em1_s = table.em1_s(i, j);
-      const double ef = 1.0 + seg.em1_f;
-      seg.x = lambda_acc * ef + seg.w;
-      const double pf = seg.em1_f / ef;
-      seg.t_lost = pf > 0.0 ? lambda_acc / pf : 0.5 * seg.w;
-      const double es = seg.exp_s();
-      const double b = es * seg.em1_f;
-      const double c = seg.em1_fs();
-      const double d = seg.em1_s;
-      const std::size_t cm = j * stride + i;
-      if (mask & kStreamExvg) exvg_c_[cm] = es * (seg.x + vg_[j]);
-      if (mask & kStreamB) b_c_[cm] = b;
-      if (mask & kStreamC) c_c_[cm] = c;
-      if (mask & kStreamD) d_c_[cm] = d;
-      if (mask & kStreamFs) fs_c_[cm] = seg.exp_fs();
-      if (has_rows_) {
-        const std::size_t rm = i * stride + j;
-        if (mask & kStreamExv) exv_r_[rm] = es * (seg.x + vp_[j]);
-        if (mask & kStreamB) b_r_[rm] = b;
-        if (mask & kStreamC) c_r_[rm] = c;
-        if (mask & kStreamD) d_r_[rm] = d;
-        if (mask & kStreamTl) tl_r_[rm] = seg.t_lost;
-        if (mask & kStreamPf) pf_r_[rm] = pf;
-        if (mask & kStreamEf) ef_r_[rm] = ef;
-        if (mask & kStreamW) w_r_[rm] = seg.w;
-      }
-    }
   }
 }
 
@@ -310,12 +262,35 @@ void SegmentTables::build_qi_certificate() {
 
 std::size_t SegmentTables::resident_bytes() const noexcept {
   std::size_t total = 0;
-  for (const auto* v :
-       {&exv_r_, &b_r_, &c_r_, &d_r_, &tl_r_, &pf_r_, &ef_r_, &w_r_,
-        &exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_, &vg_, &vp_}) {
+  for (const auto* v : {&exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_, &vg_}) {
     total += v->capacity() * sizeof(double);
   }
   return total;
+}
+
+SegmentRows::SegmentRows(const chain::WeightTable& table,
+                         const platform::CostModel& costs)
+    : n_(table.n()) {
+  const std::size_t stride = n_ + 1;
+  const std::size_t cells = stride * stride;
+  vp_.assign(stride, 0.0);
+  for (std::size_t i = 1; i <= n_; ++i) vp_[i] = costs.v_partial_after(i);
+  for (auto* v : {&exv_, &b_, &c_, &d_, &tl_, &pf_, &ef_, &w_}) {
+    v->assign(cells, 0.0);
+  }
+  for_each_interval<true>(
+      table, costs.planning_law(),
+      [&](std::size_t i, std::size_t j, const IntervalCoeffs& k) {
+        const std::size_t rm = i * stride + j;
+        exv_[rm] = k.es * (k.x + vp_[j]);
+        b_[rm] = k.b;
+        c_[rm] = k.c;
+        d_[rm] = k.d;
+        tl_[rm] = k.tl;
+        pf_[rm] = k.pf;
+        ef_[rm] = k.ef;
+        w_[rm] = k.w;
+      });
 }
 
 }  // namespace chainckpt::analysis

@@ -23,12 +23,14 @@
 // them once per (chain, cost model) pair as flat SoA arrays.  The
 // verification costs are folded into the leading term where possible
 // (exv = es*(x + V_j), exvg = es*(x + V*_j)), which drops two more streams
-// from the kernels.  Two orientations are kept:
+// from the kernels.  Two orientations exist:
 //
-//   *_row(i): fixed left endpoint i, contiguous in j -- the access pattern
-//             of the partial-verification inner DP (p2 scan);
-//   *_col(j): fixed right endpoint j, contiguous in i -- the access pattern
-//             of the level-DP v1 scans.
+//   SegmentTables, *_col(j): fixed right endpoint j, contiguous in i --
+//             the access pattern of the level-DP v1 scans, read by every
+//             DP and shared across jobs by core::BatchSolver;
+//   SegmentRows, *_row(i): fixed left endpoint i, contiguous in j -- the
+//             access pattern of the partial-verification inner DP (p2
+//             scan), which only ADMV runs and builds per solve.
 //
 // Every entry is computed with the exact expression trees of
 // segment_math.cpp on the same WeightTable inputs.  The Eq. (4) level-DP
@@ -100,49 +102,30 @@ struct PatchSummary {
 
 class SegmentTables {
  public:
-  /// `build_rows = false` skips the nine row-oriented arrays, which only
-  /// the ADMV partial solver reads -- the Eq. (4) level DPs (AD, ADV*,
-  /// ADMV*) consume the column views alone and need not pay the extra
-  /// O(n^2) memory and expected_time_lost build work.
   SegmentTables(const chain::WeightTable& table,
-                const platform::CostModel& costs, bool build_rows = true);
+                const platform::CostModel& costs);
 
   /// Incremental patch constructor: rebuilds only the streams the drifted
   /// cost model actually changes, copying every other stream from `base`.
   /// The dependency map (see stream_mask_for in segment_tables.cpp):
   ///
-  ///   lambda_f / planning law -> exvg, b, c, fs, exv, tl, pf, ef
-  ///   lambda_s                -> exvg, b, c, d, fs, exv
+  ///   lambda_f / planning law -> exvg, b, c, fs
+  ///   lambda_s                -> exvg, b, c, d, fs
   ///   V* stream (vg)          -> exvg, vg
-  ///   V  stream (vp)          -> exv, vp
-  ///   C_D/C_M/R_D/R_M, recall -> nothing (never baked into the tables)
+  ///   V, C_D/C_M/R_D/R_M, recall -> nothing (never baked into the tables)
   ///
   /// `table` must be built from the same chain weights as `base` (only
   /// the rates may differ -- use the WeightTable patch constructor), and
   /// rebuilt streams use the exact expression trees of the full build, so
   /// the result is byte-identical (memcmp) to a from-scratch
-  /// SegmentTables(table, costs, build_rows) -- the equivalence battery in
+  /// SegmentTables(table, costs) -- the equivalence battery in
   /// tests/analysis/segment_tables_patch_test.cpp pins this for both the
   /// exponential and the Weibull build paths.
   SegmentTables(const SegmentTables& base, const chain::WeightTable& table,
-                const platform::CostModel& costs, bool build_rows = true,
+                const platform::CostModel& costs,
                 PatchSummary* summary = nullptr);
 
   std::size_t n() const noexcept { return n_; }
-  bool has_rows() const noexcept { return has_rows_; }
-
-  // Row views: pointer indexed by the absolute right endpoint j, valid for
-  // j in [i, n].  Require has_rows().
-  const double* exv_row(std::size_t i) const noexcept {
-    return row(exv_r_, i);
-  }
-  const double* b_row(std::size_t i) const noexcept { return row(b_r_, i); }
-  const double* c_row(std::size_t i) const noexcept { return row(c_r_, i); }
-  const double* d_row(std::size_t i) const noexcept { return row(d_r_, i); }
-  const double* tl_row(std::size_t i) const noexcept { return row(tl_r_, i); }
-  const double* pf_row(std::size_t i) const noexcept { return row(pf_r_, i); }
-  const double* ef_row(std::size_t i) const noexcept { return row(ef_r_, i); }
-  const double* w_row(std::size_t i) const noexcept { return row(w_r_, i); }
 
   // Column views: pointer indexed by the absolute left endpoint i, valid
   // for i in [0, j].
@@ -157,10 +140,6 @@ class SegmentTables {
   /// Guaranteed-verification cost after task i (i >= 1), hoisted out of the
   /// CostModel's uniform/per-position branch.
   double vg_after(std::size_t i) const noexcept { return vg_[i]; }
-  /// Partial-verification cost after task i (i >= 1).
-  double vp_after(std::size_t i) const noexcept { return vp_[i]; }
-  /// vp_after as a flat array indexed by position (entry 0 unused).
-  const double* vp_data() const noexcept { return vp_.data(); }
 
   /// Bytes held by the coefficient arrays -- what a BatchSolver cache
   /// entry keeps resident and release_scratch() gives back.
@@ -172,23 +151,16 @@ class SegmentTables {
   const QiCertificate& verify_quadrangle() const noexcept { return qi_; }
 
  private:
-  /// One bit per coefficient stream, naming what a (re)build writes.  The
-  /// kB/kC/kD bits cover the column stream and its row mirror together
-  /// (their values are identical by construction).
+  /// One bit per coefficient stream, naming what a (re)build writes.
   enum StreamBit : unsigned {
     kStreamExvg = 1u << 0,  ///< exvg_c (lambda_f, lambda_s, law, vg)
-    kStreamB = 1u << 1,     ///< b_c + b_r (lambda_f, lambda_s, law)
-    kStreamC = 1u << 2,     ///< c_c + c_r (lambda_f, lambda_s, law)
-    kStreamD = 1u << 3,     ///< d_c + d_r (lambda_s)
+    kStreamB = 1u << 1,     ///< b_c (lambda_f, lambda_s, law)
+    kStreamC = 1u << 2,     ///< c_c (lambda_f, lambda_s, law)
+    kStreamD = 1u << 3,     ///< d_c (lambda_s)
     kStreamFs = 1u << 4,    ///< fs_c (lambda_f, lambda_s, law)
-    kStreamExv = 1u << 5,   ///< exv_r (lambda_f, lambda_s, law, vp)
-    kStreamTl = 1u << 6,    ///< tl_r (lambda_f, law)
-    kStreamPf = 1u << 7,    ///< pf_r (lambda_f, law)
-    kStreamEf = 1u << 8,    ///< ef_r (lambda_f, law)
-    kStreamW = 1u << 9,     ///< w_r (weights only)
-    kStreamVg = 1u << 10,   ///< vg_ (vg stream)
-    kStreamVp = 1u << 11,   ///< vp_ (vp stream)
-    kStreamAll = (1u << 12) - 1,
+    kStreamVg = 1u << 5,    ///< vg_ (vg stream)
+    kStreamCount = 6,
+    kStreamAll = (1u << kStreamCount) - 1,
   };
 
   const double* row(const std::vector<double>& v,
@@ -203,15 +175,13 @@ class SegmentTables {
                                   const platform::CostModel& costs);
 
   std::size_t n_;
-  bool has_rows_ = false;
   /// What the streams were built from, for the patch constructor's diff:
   /// the rates of the WeightTable and the planning law of the cost model.
   double lambda_f_ = 0.0;
   double lambda_s_ = 0.0;
   platform::PlanningLaw law_{};
-  std::vector<double> exv_r_, b_r_, c_r_, d_r_, tl_r_, pf_r_, ef_r_, w_r_;
   std::vector<double> exvg_c_, b_c_, c_c_, d_c_, fs_c_;
-  std::vector<double> vg_, vp_;
+  std::vector<double> vg_;
   QiCertificate qi_;
 
   /// Shared tail of both constructors: allocates/copies per `mask`, fills
@@ -219,16 +189,47 @@ class SegmentTables {
   /// certificate when a column stream changed.
   void build(const chain::WeightTable& table, const platform::CostModel& costs,
              unsigned mask, const SegmentTables* base);
-  /// Paper Eq. (4) coefficient fill (the default; also taken verbatim by a
-  /// Weibull planning law at shape exactly 1, which makes the k = 1
-  /// reduction bitwise).  Only the streams in `mask` are written.
-  void build_exponential(const chain::WeightTable& table, unsigned mask);
-  /// Law-integrated fill (platform::FailureLaw::kWeibull): same streams,
-  /// with em1_f/x/tl/pf/ef/fs replaced by their renewal-law integrals --
-  /// see the LawInterval block of segment_math.hpp.
-  void build_weibull(const chain::WeightTable& table, double shape,
-                     unsigned mask);
   void build_qi_certificate();
+};
+
+/// The row-oriented streams of the ADMV inner DP (paper Section III-B):
+/// E^- coefficients with the partial-verification cost folded in
+/// (exv = es*(x + V_j)), the e_right_step ingredients (tl, pf, ef, w) and
+/// the V stream.  Only core::optimize_with_partial reads them; it builds
+/// one per solve from its context's WeightTable and cost model (an O(n^2)
+/// pass under an O(n^6) solve).  The fill walks the intervals with the
+/// same expression trees as SegmentTables' column fill, so the b/c/d rows
+/// equal the columns bit for bit.
+class SegmentRows {
+ public:
+  SegmentRows(const chain::WeightTable& table,
+              const platform::CostModel& costs);
+
+  // Row views: pointer indexed by the absolute right endpoint j, valid for
+  // j in [i, n].
+  const double* exv_row(std::size_t i) const noexcept { return row(exv_, i); }
+  const double* b_row(std::size_t i) const noexcept { return row(b_, i); }
+  const double* c_row(std::size_t i) const noexcept { return row(c_, i); }
+  const double* d_row(std::size_t i) const noexcept { return row(d_, i); }
+  const double* tl_row(std::size_t i) const noexcept { return row(tl_, i); }
+  const double* pf_row(std::size_t i) const noexcept { return row(pf_, i); }
+  const double* ef_row(std::size_t i) const noexcept { return row(ef_, i); }
+  const double* w_row(std::size_t i) const noexcept { return row(w_, i); }
+
+  /// Partial-verification cost after task i (i >= 1).
+  double vp_after(std::size_t i) const noexcept { return vp_[i]; }
+  /// vp_after as a flat array indexed by position (entry 0 unused).
+  const double* vp_data() const noexcept { return vp_.data(); }
+
+ private:
+  const double* row(const std::vector<double>& v,
+                    std::size_t i) const noexcept {
+    return v.data() + i * (n_ + 1);
+  }
+
+  std::size_t n_;
+  std::vector<double> exv_, b_, c_, d_, tl_, pf_, ef_, w_;
+  std::vector<double> vp_;
 };
 
 }  // namespace chainckpt::analysis

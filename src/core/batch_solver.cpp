@@ -1,7 +1,5 @@
 #include "core/batch_solver.hpp"
 
-#include <algorithm>
-#include <cstring>
 #include <utility>
 
 #include "util/arena.hpp"
@@ -29,11 +27,6 @@ bool is_dp_algorithm(Algorithm algorithm) {
   return false;
 }
 
-/// Only the ADMV inner DP reads the row-oriented coefficient arrays.
-bool needs_row_tables(Algorithm algorithm) {
-  return algorithm == Algorithm::kADMV;
-}
-
 /// The multi-level engines commit per-d1 slab progress into a
 /// core::SolveCheckpoint; the streamed single-level DPs and the
 /// heuristics are cheap enough to just restart.
@@ -41,10 +34,14 @@ bool is_checkpointable(Algorithm algorithm) {
   return algorithm == Algorithm::kADMVstar || algorithm == Algorithm::kADMV;
 }
 
-std::uint64_t to_bits(double value) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
+/// solve_job()'s input checks, run over a whole batch before any job
+/// starts.
+void validate(const BatchJob& job, std::size_t max_n) {
+  CHAINCKPT_REQUIRE(!job.chain.empty(), "batch job needs a non-empty chain");
+  if (is_dp_algorithm(job.algorithm)) {
+    CHAINCKPT_REQUIRE(job.chain.size() <= max_n,
+                      "batch job chain longer than BatchOptions::max_n");
+  }
 }
 
 }  // namespace
@@ -53,147 +50,21 @@ BatchSolver::BatchSolver(BatchOptions options)
     : options_(options),
       plan_cache_(PlanCacheConfig{options.plan_cache_budget_bytes}) {}
 
-std::size_t BatchSolver::TableKeyHash::operator()(
-    const TableKey& key) const noexcept {
-  // FNV-1a over the 64-bit words, byte by byte.
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t word : key.bits) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (word >> shift) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return static_cast<std::size_t>(h);
-}
-
-BatchSolver::TableKey BatchSolver::make_key(
-    const chain::TaskChain& chain, const platform::CostModel& costs) {
-  TableKey key;
-  const std::size_t n = chain.size();
-  key.bits.reserve(5 + 3 * n);
-  key.bits.push_back(static_cast<std::uint64_t>(n));
-  key.bits.push_back(to_bits(costs.lambda_f()));
-  key.bits.push_back(to_bits(costs.lambda_s()));
-  // The planning law changes every coefficient stream SegmentTables
-  // builds, so it must discriminate cache entries; laws that reduce to the
-  // exponential build share its key (and therefore its tables).
-  const platform::PlanningLaw& law = costs.planning_law();
-  if (law.is_exponential()) {
-    key.bits.push_back(0);
-    key.bits.push_back(to_bits(1.0));
-  } else {
-    key.bits.push_back(static_cast<std::uint64_t>(law.law));
-    key.bits.push_back(to_bits(law.weibull_shape));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(chain.weight(i)));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(costs.v_guaranteed_after(i)));
-    key.bits.push_back(to_bits(costs.v_partial_after(i)));
-  }
-  return key;
-}
-
-BatchSolver::TableKey BatchSolver::make_checkpoint_key(
-    const TableKey& tables_key, Algorithm algorithm, ScanMode scan_mode) {
-  TableKey key = tables_key;
-  // One metadata word: anything that changes the tables a resumed run
-  // writes (algorithm picks the engine and whether E_verif values are
-  // kept; scan mode changes the committed counters).
-  key.bits.push_back((static_cast<std::uint64_t>(algorithm) << 16) |
-                     static_cast<std::uint64_t>(scan_mode));
-  return key;
-}
-
 std::vector<OptimizationResult> BatchSolver::solve(
     const std::vector<BatchJob>& jobs) {
+  for (const BatchJob& job : jobs) validate(job, options_.max_n);
+  // Dynamic scheduling load-balances the heterogeneous jobs; each
+  // solver's own slab parallelism degrades to serial inside the region,
+  // so workers stay busy on whole chains.
   std::vector<OptimizationResult> results(jobs.size());
-
-  // Phase 1 (serial): key the DP jobs, resolve cache entries, and collect
-  // the distinct missing tables as build tasks.  Entry pointers are stable
-  // under rehash, so jobs can hold them across the phases.
-  struct Build {
-    TableEntry* entry;
-    const BatchJob* job;
-    bool rows;
-  };
-  std::vector<Build> builds;
-  std::unordered_map<TableEntry*, std::size_t> build_index;
-  std::vector<TableEntry*> job_entry(jobs.size(), nullptr);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const BatchJob& job = jobs[i];
-    CHAINCKPT_REQUIRE(!job.chain.empty(),
-                      "batch job needs a non-empty chain");
-    if (!is_dp_algorithm(job.algorithm)) continue;
-    CHAINCKPT_REQUIRE(job.chain.size() <= options_.max_n,
-                      "batch job chain longer than BatchOptions::max_n");
-    auto [it, inserted] = cache_.try_emplace(make_key(job.chain, job.costs));
-    TableEntry& entry = it->second;
-    entry.last_used = ++use_tick_;
-    job_entry[i] = &entry;
-    const bool rows = needs_row_tables(job.algorithm);
-    // An entry built without rows is rebuilt in place when an ADMV job
-    // joins its key: the column arrays are identical either way, so the
-    // non-ADMV jobs sharing the entry keep their exact results.
-    if (entry.seg == nullptr || (rows && !entry.seg->has_rows())) {
-      const auto pending = build_index.find(&entry);
-      if (pending == build_index.end()) {
-        build_index.emplace(&entry, builds.size());
-        builds.push_back(Build{&entry, &job, rows});
-      } else {
-        builds[pending->second].rows |= rows;
-        ++stats_.tables_reused;
-      }
-    } else {
-      ++stats_.tables_reused;
-    }
-  }
-
-  // Phase 2: build the missing tables, in parallel over distinct keys --
-  // each task writes one distinct, pre-inserted cache entry.
-  const auto build_one = [&](std::size_t b) {
-    const Build& task = builds[b];
-    const BatchJob& job = *task.job;
-    auto table = std::make_shared<const chain::WeightTable>(
-        job.chain, job.costs.lambda_f(), job.costs.lambda_s());
-    auto seg = std::make_shared<const analysis::SegmentTables>(
-        *table, job.costs, task.rows);
-    task.entry->table = std::move(table);
-    task.entry->seg = std::move(seg);
-  };
-  util::parallel_for(0, builds.size(), build_one);
-  stats_.tables_built += builds.size();
-
-  // Phase 3: the work-queue.  Dynamic scheduling load-balances the
-  // heterogeneous jobs; each solver's own slab parallelism degrades to
-  // serial inside the region, so workers stay busy on whole chains.
-  const auto solve_one = [&](std::size_t i) {
-    const BatchJob& job = jobs[i];
-    if (TableEntry* entry = job_entry[i]) {
-      DpContext ctx(job.chain, job.costs, entry->table, entry->seg,
-                    options_.max_n);
-      ctx.set_scan_mode(options_.scan_mode);
-      results[i] = optimize(job.algorithm, ctx);
-    } else {
-      results[i] = optimize(job.algorithm, job.chain, job.costs);
-    }
-  };
-  util::parallel_for(0, jobs.size(), solve_one);
-  stats_.jobs_solved += jobs.size();
-  for (const OptimizationResult& result : results) {
-    stats_.scan += result.scan;
-  }
-  if (options_.cache_budget_bytes != 0) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    evict_locked(options_.cache_budget_bytes);
-  }
+  util::parallel_for(0, jobs.size(),
+                     [&](std::size_t i) { results[i] = solve_job(jobs[i]); });
   return results;
 }
 
 OptimizationResult BatchSolver::solve_job(const BatchJob& job,
                                           const CancelToken* cancel) {
-  CHAINCKPT_REQUIRE(!job.chain.empty(), "batch job needs a non-empty chain");
+  validate(job, options_.max_n);
 
   // The heuristic baselines read no shared tables; poll once and run.
   if (!is_dp_algorithm(job.algorithm)) {
@@ -203,9 +74,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
     ++stats_.jobs_solved;
     return result;
   }
-
-  CHAINCKPT_REQUIRE(job.chain.size() <= options_.max_n,
-                    "batch job chain longer than BatchOptions::max_n");
 
   // Plan-cache front door: an exact key match returns the memoized
   // result bitwise; a certified epsilon-hit returns the cached plan
@@ -232,8 +100,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
     }
   }
 
-  const bool rows = needs_row_tables(job.algorithm);
-  const TableKey key = make_key(job.chain, job.costs);
+  const CacheKey key = table_key(job.chain, job.costs);
 
   // Acquire (building if necessary) the shared table pair.  References
   // into the map survive rehashes; the loop re-looks the key up after
@@ -245,7 +112,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
       TableEntry& entry = cache_.try_emplace(key).first->second;
-      if (entry.seg != nullptr && (!rows || entry.seg->has_rows())) {
+      if (entry.seg != nullptr) {
         entry.last_used = ++use_tick_;
         ++stats_.tables_reused;
         table = entry.table;
@@ -254,71 +121,44 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       }
       if (entry.building) {
         build_done_.wait(lock);
-        continue;  // re-resolve: built, row-upgraded, or even evicted
+        continue;  // re-resolve: built, or even evicted
       }
       entry.building = true;
-      // A rowless entry being row-upgraded keeps its WeightTable: the
-      // table depends only on key material, so rebuilding it would be
-      // pure duplicate work (the SegmentTables must rebuild -- rows are
-      // a construction-time property).
-      std::shared_ptr<const chain::WeightTable> built_table = entry.table;
-      // Incremental path: find a donor whose streams this build can
-      // patch instead of recomputing.  A row upgrade's own rowless entry
-      // is the ideal donor (mask = the row streams); otherwise any ready
-      // entry over the same chain weights (key words [5, 5+n)) donates
-      // whatever the parameter drift left untouched.  The patch
+      // Incremental path: any ready entry over the same chain weights
+      // donates whatever the parameter drift left untouched.  The patch
       // constructors reproduce a from-scratch build byte for byte, so
       // the determinism contract is unaffected.
-      std::shared_ptr<const analysis::SegmentTables> donor_seg = entry.seg;
+      std::shared_ptr<const analysis::SegmentTables> donor_seg;
       std::shared_ptr<const chain::WeightTable> donor_table;
-      if (donor_seg == nullptr) {
-        const std::size_t n = job.chain.size();
-        for (const auto& [other_key, other] : cache_) {
-          if (other.building || other.seg == nullptr) continue;
-          if (other_key.bits[0] != key.bits[0]) continue;
-          if (!std::equal(other_key.bits.begin() + 5,
-                          other_key.bits.begin() + 5 + n,
-                          key.bits.begin() + 5)) {
-            continue;
-          }
-          donor_table = other.table;
-          donor_seg = other.seg;
-          break;
-        }
+      for (const auto& [other_key, other] : cache_) {
+        if (other.building || other.seg == nullptr) continue;
+        if (!same_chain_weights(other_key, key)) continue;
+        donor_table = other.table;
+        donor_seg = other.seg;
+        break;
       }
       lock.unlock();
+      std::shared_ptr<const chain::WeightTable> built_table;
       std::shared_ptr<const analysis::SegmentTables> built_seg;
-      bool patched = false;
       analysis::PatchSummary patch_summary;
       try {
-        if (built_table == nullptr) {
-          built_table =
-              donor_table != nullptr
-                  ? std::make_shared<const chain::WeightTable>(
-                        *donor_table, job.costs.lambda_f(),
-                        job.costs.lambda_s())
-                  : std::make_shared<const chain::WeightTable>(
-                        job.chain, job.costs.lambda_f(),
-                        job.costs.lambda_s());
-        }
         if (donor_seg != nullptr) {
+          built_table = std::make_shared<const chain::WeightTable>(
+              *donor_table, job.costs.lambda_f(), job.costs.lambda_s());
           built_seg = std::make_shared<const analysis::SegmentTables>(
-              *donor_seg, *built_table, job.costs, rows, &patch_summary);
-          patched = true;
+              *donor_seg, *built_table, job.costs, &patch_summary);
         } else {
+          built_table = std::make_shared<const chain::WeightTable>(
+              job.chain, job.costs.lambda_f(), job.costs.lambda_s());
           built_seg = std::make_shared<const analysis::SegmentTables>(
-              *built_table, job.costs, rows);
+              *built_table, job.costs);
         }
       } catch (...) {
         lock.lock();
+        // The entry never got tables; drop it rather than leave an
+        // unevictable zero-byte zombie.
         const auto it = cache_.find(key);
-        if (it != cache_.end()) {
-          it->second.building = false;
-          // A fresh entry that never got tables would otherwise linger
-          // as an unevictable zero-byte zombie; a row-upgrade failure
-          // keeps the still-valid rowless pair.
-          if (it->second.seg == nullptr) cache_.erase(it);
-        }
+        if (it != cache_.end()) cache_.erase(it);
         build_done_.notify_all();
         throw;
       }
@@ -332,7 +172,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       built.building = false;
       built.last_used = ++use_tick_;
       ++stats_.tables_built;
-      if (patched) {
+      if (donor_seg != nullptr) {
         ++stats_.tables_patched;
         stats_.patched_streams_reused += patch_summary.streams_reused;
       }
@@ -347,11 +187,13 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   // interrupted solve_job() left its completed slabs here, and this run
   // resumes them.  Checkout is exclusive -- a concurrent solve of the
   // same workload simply starts fresh (last interrupt wins the store).
-  TableKey ckpt_key;
+  CacheKey ckpt_key;
   std::shared_ptr<SolveCheckpoint> ckpt;
   bool resumed = false;
   if (is_checkpointable(job.algorithm)) {
-    ckpt_key = make_checkpoint_key(key, job.algorithm, options_.scan_mode);
+    // The scan mode changes the counters the slabs commit.
+    ckpt_key = exact_key(job.algorithm, job.chain, job.costs);
+    ckpt_key.bits.push_back(static_cast<std::uint64_t>(options_.scan_mode));
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       const auto it = checkpoints_.find(ckpt_key);
@@ -550,16 +392,6 @@ std::size_t BatchSolver::evict_checkpoints_locked(std::size_t budget_bytes) {
 }
 
 std::size_t BatchSolver::evict_locked(std::size_t budget_bytes) {
-  // Sweep table-less leftovers first (a phase-1 validation throw in
-  // solve() can strand freshly keyed entries); they hold no bytes but
-  // would otherwise occupy map nodes forever.
-  for (auto it = cache_.begin(); it != cache_.end();) {
-    if (!it->second.building && it->second.seg == nullptr) {
-      it = cache_.erase(it);
-    } else {
-      ++it;
-    }
-  }
   std::size_t freed = 0;
   std::size_t resident = cache_bytes_locked();
   while (resident > budget_bytes) {

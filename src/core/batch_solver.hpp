@@ -11,8 +11,9 @@
 //     n = 50 ones);
 //   * a coefficient-table cache: the O(n^2) analysis::SegmentTables +
 //     chain::WeightTable pair -- the dominant per-solve setup cost -- is
-//     built once per distinct (chain weights, cost model) key and shared
-//     by every job that matches, within a batch and across batches;
+//     built once per distinct core::table_key() (chain weights, error
+//     rates, planning law, guaranteed-verification costs) and shared by
+//     every job that matches, within a batch and across batches;
 //   * LRU eviction: an optional byte budget on that cache
 //     (BatchOptions::cache_budget_bytes) evicts least-recently-used
 //     entries after each solve instead of the all-or-nothing
@@ -28,21 +29,19 @@
 // Determinism: every job's result (plan and objective) is bit-identical to
 // a standalone core::optimize() call with the same inputs, whether the
 // batch runs serially or in parallel, cached or cold, and whether the
-// entry survived eviction or was rebuilt.
+// entry survived eviction or was rebuilt -- except plan-cache
+// epsilon-hits, which BatchOptions::plan_cache_epsilon (0 by default)
+// must opt into.
 //
-// Thread-safety: the batch entry point solve() is NOT internally
-// synchronized -- it IS the parallelism; use it from one thread at a time.
-// The per-job entry point solve_job() IS thread-safe against other
-// solve_job() calls on the same instance (the table cache, LRU state, and
-// stats sit behind an internal mutex; the DP itself runs outside it) --
-// it is the entry the async service::SolverService workers use.  Do not
-// interleave solve() with concurrent solve_job() calls.  The arena pool
-// behind release_scratch() / resident_bytes() is PROCESS-WIDE (every
-// solver's thread-local scratch registers with it), so release_scratch()
-// must not overlap a running solve on ANY instance in the process, and
-// the arena byte counts cover all instances, not just this one.  A
-// multi-solver embedding should treat scratch release as a global
-// quiescent-point operation.
+// Thread-safety: solve() and solve_job() are thread-safe against each
+// other on the same instance (the caches, LRU state, and stats sit behind
+// internal mutexes; the DP itself runs outside them).  The arena pool behind
+// release_scratch() / resident_bytes() is PROCESS-WIDE (every solver's
+// thread-local scratch registers with it), so release_scratch() must not
+// overlap a running solve on ANY instance in the process, and the arena
+// byte counts cover all instances, not just this one.  A multi-solver
+// embedding should treat scratch release as a global quiescent-point
+// operation.
 #pragma once
 
 #include <condition_variable>
@@ -53,6 +52,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/cache_key.hpp"
 #include "core/cancellation.hpp"
 #include "core/optimizer.hpp"
 #include "core/plan_cache.hpp"
@@ -79,7 +79,7 @@ struct BatchOptions {
   /// Inner argmin scan mode for the DP jobs (see
   /// core/monotone_scanner.hpp).  kMonotonePruned is bit-compatible with
   /// kDense under the QI gate + boundary guard and reports its pruning
-  /// counters through stats().scan.
+  /// counters through stats_snapshot().scan.
   ScanMode scan_mode = ScanMode::kDense;
   /// Upper bound on chain length, guarding the dense O(n^3) DP tables
   /// (see DpContext::kDefaultMaxN).
@@ -94,21 +94,20 @@ struct BatchOptions {
   /// LRU byte budget over retained interruption checkpoints; 0 keeps them
   /// unbounded.  When a solve_job() for a multi-level DP (kADMVstar/kADMV)
   /// is interrupted, its core::SolveCheckpoint is retained: a later
-  /// solve_job() of the same workload (same tables key, algorithm, and
-  /// scan mode) resumes it, re-executing only the slabs the
-  /// interrupted run did not finish, with bit-identical results.  The
+  /// solve_job() of the same workload (same exact key -- every input the
+  /// algorithm's DP reads -- and scan mode) resumes it, re-executing only
+  /// the slabs the interrupted run did not finish, with bit-identical
+  /// results.  The
   /// retained state is the job's O(n^2)-O(n^3) argmin/value tables, so a
   /// service that interrupts large solves should bound it here;
   /// release_scratch() always drops it.  Oldest-interrupted first; a
   /// dropped checkpoint just means the job starts from scratch on its next
   /// submission.
   std::size_t checkpoint_budget_bytes = 0;
-  /// Memoize final plans in a core::PlanCache and serve repeat solve_job()
-  /// submissions from it: exact key matches return the stored result
-  /// bitwise; near-misses may be served under an epsilon tolerance (see
-  /// plan_cache_epsilon).  The batch solve() entry bypasses the plan
-  /// cache (its phases pre-build tables for every job) but results are
-  /// identical either way.
+  /// Memoize final plans in a core::PlanCache and serve repeat
+  /// submissions (solve() and solve_job() alike) from it: exact key
+  /// matches return the stored result bitwise; near-misses may be served
+  /// under an epsilon tolerance (see plan_cache_epsilon).
   bool enable_plan_cache = true;
   /// LRU byte budget for the plan cache; 0 keeps it unbounded (plans are
   /// a few hundred bytes each).  Runtime-adjustable via
@@ -168,19 +167,20 @@ class BatchSolver {
  public:
   explicit BatchSolver(BatchOptions options = {});
 
-  /// Solves every job; results[i] corresponds to jobs[i].  Safe to call
-  /// repeatedly -- the table cache persists and warms across calls.
+  /// Solves every job; results[i] corresponds to jobs[i].  Validates the
+  /// whole batch before solving anything, then runs solve_job() on every
+  /// job through one util::parallel_for, so batch jobs share the caches
+  /// and counters of service jobs.  Safe to call repeatedly.
   std::vector<OptimizationResult> solve(const std::vector<BatchJob>& jobs);
 
-  /// Solves one job through the shared cache.  Unlike solve(), this entry
-  /// is thread-safe against concurrent solve_job() calls on the same
-  /// instance: workers serving an async queue call it directly (see
-  /// service::SolverService).  Concurrent callers missing the same key
-  /// build its tables once (the first claims the build, the rest wait).
-  /// `cancel`, when non-null, is threaded to the DP's cooperative
-  /// checkpoints; a fired token makes this call throw SolveInterrupted
-  /// (counted in stats().jobs_interrupted) with the cache intact.
-  /// Results are bit-identical to solve() and to standalone optimize().
+  /// Solves one job through the shared caches.  Workers serving an async
+  /// queue call it directly (see service::SolverService).  Concurrent
+  /// callers missing the same table key build its tables once (the first
+  /// claims the build, the rest wait).  `cancel`, when non-null, is
+  /// threaded to the DP's cooperative checkpoints; a fired token makes
+  /// this call throw SolveInterrupted (counted in
+  /// stats_snapshot().jobs_interrupted) with the cache intact.  Results
+  /// are bit-identical to standalone optimize().
   OptimizationResult solve_job(const BatchJob& job,
                                const CancelToken* cancel = nullptr);
 
@@ -218,7 +218,7 @@ class BatchSolver {
   bool probable_plan_cache_hit(const BatchJob& job) const;
 
   /// Plan-cache counters (hits/misses/evictions reconcile with
-  /// stats().jobs_solved; see PlanCacheStats).
+  /// stats_snapshot().jobs_solved; see PlanCacheStats).
   PlanCacheStats plan_cache_stats() const;
   /// Bytes held by the memoized plans.
   std::size_t plan_cache_resident_bytes() const;
@@ -234,30 +234,13 @@ class BatchSolver {
   std::size_t cache_resident_bytes() const;
 
   const BatchOptions& options() const noexcept { return options_; }
-  /// Borrowing accessor for the exclusive-use batch path; while
-  /// concurrent solve_job() calls are in flight, use stats_snapshot().
-  const BatchStats& stats() const noexcept { return stats_; }
   /// Consistent copy of the counters, taken under the cache lock.
   BatchStats stats_snapshot() const;
 
  private:
-  /// Cache key: the exact bit patterns of everything a WeightTable /
-  /// SegmentTables build reads -- chain length and weights, the two error
-  /// rates, and the two per-position verification-cost streams.  The
-  /// remaining cost streams (checkpoint/recovery costs, recall) are read
-  /// per job at solve time, never baked into the tables, so jobs
-  /// differing only in those -- e.g. a checkpoint-price sweep -- share
-  /// one table pair.  Bitwise comparison (not double ==) keeps hash and
-  /// equality consistent for every value including -0.0 and NaN.
-  struct TableKey {
-    std::vector<std::uint64_t> bits;
-    bool operator==(const TableKey& other) const noexcept {
-      return bits == other.bits;
-    }
-  };
-  struct TableKeyHash {
-    std::size_t operator()(const TableKey& key) const noexcept;
-  };
+  /// A table-cache entry, keyed by core::table_key(): jobs differing only
+  /// in inputs the tables never read (checkpoint/recovery costs, the
+  /// partial-verification stream, recall) share one pair.
   struct TableEntry {
     std::shared_ptr<const chain::WeightTable> table;
     std::shared_ptr<const analysis::SegmentTables> seg;
@@ -266,26 +249,23 @@ class BatchSolver {
     /// eviction scans for the minimum stamp instead of maintaining an
     /// intrusive list.
     std::uint64_t last_used = 0;
-    /// A solve_job() worker is building (or row-upgrading) this entry;
-    /// other workers wait on build_done_ and eviction skips it.
+    /// A solve_job() worker is building this entry; other workers wait on
+    /// build_done_ and eviction skips it.
     bool building = false;
   };
 
   /// A retained interruption checkpoint: the partial progress of one
   /// (workload, algorithm, scan mode), checked OUT of the store
   /// for the duration of a solve (exclusive ownership) and checked back
-  /// in only if the solve is interrupted again.  Keyed by the TableKey
-  /// bits extended with one metadata word, so a checkpoint can never be
-  /// resumed by a solve it would not be bit-identical for.
+  /// in only if the solve is interrupted again.  Keyed by the job's
+  /// core::exact_key() -- every input the DP reads, so also every input
+  /// the committed slabs read -- plus the scan-mode word, so a checkpoint
+  /// can never be resumed by a solve it would not be bit-identical for.
   struct CheckpointEntry {
     std::shared_ptr<SolveCheckpoint> checkpoint;
     std::uint64_t last_used = 0;
   };
 
-  static TableKey make_key(const chain::TaskChain& chain,
-                           const platform::CostModel& costs);
-  static TableKey make_checkpoint_key(const TableKey& tables_key,
-                                      Algorithm algorithm, ScanMode scan_mode);
   static std::size_t entry_bytes(const TableEntry& entry) noexcept;
 
   /// The following helpers require mutex_ to be held.
@@ -299,12 +279,11 @@ class BatchSolver {
   /// Memoized final plans (own internal lock; never held together with
   /// mutex_).
   PlanCache plan_cache_;
-  std::unordered_map<TableKey, TableEntry, TableKeyHash> cache_;
-  std::unordered_map<TableKey, CheckpointEntry, TableKeyHash> checkpoints_;
+  std::unordered_map<CacheKey, TableEntry, CacheKeyHash> cache_;
+  std::unordered_map<CacheKey, CheckpointEntry, CacheKeyHash> checkpoints_;
   std::uint64_t use_tick_ = 0;
-  /// Guards cache_, stats_, use_tick_, and the cache-budget option for
-  /// the solve_job() path; solve() relies on its exclusive contract and
-  /// takes it only around shared bookkeeping.
+  /// Guards cache_, checkpoints_, stats_, use_tick_, and the budget
+  /// options.
   mutable std::mutex mutex_;
   std::condition_variable build_done_;
 };

@@ -24,13 +24,13 @@ void check_context(const chain::TaskChain& chain,
 }  // namespace
 
 DpContext::DpContext(chain::TaskChain chain, platform::CostModel costs,
-                     std::size_t max_n, bool build_row_tables)
+                     std::size_t max_n, bool /*ignored*/)
     : chain_(std::move(chain)), costs_(std::move(costs)) {
   check_context(chain_, costs_, max_n);
   table_ = std::make_shared<const chain::WeightTable>(
       chain_, costs_.lambda_f(), costs_.lambda_s());
-  seg_tables_ = std::make_shared<const analysis::SegmentTables>(
-      *table_, costs_, build_row_tables);
+  seg_tables_ =
+      std::make_shared<const analysis::SegmentTables>(*table_, costs_);
 }
 
 DpContext::DpContext(chain::TaskChain chain, platform::CostModel costs,

@@ -38,11 +38,11 @@ class DpContext {
   /// default (900) corresponds to ~8.8 GiB across the value + argmin
   /// tables of the largest DP.  The scratch-plane hot path keeps that
   /// regime compute-bound; pass a larger max_n explicitly if you have the
-  /// memory.  `build_row_tables = false` skips the SegmentTables row
-  /// arrays that only the ADMV partial solver reads (see
-  /// analysis::SegmentTables).
+  /// memory.  The trailing bool is ignored (ADMV builds its row streams
+  /// per solve, see analysis::SegmentRows); it stays so that callers
+  /// passing it still compile.
   DpContext(chain::TaskChain chain, platform::CostModel costs,
-            std::size_t max_n = kDefaultMaxN, bool build_row_tables = true);
+            std::size_t max_n = kDefaultMaxN, bool /*ignored*/ = true);
 
   /// Shared-table constructor: borrows a prebuilt (WeightTable,
   /// SegmentTables) pair instead of building its own -- the O(n^2)

@@ -92,6 +92,7 @@ PartialScratch& partial_scratch() {
 /// O((j-m1)^3) to solve.
 struct PartialSegmentSolver {
   const DpContext& ctx;
+  const analysis::SegmentRows& rows;
 
   /// Fills the scratch planes for the scan context (k1, rm_hit, r_mem)
   /// with right endpoint j, covering hop rows p1 in [lo, j).
@@ -100,14 +101,14 @@ struct PartialSegmentSolver {
     const auto& seg = ctx.seg_tables();
     const double g = ctx.costs().miss();
     const double vg_j = seg.vg_after(j);
-    const double vp_j = seg.vp_after(j);
+    const double vp_j = rows.vp_after(j);
     const double* fs_to_j = seg.fs_col(j);
     const std::size_t stride = seg.n() + 1;
     for (std::size_t p1 = lo; p1 < j; ++p1) {
-      const double* exv = seg.exv_row(p1);
-      const double* b = seg.b_row(p1);
-      const double* c = seg.c_row(p1);
-      const double* d = seg.d_row(p1);
+      const double* exv = rows.exv_row(p1);
+      const double* b = rows.b_row(p1);
+      const double* c = rows.c_row(p1);
+      const double* d = rows.d_row(p1);
       double* pp = s.pp.data() + p1 * stride;
       double* qq = s.qq.data() + p1 * stride;
       double* rr = s.rr.data() + p1 * stride;
@@ -134,7 +135,7 @@ struct PartialSegmentSolver {
              const analysis::LeftContext& left, PartialScratch& s) const {
     const auto& seg = ctx.seg_tables();
     const double g = ctx.costs().miss();
-    const double* vp = seg.vp_data();
+    const double* vp = rows.vp_data();
     const double* c_to_v2 = seg.c_col(v2);
     const double k1 = left.r_disk + left.e_mem;
     const double rm_hit = (1.0 - g) * left.r_mem;
@@ -171,12 +172,12 @@ struct PartialSegmentSolver {
       next[p1] = static_cast<std::int32_t>(best_p2);
       // E_right along the chosen chain: the error that slipped past the
       // partial verification at p1 is next screened at best_p2 -- one
-      // table-driven step, no expm1 (see SegmentTables).
+      // table-driven step, no expm1 (see SegmentRows).
       const double v_at_next = vp[best_p2];
-      const double pf = seg.pf_row(p1)[best_p2];
-      const double tl = seg.tl_row(p1)[best_p2];
-      const double ef = seg.ef_row(p1)[best_p2];
-      const double w = seg.w_row(p1)[best_p2];
+      const double pf = rows.pf_row(p1)[best_p2];
+      const double tl = rows.tl_row(p1)[best_p2];
+      const double ef = rows.ef_row(p1)[best_p2];
+      const double w = rows.w_row(p1)[best_p2];
       er[p1] = pf * (tl + k1) + (w + v_at_next + rm_hit + g * er[best_p2]) / ef;
     }
   }
@@ -191,8 +192,6 @@ OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
 }
 
 OptimizationResult optimize_with_partial(const DpContext& ctx) {
-  CHAINCKPT_REQUIRE(ctx.seg_tables().has_rows(),
-                    "ADMV needs a context built with row tables");
   // Entry checkpoint; the per-(d1, j) checkpoints of the O(n^6) engine
   // run live in run_level_dp, outside this solver's fused kernels
   // (whose call structure must not change -- see the scan note below).
@@ -206,7 +205,10 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
   ckpt.begin_run(n, /*keep_verif_values=*/true, ctx.scan_mode());
   const detail::LevelTables& tables = ckpt.tables();
-  const PartialSegmentSolver solver{ctx};
+  // The inner DP's row streams are this solve's own: no other engine reads
+  // them, so the shared column tables never carry them.
+  const analysis::SegmentRows rows(ctx.table(), ctx.costs());
+  const PartialSegmentSolver solver{ctx, rows};
   const auto& cm = ctx.costs();
   const double g = cm.miss();
 

@@ -33,9 +33,9 @@ OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
                                          const platform::CostModel& costs);
 
 /// Same solver on a prebuilt context -- the shared-SegmentTables path used
-/// by core::BatchSolver.  The inner DP reads the row-oriented coefficient
-/// arrays, so the context must have been built with row tables (throws
-/// std::invalid_argument otherwise).
+/// by core::BatchSolver.  The inner DP's row-oriented streams
+/// (analysis::SegmentRows) are built per solve from the context's
+/// WeightTable and cost model.
 OptimizationResult optimize_with_partial(const DpContext& ctx);
 
 }  // namespace chainckpt::core

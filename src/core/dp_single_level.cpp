@@ -269,8 +269,7 @@ OptimizationResult optimize_single_level(const DpContext& ctx,
 OptimizationResult optimize_single_level(const chain::TaskChain& chain,
                                          const platform::CostModel& costs,
                                          SingleLevelOptions options) {
-  const DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                      /*build_row_tables=*/false);
+  const DpContext ctx(chain, costs);
   return optimize_single_level(ctx, options);
 }
 

@@ -30,8 +30,7 @@ OptimizationResult optimize_single_level(const chain::TaskChain& chain,
                                          SingleLevelOptions options = {});
 
 /// Same solver on a prebuilt context -- the shared-SegmentTables path used
-/// by core::BatchSolver.  Only the column tables are read, so a context
-/// built with `build_row_tables = false` suffices.
+/// by core::BatchSolver.
 OptimizationResult optimize_single_level(const DpContext& ctx,
                                          SingleLevelOptions options = {});
 

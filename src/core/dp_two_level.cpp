@@ -9,8 +9,7 @@ namespace chainckpt::core {
 
 OptimizationResult optimize_two_level(const chain::TaskChain& chain,
                                       const platform::CostModel& costs) {
-  const DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                      /*build_row_tables=*/false);
+  const DpContext ctx(chain, costs);
   return optimize_two_level(ctx);
 }
 

@@ -14,8 +14,7 @@ OptimizationResult optimize_two_level(const chain::TaskChain& chain,
                                       const platform::CostModel& costs);
 
 /// Same solver on a prebuilt context -- the shared-SegmentTables path used
-/// by core::BatchSolver.  Only the column tables are read, so a context
-/// built with `build_row_tables = false` suffices.
+/// by core::BatchSolver.
 OptimizationResult optimize_two_level(const DpContext& ctx);
 
 }  // namespace chainckpt::core

@@ -55,7 +55,7 @@ enum class ScanMode { kDense, kMonotonePruned };
 /// Counters describing one solve's scan behaviour.  All counts are in
 /// candidate evaluations ("cells") or rows/steps of the inner DP; a dense
 /// solve reports zeros.  Aggregated across solves by
-/// core::BatchSolver::stats().
+/// core::BatchSolver::stats_snapshot().
 struct ScanStats {
   /// Candidate evaluations the dense formulation would have performed.
   std::uint64_t dense_cells = 0;

@@ -51,9 +51,7 @@ OptimizationResult optimize(Algorithm algorithm,
     case Algorithm::kADVstar:
     case Algorithm::kADMVstar:
     case Algorithm::kADMV: {
-      // Only the ADMV inner DP reads the row-oriented coefficient arrays.
-      const DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                          /*build_row_tables=*/algorithm == Algorithm::kADMV);
+      const DpContext ctx(chain, costs);
       return optimize(algorithm, ctx);
     }
     case Algorithm::kPeriodic:

@@ -1,6 +1,5 @@
 #include "core/plan_cache.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "analysis/evaluator.hpp"
@@ -10,99 +9,28 @@ namespace chainckpt::core {
 
 namespace {
 
-std::uint64_t to_bits(double value) noexcept {
-  std::uint64_t bits;
-  std::memcpy(&bits, &value, sizeof bits);
-  return bits;
+/// Heap bytes of one node of a node-based hash map: the stored pair and
+/// the next link.
+template <typename Map>
+constexpr std::size_t node_bytes() noexcept {
+  return sizeof(typename Map::value_type) + sizeof(void*);
 }
 
-/// Only the ADMV partial-verification engine reads V and the recall; the
-/// other DPs are invariant under them (grep the kernels: exv_r / vp are
-/// consumed by dp_partial alone), so keying them for every algorithm
-/// would only forfeit sound exact hits.
-bool reads_partial_stream(Algorithm algorithm) noexcept {
-  return algorithm == Algorithm::kADMV;
+std::size_t key_bytes(const CacheKey& key) noexcept {
+  return key.bits.capacity() * sizeof(std::uint64_t);
 }
 
 }  // namespace
 
 PlanCache::PlanCache(PlanCacheConfig config) : config_(config) {}
 
-std::size_t PlanCache::PlanKeyHash::operator()(
-    const PlanKey& key) const noexcept {
-  // FNV-1a over the 64-bit words, byte by byte (same scheme as the
-  // BatchSolver table key).
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t word : key.bits) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      h ^= (word >> shift) & 0xffu;
-      h *= 1099511628211ull;
-    }
-  }
-  return static_cast<std::size_t>(h);
-}
-
-PlanCache::PlanKey PlanCache::make_exact_key(Algorithm algorithm,
-                                             const chain::TaskChain& chain,
-                                             const platform::CostModel& costs) {
-  PlanKey key;
-  const std::size_t n = chain.size();
-  const bool partial = reads_partial_stream(algorithm);
-  key.bits.reserve(6 + n * (partial ? 7 : 6) + (partial ? 1 : 0));
-  key.bits.push_back(static_cast<std::uint64_t>(algorithm));
-  key.bits.push_back(static_cast<std::uint64_t>(n));
-  key.bits.push_back(to_bits(costs.lambda_f()));
-  key.bits.push_back(to_bits(costs.lambda_s()));
-  // Laws that reduce to the exponential build share a key, mirroring the
-  // table cache: their coefficient streams -- and hence their plans --
-  // are bitwise identical.
-  const platform::PlanningLaw& law = costs.planning_law();
-  if (law.is_exponential()) {
-    key.bits.push_back(0);
-    key.bits.push_back(to_bits(1.0));
-  } else {
-    key.bits.push_back(static_cast<std::uint64_t>(law.law));
-    key.bits.push_back(to_bits(law.weibull_shape));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(chain.weight(i)));
-  }
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(costs.v_guaranteed_after(i)));
-    key.bits.push_back(to_bits(costs.c_disk_after(i)));
-    key.bits.push_back(to_bits(costs.c_mem_after(i)));
-    key.bits.push_back(to_bits(costs.r_disk_after(i)));
-    key.bits.push_back(to_bits(costs.r_mem_after(i)));
-  }
-  if (partial) {
-    for (std::size_t i = 1; i <= n; ++i) {
-      key.bits.push_back(to_bits(costs.v_partial_after(i)));
-    }
-    key.bits.push_back(to_bits(costs.recall()));
-  }
-  return key;
-}
-
-PlanCache::PlanKey PlanCache::make_shape_key(Algorithm algorithm,
-                                             const chain::TaskChain& chain) {
-  PlanKey key;
-  const std::size_t n = chain.size();
-  key.bits.reserve(2 + n);
-  key.bits.push_back(static_cast<std::uint64_t>(algorithm));
-  key.bits.push_back(static_cast<std::uint64_t>(n));
-  for (std::size_t i = 1; i <= n; ++i) {
-    key.bits.push_back(to_bits(chain.weight(i)));
-  }
-  return key;
-}
-
-std::size_t PlanCache::entry_bytes(const Entry& entry) noexcept {
-  // Deterministic estimate: the two keys, the plan's action vector, the
-  // cost model's per-position streams (uniform models store none), and
-  // the fixed-size bookkeeping.
-  std::size_t bytes = sizeof(Entry);
-  bytes += (entry.exact_key.bits.size() + entry.shape_key.bits.size()) *
-           sizeof(std::uint64_t);
+std::size_t PlanCache::entry_bytes(const CacheKey& exact_key,
+                                   const Entry& entry) noexcept {
+  // The entries_ node and its key words, the make_shared block (control
+  // block + Entry), the plan's action vector, and the cost model's
+  // per-position streams (uniform models store none).
+  std::size_t bytes = node_bytes<EntryMap>() + key_bytes(exact_key);
+  bytes += 2 * sizeof(void*) + sizeof(Entry);
   bytes += entry.result.plan.size() * sizeof(plan::Action);
   if (!entry.costs.is_uniform()) {
     bytes += entry.result.plan.size() * 6 * sizeof(double);
@@ -115,12 +43,12 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
                               const platform::CostModel& costs,
                               double epsilon) {
   CacheLookup out;
-  const PlanKey exact_key = make_exact_key(algorithm, chain, costs);
+  const CacheKey exact = exact_key(algorithm, chain, costs);
   std::shared_ptr<Entry> candidate;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.lookups;
-    const auto it = entries_.find(exact_key);
+    const auto it = entries_.find(exact);
     if (it != entries_.end()) {
       it->second->last_used = ++use_tick_;
       ++stats_.exact_hits;
@@ -128,11 +56,8 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
       out.result = it->second->result;
       return out;
     }
-    const auto shape_it = shape_index_.find(make_shape_key(algorithm, chain));
-    if (shape_it != shape_index_.end()) {
-      const auto entry_it = entries_.find(shape_it->second);
-      if (entry_it != entries_.end()) candidate = entry_it->second;
-    }
+    const auto shape_it = shape_index_.find(shape_key(algorithm, chain));
+    if (shape_it != shape_index_.end()) candidate = shape_it->second;
     if (candidate == nullptr) {
       ++stats_.misses;
       return out;  // kMiss
@@ -181,14 +106,14 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
 void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
                        const platform::CostModel& costs,
                        const OptimizationResult& result) {
-  PlanKey exact_key = make_exact_key(algorithm, chain, costs);
-  PlanKey shape_key = make_shape_key(algorithm, chain);
+  CacheKey exact = exact_key(algorithm, chain, costs);
+  CacheKey shape = shape_key(algorithm, chain);
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = entries_.find(exact_key);
+    const auto it = entries_.find(exact);
     if (it != entries_.end()) {
       it->second->last_used = ++use_tick_;
-      shape_index_[shape_key] = exact_key;
+      shape_index_.insert_or_assign(std::move(shape), it->second);
       return;
     }
   }
@@ -199,14 +124,14 @@ void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
       make_validity_certificate(result.plan, costs.platform(),
                                 result.expected_makespan,
                                 chain.total_weight()),
-      costs, std::move(exact_key), std::move(shape_key), 0, 0});
+      costs, 0, 0});
   // The kADMV engine prices even partial-free optima under the III-B
   // framework; the certificate's gamma fold must know (see sensitivity.hpp).
   if (algorithm == Algorithm::kADMV) entry->cert.partial_framework = true;
-  entry->bytes = entry_bytes(*entry);
+  entry->bytes = entry_bytes(exact, *entry);
   const std::lock_guard<std::mutex> lock(mutex_);
   entry->last_used = ++use_tick_;
-  const auto [it, inserted] = entries_.emplace(entry->exact_key, entry);
+  const auto [it, inserted] = entries_.try_emplace(std::move(exact), entry);
   if (!inserted) {
     // Raced another insert of the same key; the results are identical by
     // the determinism contract, keep the incumbent.
@@ -214,7 +139,7 @@ void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
   } else {
     ++stats_.inserts;
   }
-  shape_index_[entry->shape_key] = entry->exact_key;
+  shape_index_.insert_or_assign(std::move(shape), it->second);
   if (config_.budget_bytes != 0) evict_locked(config_.budget_bytes);
 }
 
@@ -225,16 +150,13 @@ bool PlanCache::probable_hit(Algorithm algorithm,
   std::shared_ptr<Entry> candidate;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.count(make_exact_key(algorithm, chain, costs)) != 0) {
+    if (entries_.count(exact_key(algorithm, chain, costs)) != 0) {
       return true;
     }
     if (epsilon <= 0.0) return false;
-    const auto shape_it =
-        shape_index_.find(make_shape_key(algorithm, chain));
+    const auto shape_it = shape_index_.find(shape_key(algorithm, chain));
     if (shape_it == shape_index_.end()) return false;
-    const auto entry_it = entries_.find(shape_it->second);
-    if (entry_it == entries_.end()) return false;
-    candidate = entry_it->second;
+    candidate = shape_it->second;
   }
   const DriftCheck check =
       check_certificate(candidate->cert, candidate->costs, costs,
@@ -279,6 +201,9 @@ PlanCacheStats PlanCache::stats_snapshot() const {
 std::size_t PlanCache::resident_bytes_locked() const noexcept {
   std::size_t total = 0;
   for (const auto& [key, entry] : entries_) total += entry->bytes;
+  for (const auto& [key, entry] : shape_index_) {
+    total += node_bytes<EntryMap>() + key_bytes(key);
+  }
   return total;
 }
 
@@ -290,17 +215,19 @@ std::size_t PlanCache::evict_locked(std::size_t budget_bytes) {
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->second->last_used < victim->second->last_used) victim = it;
     }
-    const Entry& entry = *victim->second;
     // Unhook the shape index if it points at the victim, so near-miss
-    // lookups never chase a dangling exact key.
-    const auto shape_it = shape_index_.find(entry.shape_key);
-    if (shape_it != shape_index_.end() &&
-        shape_it->second == entry.exact_key) {
-      shape_index_.erase(shape_it);
+    // lookups never serve an evicted plan.
+    std::size_t bytes = victim->second->bytes;
+    for (auto it = shape_index_.begin(); it != shape_index_.end(); ++it) {
+      if (it->second == victim->second) {
+        bytes += node_bytes<EntryMap>() + key_bytes(it->first);
+        shape_index_.erase(it);
+        break;
+      }
     }
-    resident -= entry.bytes;
-    freed += entry.bytes;
-    stats_.evicted_bytes += entry.bytes;
+    resident -= bytes;
+    freed += bytes;
+    stats_.evicted_bytes += bytes;
     ++stats_.evictions;
     entries_.erase(victim);
   }

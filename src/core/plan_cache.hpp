@@ -48,6 +48,7 @@
 #include <vector>
 
 #include "chain/chain.hpp"
+#include "core/cache_key.hpp"
 #include "core/optimizer.hpp"
 #include "core/sensitivity.hpp"
 #include "platform/cost_model.hpp"
@@ -143,55 +144,43 @@ class PlanCache {
   /// evictions).
   std::size_t clear();
 
+  /// Bytes the cache holds: every entry (its map node and exact key, the
+  /// shared entry block, the plan and any per-position cost streams) and
+  /// the shape index (a node and a shape key per shape).
   std::size_t resident_bytes() const;
   std::size_t size() const;
   PlanCacheStats stats_snapshot() const;
 
  private:
-  struct PlanKey {
-    std::vector<std::uint64_t> bits;
-    bool operator==(const PlanKey& other) const noexcept {
-      return bits == other.bits;
-    }
-  };
-  struct PlanKeyHash {
-    std::size_t operator()(const PlanKey& key) const noexcept;
-  };
-
   /// Immutable after insert except for the LRU stamp (lock-guarded);
   /// lookups hold the shared_ptr and read result/cert/costs outside the
-  /// lock.
+  /// lock.  Its exact key lives only in entries_, its shape key only in
+  /// shape_index_.
   struct Entry {
     OptimizationResult result;
     ValidityCertificate cert;
     platform::CostModel costs;
-    PlanKey exact_key;
-    PlanKey shape_key;
+    /// What the entry holds outside the shape index: see entry_bytes().
     std::size_t bytes = 0;
     std::uint64_t last_used = 0;
   };
+  using EntryMap =
+      std::unordered_map<CacheKey, std::shared_ptr<Entry>, CacheKeyHash>;
 
-  /// Exact key: every parameter the algorithm's DP reads, as bit
-  /// patterns.  The partial-verification stream and recall join only for
-  /// kADMV -- the other engines never read them, so jobs differing only
-  /// there share their plans.
-  static PlanKey make_exact_key(Algorithm algorithm,
-                                const chain::TaskChain& chain,
-                                const platform::CostModel& costs);
-  /// Shape key: (algorithm, n, weights) -- the near-miss candidate index.
-  static PlanKey make_shape_key(Algorithm algorithm,
-                                const chain::TaskChain& chain);
-  static std::size_t entry_bytes(const Entry& entry) noexcept;
+  static std::size_t entry_bytes(const CacheKey& exact_key,
+                                 const Entry& entry) noexcept;
 
   std::size_t resident_bytes_locked() const noexcept;
   std::size_t evict_locked(std::size_t budget_bytes);
 
   PlanCacheConfig config_;
   PlanCacheStats stats_;
-  std::unordered_map<PlanKey, std::shared_ptr<Entry>, PlanKeyHash> entries_;
-  /// Most recent entry per shape key -- the candidate a near-miss lookup
-  /// checks the certificate against.
-  std::unordered_map<PlanKey, PlanKey, PlanKeyHash> shape_index_;
+  /// Keyed by core::exact_key(): every input the algorithm's DP reads.
+  EntryMap entries_;
+  /// Most recent entry per core::shape_key() -- the candidate a near-miss
+  /// lookup checks the certificate against.  Every value is also in
+  /// entries_ (eviction unhooks it).
+  EntryMap shape_index_;
   std::uint64_t use_tick_ = 0;
   mutable std::mutex mutex_;
 };

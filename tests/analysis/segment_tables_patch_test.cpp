@@ -38,7 +38,6 @@ bool same_doubles(const double* a, const double* b, std::size_t count) {
 void expect_identical(const SegmentTables& patched,
                       const SegmentTables& scratch, const char* what) {
   ASSERT_EQ(patched.n(), scratch.n());
-  ASSERT_EQ(patched.has_rows(), scratch.has_rows());
   const std::size_t n = patched.n();
   const std::size_t full = (n + 1) * (n + 1);
   EXPECT_TRUE(same_doubles(patched.exvg_col(0), scratch.exvg_col(0), full))
@@ -53,27 +52,7 @@ void expect_identical(const SegmentTables& patched,
       << what << ": fs_col";
   for (std::size_t i = 1; i <= n; ++i) {
     const double pg = patched.vg_after(i), sg = scratch.vg_after(i);
-    const double pp = patched.vp_after(i), sp = scratch.vp_after(i);
     EXPECT_TRUE(same_doubles(&pg, &sg, 1)) << what << ": vg[" << i << "]";
-    EXPECT_TRUE(same_doubles(&pp, &sp, 1)) << what << ": vp[" << i << "]";
-  }
-  if (patched.has_rows()) {
-    EXPECT_TRUE(same_doubles(patched.exv_row(0), scratch.exv_row(0), full))
-        << what << ": exv_row";
-    EXPECT_TRUE(same_doubles(patched.b_row(0), scratch.b_row(0), full))
-        << what << ": b_row";
-    EXPECT_TRUE(same_doubles(patched.c_row(0), scratch.c_row(0), full))
-        << what << ": c_row";
-    EXPECT_TRUE(same_doubles(patched.d_row(0), scratch.d_row(0), full))
-        << what << ": d_row";
-    EXPECT_TRUE(same_doubles(patched.tl_row(0), scratch.tl_row(0), full))
-        << what << ": tl_row";
-    EXPECT_TRUE(same_doubles(patched.pf_row(0), scratch.pf_row(0), full))
-        << what << ": pf_row";
-    EXPECT_TRUE(same_doubles(patched.ef_row(0), scratch.ef_row(0), full))
-        << what << ": ef_row";
-    EXPECT_TRUE(same_doubles(patched.w_row(0), scratch.w_row(0), full))
-        << what << ": w_row";
   }
   // The QI certificate is a pure function of the column streams.
   EXPECT_EQ(patched.verify_quadrangle().violating_cells,
@@ -85,21 +64,20 @@ void expect_identical(const SegmentTables& patched,
 /// the patch against a from-scratch build of `next`.
 PatchSummary patch_and_check(const platform::CostModel& base_costs,
                              const platform::CostModel& next_costs,
-                             const char* what, bool rows = true) {
+                             const char* what) {
   const chain::TaskChain chain = test_chain();
   const chain::WeightTable base_table(chain, base_costs.lambda_f(),
                                       base_costs.lambda_s());
-  const SegmentTables base(base_table, base_costs, rows);
+  const SegmentTables base(base_table, base_costs);
 
   const chain::WeightTable patched_table(base_table, next_costs.lambda_f(),
                                          next_costs.lambda_s());
   PatchSummary summary;
-  const SegmentTables patched(base, patched_table, next_costs, rows,
-                              &summary);
+  const SegmentTables patched(base, patched_table, next_costs, &summary);
 
   const chain::WeightTable scratch_table(chain, next_costs.lambda_f(),
                                          next_costs.lambda_s());
-  const SegmentTables scratch(scratch_table, next_costs, rows);
+  const SegmentTables scratch(scratch_table, next_costs);
 
   // The patched WeightTable itself must be bitwise equal to scratch.
   for (std::size_t i = 0; i <= kN; ++i) {
@@ -163,21 +141,24 @@ TEST(SegmentTablesPatch, VerificationCostDriftTouchesOnlyTheVStreams) {
   next.v_partial *= 0.7;
   const PatchSummary summary =
       patch_and_check(exp_costs(base), exp_costs(next), "verif costs");
-  // vg -> {exvg, vg}, vp -> {exv, vp}: four streams, no shared b/c/d.
-  EXPECT_EQ(summary.streams_rebuilt, 4u);
+  // vg -> {exvg, vg}; V is never baked into the tables (ADMV builds its
+  // own row streams), so no shared b/c/d and nothing for vp.
+  EXPECT_EQ(summary.streams_rebuilt, 2u);
   EXPECT_TRUE(summary.qi_rebuilt);  // exvg is a column stream
 }
 
 TEST(SegmentTablesPatch, CheckpointAndRecoveryDriftIsAFullReuse) {
-  // C_D/C_M/R_D/R_M and the recall are never baked into the coefficient
-  // streams -- the DP reads them from the CostModel directly -- so a
-  // drift confined to them must copy EVERY stream and skip the QI probe.
+  // C_D/C_M/R_D/R_M, V and the recall are never baked into the
+  // coefficient streams -- the DP reads them from the CostModel directly
+  // -- so a drift confined to them must copy EVERY stream and skip the QI
+  // probe.
   platform::Platform base = scaled_hera();
   platform::Platform next = base;
   next.c_disk *= 1.4;
   next.c_mem *= 0.8;
   next.r_disk *= 1.2;
   next.r_mem *= 1.1;
+  next.v_partial *= 0.6;
   next.recall = 0.7;
   const PatchSummary summary =
       patch_and_check(exp_costs(base), exp_costs(next), "ckpt costs");
@@ -216,22 +197,6 @@ TEST(SegmentTablesPatch, ShapeOneWeibullIsTheExponentialClass) {
   const PatchSummary summary = patch_and_check(
       exp_costs(p), weibull_costs(p, 1.0), "weibull shape-1");
   EXPECT_EQ(summary.streams_rebuilt, 0u);
-}
-
-TEST(SegmentTablesPatch, RowUpgradeFromARowlessDonor) {
-  const platform::Platform p = scaled_hera();
-  const chain::TaskChain chain = test_chain();
-  const platform::CostModel costs = exp_costs(p);
-  const chain::WeightTable table(chain, costs.lambda_f(), costs.lambda_s());
-  const SegmentTables rowless(table, costs, /*build_rows=*/false);
-  ASSERT_FALSE(rowless.has_rows());
-  PatchSummary summary;
-  const SegmentTables upgraded(rowless, table, costs, /*build_rows=*/true,
-                               &summary);
-  ASSERT_TRUE(upgraded.has_rows());
-  const SegmentTables scratch(table, costs, /*build_rows=*/true);
-  expect_identical(upgraded, scratch, "row upgrade");
-  EXPECT_GT(summary.streams_rebuilt, 0u);
 }
 
 TEST(SegmentTablesPatch, PerPositionCostsPatchByteExact) {

@@ -194,8 +194,8 @@ TEST(SegmentTables, WeibullShapeOneStreamsAreByteIdenticalToExponential) {
       {platform::FailureLaw::kWeibull, /*weibull_shape=*/1.0});
   const chain::TaskChain c = chain::make_uniform(20, 72000.0);
   const chain::WeightTable table(c, p.lambda_f, p.lambda_s);
-  const SegmentTables a(table, exp_costs, /*build_rows=*/true);
-  const SegmentTables b(table, weib_costs, /*build_rows=*/true);
+  const SegmentTables a(table, exp_costs);
+  const SegmentTables b(table, weib_costs);
   const std::size_t row_bytes = (c.size() + 1) * sizeof(double);
   for (std::size_t j = 0; j <= c.size(); ++j) {
     EXPECT_EQ(std::memcmp(a.exvg_col(j), b.exvg_col(j), row_bytes), 0);
@@ -204,11 +204,14 @@ TEST(SegmentTables, WeibullShapeOneStreamsAreByteIdenticalToExponential) {
     EXPECT_EQ(std::memcmp(a.d_col(j), b.d_col(j), row_bytes), 0);
     EXPECT_EQ(std::memcmp(a.fs_col(j), b.fs_col(j), row_bytes), 0);
   }
+  // ADMV's row table takes the same law dispatch.
+  const SegmentRows ra(table, exp_costs);
+  const SegmentRows rb(table, weib_costs);
   for (std::size_t i = 0; i <= c.size(); ++i) {
-    EXPECT_EQ(std::memcmp(a.exv_row(i), b.exv_row(i), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.tl_row(i), b.tl_row(i), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.pf_row(i), b.pf_row(i), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.ef_row(i), b.ef_row(i), row_bytes), 0);
+    EXPECT_EQ(std::memcmp(ra.exv_row(i), rb.exv_row(i), row_bytes), 0);
+    EXPECT_EQ(std::memcmp(ra.tl_row(i), rb.tl_row(i), row_bytes), 0);
+    EXPECT_EQ(std::memcmp(ra.pf_row(i), rb.pf_row(i), row_bytes), 0);
+    EXPECT_EQ(std::memcmp(ra.ef_row(i), rb.ef_row(i), row_bytes), 0);
   }
 }
 

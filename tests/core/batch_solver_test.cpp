@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -65,16 +67,20 @@ TEST(BatchSolver, SerialAndParallelBatchesAgreeBitwise) {
 
 TEST(BatchSolver, SharesTablesAcrossJobsAndBatches) {
   const auto jobs = mixed_batch();
-  BatchSolver solver;
+  // Plan cache off: exact hits would serve the second batch without
+  // touching the table cache this test pins.
+  BatchOptions options;
+  options.enable_plan_cache = false;
+  BatchSolver solver{options};
   solver.solve(jobs);
   // 6 DP jobs over 4 distinct (chain, platform) keys.
-  EXPECT_EQ(solver.stats().tables_built, 4u);
-  EXPECT_EQ(solver.stats().tables_reused, 2u);
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 4u);
+  EXPECT_EQ(solver.stats_snapshot().tables_reused, 2u);
   // A second identical batch is served entirely from the cache.
   solver.solve(jobs);
-  EXPECT_EQ(solver.stats().tables_built, 4u);
-  EXPECT_EQ(solver.stats().tables_reused, 8u);
-  EXPECT_EQ(solver.stats().jobs_solved, 2 * jobs.size());
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 4u);
+  EXPECT_EQ(solver.stats_snapshot().tables_reused, 8u);
+  EXPECT_EQ(solver.stats_snapshot().jobs_solved, 2 * jobs.size());
 }
 
 TEST(BatchSolver, ReleaseScratchThenResolveReproducesResults) {
@@ -85,7 +91,7 @@ TEST(BatchSolver, ReleaseScratchThenResolveReproducesResults) {
 
   const std::size_t freed = solver.release_scratch();
   EXPECT_GT(freed, 0u);
-  EXPECT_EQ(solver.stats().released_bytes, freed);
+  EXPECT_EQ(solver.stats_snapshot().released_bytes, freed);
   // The table cache is empty and the solver arenas hold no memory.
   EXPECT_EQ(solver.resident_bytes(), util::arena_resident_bytes());
   EXPECT_EQ(util::arena_resident_bytes(), 0u);
@@ -97,34 +103,15 @@ TEST(BatchSolver, ReleaseScratchThenResolveReproducesResults) {
     EXPECT_EQ(after[i].plan, before[i].plan) << i;
   }
   // The re-solve rebuilt the four distinct tables from scratch.
-  EXPECT_EQ(solver.stats().tables_built, 8u);
-}
-
-TEST(BatchSolver, RowlessEntryIsUpgradedWhenAdmvJoins) {
-  // Same (chain, platform) key first without, then with an ADMV job:
-  // the cache entry is rebuilt with row tables, and the non-ADMV job
-  // still matches its standalone result exactly.
-  const auto chain = chain::make_uniform(25, 25000.0);
-  const platform::CostModel costs{platform::hera()};
-  BatchSolver solver;
-  solver.solve({{Algorithm::kADVstar, chain, costs}});
-  EXPECT_EQ(solver.stats().tables_built, 1u);
-  const auto mixed = solver.solve({{Algorithm::kADMV, chain, costs},
-                                   {Algorithm::kADVstar, chain, costs}});
-  EXPECT_EQ(solver.stats().tables_built, 2u);  // rebuilt with rows
-  const auto adv = optimize(Algorithm::kADVstar, chain, costs);
-  const auto admv = optimize(Algorithm::kADMV, chain, costs);
-  EXPECT_EQ(mixed[0].expected_makespan, admv.expected_makespan);
-  EXPECT_EQ(mixed[0].plan, admv.plan);
-  EXPECT_EQ(mixed[1].expected_makespan, adv.expected_makespan);
-  EXPECT_EQ(mixed[1].plan, adv.plan);
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 8u);
 }
 
 TEST(BatchSolver, JobsDifferingOnlyInCheckpointCostsShareTables) {
-  // The coefficient tables read weights, error rates, and verification
-  // costs only; checkpoint/recovery costs and recall enter per job at
-  // solve time.  A checkpoint-price sweep must therefore share one table
-  // pair -- and still solve each job under its own cost model.
+  // The coefficient tables read weights, error rates, and guaranteed-
+  // verification costs only; checkpoint/recovery costs, V and recall
+  // enter per job at solve time.  A checkpoint-price sweep must therefore
+  // share one table pair -- and still solve each job under its own cost
+  // model.
   const auto chain = chain::make_uniform(30, 25000.0);
   platform::Platform pricey = platform::hera();
   pricey.c_disk *= 10.0;
@@ -135,8 +122,8 @@ TEST(BatchSolver, JobsDifferingOnlyInCheckpointCostsShareTables) {
   const auto results =
       solver.solve({{Algorithm::kADVstar, chain, cheap_costs},
                     {Algorithm::kADVstar, chain, pricey_costs}});
-  EXPECT_EQ(solver.stats().tables_built, 1u);
-  EXPECT_EQ(solver.stats().tables_reused, 1u);
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 1u);
+  EXPECT_EQ(solver.stats_snapshot().tables_reused, 1u);
   const auto cheap_alone = optimize(Algorithm::kADVstar, chain, cheap_costs);
   const auto pricey_alone =
       optimize(Algorithm::kADVstar, chain, pricey_costs);
@@ -145,6 +132,27 @@ TEST(BatchSolver, JobsDifferingOnlyInCheckpointCostsShareTables) {
   EXPECT_EQ(results[1].expected_makespan, pricey_alone.expected_makespan);
   EXPECT_EQ(results[1].plan, pricey_alone.plan);
   EXPECT_NE(results[0].expected_makespan, results[1].expected_makespan);
+
+  // A V-only pair: ADMV builds its row streams (the only reader of V)
+  // per solve, so the two jobs share one table entry too.
+  const auto short_chain = chain::make_uniform(16, 25000.0);
+  platform::Platform cheap_v = platform::hera();
+  cheap_v.v_partial *= 0.25;
+  const platform::CostModel cheap_v_costs{cheap_v};
+  BatchSolver v_solver;
+  const auto v_results =
+      v_solver.solve({{Algorithm::kADMV, short_chain, cheap_costs},
+                      {Algorithm::kADMV, short_chain, cheap_v_costs}});
+  EXPECT_EQ(v_solver.stats_snapshot().tables_built, 1u);
+  EXPECT_EQ(v_solver.stats_snapshot().tables_reused, 1u);
+  const auto v_alone = optimize(Algorithm::kADMV, short_chain, cheap_costs);
+  const auto cheap_v_alone =
+      optimize(Algorithm::kADMV, short_chain, cheap_v_costs);
+  EXPECT_EQ(v_results[0].expected_makespan, v_alone.expected_makespan);
+  EXPECT_EQ(v_results[0].plan, v_alone.plan);
+  EXPECT_EQ(v_results[1].expected_makespan, cheap_v_alone.expected_makespan);
+  EXPECT_EQ(v_results[1].plan, cheap_v_alone.plan);
+  EXPECT_NE(v_results[0].expected_makespan, v_results[1].expected_makespan);
 }
 
 TEST(BatchSolver, EmptyBatchAndEmptyChainEdgeCases) {
@@ -162,27 +170,30 @@ TEST(BatchSolver, EvictToDropsLeastRecentlyUsedFirst) {
   const auto chain_a = chain::make_uniform(120, 25000.0);
   const auto chain_b = chain::make_uniform(100, 25000.0);
   const auto chain_c = chain::make_uniform(80, 25000.0);
-  BatchSolver solver;
+  // Plan cache off: the re-touches must reach the table cache.
+  BatchOptions options;
+  options.enable_plan_cache = false;
+  BatchSolver solver{options};
   solver.solve({{Algorithm::kADVstar, chain_a, costs}});
   solver.solve({{Algorithm::kADVstar, chain_b, costs}});
   solver.solve({{Algorithm::kADVstar, chain_c, costs}});
   solver.solve({{Algorithm::kADVstar, chain_a, costs}});  // touch A
-  EXPECT_EQ(solver.stats().tables_built, 3u);
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 3u);
 
   const std::size_t full = solver.cache_resident_bytes();
   const std::size_t freed = solver.evict_to(full - 1);
   EXPECT_GT(freed, 0u);
-  EXPECT_EQ(solver.stats().tables_evicted, 1u);
-  EXPECT_EQ(solver.stats().evicted_bytes, freed);
+  EXPECT_EQ(solver.stats_snapshot().tables_evicted, 1u);
+  EXPECT_EQ(solver.stats_snapshot().evicted_bytes, freed);
   EXPECT_EQ(solver.cache_resident_bytes(), full - freed);
 
   // A and C survived (cache hits); B -- the least recently used -- must
   // rebuild.
   solver.solve({{Algorithm::kADVstar, chain_a, costs},
                 {Algorithm::kADVstar, chain_c, costs}});
-  EXPECT_EQ(solver.stats().tables_built, 3u);
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 3u);
   solver.solve({{Algorithm::kADVstar, chain_b, costs}});
-  EXPECT_EQ(solver.stats().tables_built, 4u);
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 4u);
 }
 
 TEST(BatchSolver, CacheBudgetBoundsResidencyWithoutChangingResults) {
@@ -199,10 +210,12 @@ TEST(BatchSolver, CacheBudgetBoundsResidencyWithoutChangingResults) {
   const std::size_t one_pair =
       unbounded.evict_to(0) / jobs.size() + 1;  // avg entry, rounded up
 
-  BatchSolver bounded{{.cache_budget_bytes = one_pair}};
+  // Plan cache off: the re-solve below must reach the table cache.
+  BatchSolver bounded{
+      {.cache_budget_bytes = one_pair, .enable_plan_cache = false}};
   const auto results = bounded.solve(jobs);
   EXPECT_LE(bounded.cache_resident_bytes(), one_pair);
-  EXPECT_GT(bounded.stats().tables_evicted, 0u);
+  EXPECT_GT(bounded.stats_snapshot().tables_evicted, 0u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(results[i].expected_makespan, reference[i].expected_makespan);
     EXPECT_EQ(results[i].plan, reference[i].plan);
@@ -224,10 +237,10 @@ TEST(BatchSolver, SolveJobMatchesBatchAndStandaloneBitwise) {
     EXPECT_EQ(result.expected_makespan, batch[i].expected_makespan) << i;
     EXPECT_EQ(result.plan, batch[i].plan) << i;
   }
-  EXPECT_EQ(job_solver.stats().jobs_solved, jobs.size());
+  EXPECT_EQ(job_solver.stats_snapshot().jobs_solved, jobs.size());
   // Same cache behaviour as the batch path: 4 distinct DP keys.
-  EXPECT_EQ(job_solver.stats().tables_built,
-            batch_solver.stats().tables_built);
+  EXPECT_EQ(job_solver.stats_snapshot().tables_built,
+            batch_solver.stats_snapshot().tables_built);
 }
 
 TEST(BatchSolver, ConcurrentSolveJobsBuildSharedTablesOnce) {
@@ -261,14 +274,41 @@ TEST(BatchSolver, ConcurrentSolveJobsBuildSharedTablesOnce) {
 }
 
 TEST(BatchSolver, ThreadCountDoesNotChangeResults) {
-  const auto jobs = mixed_batch();
-  BatchSolver solver;
-  const auto baseline = solver.solve(jobs);
-  for (int threads : {1, 7}) {
+  // The mixed batch plus ADV*, ADMV* and ADMV jobs sharing table keys, so
+  // concurrent jobs race for the same builds.  Results and the table
+  // counters depend only on the set of distinct keys, not the schedule.
+  auto jobs = mixed_batch();
+  const platform::CostModel hera{platform::hera()};
+  const platform::CostModel atlas{platform::atlas()};
+  for (const auto& chain :
+       {chain::make_uniform(24, 25000.0), chain::make_decrease(20, 25000.0)}) {
+    for (const auto& costs : {hera, atlas}) {
+      for (const Algorithm algorithm :
+           {Algorithm::kADVstar, Algorithm::kADMVstar, Algorithm::kADMV}) {
+        jobs.push_back({algorithm, chain, costs});
+      }
+    }
+  }
+  std::vector<OptimizationResult> baseline;
+  BatchStats baseline_stats;
+  for (int threads : {1, 4, 8}) {
     util::set_parallelism(threads);
-    BatchSolver other;
-    const auto results = other.solve(jobs);
+    BatchSolver solver;
+    const auto results = solver.solve(jobs);
     util::set_parallelism(0);
+    const BatchStats stats = solver.stats_snapshot();
+    if (baseline.empty()) {
+      baseline = results;
+      baseline_stats = stats;
+      // 6 + 12 DP jobs over 4 + 4 distinct keys.
+      EXPECT_EQ(stats.tables_built, 8u);
+      EXPECT_EQ(stats.tables_reused, 10u);
+      continue;
+    }
+    EXPECT_EQ(stats.tables_built, baseline_stats.tables_built)
+        << "threads=" << threads;
+    EXPECT_EQ(stats.tables_reused, baseline_stats.tables_reused)
+        << "threads=" << threads;
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       EXPECT_EQ(results[i].expected_makespan, baseline[i].expected_makespan)
           << "threads=" << threads << " job=" << i;
@@ -276,6 +316,57 @@ TEST(BatchSolver, ThreadCountDoesNotChangeResults) {
           << "threads=" << threads << " job=" << i;
     }
   }
+}
+
+TEST(BatchSolver, RetainedCheckpointResumesOnlyItsExactWorkload) {
+  // The table key omits inputs the committed slabs read (E_mem reads C_M,
+  // the kernels' left context R_D and R_M, ADMV also V and the recall).
+  // A job differing only there must start fresh, not resume the
+  // interrupted job's slabs.  Serial, plan cache off: every solve reaches
+  // the DP.
+  util::set_parallelism(1);
+  BatchOptions options;
+  options.enable_plan_cache = false;
+  const auto check = [&](Algorithm algorithm, std::size_t n,
+                         std::int64_t trip, const platform::Platform& other) {
+    const auto chain = chain::make_uniform(n, 25000.0);
+    const BatchJob job{algorithm, chain, platform::CostModel{platform::hera()}};
+    const BatchJob drifted{algorithm, chain, platform::CostModel{other}};
+    BatchSolver solver{options};
+    CancelToken token;
+    token.trip_after_polls(trip);
+    EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
+    ASSERT_EQ(solver.stats_snapshot().checkpoints_saved, 1u);
+
+    const OptimizationResult got = solver.solve_job(drifted);
+    const OptimizationResult want =
+        optimize(algorithm, drifted.chain, drifted.costs);
+    EXPECT_EQ(solver.stats_snapshot().checkpoints_resumed, 0u);
+    EXPECT_EQ(got.expected_makespan, want.expected_makespan)
+        << to_string(algorithm);
+    EXPECT_EQ(got.plan, want.plan) << to_string(algorithm);
+
+    // The interrupted workload itself still resumes, bitwise.
+    const OptimizationResult resumed = solver.solve_job(job);
+    const OptimizationResult reference =
+        optimize(algorithm, job.chain, job.costs);
+    EXPECT_EQ(solver.stats_snapshot().checkpoints_resumed, 1u);
+    EXPECT_EQ(resumed.expected_makespan, reference.expected_makespan);
+    EXPECT_EQ(resumed.plan, reference.plan);
+  };
+  platform::Platform pricey = platform::hera();
+  pricey.c_disk *= 2.0;
+  pricey.r_disk *= 2.0;
+  pricey.c_mem *= 3.0;
+  pricey.r_mem *= 3.0;
+  check(Algorithm::kADMVstar, 120, 4800, pricey);
+  check(Algorithm::kADMV, 40, 600, pricey);
+  // V and the recall are outside the table key; ADMV's slabs read both.
+  platform::Platform weak_v = platform::hera();
+  weak_v.v_partial *= 0.5;
+  weak_v.recall = 0.6;
+  check(Algorithm::kADMV, 40, 600, weak_v);
+  util::set_parallelism(0);
 }
 
 TEST(BatchSolver, InterruptedSolveReleasesItsScratchEagerly) {
@@ -361,6 +452,31 @@ TEST(BatchSolverPlanCache, CountersReconcileAcrossHitMissAndEpsilon) {
   const OptimizationResult fresh = cold.solve_job(near);
   EXPECT_LE(served.expected_makespan,
             (1.0 + 0.05) * fresh.expected_makespan * (1.0 + 1e-12));
+
+  // Batch solve() runs through the same front door: a repeated pass is
+  // served entirely by exact hits, bitwise.
+  const std::vector<BatchJob> batch = mixed_batch();
+  BatchSolver repeat;
+  const auto first_pass = repeat.solve(batch);
+  const auto second_pass = repeat.solve(batch);
+  std::size_t dp_jobs = 0;
+  for (const BatchJob& job : batch) {
+    if (job.algorithm != Algorithm::kPeriodic &&
+        job.algorithm != Algorithm::kDaly) {
+      ++dp_jobs;
+    }
+  }
+  const PlanCacheStats repeat_cache = repeat.plan_cache_stats();
+  EXPECT_EQ(repeat_cache.exact_hits, dp_jobs);
+  EXPECT_EQ(repeat_cache.inserts, dp_jobs);
+  EXPECT_EQ(repeat_cache.lookups, 2 * dp_jobs);
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(std::memcmp(&first_pass[i].expected_makespan,
+                          &second_pass[i].expected_makespan, sizeof(double)),
+              0)
+        << i;
+    EXPECT_EQ(first_pass[i].plan, second_pass[i].plan) << i;
+  }
 }
 
 TEST(BatchSolverPlanCache, BudgetEvictsLruAndEvictedJobsResolveBitwise) {

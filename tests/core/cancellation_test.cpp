@@ -89,8 +89,7 @@ TEST(Cancellation, UnfiredTokenLeavesResultsBitIdentical) {
 TEST(Cancellation, MidSolveCancelReleasesScratchAndStaysReproducible) {
   const auto chain = chain::make_uniform(400, 25000.0);
   const platform::CostModel costs{platform::hera()};
-  DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                /*build_row_tables=*/false);
+  DpContext ctx(chain, costs);
   CancelToken token;
   std::thread killer([&token] {
     std::this_thread::sleep_for(milliseconds(30));
@@ -115,8 +114,7 @@ TEST(Cancellation, MidSolveCancelReleasesScratchAndStaysReproducible) {
   // context's result bit for bit (smaller n keeps the re-check cheap).
   const auto small = chain::make_uniform(80, 25000.0);
   const auto reference = optimize(Algorithm::kADMVstar, small, costs);
-  DpContext clean(small, costs, DpContext::kDefaultMaxN,
-                  /*build_row_tables=*/false);
+  DpContext clean(small, costs);
   CancelToken reused;  // unfired
   clean.set_cancel_token(&reused);
   const auto again = optimize(Algorithm::kADMVstar, clean);
@@ -128,8 +126,7 @@ TEST(Cancellation, MidSolveCancelReleasesScratchAndStaysReproducible) {
 TEST(Cancellation, MidSolveDeadlineExpires) {
   const auto chain = chain::make_uniform(400, 25000.0);
   const platform::CostModel costs{platform::hera()};
-  DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                /*build_row_tables=*/false);
+  DpContext ctx(chain, costs);
   CancelToken token;
   token.set_deadline(CancelToken::Clock::now() + milliseconds(20));
   ctx.set_cancel_token(&token);
@@ -149,12 +146,12 @@ TEST(Cancellation, SolveJobCountsInterruptions) {
   const BatchJob job{Algorithm::kADVstar, chain::make_uniform(50, 25000.0),
                      platform::CostModel{platform::hera()}};
   EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
-  EXPECT_EQ(solver.stats().jobs_interrupted, 1u);
-  EXPECT_EQ(solver.stats().jobs_solved, 0u);
+  EXPECT_EQ(solver.stats_snapshot().jobs_interrupted, 1u);
+  EXPECT_EQ(solver.stats_snapshot().jobs_solved, 0u);
   // The cached tables survive the interruption: the retry reuses them
   // and matches a standalone solve exactly.
   const auto result = solver.solve_job(job);
-  EXPECT_EQ(solver.stats().tables_reused, 1u);
+  EXPECT_EQ(solver.stats_snapshot().tables_reused, 1u);
   const auto standalone = optimize(job.algorithm, job.chain, job.costs);
   EXPECT_EQ(result.expected_makespan, standalone.expected_makespan);
   EXPECT_EQ(result.plan, standalone.plan);

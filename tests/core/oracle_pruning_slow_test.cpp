@@ -35,8 +35,7 @@ OptimizationResult solve_mode(Algorithm algorithm,
                               const chain::TaskChain& chain,
                               const platform::CostModel& costs,
                               ScanMode mode) {
-  DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                algorithm == Algorithm::kADMV);
+  DpContext ctx(chain, costs);
   ctx.set_scan_mode(mode);
   return optimize(algorithm, ctx);
 }

@@ -34,9 +34,8 @@ struct ModePair {
 ModePair solve_both(Algorithm algorithm, const chain::TaskChain& chain,
                     const platform::CostModel& costs,
                     const std::string& label) {
-  const bool rows = algorithm == Algorithm::kADMV;
-  DpContext dense_ctx(chain, costs, DpContext::kDefaultMaxN, rows);
-  DpContext pruned_ctx(chain, costs, DpContext::kDefaultMaxN, rows);
+  DpContext dense_ctx(chain, costs);
+  DpContext pruned_ctx(chain, costs);
   pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);
   ModePair pair{optimize(algorithm, dense_ctx),
                 optimize(algorithm, pruned_ctx)};
@@ -159,8 +158,7 @@ TEST(OraclePruning, PaperPlatformsPruneWithoutFallbacks) {
   for (const char* name : {"Hera", "Atlas", "Coastal", "CoastalSSD"}) {
     const platform::CostModel costs(platform::by_name(name));
     const auto chain = chain::make_uniform(40, 25000.0);
-    DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                  /*build_row_tables=*/false);
+    DpContext ctx(chain, costs);
     EXPECT_TRUE(ctx.seg_tables().verify_quadrangle().all_ok()) << name;
     ctx.set_scan_mode(ScanMode::kMonotonePruned);
     const auto result = optimize_two_level(ctx);

@@ -17,10 +17,14 @@
 
 #include <cmath>
 #include <cstring>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "analysis/evaluator.hpp"
 #include "chain/patterns.hpp"
 #include "platform/registry.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace chainckpt::core {
@@ -403,6 +407,58 @@ TEST(PlanCache, ProbableHitAgreesWithLookupOnExactKeys) {
   wild.lambda_s *= 5.0;
   EXPECT_FALSE(
       cache.probable_hit(Algorithm::kADVstar, chain, costs_for(wild), 0.5));
+}
+
+TEST(PlanCache, ResidentBytesMatchTheHeapItHolds) {
+  // mallinfo2 sees only glibc's own allocator, which the sanitizer
+  // runtimes replace.
+#if defined(__GLIBC__) &&                                              \
+    (__GLIBC__ > 2 || (__GLIBC__ == 2 && __GLIBC_MINOR__ >= 33)) &&    \
+    !defined(__SANITIZE_ADDRESS__) && !defined(__SANITIZE_THREAD__)
+  // The paper grid's ADV* and ADMV* plans (n = 1..50 x Table I x three
+  // weight patterns): the budget only bounds memory if resident_bytes()
+  // counts what the inserts actually keep on the heap.
+  struct Request {
+    Algorithm algorithm;
+    chain::TaskChain chain;
+    platform::CostModel costs;
+    OptimizationResult result;
+  };
+  std::vector<Request> requests;
+  for (const platform::Platform& p : platform::table1_platforms()) {
+    for (const chain::Pattern pattern :
+         {chain::Pattern::kUniform, chain::Pattern::kDecrease,
+          chain::Pattern::kHighLow}) {
+      for (std::size_t n = 1; n <= 50; ++n) {
+        for (const Algorithm algorithm :
+             {Algorithm::kADVstar, Algorithm::kADMVstar}) {
+          requests.push_back({algorithm,
+                              chain::make_pattern(pattern, n, 25000.0),
+                              platform::CostModel{p}, {}});
+        }
+      }
+    }
+  }
+  util::parallel_for(0, requests.size(), [&](std::size_t i) {
+    Request& r = requests[i];
+    r.result = fresh_solve(r.algorithm, r.chain, r.costs);
+  });
+
+  PlanCache cache;
+  const std::size_t before = mallinfo2().uordblks;
+  for (const Request& r : requests) {
+    cache.insert(r.algorithm, r.chain, r.costs, r.result);
+  }
+  const double grown = static_cast<double>(mallinfo2().uordblks - before);
+  const double resident = static_cast<double>(cache.resident_bytes());
+  EXPECT_GT(cache.size(), 1000u);
+  EXPECT_NEAR(resident, grown, 0.10 * grown)
+      << "resident_bytes() " << resident / (1024.0 * 1024.0)
+      << " MiB vs heap growth " << grown / (1024.0 * 1024.0) << " MiB";
+#else
+  GTEST_SKIP() << "heap growth is measured through glibc's mallinfo2, "
+                  "which a sanitizer build does not feed";
+#endif
 }
 
 }  // namespace

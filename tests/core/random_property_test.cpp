@@ -122,8 +122,7 @@ TEST(Determinism, SerialAndParallelRunsAgreeExactly) {
       results.push_back(optimize_with_partial(chain, costs));
       for (const Algorithm algorithm :
            {Algorithm::kADVstar, Algorithm::kADMVstar}) {
-        DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                      /*build_row_tables=*/false);
+        DpContext ctx(chain, costs);
         ctx.set_scan_mode(ScanMode::kMonotonePruned);
         results.push_back(optimize(algorithm, ctx));
       }
@@ -176,11 +175,9 @@ ScanStats check_pruned_case(const PrunedCase& c,
                             const std::string& label) {
   const auto chain =
       chain::make_random(c.n, 25000.0 * static_cast<double>(c.n), rng);
-  const bool rows = c.algorithm == Algorithm::kADMV;
   auto table = std::make_shared<const chain::WeightTable>(
       chain, costs.lambda_f(), costs.lambda_s());
-  auto seg =
-      std::make_shared<const analysis::SegmentTables>(*table, costs, rows);
+  auto seg = std::make_shared<const analysis::SegmentTables>(*table, costs);
   DpContext dense_ctx(chain, costs, table, seg);
   DpContext pruned_ctx(chain, costs, table, seg);
   pruned_ctx.set_scan_mode(ScanMode::kMonotonePruned);

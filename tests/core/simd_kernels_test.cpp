@@ -294,7 +294,7 @@ TEST(SimdDispatch, ParseAndClampBehave) {
 TEST(SimdDispatch, ContextOverrideClampsToSupported) {
   const auto chain = chain::make_uniform(4, 25000.0);
   const platform::CostModel costs{platform::hera()};
-  DpContext ctx(chain, costs, DpContext::kDefaultMaxN, false);
+  DpContext ctx(chain, costs);
   EXPECT_EQ(ctx.simd_tier(), simd::active_tier());
   ctx.set_simd_tier(SimdTier::kScalar);
   EXPECT_EQ(ctx.simd_tier(), SimdTier::kScalar);
@@ -323,14 +323,13 @@ void expect_tier_equivalence(Algorithm algorithm,
                              const chain::TaskChain& chain,
                              const platform::CostModel& costs, ScanMode mode,
                              const std::string& label) {
-  const bool rows = algorithm == Algorithm::kADMV;
-  DpContext scalar_ctx(chain, costs, DpContext::kDefaultMaxN, rows);
+  DpContext scalar_ctx(chain, costs);
   scalar_ctx.set_scan_mode(mode);
   scalar_ctx.set_simd_tier(SimdTier::kScalar);
   const OptimizationResult want = optimize(algorithm, scalar_ctx);
   for (SimdTier tier : supported_tiers()) {
     if (tier == SimdTier::kScalar) continue;
-    DpContext ctx(chain, costs, DpContext::kDefaultMaxN, rows);
+    DpContext ctx(chain, costs);
     ctx.set_scan_mode(mode);
     ctx.set_simd_tier(tier);
     const OptimizationResult got = optimize(algorithm, ctx);

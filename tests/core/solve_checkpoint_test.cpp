@@ -28,8 +28,7 @@ OptimizationResult solve_plain(Algorithm algorithm,
                                const chain::TaskChain& chain,
                                const platform::CostModel& costs,
                                ScanMode mode) {
-  DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                algorithm == Algorithm::kADMV);
+  DpContext ctx(chain, costs);
   ctx.set_scan_mode(mode);
   return optimize(algorithm, ctx);
 }
@@ -57,8 +56,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
   SolveCheckpoint ckpt;
   bool interrupted = false;
   {
-    DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                  algorithm == Algorithm::kADMV);
+    DpContext ctx(chain, costs);
     ctx.set_scan_mode(mode);
     CancelToken token;
     token.trip_after_polls(k);
@@ -79,8 +77,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
   // checkpoint; the rerun then starts fresh rather than resuming.
   const bool initialized = ckpt.slabs_total() > 0;
   const std::size_t done_at_interrupt = ckpt.slabs_completed();
-  DpContext ctx(chain, costs, DpContext::kDefaultMaxN,
-                algorithm == Algorithm::kADMV);
+  DpContext ctx(chain, costs);
   ctx.set_scan_mode(mode);
   ctx.set_checkpoint(&ckpt);
   const OptimizationResult resumed = optimize(algorithm, ctx);
@@ -237,7 +234,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
   const auto chain32 = chain::make_uniform(32, 25000.0);
   SolveCheckpoint ckpt;
   {
-    DpContext ctx(chain32, costs, DpContext::kDefaultMaxN, false);
+    DpContext ctx(chain32, costs);
     CancelToken token;
     token.trip_after_polls(200);
     ctx.set_cancel_token(&token);
@@ -248,7 +245,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
   // A different chain length must discard the stored progress, not
   // resume into mismatched tables.
   const auto chain20 = chain::make_uniform(20, 25000.0);
-  DpContext ctx(chain20, costs, DpContext::kDefaultMaxN, false);
+  DpContext ctx(chain20, costs);
   ctx.set_checkpoint(&ckpt);
   const OptimizationResult result = optimize(Algorithm::kADMVstar, ctx);
   EXPECT_FALSE(ckpt.last_run_resumed());

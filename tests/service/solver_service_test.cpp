@@ -66,12 +66,10 @@ TEST(SolverService, AsyncResultsMatchSynchronousBatchSolverBitwise) {
   EXPECT_EQ(stats.succeeded, jobs.size());
   EXPECT_EQ(stats.queued, 0u);
   EXPECT_EQ(stats.running, 0u);
-  // Same table-cache behaviour as the synchronous batch, except that the
-  // rows-upgrade of a shared key may build twice depending on which of
-  // ADMV / ADV* reaches the key first (the batch path pre-merges them).
-  EXPECT_GE(stats.solver.tables_built, sync_solver.stats().tables_built);
-  EXPECT_LE(stats.solver.tables_built,
-            sync_solver.stats().tables_built + 1);
+  // Same table-cache behaviour as the synchronous batch: one build per
+  // distinct table key, whichever job reaches the key first.
+  EXPECT_EQ(stats.solver.tables_built,
+            sync_solver.stats_snapshot().tables_built);
 }
 
 TEST(SolverService, RejectsOverCapOversizedAndEmptyJobs) {
