@@ -7,6 +7,7 @@
 #include "analysis/segment_math.hpp"
 #include "util/assert.hpp"
 #include "util/math.hpp"
+#include "util/parallel.hpp"
 
 namespace chainckpt::analysis {
 
@@ -42,11 +43,13 @@ void set_shared(IntervalCoeffs& k, const Interval& seg) noexcept {
   k.fs = seg.exp_fs();
 }
 
-/// Calls visit(i, j, coeffs) for every interval 0 <= i <= j <= n, i-major.
-/// This is the one place each planning law's expression trees live: the
-/// same trees as segment_math.cpp / WeightTable, so the stored
-/// coefficients are bitwise what the scalar path computes -- for full
-/// builds, masked patch rebuilds and the row table alike.
+/// Calls visit(i, j, coeffs) for every interval 0 <= i <= j <= n.  Rows i
+/// are independent, so they run as util::parallel_for_rows blocks; within
+/// a row j ascends.  This is the one place each planning law's expression
+/// trees live: the same trees as segment_math.cpp / WeightTable, so the
+/// stored coefficients are bitwise what the scalar path computes -- for
+/// full builds, masked patch rebuilds and the row table alike, at any
+/// thread count.
 ///
 /// Law dispatch: a Weibull law at shape exactly 1 *delegates* to the
 /// exponential walk, which makes the k = 1 reduction bitwise (the raw
@@ -57,11 +60,11 @@ template <bool kStepTerms, typename Visit>
 void for_each_interval(const chain::WeightTable& table,
                        const platform::PlanningLaw& law, Visit&& visit) {
   const std::size_t n = table.n();
-  IntervalCoeffs k;
   if (law.is_exponential()) {
     // Paper Eq. (4) coefficients.
     const double lambda_f = table.lambda_f();
-    for (std::size_t i = 0; i <= n; ++i) {
+    util::parallel_for_rows(n + 1, [&](std::size_t i) {
+      IntervalCoeffs k;
       for (std::size_t j = i; j <= n; ++j) {
         const Interval seg{table.weight(i, j), table.em1_f(i, j),
                            table.em1_s(i, j)};
@@ -75,17 +78,18 @@ void for_each_interval(const chain::WeightTable& table,
         }
         visit(i, j, k);
       }
-    }
+    });
     return;
   }
   // Law-integrated coefficients (platform::FailureLaw::kWeibull):
   // em1_f/x/tl/pf/ef/fs replaced by their renewal-law integrals -- see the
   // LawInterval block of segment_math.hpp.
   const WeibullLawTasks tasks(table, table.lambda_f(), law.weibull_shape);
-  for (std::size_t i = 0; i <= n; ++i) {
+  util::parallel_for_rows(n + 1, [&](std::size_t i) {
     // Incremental law accumulators over j, in the exact operation order of
     // make_law_interval so evaluator-side LawInterval values are bitwise
     // equal to the stored streams.
+    IntervalCoeffs k;
     double hazard = 0.0;
     double lambda_acc = 0.0;
     for (std::size_t j = i; j <= n; ++j) {
@@ -107,7 +111,7 @@ void for_each_interval(const chain::WeightTable& table,
       }
       visit(i, j, k);
     }
-  }
+  });
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "util/assert.hpp"
+#include "util/parallel.hpp"
 
 namespace chainckpt::chain {
 
@@ -18,13 +19,13 @@ WeightTable::WeightTable(const TaskChain& chain, double lambda_f,
 
   em1_f_.assign((n_ + 1) * (n_ + 1), 0.0);
   em1_s_.assign((n_ + 1) * (n_ + 1), 0.0);
-  for (std::size_t i = 0; i <= n_; ++i) {
+  util::parallel_for_rows(n_ + 1, [&](std::size_t i) {
     for (std::size_t j = i; j <= n_; ++j) {
       const double w = prefix_[j] - prefix_[i];
       em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
       em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
     }
-  }
+  });
 }
 
 WeightTable::WeightTable(const WeightTable& base, double lambda_f,
@@ -51,13 +52,13 @@ WeightTable::WeightTable(const WeightTable& base, double lambda_f,
     em1_s_.assign((n_ + 1) * (n_ + 1), 0.0);
   }
   if (keep_f && keep_s) return;
-  for (std::size_t i = 0; i <= n_; ++i) {
+  util::parallel_for_rows(n_ + 1, [&](std::size_t i) {
     for (std::size_t j = i; j <= n_; ++j) {
       const double w = prefix_[j] - prefix_[i];
       if (!keep_f) em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
       if (!keep_s) em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
     }
-  }
+  });
 }
 
 }  // namespace chainckpt::chain

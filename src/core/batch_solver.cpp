@@ -53,9 +53,9 @@ BatchSolver::BatchSolver(BatchOptions options)
 std::vector<OptimizationResult> BatchSolver::solve(
     const std::vector<BatchJob>& jobs) {
   for (const BatchJob& job : jobs) validate(job, options_.max_n);
-  // Dynamic scheduling load-balances the heterogeneous jobs; each
-  // solver's own slab parallelism degrades to serial inside the region,
-  // so workers stay busy on whole chains.
+  // Dynamic scheduling load-balances the heterogeneous jobs; threads
+  // take whole chains while any are left, then help the slab and table
+  // loops of the jobs still running.
   std::vector<OptimizationResult> results(jobs.size());
   util::parallel_for(0, jobs.size(),
                      [&](std::size_t i) { results[i] = solve_job(jobs[i]); });
@@ -236,9 +236,9 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
     }
     // The dead job's thread-local scratch on THIS thread is reusable but
     // idle from here on; give it back now instead of parking it until
-    // the next global release_scratch() (ISSUE: eager release).  Inside
-    // a service worker the inner solve ran serially, so this frees the
-    // whole job's scratch.
+    // the next global release_scratch().  Scratch the job's slabs grew on
+    // helper threads stays resident until release_scratch(): those
+    // threads may already be running another solve.
     const std::size_t freed = util::release_current_thread_arenas();
     {
       const std::lock_guard<std::mutex> lock(mutex_);

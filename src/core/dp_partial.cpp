@@ -112,9 +112,7 @@ struct PartialSegmentSolver {
       double* pp = s.pp.data() + p1 * stride;
       double* qq = s.qq.data() + p1 * stride;
       double* rr = s.rr.data() + p1 * stride;
-#ifdef _OPENMP
 #pragma omp simd
-#endif
       for (std::size_t p2 = p1 + 1; p2 < j; ++p2) {
         const double fs = fs_to_j[p2];
         pp[p2] = (exv[p2] + b[p2] * k1 + d[p2] * rm_hit) * fs;
@@ -154,9 +152,7 @@ struct PartialSegmentSolver {
       // Candidate pass, elementwise over p2 so it vectorizes.  The simd
       // pragma asserts the scratch buffers don't alias (too many streams
       // for GCC's runtime alias checks).
-#ifdef _OPENMP
 #pragma omp simd
-#endif
       for (std::size_t p2 = p1 + 1; p2 < v2; ++p2) {
         cand[p2] = pp[p2] + qq[p2] * ev + rr[p2] * er[p2] + ep[p2];
       }

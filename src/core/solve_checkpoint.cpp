@@ -1,10 +1,18 @@
 #include "core/solve_checkpoint.hpp"
 
-#include <numeric>
+#include <atomic>
 
 #include "core/level_dp.hpp"
 
 namespace chainckpt::core {
+
+namespace {
+std::atomic<SolveCheckpoint::SlabCommitHook> g_slab_commit_hook{nullptr};
+}
+
+void SolveCheckpoint::set_slab_commit_hook(SlabCommitHook hook) noexcept {
+  g_slab_commit_hook.store(hook);
+}
 
 void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values,
                                 ScanMode scan_mode) {
@@ -20,6 +28,7 @@ void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values,
   // core::BatchSolver) never hit this reset on a resume.
   tables_ = std::make_shared<detail::LevelTables>(n, keep_verif_values);
   slab_done_.assign(n, 0);
+  committed_ = 0;
   scan_ = ScanStats{};
   n_ = n;
   keep_verif_values_ = keep_verif_values;
@@ -29,20 +38,22 @@ void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values,
 
 void SolveCheckpoint::commit_slab(std::size_t d1,
                                   const ScanStats& slab_scan) {
-  const std::lock_guard<std::mutex> lock(commit_mutex_);
-  slab_done_[d1] = 1;
-  scan_ += slab_scan;
-  ++last_run_executed_;
+  std::size_t committed = 0;
+  {
+    const std::lock_guard<std::mutex> lock(commit_mutex_);
+    slab_done_[d1] = 1;
+    committed = ++committed_;
+    scan_ += slab_scan;
+    ++last_run_executed_;
+  }
+  if (const SlabCommitHook hook = g_slab_commit_hook.load()) {
+    hook(*this, committed);
+  }
 }
 
 void SolveCheckpoint::note_skipped_slab() {
   const std::lock_guard<std::mutex> lock(commit_mutex_);
   ++last_run_skipped_;
-}
-
-std::size_t SolveCheckpoint::slabs_completed() const noexcept {
-  return static_cast<std::size_t>(
-      std::accumulate(slab_done_.begin(), slab_done_.end(), std::size_t{0}));
 }
 
 std::size_t SolveCheckpoint::resident_bytes() const noexcept {

@@ -74,13 +74,24 @@ class SolveCheckpoint {
   /// Thread-safe.
   void note_skipped_slab();
 
+  /// Test seam, process-wide: when set, commit_slab() calls
+  /// hook(*this, committed) after releasing its lock, on the thread that
+  /// ran the slab, where `committed` is slabs_completed() right after the
+  /// commit.  A hook that blocks parks that thread between slabs -- it
+  /// claims no new slab until the hook returns -- so a test can hold a
+  /// solve at a known amount of committed progress.  No library code
+  /// installs one; nullptr (the default) removes it.
+  using SlabCommitHook = void (*)(const SolveCheckpoint& checkpoint,
+                                  std::size_t committed);
+  static void set_slab_commit_hook(SlabCommitHook hook) noexcept;
+
   /// ScanStats accumulated over every committed slab (all runs) -- the
   /// solve's scan counters, so an interrupted and resumed solve reports
   /// the same counters as an uninterrupted one.
   const ScanStats& scan() const noexcept { return scan_; }
 
   std::size_t slabs_total() const noexcept { return slab_done_.size(); }
-  std::size_t slabs_completed() const noexcept;
+  std::size_t slabs_completed() const noexcept { return committed_; }
   /// True once at least one slab is committed -- the threshold for a
   /// checkpoint being worth storing.
   bool has_progress() const noexcept { return slabs_completed() > 0; }
@@ -103,6 +114,7 @@ class SolveCheckpoint {
  private:
   std::shared_ptr<detail::LevelTables> tables_;
   std::vector<std::uint8_t> slab_done_;
+  std::size_t committed_ = 0;  ///< slabs with slab_done_ set
   ScanStats scan_;
   /// Shape of the stored progress; a mismatch on begin_run() resets.
   std::size_t n_ = 0;

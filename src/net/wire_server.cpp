@@ -25,7 +25,7 @@ namespace chainckpt::net {
 
 namespace {
 
-/// Frames per writev batch (IOV_MAX is far larger; 16 keeps the iovec
+/// Frames per sendmsg batch (IOV_MAX is far larger; 16 keeps the iovec
 /// array on the stack while still aggregating whole reply bursts).
 constexpr std::size_t kMaxIov = 16;
 
@@ -48,7 +48,7 @@ struct Connection {
   std::vector<std::uint8_t> inbuf;
   std::size_t parse_offset = 0;
   /// Pending reply frames (State::mutex); front_offset is how much of the
-  /// front frame a partial writev already pushed out.
+  /// front frame a partial send already pushed out.
   std::deque<std::vector<std::uint8_t>> outbox;
   std::size_t front_offset = 0;
   /// Flush what is queued, then close (kGoodbye or an unsyncable stream).
@@ -609,8 +609,13 @@ bool IoDriver::flush(const std::shared_ptr<Connection>& conn) {
       skip = 0;
       ++count;
     }
-    const ssize_t written =
-        ::writev(conn->fd, iov, static_cast<int>(count));
+    // sendmsg rather than writev for MSG_NOSIGNAL: a write to a peer that
+    // already hung up fails with EPIPE (the connection dies below)
+    // instead of raising SIGPIPE, which would kill the process.
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    const ssize_t written = ::sendmsg(conn->fd, &msg, MSG_NOSIGNAL);
     if (written < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
       conn->dead = true;

@@ -15,7 +15,7 @@
 // mutex would deadlock).
 //
 // Write aggregation: replies are queued per connection and flushed with
-// writev, many frames per syscall.  WireServerStats counts frames_sent
+// one gathering sendmsg, many frames per syscall.  WireServerStats counts frames_sent
 // and flushes separately so the batching is observable (a burst of polls
 // yields frames_sent >> flushes).
 //
@@ -73,7 +73,7 @@ struct WireServerStats {
   std::uint64_t connections_closed = 0;
   std::uint64_t frames_received = 0;
   std::uint64_t frames_sent = 0;
-  /// writev calls; frames_sent / flushes is the aggregation factor.
+  /// sendmsg calls; frames_sent / flushes is the aggregation factor.
   std::uint64_t flushes = 0;
   std::uint64_t bytes_received = 0;
   std::uint64_t bytes_sent = 0;

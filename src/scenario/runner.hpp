@@ -19,10 +19,11 @@
 //                    deadlines -- the stress battery tightens both).
 //
 // run_matrix() parallelizes ACROSS cells (util::parallel_for); each
-// cell's own experiment parallelism degrades to serial inside the region,
-// so per-cell results are independent of the outer schedule and the
-// report keeps its byte-determinism contract (scenario/report.hpp).  For
-// a serial run, call util::set_parallelism(1) first.
+// cell's own loops are nested and draw on idle threads only.  Every loop
+// derives its results from iteration indices, so per-cell results are
+// independent of the schedule and the report keeps its byte-determinism
+// contract (scenario/report.hpp).  For a serial run, call
+// util::set_parallelism(1) first.
 #pragma once
 
 #include <cstdint>

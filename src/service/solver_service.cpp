@@ -138,16 +138,18 @@ SolverService::SolverService(ServiceOptions options)
                  ? options_.workers
                  : static_cast<std::size_t>(
                        std::max(1, util::hardware_parallelism()));
-  // The pool is one long-lived parallel_for region on a dedicated thread:
-  // each body is a worker looping on the queue until shutdown.  Without
-  // OpenMP the region degrades to a serial call chain -- worker 0 serves
-  // the whole queue and the rest exit immediately at shutdown -- which
-  // keeps the service functional (single-worker) on any build.
-  pool_ = std::thread([this] {
-    util::parallel_for(0, workers_, [this](std::size_t) { worker_loop(); });
-  });
-  if (options_.enable_preemption && options_.watchdog_interval.count() > 0) {
-    watchdog_ = std::thread([this] { watchdog_loop(); });
+  try {
+    dispatch_.reserve(workers_);
+    for (std::size_t i = 0; i < workers_; ++i) {
+      dispatch_.emplace_back([this] { worker_loop(); });
+    }
+    if (options_.enable_preemption &&
+        options_.watchdog_interval.count() > 0) {
+      watchdog_ = std::thread([this] { watchdog_loop(); });
+    }
+  } catch (...) {
+    shutdown();  // joins the threads that did start
+    throw;
   }
 }
 
@@ -305,7 +307,9 @@ void SolverService::shutdown() {
   job_done_.notify_all();
   watchdog_wake_.notify_all();
   for (const JobStatus& status : dropped) invoke_callback(callback, status);
-  if (pool_.joinable()) pool_.join();
+  for (std::thread& thread : dispatch_) {
+    if (thread.joinable()) thread.join();
+  }
   if (watchdog_.joinable()) watchdog_.join();
 }
 

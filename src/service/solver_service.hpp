@@ -9,12 +9,14 @@
 //   * submit() -> JobHandle: prices the job through the admission
 //     controller (service/admission.hpp), rejects over-cap or
 //     over-capacity work, and enqueues the rest;
-//   * a worker pool: one long-lived util::parallel_for region whose
-//     bodies loop on the queue -- the workers ARE the same OpenMP threads
-//     the solvers' thread-local arenas live on, so scratch reuse and
-//     release_scratch() behave exactly as in the batch path, and each
-//     job's own slab parallelism degrades to serial inside the pool just
-//     like a BatchSolver batch;
+//   * a worker pool: `workers` dispatch threads, each looping on the
+//     queue and solving one job at a time.  A solve calls
+//     util::parallel_for like any other caller, so the process-wide
+//     helper pool (util/parallel.hpp) runs its table builds and slabs on
+//     every core the other dispatch threads leave idle.  Service jobs
+//     never run on the helper pool itself: a parallel_for body may
+//     wait() on a job (scenario::run_matrix does), which could deadlock
+//     if the job needed that same pool to start;
 //   * dispatch under budget and priority: a worker takes the
 //     highest-priority queued job that fits the remaining admission
 //     budget, FIFO within a class (an idle pool always takes the best
@@ -65,9 +67,9 @@
 namespace chainckpt::service {
 
 struct ServiceOptions {
-  /// Worker-pool width; 0 uses util::hardware_parallelism().  Effective
-  /// concurrency is min(workers, OpenMP threads) -- see the pool note in
-  /// the header comment.
+  /// Dispatch threads, i.e. jobs solved at once; 0 uses
+  /// util::hardware_parallelism().  Each solve also draws on the
+  /// process-wide helper pool -- see the pool note in the header comment.
   std::size_t workers = 0;
   /// Passed through to the embedded BatchSolver: scan mode, max_n, the
   /// LRU cache budget, the plan cache, and the budget for retained
@@ -281,7 +283,7 @@ class SolverService {
   std::map<std::uint64_t, TenantCounters> tenant_counters_;
 
   std::size_t workers_ = 1;
-  std::thread pool_;
+  std::vector<std::thread> dispatch_;  ///< workers_ threads in worker_loop()
   std::condition_variable watchdog_wake_;  ///< shutdown: end the tick wait
   std::thread watchdog_;
 };

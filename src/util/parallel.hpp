@@ -1,73 +1,131 @@
-// Shared-memory parallelism wrapper.
+// Shared-memory parallelism: one process-wide helper pool.
 //
-// The dynamic programs parallelize over independent table slabs and the
-// Monte-Carlo runner over replicas.  Both use this single entry point, which
-// maps onto OpenMP when available and degrades to a serial loop otherwise,
-// so the library has no hard dependency on a threading runtime.
+// The dynamic programs parallelize over independent table slabs and rows,
+// the table builds over row blocks, the batch solver over jobs and the
+// Monte-Carlo runner over replicas.  All of them use parallel_for, which
+// runs on one pool of hardware_parallelism() - 1 helper threads, started
+// on first use.  A call publishes its loop, then claims indices from the
+// loop's atomic counter and runs them itself; idle helpers claim indices
+// of any published loop, so a loop nested inside another one's body (a
+// solve inside a batch job or a service dispatch thread) runs on every
+// thread that has nothing else to do.  Helpers sleep while no loop has
+// unclaimed indices.
 //
-// parallel_for is a header-only template: the body is invoked through its
-// static type, so lambdas inline into the loop with zero type-erasure (no
-// std::function construction, no indirect call per iteration).
+// A caller whose indices are all claimed blocks until the helpers running
+// them finish, without taking other work: callers hold thread-local
+// scratch across the call (the single-level DP's row block), which
+// another loop's body on the same thread would reuse.  So a body may
+// block only on its own nested loops or on threads outside the pool --
+// which is why service jobs run on the service's own dispatch threads.
+//
+// parallel_for is a template over the body type: the caller's lambda is
+// invoked through its static type inside one trampoline per body type,
+// with no std::function construction.
 //
 // Determinism contract: the callable receives the iteration index and must
 // derive any randomness from it (see Xoshiro256::stream), so results are
 // identical for every thread count.  The wrapper exposes no worker
 // identity: bodies that accumulate write per-index slots folded in index
 // order afterwards (the single-level DP's row counters), or commit per
-// index (core::SolveCheckpoint's slab commits).  A parallel_for nested
-// inside another one's body runs serially.
+// index (core::SolveCheckpoint's slab commits).
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <exception>
-#include <mutex>
 
 namespace chainckpt::util {
 
-/// Number of worker threads the wrapper will use (OpenMP max threads, or 1).
+/// Thread count parallel_for uses: the caller plus this many minus one
+/// helpers.  Defaults to the number of CPUs in the process affinity mask.
 int hardware_parallelism() noexcept;
 
-/// Force the worker count for subsequent parallel_for calls; 0 restores the
-/// runtime default.  Mostly used by tests and benches.
+/// Force the thread count for subsequent parallel_for calls; 0 restores the
+/// default.  The pool grows to threads - 1 helpers when asked for more than
+/// it has.  Mostly used by tests and benches.
 void set_parallelism(int threads) noexcept;
 
-/// Runs body(i) for i in [begin, end) with dynamic scheduling.  Exceptions
-/// thrown by the body are captured and the first one is rethrown on the
-/// calling thread after the loop completes (OpenMP regions must not leak
-/// exceptions).
+namespace detail {
+
+/// One parallel_for call while it is published to the pool.  It lives on
+/// the caller's stack; run_loop() unpublishes it and waits for every
+/// helper inside it to leave before returning.
+class Loop {
+ public:
+  template <typename Body>
+  Loop(std::size_t begin, std::size_t end, const Body& body) noexcept
+      : next_(begin), end_(end), body_(&body), invoke_(&invoke<Body>) {}
+
+  Loop(const Loop&) = delete;
+  Loop& operator=(const Loop&) = delete;
+
+  bool has_unclaimed() const noexcept {
+    return next_.load(std::memory_order_relaxed) < end_;
+  }
+
+  /// Claims and runs indices until none is left.  A throwing index is
+  /// recorded (the first one wins) and the loop carries on.
+  void run() noexcept;
+
+  /// Rethrows the first recorded exception, if any.  Only the caller,
+  /// after every helper has left.
+  void rethrow_first_error() const;
+
+  /// Helpers currently inside run(); guarded by the pool mutex.
+  int helpers = 0;
+  /// Signalled (under the pool mutex) when `helpers` drops to zero.
+  std::condition_variable helpers_left;
+
+ private:
+  template <typename Body>
+  static void invoke(const void* body, std::size_t i) {
+    (*static_cast<const Body*>(body))(i);
+  }
+
+  std::atomic<std::size_t> next_;
+  const std::size_t end_;
+  const void* const body_;
+  void (*const invoke_)(const void*, std::size_t);
+  std::atomic<bool> failed_{false};
+  std::exception_ptr error_;  ///< written once, by the first thrower
+};
+
+/// Publishes `loop`, runs its indices on the calling thread alongside idle
+/// helpers, waits for the helpers to leave, and rethrows the first error.
+void run_loop(Loop& loop, int threads);
+
+}  // namespace detail
+
+/// Runs body(i) for i in [begin, end), claiming indices one at a time in
+/// increasing order.  The first exception a body throws is rethrown on the
+/// calling thread once every claimed index has finished.  A single-index
+/// range, or a thread count of 1, runs serially on the caller.
 template <typename Body>
 void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
   if (begin >= end) return;
-  const std::size_t count = end - begin;
   const int threads = hardware_parallelism();
-  if (threads <= 1 || count == 1) {
+  if (threads <= 1 || end - begin == 1) {
     for (std::size_t i = begin; i < end; ++i) body(i);
     return;
   }
+  detail::Loop loop(begin, end, body);
+  detail::run_loop(loop, threads);
+}
 
-  std::exception_ptr first_error;
-  std::mutex error_mutex;
-#ifdef _OPENMP
-#pragma omp parallel for schedule(dynamic, 1) num_threads(threads)
-  for (long long i = static_cast<long long>(begin);
-       i < static_cast<long long>(end); ++i) {
-    try {
-      body(static_cast<std::size_t>(i));
-    } catch (...) {
-      std::lock_guard<std::mutex> lock(error_mutex);
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-#else
-  for (std::size_t i = begin; i < end; ++i) {
-    try {
-      body(i);
-    } catch (...) {
-      if (!first_error) first_error = std::current_exception();
-    }
-  }
-#endif
-  if (first_error) std::rethrow_exception(first_error);
+/// Rows per block of parallel_for_rows.
+inline constexpr std::size_t kRowBlock = 64;
+
+/// Runs row(i) for i in [0, rows) as a parallel_for over fixed blocks of
+/// kRowBlock consecutive rows, so up to kRowBlock rows stay serial.  For
+/// table fills whose rows are independent of each other.
+template <typename Row>
+void parallel_for_rows(std::size_t rows, const Row& row) {
+  parallel_for(0, (rows + kRowBlock - 1) / kRowBlock, [&](std::size_t b) {
+    const std::size_t hi = rows < (b + 1) * kRowBlock ? rows
+                                                      : (b + 1) * kRowBlock;
+    for (std::size_t i = b * kRowBlock; i < hi; ++i) row(i);
+  });
 }
 
 }  // namespace chainckpt::util

@@ -15,6 +15,7 @@
 #include "chain/weight_table.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
+#include "util/parallel.hpp"
 
 namespace chainckpt::analysis {
 namespace {
@@ -214,6 +215,86 @@ TEST(SegmentTablesPatch, PerPositionCostsPatchByteExact) {
   };
   patch_and_check(per_position(base_p), per_position(next_p),
                   "per-position lambda_s");
+}
+
+/// Every table a solve builds, for one chain and one rate drift: the full
+/// WeightTable + SegmentTables pair, their patched successors, and the
+/// ADMV row streams over the patched table.
+struct TableSet {
+  TableSet(const chain::TaskChain& chain, const platform::CostModel& base,
+           const platform::CostModel& next)
+      : table(chain, base.lambda_f(), base.lambda_s()),
+        full(table, base),
+        patched_table(table, next.lambda_f(), next.lambda_s()),
+        patched(full, patched_table, next),
+        rows(patched_table, next) {}
+
+  chain::WeightTable table;
+  SegmentTables full;
+  chain::WeightTable patched_table;
+  SegmentTables patched;
+  SegmentRows rows;
+};
+
+void expect_same_weights(const chain::WeightTable& a,
+                         const chain::WeightTable& b, const char* what) {
+  ASSERT_EQ(a.n(), b.n());
+  for (std::size_t i = 0; i <= a.n(); ++i) {
+    for (std::size_t j = i; j <= a.n(); ++j) {
+      const double af = a.em1_f(i, j), bf = b.em1_f(i, j);
+      const double as = a.em1_s(i, j), bs = b.em1_s(i, j);
+      ASSERT_TRUE(same_doubles(&af, &bf, 1)) << what << " em1_f " << i;
+      ASSERT_TRUE(same_doubles(&as, &bs, 1)) << what << " em1_s " << i;
+    }
+  }
+}
+
+void expect_same_rows(const SegmentRows& a, const SegmentRows& b,
+                      std::size_t n, const char* what) {
+  const std::size_t full = (n + 1) * (n + 1);
+  EXPECT_TRUE(same_doubles(a.exv_row(0), b.exv_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.b_row(0), b.b_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.c_row(0), b.c_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.d_row(0), b.d_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.tl_row(0), b.tl_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.pf_row(0), b.pf_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.ef_row(0), b.ef_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.w_row(0), b.w_row(0), full)) << what;
+  EXPECT_TRUE(same_doubles(a.vp_data(), b.vp_data(), n + 1)) << what;
+}
+
+TEST(SegmentTablesParallelBuild, ByteIdenticalAtEveryThreadCount) {
+  // The fills run as parallel_for over 64-row blocks; n = 63 is one
+  // block, 64 and 65 straddle the first boundary, 300 has five blocks.
+  const platform::Platform base_p = scaled_hera();
+  platform::Platform next_p = base_p;
+  next_p.lambda_f *= 1.08;
+  next_p.lambda_s *= 1.06;
+  for (const std::size_t n : {63, 64, 65, 300}) {
+    const chain::TaskChain chain = chain::make_decrease(n, 25000.0);
+    for (const bool weibull : {false, true}) {
+      const platform::CostModel base =
+          weibull ? weibull_costs(base_p, 0.7) : exp_costs(base_p);
+      const platform::CostModel next =
+          weibull ? weibull_costs(next_p, 0.7) : exp_costs(next_p);
+      const char* what = weibull ? "weibull" : "exponential";
+      util::set_parallelism(1);
+      const TableSet serial(chain, base, next);
+      for (const int threads : {4, 8}) {
+        util::set_parallelism(threads);
+        const TableSet parallel(chain, base, next);
+        SCOPED_TRACE(testing::Message() << "n=" << n << " threads="
+                                        << threads << " " << what);
+        expect_same_weights(parallel.table, serial.table, "full");
+        expect_same_weights(parallel.patched_table, serial.patched_table,
+                            "patched");
+        expect_identical(parallel.full, serial.full, "full");
+        expect_identical(parallel.patched, serial.patched, "patched");
+        expect_same_rows(parallel.rows, serial.rows, n, "rows");
+      }
+    }
+  }
+  util::set_parallelism(0);
 }
 
 }  // namespace

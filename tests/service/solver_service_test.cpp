@@ -4,14 +4,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <map>
 #include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "chain/patterns.hpp"
 #include "core/batch_solver.hpp"
+#include "core/solve_checkpoint.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
 #include "util/parallel.hpp"
@@ -20,6 +23,70 @@ namespace chainckpt::service {
 namespace {
 
 using std::chrono::milliseconds;
+
+/// Holds level-DP solves at a known amount of progress through
+/// core::SolveCheckpoint's slab-commit seam: while armed, every thread
+/// that commits a slab of a solve with at least `slabs` committed slabs
+/// parks until release(), so the solve claims no new slab.  Installed for
+/// the gate's lifetime; one gate at a time.
+class SlabGate {
+ public:
+  explicit SlabGate(std::size_t slabs) {
+    {
+      const std::lock_guard<std::mutex> lock(state().mutex);
+      state().slabs = slabs;
+      state().armed = true;
+      state().parked.clear();
+    }
+    core::SolveCheckpoint::set_slab_commit_hook(&SlabGate::hook);
+  }
+  ~SlabGate() {
+    release();
+    core::SolveCheckpoint::set_slab_commit_hook(nullptr);
+  }
+  SlabGate(const SlabGate&) = delete;
+  SlabGate& operator=(const SlabGate&) = delete;
+
+  /// Waits until threads of `solves` distinct solves are parked; false
+  /// when that takes longer than a generous bound.
+  bool wait_parked(std::size_t solves) {
+    std::unique_lock<std::mutex> lock(state().mutex);
+    return state().changed.wait_for(lock, std::chrono::seconds(60), [&] {
+      return state().parked.size() >= solves;
+    });
+  }
+
+  /// Disarms the gate and wakes every parked thread.
+  void release() {
+    {
+      const std::lock_guard<std::mutex> lock(state().mutex);
+      state().armed = false;
+    }
+    state().changed.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mutex;
+    std::condition_variable changed;
+    std::size_t slabs = 0;
+    bool armed = false;
+    std::set<const core::SolveCheckpoint*> parked;
+  };
+  static State& state() {
+    static State s;
+    return s;
+  }
+  static void hook(const core::SolveCheckpoint& checkpoint,
+                   std::size_t committed) {
+    State& s = state();
+    std::unique_lock<std::mutex> lock(s.mutex);
+    if (!s.armed || committed < s.slabs) return;
+    s.parked.insert(&checkpoint);
+    s.changed.notify_all();
+    s.changed.wait(lock, [&] { return !s.armed; });
+  }
+};
 
 /// Mixed workload covering every algorithm class, with the single-level
 /// jobs carrying n = 400 (the acceptance bound for the async-vs-sync
@@ -349,36 +416,28 @@ TEST(SolverService, PreemptionLetsUrgentDeadlineJumpAndVictimResumes) {
   const platform::CostModel costs{platform::hera()};
   const core::BatchJob victim_work{core::Algorithm::kADMVstar,
                                    chain::make_uniform(250, 25000.0), costs};
-  // Time an identical serial solve first: the service worker runs the
-  // victim serially inside the pool, so this measures the victim's
-  // in-service runtime on THIS build (Release or sanitized).  Sleeping a
-  // quarter of it below lands the preemption mid-solve -- late enough
-  // that slabs have committed, early enough that the victim is still
-  // running.
   core::BatchSolver reference;
-  util::set_parallelism(1);
-  const auto reference_start = std::chrono::steady_clock::now();
   const auto expected = reference.solve_job(victim_work);
-  const auto serial_duration =
-      std::chrono::steady_clock::now() - reference_start;
-  util::set_parallelism(0);
 
   ServiceOptions options;
   options.workers = 1;
   SolverService service(options);
+  // The gate parks the victim once 8 of its 250 slabs have committed, so
+  // the preemption below lands mid-solve on every build and host: after
+  // release, each of the victim's threads sees it at its next poll.
+  // Declared after the service, so a failed assertion releases it before
+  // the service joins its threads.
+  SlabGate gate(8);
   const JobHandle victim = service.submit(
       {victim_work, {Priority::kBatch}});
-  for (int i = 0; i < 2000 && service.poll(victim).state == JobState::kQueued;
-       ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
+  ASSERT_TRUE(gate.wait_parked(1));
   ASSERT_EQ(service.poll(victim).state, JobState::kRunning);
-  std::this_thread::sleep_for(serial_duration / 4);
   // The urgent class is uncalibrated, so its deadline counts as at-risk
   // and the dispatcher displaces the running batch job.
   const JobHandle urgent = service.submit(
       {{core::Algorithm::kADVstar, chain::make_uniform(50, 25000.0), costs},
        {Priority::kUrgent, std::chrono::seconds(60)}});
+  gate.release();
   const JobStatus urgent_status = service.wait(urgent);
   EXPECT_EQ(urgent_status.state, JobState::kSucceeded);
   const JobStatus victim_status = service.wait(victim);
@@ -398,6 +457,37 @@ TEST(SolverService, PreemptionLetsUrgentDeadlineJumpAndVictimResumes) {
   EXPECT_EQ(victim_status.result.expected_makespan,
             expected.expected_makespan);
   EXPECT_EQ(victim_status.result.plan, expected.plan);
+}
+
+TEST(SolverService, EveryConfiguredWorkerRunsAJob) {
+  // More workers than threads parallel_for uses: each worker is its own
+  // dispatch thread, so all of them run a job at once.  The gate keeps
+  // every job running until the count has been observed.
+  const std::size_t workers =
+      static_cast<std::size_t>(util::hardware_parallelism()) + 2;
+  ServiceOptions options;
+  options.workers = workers;
+  SolverService service(options);
+  SlabGate gate(1);
+  const platform::CostModel costs{platform::hera()};
+  std::vector<JobHandle> handles;
+  for (std::size_t i = 0; i < workers; ++i) {
+    handles.push_back(service.submit(
+        {{core::Algorithm::kADMVstar, chain::make_uniform(60 + i, 25000.0),
+          costs}}));
+  }
+  std::size_t peak = 0;
+  const auto give_up = std::chrono::steady_clock::now() +
+                       std::chrono::seconds(20);
+  while (peak < workers && std::chrono::steady_clock::now() < give_up) {
+    peak = std::max(peak, service.stats().running);
+    std::this_thread::sleep_for(milliseconds(1));
+  }
+  EXPECT_EQ(peak, workers);
+  gate.release();
+  for (const JobHandle& handle : handles) {
+    EXPECT_EQ(service.wait(handle).state, JobState::kSucceeded);
+  }
 }
 
 TEST(SolverService, DeadlineInfeasibleSubmissionRejectedOnceCalibrated) {
@@ -549,30 +639,39 @@ TEST(SolverServicePlanCache, ProbableHitsArePricedAtTheDiscount) {
 
 TEST(SolverServicePlanCache, ProbableHitSkipsTheDeadlineFeasibilityScreen) {
   // Calibrate the ADMV class with a completed job, then submit one whose
-  // deadline is far below the calibrated estimate: rejected cold, but
-  // admitted (and served from cache) once the plan cache holds its key.
+  // deadline is half of what the screen accepts for a cold chain of its
+  // size: rejected cold, but admitted (and served from cache) once the
+  // plan cache holds its key.
   SolverService service;
   const core::BatchJob slow{core::Algorithm::kADMV,
-                            chain::make_uniform(40, 25000.0),
+                            chain::make_uniform(60, 25000.0),
                             platform::CostModel{platform::atlas()}};
   const JobHandle calibrate = service.submit({slow});
   ASSERT_EQ(service.wait(calibrate).state, JobState::kSucceeded);
 
-  // A different (uncached) chain of the same class with a 1 ms deadline:
-  // the calibrated estimate screens it out.
+  // The screen rejects a deadline below estimate * deadline_headroom.  At
+  // n = 60 half of that is still tens of milliseconds, far more than an
+  // exact hit needs to be dispatched and served.
+  const double accepted_ms =
+      service.estimate(core::Algorithm::kADMV, 61).seconds * 1e3 *
+      AdmissionConfig{}.deadline_headroom;
+  const milliseconds deadline(static_cast<long long>(accepted_ms / 2.0));
+  ASSERT_GE(deadline, milliseconds(10));
+
+  // A different (uncached) chain of the same class: the calibrated
+  // estimate screens it out.
   const core::BatchJob cold{core::Algorithm::kADMV,
-                            chain::make_uniform(41, 25000.0),
+                            chain::make_uniform(61, 25000.0),
                             platform::CostModel{platform::atlas()}};
   const JobHandle infeasible =
-      service.submit({cold, SubmitOptions{milliseconds(1)}});
+      service.submit({cold, SubmitOptions{deadline}});
   const JobStatus rejected = service.poll(infeasible);
   ASSERT_EQ(rejected.state, JobState::kRejected);
   EXPECT_EQ(rejected.reject_reason, RejectReason::kDeadlineInfeasible);
 
-  // The CACHED chain under the same hopeless deadline sails through: a
-  // hit costs microseconds, so the screen would reject free work.
-  const JobHandle cached =
-      service.submit({slow, SubmitOptions{milliseconds(1)}});
+  // The CACHED chain under the same deadline sails through: a hit costs
+  // microseconds, so the screen would reject free work.
+  const JobHandle cached = service.submit({slow, SubmitOptions{deadline}});
   const JobStatus status = service.wait(cached);
   EXPECT_EQ(status.state, JobState::kSucceeded);
   EXPECT_GE(service.stats().plan_cache.exact_hits, 1u);

@@ -3,10 +3,19 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
+#include <thread>
 #include <vector>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 namespace chainckpt::util {
 namespace {
@@ -71,12 +80,102 @@ TEST(ParallelFor, AcceptsMoveOnlyCallable) {
   EXPECT_EQ(observed->load(), 4);
 }
 
+TEST(ParallelFor, NestedLoopRunsOnIdleThreads) {
+  // Only outer index 0 has work, so the thread running it is the outer
+  // loop's only busy thread; the loop nested in it must still reach the
+  // idle ones (the shape of a solve inside a service dispatch thread).
+  // Index 0 holds its thread until another thread has claimed an index,
+  // so the outcome does not depend on how fast helpers wake (the bound
+  // only ends a failing run).
+  set_parallelism(4);
+  std::mutex mutex;
+  std::condition_variable claimed;
+  std::set<std::thread::id> threads;
+  parallel_for(0, 2, [&](std::size_t outer) {
+    if (outer != 0) return;
+    parallel_for(0, 16, [&](std::size_t i) {
+      std::unique_lock<std::mutex> lock(mutex);
+      threads.insert(std::this_thread::get_id());
+      claimed.notify_all();
+      if (i == 0) {
+        claimed.wait_for(lock, std::chrono::seconds(20),
+                         [&] { return threads.size() >= 2; });
+      }
+    });
+  });
+  set_parallelism(0);
+  EXPECT_GE(threads.size(), 2u);
+}
+
+TEST(ParallelFor, HelperExceptionIsRethrownAfterEveryClaimedIndexFinishes) {
+  set_parallelism(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  std::atomic<bool> thrown{false};
+  try {
+    parallel_for(0, 64, [&](std::size_t i) {
+      started.fetch_add(1);
+      if (std::this_thread::get_id() != caller && !thrown.exchange(true)) {
+        finished.fetch_add(1);
+        throw std::runtime_error("helper");
+      }
+      // Index 0 holds the caller (when it claimed it) until a helper has
+      // thrown; the sleep keeps claimed indices in flight when it does.
+      for (int spin = 0; i == 0 && !thrown.load() && spin < 20000; ++spin) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      finished.fetch_add(1);
+    });
+    ADD_FAILURE() << "no index ran on a helper";
+  } catch (const std::runtime_error& error) {
+    EXPECT_STREQ(error.what(), "helper");
+    EXPECT_EQ(started.load(), finished.load());
+  }
+  set_parallelism(0);
+}
+
+TEST(ParallelFor, ThreeNestingLevelsCompleteAtEveryThreadCount) {
+  for (const int threads : {1, 4, 8}) {
+    set_parallelism(threads);
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::atomic<int>> visits(4 * 5 * 6);
+    std::atomic<bool> off_caller{false};
+    parallel_for(0, 4, [&](std::size_t a) {
+      parallel_for(0, 5, [&](std::size_t b) {
+        parallel_for(0, 6, [&](std::size_t c) {
+          visits[(a * 5 + b) * 6 + c].fetch_add(1);
+          if (std::this_thread::get_id() != caller) off_caller.store(true);
+        });
+      });
+    });
+    for (const auto& v : visits) {
+      EXPECT_EQ(v.load(), 1) << threads;
+    }
+    if (threads == 1) {
+      EXPECT_FALSE(off_caller.load());
+    }
+  }
+  set_parallelism(0);
+}
+
 TEST(Parallelism, ForcedCountIsReported) {
   set_parallelism(3);
   EXPECT_EQ(hardware_parallelism(), 3);
   set_parallelism(0);
   EXPECT_GE(hardware_parallelism(), 1);
 }
+
+#if defined(__linux__)
+TEST(Parallelism, DefaultIsTheAffinityMaskSize) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(set), &set), 0);
+  set_parallelism(0);
+  EXPECT_EQ(hardware_parallelism(), CPU_COUNT(&set));
+}
+#endif
 
 }  // namespace
 }  // namespace chainckpt::util
