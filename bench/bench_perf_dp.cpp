@@ -2,9 +2,7 @@
 // Verifies the paper's complexity discussion (O(n^3)/O(n^4)/O(n^6)) and
 // its claim that ADMV "executes within a few seconds for n = 50" -- and
 // tracks the hot-path overhaul that pushes the interactive regime to
-// n = 400 (ADMV*) / n = 100 (ADMV), plus the quadrangle-inequality
-// argmin pruning (core::ScanMode::kMonotonePruned) layered on top.  The
-// `bench-json` CMake target runs this harness with
+// n = 400 (ADMV*) / n = 100 (ADMV).  The `bench-json` CMake target runs this harness with
 // --benchmark_format=json into BENCH_dp.json, the perf trajectory
 // snapshot consumed by PERFORMANCE.md and future PRs.  All randomized
 // scenarios derive from bench::kBenchSeed, so the JSON is reproducible.
@@ -33,30 +31,6 @@ void run_algorithm(benchmark::State& state, core::Algorithm algorithm) {
   state.counters["n"] = static_cast<double>(n);
 }
 
-/// Same shape as run_algorithm (context build included in the timed
-/// region, so Dense and Pruned rows are directly comparable), with the
-/// scan mode applied and the prune/fallback counters of the last
-/// iteration reported alongside the timing.
-void run_algorithm_mode(benchmark::State& state, core::Algorithm algorithm,
-                        core::ScanMode mode) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto chain = chain::make_uniform(n, 25000.0);
-  const platform::CostModel costs(platform::hera());
-  core::ScanStats last;
-  for (auto _ : state) {
-    core::DpContext ctx(chain, costs);
-    ctx.set_scan_mode(mode);
-    const auto result = core::optimize(algorithm, ctx);
-    benchmark::DoNotOptimize(result.expected_makespan);
-    last = result.scan;
-  }
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["prune_pct"] = 100.0 * last.prune_fraction();
-  state.counters["guard_fallbacks"] =
-      static_cast<double>(last.guard_fallbacks);
-  state.counters["gated_rows"] = static_cast<double>(last.gated_rows);
-}
-
 void BM_SingleLevel(benchmark::State& state) {
   run_algorithm(state, core::Algorithm::kADVstar);
 }
@@ -73,22 +47,10 @@ void BM_PartialSerial(benchmark::State& state) {
   util::set_parallelism(0);
 }
 
-// Monotonicity-pruned scans (core::ScanMode::kMonotonePruned): same
-// inputs and bit-identical outputs as the dense rows above, with the
-// prune/fallback counters attached.
-void BM_SingleLevelPruned(benchmark::State& state) {
-  run_algorithm_mode(state, core::Algorithm::kADVstar,
-                     core::ScanMode::kMonotonePruned);
-}
-void BM_TwoLevelPruned(benchmark::State& state) {
-  run_algorithm_mode(state, core::Algorithm::kADMVstar,
-                     core::ScanMode::kMonotonePruned);
-}
-
-// Dense vs pruned across seeded random platforms (4 per iteration), off
-// the uniform-chain/Hera happy path.  bench::kBenchSeed makes the
-// scenario set identical across runs.
-void run_random_platforms(benchmark::State& state, core::ScanMode mode) {
+// ADMV* across seeded random platforms (4 per iteration), off the
+// uniform-chain/Hera happy path.  bench::kBenchSeed makes the scenario
+// set identical across runs.
+void BM_TwoLevelRandom(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   util::Xoshiro256 rng(bench::kBenchSeed);
   std::vector<std::pair<chain::TaskChain, platform::CostModel>> cases;
@@ -100,19 +62,11 @@ void run_random_platforms(benchmark::State& state, core::ScanMode mode) {
   for (auto _ : state) {
     for (const auto& [chain, costs] : cases) {
       core::DpContext ctx(chain, costs);
-      ctx.set_scan_mode(mode);
       const auto result = core::optimize(core::Algorithm::kADMVstar, ctx);
       benchmark::DoNotOptimize(result.expected_makespan);
     }
   }
   state.counters["n"] = static_cast<double>(n);
-}
-
-void BM_TwoLevelRandomDense(benchmark::State& state) {
-  run_random_platforms(state, core::ScanMode::kDense);
-}
-void BM_TwoLevelRandomPruned(benchmark::State& state) {
-  run_random_platforms(state, core::ScanMode::kMonotonePruned);
 }
 
 // Forced SIMD tiers (core::simd): same inputs and bit-identical outputs
@@ -123,7 +77,7 @@ void BM_TwoLevelRandomPruned(benchmark::State& state) {
 // compare the `simd` counter (0 scalar / 1 avx2 / 2 avx512), which
 // reports the tier that actually ran.
 void run_algorithm_tier(benchmark::State& state, core::Algorithm algorithm,
-                        core::ScanMode mode, core::simd::SimdTier tier) {
+                        core::simd::SimdTier tier) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto chain = chain::make_uniform(n, 25000.0);
   const platform::CostModel costs(platform::hera());
@@ -132,7 +86,6 @@ void run_algorithm_tier(benchmark::State& state, core::Algorithm algorithm,
   const core::simd::SimdTier ran = probe.simd_tier();
   for (auto _ : state) {
     core::DpContext ctx(chain, costs);
-    ctx.set_scan_mode(mode);
     ctx.set_simd_tier(tier);
     const auto result = core::optimize(algorithm, ctx);
     benchmark::DoNotOptimize(result.expected_makespan);
@@ -143,36 +96,26 @@ void run_algorithm_tier(benchmark::State& state, core::Algorithm algorithm,
 
 void BM_TwoLevelScalar(benchmark::State& state) {
   run_algorithm_tier(state, core::Algorithm::kADMVstar,
-                     core::ScanMode::kDense, core::simd::SimdTier::kScalar);
+                     core::simd::SimdTier::kScalar);
 }
 void BM_TwoLevelAvx2(benchmark::State& state) {
   run_algorithm_tier(state, core::Algorithm::kADMVstar,
-                     core::ScanMode::kDense, core::simd::SimdTier::kAvx2);
+                     core::simd::SimdTier::kAvx2);
 }
 void BM_TwoLevelAvx512(benchmark::State& state) {
   run_algorithm_tier(state, core::Algorithm::kADMVstar,
-                     core::ScanMode::kDense, core::simd::SimdTier::kAvx512);
+                     core::simd::SimdTier::kAvx512);
 }
 void BM_SingleLevelScalar(benchmark::State& state) {
   run_algorithm_tier(state, core::Algorithm::kADVstar,
-                     core::ScanMode::kDense, core::simd::SimdTier::kScalar);
+                     core::simd::SimdTier::kScalar);
 }
 void BM_SingleLevelAvx2(benchmark::State& state) {
   run_algorithm_tier(state, core::Algorithm::kADVstar,
-                     core::ScanMode::kDense, core::simd::SimdTier::kAvx2);
+                     core::simd::SimdTier::kAvx2);
 }
 void BM_SingleLevelAvx512(benchmark::State& state) {
   run_algorithm_tier(state, core::Algorithm::kADVstar,
-                     core::ScanMode::kDense, core::simd::SimdTier::kAvx512);
-}
-void BM_TwoLevelPrunedScalar(benchmark::State& state) {
-  run_algorithm_tier(state, core::Algorithm::kADMVstar,
-                     core::ScanMode::kMonotonePruned,
-                     core::simd::SimdTier::kScalar);
-}
-void BM_TwoLevelPrunedAvx512(benchmark::State& state) {
-  run_algorithm_tier(state, core::Algorithm::kADMVstar,
-                     core::ScanMode::kMonotonePruned,
                      core::simd::SimdTier::kAvx512);
 }
 
@@ -186,12 +129,7 @@ BENCHMARK(BM_Partial)->Arg(10)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
     ->Unit(benchmark::kMillisecond);
 // The paper's "a few seconds for n = 50" figure was single-threaded.
 BENCHMARK(BM_PartialSerial)->Arg(50)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SingleLevelPruned)->Arg(100)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelPruned)->Arg(50)->Arg(100)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelRandomDense)->Arg(100)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelRandomPruned)->Arg(100)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TwoLevelRandom)->Arg(100)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelScalar)->Arg(100)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelAvx2)->Arg(100)->Arg(200)->Arg(400)
@@ -203,10 +141,6 @@ BENCHMARK(BM_SingleLevelScalar)->Arg(200)->Arg(400)
 BENCHMARK(BM_SingleLevelAvx2)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SingleLevelAvx512)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelPrunedScalar)->Arg(200)->Arg(400)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_TwoLevelPrunedAvx512)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

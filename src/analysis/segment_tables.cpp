@@ -1,6 +1,5 @@
 #include "analysis/segment_tables.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -144,8 +143,6 @@ SegmentTables::SegmentTables(const SegmentTables& base,
     }
     summary->streams_rebuilt = rebuilt;
     summary->streams_reused = kStreamCount - rebuilt;
-    summary->qi_rebuilt =
-        (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD)) != 0;
   }
 }
 
@@ -215,52 +212,6 @@ void SegmentTables::build(const chain::WeightTable& table,
           if (mask & kStreamD) d_c_[cm] = k.d;
           if (mask & kStreamFs) fs_c_[cm] = k.fs;
         });
-  }
-  if (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD)) {
-    build_qi_certificate();
-  } else {
-    qi_ = base->qi_;
-  }
-}
-
-void SegmentTables::build_qi_certificate() {
-  // Strict gate: any negative defect -- however tiny -- marks the cell.
-  // Tolerating "rounding-noise" defects would NOT be conservative: the
-  // scans compare exact doubles, so even an ulp-level true violation can
-  // move the leftmost argmin and break the bitwise-equality contract.
-  // The cost of strictness is only lost pruning, and the paper's four
-  // platforms pass with zero defects as evaluated.
-  qi_ = QiCertificate{};
-  const std::size_t stride = n_ + 1;
-  qi_.argmin_window_safe.assign(stride, 1);
-  std::vector<std::uint8_t> cell_ok(stride, 1);
-  for (const std::vector<double>* stream : {&exvg_c_, &b_c_, &c_c_, &d_c_}) {
-    const double* f = stream->data();
-    for (std::size_t j = 1; j <= n_; ++j) {
-      const double* col = f + j * stride;       // f(v, j), v in [0, j]
-      const double* prev = f + (j - 1) * stride;  // f(v, j-1), v in [0, j-1]
-      for (std::size_t v = 0; v < j; ++v) {
-        if (col[v] < 0.0) qi_.streams_nonnegative = false;
-        if (v + 2 > j) continue;  // QI cell needs (v+1, j-1) valid
-        const double grow_left = col[v] - prev[v];
-        const double grow_right = col[v + 1] - prev[v + 1];
-        const double defect = grow_left - grow_right;
-        if (defect < 0.0) {
-          cell_ok[v] = 0;
-          ++qi_.violating_cells;
-          const double scale =
-              std::max({std::abs(col[v]), std::abs(col[v + 1]), 1.0});
-          qi_.worst_defect = std::min(qi_.worst_defect, defect / scale);
-        }
-      }
-    }
-  }
-  // A DP row starting at m1 only reads coefficients with v1 >= m1, so its
-  // verdict is the suffix-AND of the per-v cell verdicts.
-  std::uint8_t safe = 1;
-  for (std::size_t v = stride; v-- > 0;) {
-    safe = static_cast<std::uint8_t>(safe & cell_ok[v]);
-    qi_.argmin_window_safe[v] = safe;
   }
 }
 

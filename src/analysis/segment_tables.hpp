@@ -44,7 +44,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "chain/weight_table.hpp"
@@ -52,52 +51,12 @@
 
 namespace chainckpt::analysis {
 
-/// Result of the quadrangle-inequality probe over the column-oriented
-/// coefficient streams (exvg, b, c, d) that the Eq. (4) level-DP kernels
-/// read.  The QI at a cell (v, j) is
-///
-///   f(v, j-1) + f(v+1, j) <= f(v, j) + f(v+1, j-1)
-///
-/// i.e. the j-increment of each stream must not grow when the left
-/// endpoint moves right -- the Knuth/Yao condition under which the
-/// leftmost argmin of the v1 scans is non-decreasing in j.  Eq. (4) has
-/// no written proof that its full candidate (which adds the
-/// E_verif-dependent terms) inherits the property, so the certificate is
-/// a *gate*, not a theorem: rows whose coefficient suffix violates the
-/// inequality are scanned densely, and rows that pass are additionally
-/// fenced by core::MonotoneScanner's per-step boundary guard.
-struct QiCertificate {
-  /// All stream entries are >= 0 (the non-negativity the window's
-  /// pruning argument also relies on).
-  bool streams_nonnegative = true;
-  /// argmin_window_safe[i] == 1 iff every QI cell (v, j) with v >= i
-  /// passes; a DP row (d1, m1) reads coefficients at v1 >= m1 only, so
-  /// its verdict is entry m1.
-  std::vector<std::uint8_t> argmin_window_safe;
-  /// QI cells that failed, across all streams.
-  std::size_t violating_cells = 0;
-  /// Most negative QI margin seen, relative to the cell's magnitude
-  /// (0 when every cell passes).
-  double worst_defect = 0.0;
-
-  bool row_ok(std::size_t i) const noexcept {
-    return streams_nonnegative &&
-           (i < argmin_window_safe.size() ? argmin_window_safe[i] != 0
-                                          : true);
-  }
-  bool all_ok() const noexcept {
-    return streams_nonnegative && violating_cells == 0;
-  }
-};
-
 /// What a patch rebuild actually did: how many coefficient streams were
 /// recomputed vs copied from the donor tables.  BatchSolver folds these
 /// into its stats; the equivalence tests assert the reuse is real.
 struct PatchSummary {
   std::size_t streams_rebuilt = 0;
   std::size_t streams_reused = 0;
-  /// The QI certificate had to be re-probed (any column stream changed).
-  bool qi_rebuilt = false;
 };
 
 class SegmentTables {
@@ -145,11 +104,6 @@ class SegmentTables {
   /// entry keeps resident and release_scratch() gives back.
   std::size_t resident_bytes() const noexcept;
 
-  /// The quadrangle-inequality probe over the column streams, computed
-  /// once at construction (an O(n^2) pass, amortized across the
-  /// O(n^4)/O(n^6) DPs that consult it).  See QiCertificate.
-  const QiCertificate& verify_quadrangle() const noexcept { return qi_; }
-
  private:
   /// One bit per coefficient stream, naming what a (re)build writes.
   enum StreamBit : unsigned {
@@ -182,14 +136,11 @@ class SegmentTables {
   platform::PlanningLaw law_{};
   std::vector<double> exvg_c_, b_c_, c_c_, d_c_, fs_c_;
   std::vector<double> vg_;
-  QiCertificate qi_;
 
-  /// Shared tail of both constructors: allocates/copies per `mask`, fills
-  /// the masked streams through the law dispatch, and (re)probes the QI
-  /// certificate when a column stream changed.
+  /// Shared tail of both constructors: allocates/copies per `mask` and
+  /// fills the masked streams through the law dispatch.
   void build(const chain::WeightTable& table, const platform::CostModel& costs,
              unsigned mask, const SegmentTables* base);
-  void build_qi_certificate();
 };
 
 /// The row-oriented streams of the ADMV inner DP (paper Section III-B):

@@ -191,9 +191,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   std::shared_ptr<SolveCheckpoint> ckpt;
   bool resumed = false;
   if (is_checkpointable(job.algorithm)) {
-    // The scan mode changes the counters the slabs commit.
     ckpt_key = exact_key(job.algorithm, job.chain, job.costs);
-    ckpt_key.bits.push_back(static_cast<std::uint64_t>(options_.scan_mode));
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       const auto it = checkpoints_.find(ckpt_key);
@@ -210,7 +208,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   // tables alive even if the entry is evicted mid-solve.
   DpContext ctx(job.chain, job.costs, std::move(table), std::move(seg),
                 options_.max_n);
-  ctx.set_scan_mode(options_.scan_mode);
   ctx.set_cancel_token(cancel);
   ctx.set_checkpoint(ckpt.get());
   OptimizationResult result;

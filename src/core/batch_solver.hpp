@@ -76,11 +76,6 @@ struct BatchJob {
 };
 
 struct BatchOptions {
-  /// Inner argmin scan mode for the DP jobs (see
-  /// core/monotone_scanner.hpp).  kMonotonePruned is bit-compatible with
-  /// kDense under the QI gate + boundary guard and reports its pruning
-  /// counters through stats_snapshot().scan.
-  ScanMode scan_mode = ScanMode::kDense;
   /// Upper bound on chain length, guarding the dense O(n^3) DP tables
   /// (see DpContext::kDefaultMaxN).
   std::size_t max_n = DpContext::kDefaultMaxN;
@@ -95,9 +90,8 @@ struct BatchOptions {
   /// unbounded.  When a solve_job() for a multi-level DP (kADMVstar/kADMV)
   /// is interrupted, its core::SolveCheckpoint is retained: a later
   /// solve_job() of the same workload (same exact key -- every input the
-  /// algorithm's DP reads -- and scan mode) resumes it, re-executing only
-  /// the slabs the interrupted run did not finish, with bit-identical
-  /// results.  The
+  /// algorithm's DP reads) resumes it, re-executing only the slabs the
+  /// interrupted run did not finish, with bit-identical results.  The
   /// retained state is the job's O(n^2)-O(n^3) argmin/value tables, so a
   /// service that interrupts large solves should bound it here;
   /// release_scratch() always drops it.  Oldest-interrupted first; a
@@ -158,8 +152,7 @@ struct BatchStats {
   /// bound (the evaluator re-score of a stale plan) beyond rounding: a
   /// certificate or solver bug.  Must stay 0.
   std::size_t warm_bound_violations = 0;
-  /// Aggregated prune/fallback counters of every DP job's inner scans
-  /// (all-zero while scan_mode is kDense).
+  /// Aggregated scan counters of every solved DP job.
   ScanStats scan;
 };
 
@@ -255,12 +248,12 @@ class BatchSolver {
   };
 
   /// A retained interruption checkpoint: the partial progress of one
-  /// (workload, algorithm, scan mode), checked OUT of the store
-  /// for the duration of a solve (exclusive ownership) and checked back
-  /// in only if the solve is interrupted again.  Keyed by the job's
-  /// core::exact_key() -- every input the DP reads, so also every input
-  /// the committed slabs read -- plus the scan-mode word, so a checkpoint
-  /// can never be resumed by a solve it would not be bit-identical for.
+  /// (workload, algorithm), checked OUT of the store for the duration of
+  /// a solve (exclusive ownership) and checked back in only if the solve
+  /// is interrupted again.  Keyed by the job's core::exact_key() -- every
+  /// input the DP reads, so also every input the committed slabs read --
+  /// so a checkpoint can never be resumed by a solve it would not be
+  /// bit-identical for.
   struct CheckpointEntry {
     std::shared_ptr<SolveCheckpoint> checkpoint;
     std::uint64_t last_used = 0;

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 
 #include "analysis/segment_math.hpp"
@@ -9,7 +10,6 @@
 #include "chain/chain.hpp"
 #include "chain/weight_table.hpp"
 #include "core/cancellation.hpp"
-#include "core/monotone_scanner.hpp"
 #include "core/simd/simd_dispatch.hpp"
 #include "plan/plan.hpp"
 #include "platform/cost_model.hpp"
@@ -18,11 +18,39 @@ namespace chainckpt::core {
 
 class SolveCheckpoint;
 
+/// Work counters of one solve's inner argmin scans, in candidate
+/// evaluations ("cells") and scan steps (one leftmost-argmin fold over a
+/// right endpoint).  Every DP runs the dense scan, so each fills them at
+/// solve end from a closed form: in n for the level DPs (ADMV*, ADMV),
+/// plus the re-streamed rows of the chosen disk segments for the
+/// single-level DPs (ADV*, AD).  The counts therefore do not depend on
+/// the SIMD tier, the thread count, or an interrupt/resume.  Heuristic
+/// baselines and plan-cache epsilon hits report zeros.  Aggregated across
+/// solves by core::BatchSolver::stats_snapshot().
+struct ScanStats {
+  /// Candidate evaluations of the dense scan.
+  std::uint64_t dense_cells = 0;
+  /// Candidate evaluations performed; equal to dense_cells.
+  std::uint64_t cells_scanned = 0;
+  /// Argmin scan steps.
+  std::uint64_t steps = 0;
+
+  ScanStats& operator+=(const ScanStats& other) noexcept {
+    dense_cells += other.dense_cells;
+    cells_scanned += other.cells_scanned;
+    steps += other.steps;
+    return *this;
+  }
+};
+
+/// Accepted and ignored: every DP runs the dense scan.  Kept only so that
+/// callers of DpContext::set_scan_mode still compile.
+enum class ScanMode { kDense, kMonotonePruned };
+
 /// Result of any optimizer: the chosen plan and its expected makespan
 /// (the DP objective value; re-scoring the plan through the analytic
-/// evaluator reproduces it).  `scan` holds the prune/fallback counters of
-/// the inner argmin scans; it is all-zero for ScanMode::kDense solves, for
-/// AD and ADMV (which always scan dense), and for the heuristic baselines.
+/// evaluator reproduces it), plus the scan counters of the DP that
+/// produced it.
 struct OptimizationResult {
   plan::ResiliencePlan plan;
   double expected_makespan = 0.0;
@@ -57,14 +85,8 @@ class DpContext {
             std::shared_ptr<const analysis::SegmentTables> seg_tables,
             std::size_t max_n = kDefaultMaxN);
 
-  /// Selects how the DPs run their inner argmin scans (see
-  /// core/monotone_scanner.hpp).  Dense by default; set to
-  /// kMonotonePruned before handing the context to an optimizer.  ADV*
-  /// and ADMV* honor it.  AD (whose scans are a single cell) and ADMV
-  /// (whose pruned scans measured no gain) ignore it and always run
-  /// dense, reporting zero scan counters.
-  void set_scan_mode(ScanMode mode) noexcept { scan_mode_ = mode; }
-  ScanMode scan_mode() const noexcept { return scan_mode_; }
+  /// No effect: every DP runs the dense scan (see ScanMode).
+  void set_scan_mode(ScanMode /*ignored*/) noexcept {}
 
   /// Attaches a cooperative cancellation/deadline token (see
   /// core/cancellation.hpp); the DP drivers poll it at their checkpoint
@@ -121,7 +143,6 @@ class DpContext {
  private:
   chain::TaskChain chain_;
   platform::CostModel costs_;
-  ScanMode scan_mode_ = ScanMode::kDense;
   const CancelToken* cancel_ = nullptr;
   SolveCheckpoint* checkpoint_ = nullptr;
   simd::SimdTier simd_override_ = simd::SimdTier::kScalar;

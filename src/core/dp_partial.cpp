@@ -177,6 +177,47 @@ struct PartialSegmentSolver {
       er[p1] = pf * (tl + k1) + (w + v_at_next + rm_hit + g * er[best_p2]) / ef;
     }
   }
+
+  /// The level engine's v1 scan (the ColumnScanner of core/level_dp.hpp)
+  /// for context (d1, m1) and right endpoint j: folds
+  /// E_verif(d1,m1,v1) + E_partial(d1,m1,v1,v1,j) over v1 in [m1, j) with
+  /// the strict-less leftmost-argmin rule.  The engine calls it exactly
+  /// once per (d1, m1, j) step, so the planes are built once per scan, as
+  /// the PartialScratch contract describes.
+  ///
+  /// Out of line on purpose: inlined into run_level_dp's slab body, the
+  /// register allocation of the fused loops followed whatever else that
+  /// body held -- when the pruned scan mode's objects left that body, the
+  /// candidate loop began reloading its pointers from the stack, and
+  /// BM_Partial ran 5-7 % slower (GCC 12, 4-vCPU AVX-512 Xeon).  One call per scan is noise against
+  /// its O(len^3) work.
+  [[gnu::noinline]] void scan(std::size_t d1, std::size_t m1, std::size_t j,
+                              double emem_at_m1, const double* everif_row,
+                              double& best, std::int32_t& best_arg) const {
+    const auto& cm = ctx.costs();
+    const double g = cm.miss();
+    PartialScratch& scratch = partial_scratch();
+    scratch.ensure(ctx.n());
+    analysis::LeftContext left{cm.r_disk_after(d1), cm.r_mem_after(m1),
+                               emem_at_m1, 0.0};
+    build_planes(m1, j, left.r_disk + left.e_mem, (1.0 - g) * left.r_mem,
+                 left.r_mem, scratch);
+    // Folded in locals: `best` could alias the scratch buffers solve()
+    // writes, which would force a store per improvement.
+    double fold = best;
+    std::int32_t fold_arg = best_arg;
+    for (std::size_t v1 = m1; v1 < j; ++v1) {
+      left.e_verif = everif_row[v1];
+      solve(v1, j, left, scratch);
+      const double candidate = everif_row[v1] + scratch.ep[v1];
+      if (candidate < fold) {
+        fold = candidate;
+        fold_arg = static_cast<std::int32_t>(v1);
+      }
+    }
+    best = fold;
+    best_arg = fold_arg;
+  }
 };
 
 }  // namespace
@@ -190,7 +231,8 @@ OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
 OptimizationResult optimize_with_partial(const DpContext& ctx) {
   // Entry checkpoint; the per-(d1, j) checkpoints of the O(n^6) engine
   // run live in run_level_dp, outside this solver's fused kernels
-  // (whose call structure must not change -- see the scan note below).
+  // (whose call structure must not change -- see
+  // PartialSegmentSolver::scan).
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
   const std::size_t n = ctx.n();
   // ADMV keeps the E_verif value table (its partial reconstruction reads
@@ -199,7 +241,7 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   SolveCheckpoint local;
   SolveCheckpoint& ckpt =
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
-  ckpt.begin_run(n, /*keep_verif_values=*/true, ctx.scan_mode());
+  ckpt.begin_run(n, /*keep_verif_values=*/true);
   const detail::LevelTables& tables = ckpt.tables();
   // The inner DP's row streams are this solve's own: no other engine reads
   // them, so the shared column tables never carry them.
@@ -208,42 +250,19 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   const auto& cm = ctx.costs();
   const double g = cm.miss();
 
-  // The engine runs this DP dense (below), so this kernel is invoked
-  // exactly once per (d1, m1, j) step with [lo, hi) = [m1, j), and the
-  // planes are built once per scan, exactly as the PartialScratch
-  // contract describes.  A windowed v1 scan would re-enter the kernel per
-  // step and would need to key the plane builds.
-  const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t lo,
-                        std::size_t hi, std::size_t j, double emem_at_m1,
-                        const double* everif_row, double& best,
-                        std::int32_t& best_arg) {
-    PartialScratch& scratch = partial_scratch();
-    scratch.ensure(n);
-    analysis::LeftContext left{cm.r_disk_after(d1), cm.r_mem_after(m1),
-                               emem_at_m1, 0.0};
-    solver.build_planes(m1, j, left.r_disk + left.e_mem,
-                        (1.0 - g) * left.r_mem, left.r_mem, scratch);
-    for (std::size_t v1 = lo; v1 < hi; ++v1) {
-      left.e_verif = everif_row[v1];
-      solver.solve(v1, j, left, scratch);
-      const double candidate = everif_row[v1] + scratch.ep[v1];
-      if (candidate < best) {
-        best = candidate;
-        best_arg = static_cast<std::int32_t>(v1);
-      }
-    }
+  const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t j,
+                        double emem_at_m1, const double* everif_row,
+                        double& best, std::int32_t& best_arg) {
+    solver.scan(d1, m1, j, emem_at_m1, everif_row, best, best_arg);
   };
 
-  // ADMV ignores the scan mode and always runs dense: measured on the
-  // partial segment costs, the v1 argmin stays pinned to m1 (nothing to
-  // prune), the fused inner solver's codegen is sensitive to the v1-scan
-  // call structure, and windowing the O(n^3) E_mem m1 chain alone never
-  // paid (PERFORMANCE.md).  K is pinned to ScalarKernels for the same
-  // reason: each of its "candidates" is a full O(len^2) inner DP, not a
-  // stream element, so there is nothing for the vector argmin tiers to
-  // vectorize -- and re-instantiating the engine around the fused solver
-  // for each tier would only risk its codegen.
-  detail::run_level_dp<false, simd::ScalarKernels>(ctx, ckpt, scan);
+  // K is pinned to ScalarKernels: each of this scan's "candidates" is a
+  // full O(len^2) inner DP, not a stream element, so there is nothing for
+  // the vector argmin tiers to vectorize -- and the fused inner solver's
+  // codegen is sensitive to the v1-scan call structure, so
+  // re-instantiating the engine around it for each tier would only risk
+  // it.
+  detail::run_level_dp<simd::ScalarKernels>(ctx, ckpt, scan);
 
   // Partial positions of a winning segment are re-derived from the (now
   // final) E_verif / E_mem tables: same inputs, same deterministic inner
@@ -268,7 +287,7 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   };
 
   return OptimizationResult{detail::extract_plan(ctx, tables, partials),
-                            tables.edisk[n], ckpt.scan()};
+                            tables.edisk[n], detail::level_dp_scan_stats(n)};
 }
 
 }  // namespace chainckpt::core

@@ -26,9 +26,9 @@
 
 namespace chainckpt::core {
 
-/// Returns the optimal ADMV plan and its expected makespan.  ADMV ignores
-/// DpContext::scan_mode(): its scans always run dense and report zero
-/// scan counters.
+/// Returns the optimal ADMV plan and its expected makespan.  Its scan
+/// counters are those of the level-DP engine's v1 and m1 scans; the
+/// inner partial-verification DP is not counted.
 OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
                                          const platform::CostModel& costs);
 

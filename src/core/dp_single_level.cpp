@@ -7,7 +7,6 @@
 
 #include "analysis/segment_math.hpp"
 #include "core/cancellation.hpp"
-#include "core/monotone_scanner.hpp"
 #include "core/simd/argmin_kernels.hpp"
 #include "util/arena.hpp"
 #include "util/assert.hpp"
@@ -98,47 +97,39 @@ std::size_t stream_block_rows(std::size_t n) {
 /// is 0 and R_M is the memory copy bundled with the disk checkpoint at d1.
 /// When `args` is non-null the v1 argmins are recorded for plan
 /// extraction.  Bitwise the recurrence the dense tables used to hold.
-///
-/// kWindowed prunes the v1 scans through the gate-and-guard window of
-/// core::MonotoneScanner; it requires a scanner + certificate and
-/// allow_extra_verifications (the AD single-cell scans gain nothing).
-/// The mode -- and the SIMD kernel facade K -- are compile-time
-/// parameters so the scalar dense instantiation keeps the original
-/// branch-free loop body (see run_level_dp for the rationale).
-/// Plan extraction re-streams rows with the same mode and tier, so the
-/// recovered argmins match the folded values bit for bit either way.
-template <bool kWindowed, typename K>
+/// The SIMD kernel facade K is a compile-time parameter so the scalar
+/// instantiation keeps the original branch-free loop body (see
+/// run_level_dp for the rationale).
+template <typename K>
 void stream_everif_row(const DpContext& ctx, std::size_t d1,
                        std::size_t limit, bool allow_extra_verifications,
-                       double* row, std::int32_t* args,
-                       MonotoneScanner* scanner,
-                       const analysis::QiCertificate* cert) {
+                       double* row, std::int32_t* args) {
   const auto& cm = ctx.costs();
   const auto& seg = ctx.seg_tables();
   row[d1] = 0.0;
   const double k1 = cm.r_disk_after(d1) + 0.0;  // left e_mem is 0 here
   const double k2 = cm.r_mem_after(d1);
-  if constexpr (kWindowed) scanner->begin_row(d1, cert->row_ok(d1));
+  // AD restricts the segment to start at d1 (no interior verifs).
   for (std::size_t j = d1 + 1; j <= limit; ++j) {
-    const double* exvg = seg.exvg_col(j);
-    const double* b = seg.b_col(j);
-    const double* c = seg.c_col(j);
-    const double* d = seg.d_col(j);
-    const auto kernel = [&](std::size_t lo, std::size_t hi, double& best,
-                            std::int32_t& best_arg) {
-      K::affine(row, exvg, b, c, d, k1, k2, lo, hi, best, best_arg);
-    };
     double best = std::numeric_limits<double>::infinity();
     std::int32_t best_arg = -1;
-    if constexpr (kWindowed) {
-      scanner->step(d1, j, kernel, best, best_arg);
-    } else {
-      // AD restricts the segment to start at d1 (no interior verifs).
-      kernel(d1, allow_extra_verifications ? j : d1 + 1, best, best_arg);
-    }
+    K::affine(row, seg.exvg_col(j), seg.b_col(j), seg.c_col(j),
+              seg.d_col(j), k1, k2, d1,
+              allow_extra_verifications ? j : d1 + 1, best, best_arg);
     row[j] = best;
     if (args != nullptr) args[j] = best_arg;
   }
+}
+
+/// Scan counters of streaming rows over `len` right endpoints: one step
+/// per endpoint j, scanning j - d1 cells (one cell for AD).  A closed
+/// form, so the totals do not depend on the block schedule.
+ScanStats row_scan_stats(std::uint64_t len, bool allow_extra_verifications) {
+  ScanStats stats;
+  stats.steps = len;
+  stats.dense_cells = allow_extra_verifications ? len * (len + 1) / 2 : len;
+  stats.cells_scanned = stats.dense_cells;
+  return stats;
 }
 
 /// The solve body, instantiated per SIMD kernel tier K (dispatch happens
@@ -152,19 +143,7 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
   const CancelToken* cancel = ctx.cancel_token();
   const std::size_t stride = n + 1;
   const std::size_t block = stream_block_rows(n);
-  const bool pruned = ctx.scan_mode() == ScanMode::kMonotonePruned &&
-                      options.allow_extra_verifications;
-  const analysis::QiCertificate* cert =
-      pruned ? &ctx.seg_tables().verify_quadrangle() : nullptr;
-  ScanStats scan_stats;
-  // Each pruned row writes its counters into its own slot of the block;
-  // the fold below adds them in ascending d1 order.  Cache-line aligned:
-  // with unaligned slots, pruned ADV* at n = 200 measured ~1.8x slower
-  // on a 4-core AVX-512 Xeon.
-  struct alignas(64) RowStats {
-    ScanStats scan;
-  };
-  std::vector<RowStats> row_stats(pruned ? block : 0);
+  const bool extra = options.allow_extra_verifications;
   SingleLevelScratch& s = single_level_scratch();
   s.ensure(n, block);
   std::fill(s.run_best.begin(), s.run_best.begin() + stride,
@@ -180,19 +159,8 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
       // Cancellation checkpoint: per streamed row (a row is O(n) scan
       // steps), keeping the fused Eq. (4) kernel itself untouched.
       poll_cancellation(cancel);
-      if (pruned) {
-        MonotoneScanner scanner(n);
-        stream_everif_row<true, K>(ctx, d1, n,
-                                   options.allow_extra_verifications,
-                                   rows + (d1 - b0) * stride, nullptr,
-                                   &scanner, cert);
-        row_stats[d1 - b0].scan = scanner.stats();
-      } else {
-        stream_everif_row<false, K>(ctx, d1, n,
-                                    options.allow_extra_verifications,
-                                    rows + (d1 - b0) * stride, nullptr,
-                                    nullptr, nullptr);
-      }
+      stream_everif_row<K>(ctx, d1, n, extra, rows + (d1 - b0) * stride,
+                           nullptr);
     });
     // Fold the block into the running E_disk minima.  E_disk(d1) excludes
     // the segment value but pays the memory + disk checkpoint pair at d1
@@ -207,12 +175,20 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
       const double* row = rows + (d1 - b0) * stride;
       K::fold(row, base, static_cast<std::int32_t>(d1), s.run_best.data(),
               s.best_d1.data(), d1 + 1, n + 1);
-      if (pruned) scan_stats += row_stats[d1 - b0].scan;
     }
   }
   CHAINCKPT_ASSERT(s.best_d1[n] >= 0, "broken E_disk argmin");
   s.edisk[n] = s.run_best[n] + cm.c_mem_after(n) + cm.c_disk_after(n);
   const double expected_makespan = s.edisk[n];
+
+  // The fold streamed row d1 over its n - d1 right endpoints, for every
+  // d1 in [0, n): the sum over len in [1, n] of row_scan_stats(len).
+  const std::uint64_t m = n;
+  ScanStats scan_stats;
+  scan_stats.steps = m * (m + 1) / 2;
+  scan_stats.dense_cells =
+      extra ? scan_stats.steps * (m + 2) / 3 : scan_stats.steps;
+  scan_stats.cells_scanned = scan_stats.dense_cells;
 
   // Plan extraction: walk the disk chain, re-streaming one E_verif row per
   // chosen segment to recover the v1 argmins.
@@ -225,19 +201,8 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
     const auto d1 = static_cast<std::size_t>(s.best_d1[d2]);
     CHAINCKPT_ASSERT(s.best_d1[d2] >= 0 && d1 < d2, "broken E_disk argmin");
     plan.set_action(d2, plan::Action::kDiskCheckpoint);
-    if (pruned) {
-      // Same mode as the fold, so the re-streamed values and argmins are
-      // the ones the running minima consumed.
-      MonotoneScanner scanner(n);
-      stream_everif_row<true, K>(ctx, d1, d2,
-                                 options.allow_extra_verifications, row,
-                                 args, &scanner, cert);
-      scan_stats += scanner.stats();
-    } else {
-      stream_everif_row<false, K>(ctx, d1, d2,
-                                  options.allow_extra_verifications, row,
-                                  args, nullptr, nullptr);
-    }
+    stream_everif_row<K>(ctx, d1, d2, extra, row, args);
+    scan_stats += row_scan_stats(d2 - d1, extra);
     std::size_t v2 = d2;
     while (v2 > d1) {
       const auto v1 = static_cast<std::size_t>(args[v2]);

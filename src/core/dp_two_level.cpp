@@ -29,7 +29,7 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   SolveCheckpoint local;
   SolveCheckpoint& ckpt =
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
-  ckpt.begin_run(ctx.n(), /*keep_verif_values=*/false, ctx.scan_mode());
+  ckpt.begin_run(ctx.n(), /*keep_verif_values=*/false);
   const detail::LevelTables& tables = ckpt.tables();
 
   const auto& seg = ctx.seg_tables();
@@ -39,28 +39,23 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   //   E = es*(x + V*) + b*(R_D + E_mem) + c*E_verif + d*R_M
   // where exvg = es*(x + V*) and b/c/d depend only on (v1, j) and are read
   // at unit stride -- exactly the argmin_affine kernel shape.
-  const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t lo,
-                        std::size_t hi, std::size_t j, double emem_at_m1,
-                        const double* everif_row, double& best,
-                        std::int32_t& best_arg) {
+  const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t j,
+                        double emem_at_m1, const double* everif_row,
+                        double& best, std::int32_t& best_arg) {
     const double k1 = cm.r_disk_after(d1) + emem_at_m1;
     const double k2 = cm.r_mem_after(m1);
     K::affine(everif_row, seg.exvg_col(j), seg.b_col(j), seg.c_col(j),
-              seg.d_col(j), k1, k2, lo, hi, best, best_arg);
+              seg.d_col(j), k1, k2, m1, j, best, best_arg);
   };
-
-  if (ctx.scan_mode() == ScanMode::kMonotonePruned) {
-    detail::run_level_dp<true, K>(ctx, ckpt, scan);
-  } else {
-    detail::run_level_dp<false, K>(ctx, ckpt, scan);
-  }
+  detail::run_level_dp<K>(ctx, ckpt, scan);
 
   const auto no_partials = [](std::size_t, std::size_t, std::size_t,
                               std::size_t) {
     return std::vector<std::size_t>{};
   };
   return OptimizationResult{detail::extract_plan(ctx, tables, no_partials),
-                            tables.edisk[ctx.n()], ckpt.scan()};
+                            tables.edisk[ctx.n()],
+                            detail::level_dp_scan_stats(ctx.n())};
 }
 
 }  // namespace

@@ -24,7 +24,7 @@
 // contiguous column instead of striding through the global LevelTables.
 // The tables themselves always live in a SolveCheckpoint -- the one the
 // caller attached, or a solve-local one -- so every solve commits its
-// slabs the same way and reports its scan counters from the same place.
+// slabs the same way.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@
 
 #include "core/cancellation.hpp"
 #include "core/dp_context.hpp"
-#include "core/monotone_scanner.hpp"
 #include "core/simd/argmin_kernels.hpp"
 #include "core/solve_checkpoint.hpp"
 #include "util/arena.hpp"
@@ -118,55 +117,36 @@ inline SlabScratch& slab_scratch() {
 }
 
 /// ColumnScanner contract:
-///   void operator()(std::size_t d1, std::size_t m1, std::size_t lo,
-///                   std::size_t hi, std::size_t j, double emem_at_m1,
-///                   const double* everif_row, double& best,
-///                   std::int32_t& best_arg) const;
+///   void operator()(std::size_t d1, std::size_t m1, std::size_t j,
+///                   double emem_at_m1, const double* everif_row,
+///                   double& best, std::int32_t& best_arg) const;
 /// where everif_row[v1] = E_verif(d1, m1, v1) for v1 in [m1, j), unit
 /// stride.  The scanner must fold the candidates
 ///   E_verif(d1, m1, v1) + <segment>(d1, m1, v1, j)
-/// for v1 in [lo, hi) into `best`/`best_arg` with the strict-less
+/// for every v1 in [m1, j) into `best`/`best_arg` with the strict-less
 /// leftmost-argmin rule (matching the determinism contract); callers seed
-/// best = +inf, best_arg = -1.  The dense formulation passes
-/// [lo, hi) = [m1, j); kWindowed drives sub-ranges through
-/// core::MonotoneScanner, whose gate + guard keep the combined result
-/// bit-identical to the dense scan.  It must be safe to call concurrently
-/// for different d1.
-///
-/// kWindowed (ScanMode::kMonotonePruned) windows both the v1 scans and
-/// the E_mem m1 chain.  Only ADMV* runs it: ADMV's v1 argmin stays pinned
-/// to m1 and windowing its O(n^3) m1 chain measured no gain, so the
-/// partial DP always runs dense.  Gate honesty: the QI certificate probes
-/// the Eq. (4) column streams, which is the cost function the v1 scans
-/// fold; for the E_mem chain (whose candidates are derived E_verif/E_mem
-/// values) it is a structural proxy, and the per-step boundary guard plus
-/// the oracle/property batteries carry the safety argument.
+/// best = +inf, best_arg = -1.  It must be safe to call concurrently for
+/// different d1.
 ///
 /// The tables are `ckpt`'s own (begin_run() must have sized them): every
 /// slab whose (d1, j)-frontier reaches j = n commits into the checkpoint
-/// at slab exit, together with its scan counters, and slabs an earlier
-/// run already committed are skipped at slab entry -- so a CancelToken
-/// firing mid-run leaves the committed slabs resumable, and the solve's
-/// counters are ckpt.scan().  Both sit OUTSIDE the per-(d1, j) step body.
+/// at slab exit, and slabs an earlier run already committed are skipped
+/// at slab entry -- so a CancelToken firing mid-run leaves the committed
+/// slabs resumable.  Both sit OUTSIDE the per-(d1, j) step body.
 ///
-/// Codegen discipline: the dense instantiation must stay token-identical
-/// to the scanner-free engine -- even a dead runtime branch or an
-/// out-of-line call in the step body measurably deoptimizes the fused
-/// kernels GCC inlines into the slab (2x swings on the ADMV inner solver)
-/// -- so the window mode is a compile-time parameter, chosen once per
-/// solve by the driver.  The SIMD tier K follows the same discipline: a
-/// compile-time kernel facade (core/simd/argmin_kernels.hpp), dispatched
-/// once at driver entry, never a runtime branch in the step body; every
-/// tier is bitwise identical.
-template <bool kWindowed, typename K, typename ColumnScanner>
+/// Codegen discipline: even a dead runtime branch or an out-of-line call
+/// in the step body measurably deoptimizes the fused kernels GCC inlines
+/// into the slab (2x swings on the ADMV inner solver), so nothing but the
+/// two scans runs there.  The SIMD tier K is a compile-time kernel facade
+/// (core/simd/argmin_kernels.hpp), dispatched once at driver entry, never
+/// a runtime branch in the step body; every tier is bitwise identical.
+template <typename K, typename ColumnScanner>
 void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
                   const ColumnScanner& scan) {
   const std::size_t n = ctx.n();
   const auto& costs = ctx.costs();
   const CancelToken* cancel = ctx.cancel_token();
   LevelTables& t = ckpt.tables();
-  const analysis::QiCertificate* cert =
-      kWindowed ? &ctx.seg_tables().verify_quadrangle() : nullptr;
 
   // Independent d1 slabs: E_verif(d1, *, *) and E_mem(d1, *).
   const bool keep_values = !t.everif.empty();
@@ -183,9 +163,6 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
     double* column = scratch.column.data();
     const std::size_t stride = n + 1;
     const double* emem_row = t.emem.data() + t.idx2(d1, 0);
-    MonotoneScanner scanner(kWindowed ? n : 0);
-    MonotoneScanner mem_scanner(kWindowed ? n : 0);
-    if constexpr (kWindowed) mem_scanner.begin_row(d1, cert->row_ok(d1));
 
     t.emem[t.idx2(d1, d1)] = 0.0;  // E_mem(d1, d1) = 0
     t.best_m1[t.idx2(d1, d1)] = static_cast<std::int32_t>(d1);
@@ -202,24 +179,13 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
         if (m1 + 1 == j) {
           row[m1] = 0.0;  // E_verif(d1, m1, m1) = 0
           if (keep_values) t.everif[t.idx3(d1, m1, m1)] = 0.0;
-          if constexpr (kWindowed) scanner.begin_row(m1, cert->row_ok(m1));
         }
         const double emem_at_m1 = emem_row[m1];
         CHAINCKPT_ASSERT(emem_at_m1 == emem_at_m1,
                          "E_mem(d1, m1) must be finalized before use");
         double best = std::numeric_limits<double>::infinity();
         std::int32_t best_arg = -1;
-        if constexpr (kWindowed) {
-          scanner.step(
-              m1, j,
-              [&](std::size_t lo, std::size_t hi, double& b,
-                  std::int32_t& a) {
-                scan(d1, m1, lo, hi, j, emem_at_m1, row, b, a);
-              },
-              best, best_arg);
-        } else {
-          scan(d1, m1, m1, j, j, emem_at_m1, row, best, best_arg);
-        }
+        scan(d1, m1, j, emem_at_m1, row, best, best_arg);
         row[j] = best;
         column[m1] = best;
         if (keep_values) t.everif[t.idx3(d1, m1, j)] = best;
@@ -228,28 +194,12 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
       // E_mem(d1, j): contiguous scan over the gathered E_verif column.
       double best = std::numeric_limits<double>::infinity();
       std::int32_t best_arg = -1;
-      if constexpr (kWindowed) {
-        mem_scanner.step(
-            d1, j,
-            [&](std::size_t lo, std::size_t hi, double& b,
-                std::int32_t& a) {
-              K::sum(emem_row, column, lo, hi, b, a);
-            },
-            best, best_arg);
-      } else {
-        K::sum(emem_row, column, d1, j, best, best_arg);
-      }
+      K::sum(emem_row, column, d1, j, best, best_arg);
       t.emem[t.idx2(d1, j)] = best + costs.c_mem_after(j);
       t.best_m1[t.idx2(d1, j)] = best_arg;
     }
-    // Slab exit: commit the slab and its scan counters -- its table rows
-    // are final from here on.
-    ScanStats slab_stats;
-    if constexpr (kWindowed) {
-      slab_stats += scanner.stats();
-      slab_stats += mem_scanner.stats();
-    }
-    ckpt.commit_slab(d1, slab_stats);
+    // Slab exit: its table rows are final from here on.
+    ckpt.commit_slab(d1);
   });
 
   // E_disk: sequential over d2 (cheap O(n^2) pass).
@@ -285,6 +235,26 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
       t.best_d1[d2] = best_arg;
     }
   }
+}
+
+/// The scan counters of a level-DP solve over n tasks, in closed form.
+/// Slab d1 with N = n - d1 right endpoints runs, at j = d1 + L, L v1
+/// scans of j - m1 cells (L(L+1)/2 cells) and one m1 scan of L cells.
+/// Summed over L in [1, N] and N in [1, n]:
+///   steps = n(n+1)(n+2)/6 + n(n+1)/2
+///   cells = n(n+1)(n+2)(n+3)/24 + n(n+1)(n+2)/6
+/// Every product divides exactly at each step below.  The O(n^2) E_disk
+/// pass is not counted.
+inline ScanStats level_dp_scan_stats(std::size_t n) {
+  const std::uint64_t m = n;
+  const std::uint64_t tri = m * (m + 1) / 2;
+  const std::uint64_t tet = tri * (m + 2) / 3;
+  const std::uint64_t pent = tet * (m + 3) / 4;
+  ScanStats stats;
+  stats.steps = tet + tri;
+  stats.dense_cells = pent + tet;
+  stats.cells_scanned = stats.dense_cells;
+  return stats;
 }
 
 /// Reconstructs the optimal plan from the argmin tables.

@@ -11,6 +11,11 @@ namespace {
 constexpr std::uint8_t kMaxAction =
     static_cast<std::uint8_t>(plan::Action::kDiskCheckpoint);
 
+/// The counter block after the plan is eight u64 words: the three
+/// ScanStats counters, then five reserved words, written as zero and
+/// skipped on decode, which keep the layout of protocol version 1.
+constexpr int kReservedCounterWords = 5;
+
 std::uint64_t f64_bits(double value) noexcept {
   std::uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
@@ -122,11 +127,7 @@ void append_result(std::vector<std::uint8_t>& out,
   put_u64(out, result.scan.dense_cells);
   put_u64(out, result.scan.cells_scanned);
   put_u64(out, result.scan.steps);
-  put_u64(out, result.scan.guard_checks);
-  put_u64(out, result.scan.guard_fallbacks);
-  put_u64(out, result.scan.gated_rows);
-  put_u64(out, result.scan.order_fallback_rows);
-  put_u64(out, result.scan.windowed_rows);
+  for (int i = 0; i < kReservedCounterWords; ++i) put_u64(out, 0);
 }
 
 bool read_result(const std::uint8_t* data, std::size_t size,
@@ -148,14 +149,16 @@ bool read_result(const std::uint8_t* data, std::size_t size,
   // result); ResiliencePlan(vector) would be fine with it too.
   result.plan = n == 0 ? plan::ResiliencePlan()
                        : plan::ResiliencePlan(std::move(actions));
-  return get_u64(data, size, offset, result.scan.dense_cells) &&
-         get_u64(data, size, offset, result.scan.cells_scanned) &&
-         get_u64(data, size, offset, result.scan.steps) &&
-         get_u64(data, size, offset, result.scan.guard_checks) &&
-         get_u64(data, size, offset, result.scan.guard_fallbacks) &&
-         get_u64(data, size, offset, result.scan.gated_rows) &&
-         get_u64(data, size, offset, result.scan.order_fallback_rows) &&
-         get_u64(data, size, offset, result.scan.windowed_rows);
+  if (!get_u64(data, size, offset, result.scan.dense_cells) ||
+      !get_u64(data, size, offset, result.scan.cells_scanned) ||
+      !get_u64(data, size, offset, result.scan.steps)) {
+    return false;
+  }
+  for (int i = 0; i < kReservedCounterWords; ++i) {
+    std::uint64_t reserved;
+    if (!get_u64(data, size, offset, reserved)) return false;
+  }
+  return true;
 }
 
 bool results_bitwise_equal(const OptimizationResult& a,
@@ -164,12 +167,7 @@ bool results_bitwise_equal(const OptimizationResult& a,
          f64_bits(a.expected_makespan) == f64_bits(b.expected_makespan) &&
          a.scan.dense_cells == b.scan.dense_cells &&
          a.scan.cells_scanned == b.scan.cells_scanned &&
-         a.scan.steps == b.scan.steps &&
-         a.scan.guard_checks == b.scan.guard_checks &&
-         a.scan.guard_fallbacks == b.scan.guard_fallbacks &&
-         a.scan.gated_rows == b.scan.gated_rows &&
-         a.scan.order_fallback_rows == b.scan.order_fallback_rows &&
-         a.scan.windowed_rows == b.scan.windowed_rows;
+         a.scan.steps == b.scan.steps;
 }
 
 }  // namespace chainckpt::core

@@ -56,8 +56,9 @@ bool get_string(const std::uint8_t* data, std::size_t size,
                 std::size_t& offset, std::string& value);
 
 // ------------------------------------------------------------- results
-/// Appends plan + objective + scan counters.  Field-complete: two results
-/// that serialize identically are bitwise-equal OptimizationResults.
+/// Appends plan + objective + scan counters, then five reserved zero
+/// words (see docs/PROTOCOL.md).  Field-complete: two results that
+/// serialize identically are bitwise-equal OptimizationResults.
 void append_result(std::vector<std::uint8_t>& out,
                    const OptimizationResult& result);
 

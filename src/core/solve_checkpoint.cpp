@@ -14,11 +14,9 @@ void SolveCheckpoint::set_slab_commit_hook(SlabCommitHook hook) noexcept {
   g_slab_commit_hook.store(hook);
 }
 
-void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values,
-                                ScanMode scan_mode) {
-  const bool matches = valid_ && n_ == n &&
-                       keep_verif_values_ == keep_verif_values &&
-                       scan_mode_ == scan_mode;
+void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values) {
+  const bool matches =
+      valid_ && n_ == n && keep_verif_values_ == keep_verif_values;
   last_run_executed_ = 0;
   last_run_skipped_ = 0;
   last_run_resumed_ = matches;
@@ -29,21 +27,17 @@ void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values,
   tables_ = std::make_shared<detail::LevelTables>(n, keep_verif_values);
   slab_done_.assign(n, 0);
   committed_ = 0;
-  scan_ = ScanStats{};
   n_ = n;
   keep_verif_values_ = keep_verif_values;
-  scan_mode_ = scan_mode;
   valid_ = true;
 }
 
-void SolveCheckpoint::commit_slab(std::size_t d1,
-                                  const ScanStats& slab_scan) {
+void SolveCheckpoint::commit_slab(std::size_t d1) {
   std::size_t committed = 0;
   {
     const std::lock_guard<std::mutex> lock(commit_mutex_);
     slab_done_[d1] = 1;
     committed = ++committed_;
-    scan_ += slab_scan;
     ++last_run_executed_;
   }
   if (const SlabCommitHook hook = g_slab_commit_hook.load()) {

@@ -15,11 +15,9 @@
 //
 // Determinism: slabs are fully independent (each writes only its own
 // rows), so a resumed solve's tables -- and therefore its plan and
-// objective -- are bit-identical to an uninterrupted solve's.  The
-// per-slab ScanStats of the pruned scan mode are committed with the slab,
-// so the final counters are identical too.  tests/core/
-// solve_checkpoint_test.cpp pins both by interrupting at every checkpoint
-// boundary.
+// objective -- are bit-identical to an uninterrupted solve's.
+// tests/core/solve_checkpoint_test.cpp pins this by interrupting at every
+// checkpoint boundary.
 //
 // Ownership: a checkpoint owns the level tables of every ADMV*/ADMV
 // solve -- the drivers run on the one attached through
@@ -35,8 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <vector>
-
-#include "core/monotone_scanner.hpp"
 
 namespace chainckpt::core {
 
@@ -55,7 +51,7 @@ class SolveCheckpoint {
   /// and slab flags when the run shape matches the stored progress;
   /// otherwise discards the progress and allocates fresh tables.  Resets
   /// the per-run counters either way.
-  void begin_run(std::size_t n, bool keep_verif_values, ScanMode scan_mode);
+  void begin_run(std::size_t n, bool keep_verif_values);
 
   /// The level tables the run writes into; valid after begin_run().
   detail::LevelTables& tables() noexcept { return *tables_; }
@@ -65,10 +61,8 @@ class SolveCheckpoint {
   }
 
   /// Commits slab d1: its table rows are final and a future run may skip
-  /// it.  `slab_scan` carries the slab's pruning counters (zeros in dense
-  /// mode) so resumed totals match uninterrupted ones.  Thread-safe
-  /// against concurrent commits from other slabs.
-  void commit_slab(std::size_t d1, const ScanStats& slab_scan);
+  /// it.  Thread-safe against concurrent commits from other slabs.
+  void commit_slab(std::size_t d1);
 
   /// Counts a slab skipped because an earlier run already committed it.
   /// Thread-safe.
@@ -84,11 +78,6 @@ class SolveCheckpoint {
   using SlabCommitHook = void (*)(const SolveCheckpoint& checkpoint,
                                   std::size_t committed);
   static void set_slab_commit_hook(SlabCommitHook hook) noexcept;
-
-  /// ScanStats accumulated over every committed slab (all runs) -- the
-  /// solve's scan counters, so an interrupted and resumed solve reports
-  /// the same counters as an uninterrupted one.
-  const ScanStats& scan() const noexcept { return scan_; }
 
   std::size_t slabs_total() const noexcept { return slab_done_.size(); }
   std::size_t slabs_completed() const noexcept { return committed_; }
@@ -115,11 +104,9 @@ class SolveCheckpoint {
   std::shared_ptr<detail::LevelTables> tables_;
   std::vector<std::uint8_t> slab_done_;
   std::size_t committed_ = 0;  ///< slabs with slab_done_ set
-  ScanStats scan_;
   /// Shape of the stored progress; a mismatch on begin_run() resets.
   std::size_t n_ = 0;
   bool keep_verif_values_ = false;
-  ScanMode scan_mode_ = ScanMode::kDense;
   bool valid_ = false;
 
   std::size_t last_run_executed_ = 0;

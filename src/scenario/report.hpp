@@ -52,8 +52,8 @@ struct DpLaneResult {
   double expected_makespan = 0.0;
   std::string makespan_bits;  ///< "0x" + 16 hex digits of the double bits
   std::string plan_compact;   ///< ResiliencePlan::compact_string()
-  /// All solved configurations (scan modes x SIMD tiers) produced
-  /// bit-identical plans and objectives.
+  /// All solved configurations (SIMD tiers) produced bit-identical plans
+  /// and objectives.
   bool configs_identical = false;
   std::size_t configs = 0;    ///< configurations cross-checked
   /// Restart-vs-checkpoint comparison (Sodre et al.): the restart-only

@@ -24,22 +24,16 @@ namespace chainckpt::scenario {
 
 namespace {
 
-/// One DP-lane configuration.  The first entry is the reference solve
-/// (dense scan, scalar kernels) whose plan feeds the sim and service
-/// lanes; the rest must reproduce it bit for bit.
-struct SolveConfig {
-  core::ScanMode scan;
-  core::simd::SimdTier tier;
-};
-
-const SolveConfig kConfigs[] = {
-    {core::ScanMode::kDense, core::simd::SimdTier::kScalar},
-    {core::ScanMode::kMonotonePruned, core::simd::SimdTier::kScalar},
-    // kAvx512 clamps to the best tier this CPU/build supports -- on a
-    // scalar-only host these repeat the scalar kernels, keeping the
-    // config COUNT (and hence the report bytes) machine-independent.
-    {core::ScanMode::kDense, core::simd::SimdTier::kAvx512},
-    {core::ScanMode::kMonotonePruned, core::simd::SimdTier::kAvx512},
+/// The DP lane's SIMD tiers.  The first entry is the reference solve
+/// (scalar kernels) whose plan feeds the sim and service lanes; the rest
+/// must reproduce it bit for bit.  Each tier clamps to the best one this
+/// CPU/build supports -- on a scalar-only host they repeat the scalar
+/// kernels, keeping the config COUNT (and hence the report bytes)
+/// machine-independent.
+const core::simd::SimdTier kConfigs[] = {
+    core::simd::SimdTier::kScalar,
+    core::simd::SimdTier::kAvx2,
+    core::simd::SimdTier::kAvx512,
 };
 
 std::string double_bits_hex(double v) {
@@ -107,10 +101,9 @@ std::vector<core::OptimizationResult> run_dp_lane(const ScenarioSpec& spec,
     lane.algorithm = core::to_string(algorithm);
     lane.configs_identical = true;
     std::uint64_t reference_digest = 0;
-    for (const SolveConfig& config : kConfigs) {
+    for (const core::simd::SimdTier tier : kConfigs) {
       core::DpContext ctx(cell.chain, cell.modeled_costs);
-      ctx.set_scan_mode(config.scan);
-      ctx.set_simd_tier(config.tier);
+      ctx.set_simd_tier(tier);
       core::OptimizationResult result = core::optimize(algorithm, ctx);
       const std::uint64_t digest =
           result_digest(result.plan, result.expected_makespan);

@@ -1,10 +1,11 @@
 // ScenarioRunner: drives one cell (or the whole matrix) through the three
 // lanes the battery checks:
 //
-//   DP lane       -- every algorithm in the spec solved under four
-//                    (scan mode x SIMD tier) configurations;
-//                    all must be bit-identical (plan bytes + objective
-//                    bits), pinning the determinism contract per cell.
+//   DP lane       -- every algorithm in the spec solved under three
+//                    SIMD-tier configurations (scalar, AVX2, AVX-512,
+//                    each clamped to what the host supports); all must
+//                    be bit-identical (plan bytes + objective bits),
+//                    pinning the determinism contract per cell.
 //   Sim lane      -- Monte-Carlo replicas of the reference plan under the
 //                    cell's ACTUAL failure regime (law + recall), with the
 //                    mean makespan compared against the DP prediction.

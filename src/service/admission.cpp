@@ -125,8 +125,7 @@ bool AdmissionController::fits(double cost_units,
 }
 
 void AdmissionController::observe(core::Algorithm algorithm,
-                                  double cost_units,
-                                  const core::ScanStats& scan, double seconds,
+                                  double cost_units, double seconds,
                                   std::size_t resident_bytes) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ClassCalibration& cls = classes_[class_index(algorithm)];
@@ -137,11 +136,6 @@ void AdmissionController::observe(core::Algorithm algorithm,
                                : (1.0 - kEwmaAlpha) * cls.units_per_second +
                                      kEwmaAlpha * rate;
   }
-  const double prune = scan.prune_fraction();
-  cls.prune_fraction = cls.samples == 0
-                           ? prune
-                           : (1.0 - kEwmaAlpha) * cls.prune_fraction +
-                                 kEwmaAlpha * prune;
   ++cls.samples;
   resident_bytes_ = resident_bytes;
 }
@@ -160,7 +154,6 @@ AdmissionController::Estimate AdmissionController::estimate_locked(
   if (cls.units_per_second > 0.0) {
     est.seconds = est.cost_units / cls.units_per_second;
   }
-  est.prune_fraction = cls.prune_fraction;
   return est;
 }
 

@@ -11,10 +11,8 @@
 // in-flight work stays under the configured concurrency budget.
 //
 // Pricing is a static model; calibration makes it actionable.  Every
-// completed job reports its observed wall time, its ScanStats (whose
-// dense/scanned cell counts measure how much of the priced work the
-// monotonicity pruning actually skipped), and the solver's resident table
-// bytes.  The controller folds these into per-class EWMA throughput
+// completed job reports its observed wall time and the solver's resident
+// table bytes.  The controller folds these into per-class EWMA throughput
 // estimates, so estimate() can translate abstract units into expected
 // seconds once traffic has warmed it up -- the numbers an operator tunes
 // the budget against (see docs/SERVER.md).
@@ -150,11 +148,9 @@ class AdmissionController {
   /// while `inflight_units` are already running?
   bool fits(double cost_units, double inflight_units) const noexcept;
 
-  /// Calibration feed, called per completed job: priced units, the
-  /// solve's ScanStats, observed wall seconds, and the solver's resident
-  /// table bytes after the job.
-  void observe(core::Algorithm algorithm, double cost_units,
-               const core::ScanStats& scan, double seconds,
+  /// Calibration feed, called per completed job: priced units, observed
+  /// wall seconds, and the solver's resident table bytes after the job.
+  void observe(core::Algorithm algorithm, double cost_units, double seconds,
                std::size_t resident_bytes);
 
   struct Estimate {
@@ -162,9 +158,6 @@ class AdmissionController {
     /// Expected wall seconds from the class's calibrated throughput;
     /// negative (kUncalibrated) until the class has completed a job.
     double seconds = kUncalibrated;
-    /// EWMA fraction of priced cells the pruned scans skipped (0 while
-    /// running ScanMode::kDense).
-    double prune_fraction = 0.0;
   };
   static constexpr double kUncalibrated = -1.0;
 
@@ -180,7 +173,6 @@ class AdmissionController {
 
   struct ClassCalibration {
     double units_per_second = 0.0;  ///< EWMA; 0 = no sample yet
-    double prune_fraction = 0.0;    ///< EWMA of ScanStats::prune_fraction
     std::size_t samples = 0;
   };
 

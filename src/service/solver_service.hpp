@@ -71,8 +71,8 @@ struct ServiceOptions {
   /// util::hardware_parallelism().  Each solve also draws on the
   /// process-wide helper pool -- see the pool note in the header comment.
   std::size_t workers = 0;
-  /// Passed through to the embedded BatchSolver: scan mode, max_n, the
-  /// LRU cache budget, the plan cache, and the budget for retained
+  /// Passed through to the embedded BatchSolver: max_n, the LRU cache
+  /// budget, the plan cache, and the budget for retained
   /// interruption checkpoints (checkpoint_budget_bytes -- the checkpoints
   /// are what make preempted jobs resume instead of restart).
   core::BatchOptions solver;

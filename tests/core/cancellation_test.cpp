@@ -3,11 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <thread>
+#include <cstddef>
 
 #include "chain/patterns.hpp"
 #include "core/batch_solver.hpp"
 #include "core/optimizer.hpp"
+#include "core/solve_checkpoint.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
 #include "util/arena.hpp"
@@ -79,30 +80,61 @@ TEST(Cancellation, UnfiredTokenLeavesResultsBitIdentical) {
   EXPECT_EQ(watched.plan, reference.plan);
 }
 
-/// Cancellation mid-solve: another thread fires the token while the
-/// two-level DP chews on n = 400 (hundreds of milliseconds at minimum,
-/// far longer under sanitizers), and the solve unwinds at a checkpoint.
+/// Fires `fire(token)` when a level-DP solve commits its first slab,
+/// through core::SolveCheckpoint's slab-commit seam: the interrupt then
+/// lands mid-solve, with every other slab still to run, on any machine
+/// and at any speed.  Installed for the object's lifetime; one at a time.
+class InterruptAtFirstSlab {
+ public:
+  using Fire = void (*)(CancelToken& token);
+
+  InterruptAtFirstSlab(CancelToken& token, Fire fire) {
+    state().token = &token;
+    state().fire = fire;
+    SolveCheckpoint::set_slab_commit_hook(&InterruptAtFirstSlab::hook);
+  }
+  ~InterruptAtFirstSlab() { SolveCheckpoint::set_slab_commit_hook(nullptr); }
+  InterruptAtFirstSlab(const InterruptAtFirstSlab&) = delete;
+  InterruptAtFirstSlab& operator=(const InterruptAtFirstSlab&) = delete;
+
+ private:
+  struct State {
+    CancelToken* token = nullptr;
+    Fire fire = nullptr;
+  };
+  static State& state() {
+    static State s;
+    return s;
+  }
+  static void hook(const SolveCheckpoint& /*checkpoint*/,
+                   std::size_t committed) {
+    if (committed == 1) state().fire(*state().token);
+  }
+};
+
+/// Cancellation mid-solve: the token fires when the two-level DP commits
+/// its first of n = 160 slabs, and the solve unwinds at a checkpoint.
 /// The thread-local scratch an interrupted solve grew stays registered
 /// with the arena pool -- release_all_arenas() reclaims every byte (the
 /// ASan CI job turns this into a leak check) -- and a fresh solve on the
 /// same inputs reproduces the reference bitwise.
 TEST(Cancellation, MidSolveCancelReleasesScratchAndStaysReproducible) {
-  const auto chain = chain::make_uniform(400, 25000.0);
+  const auto chain = chain::make_uniform(160, 25000.0);
   const platform::CostModel costs{platform::hera()};
   DpContext ctx(chain, costs);
   CancelToken token;
-  std::thread killer([&token] {
-    std::this_thread::sleep_for(milliseconds(30));
-    token.request_cancel();
-  });
   ctx.set_cancel_token(&token);
-  try {
-    optimize(Algorithm::kADMVstar, ctx);
-    FAIL() << "an n = 400 two-level solve cannot finish in 30ms";
-  } catch (const SolveInterrupted& interrupted) {
-    EXPECT_EQ(interrupted.reason(), InterruptReason::kCancelled);
+  {
+    const InterruptAtFirstSlab interrupt(
+        token, [](CancelToken& t) { t.request_cancel(); });
+    try {
+      optimize(Algorithm::kADMVstar, ctx);
+      FAIL() << "the solve finished although its token was cancelled at "
+                "the first slab commit";
+    } catch (const SolveInterrupted& interrupted) {
+      EXPECT_EQ(interrupted.reason(), InterruptReason::kCancelled);
+    }
   }
-  killer.join();
 
   // Partial scratch is still pooled and fully reclaimable.
   EXPECT_GT(util::arena_resident_bytes(), 0u);
@@ -122,17 +154,22 @@ TEST(Cancellation, MidSolveCancelReleasesScratchAndStaysReproducible) {
   EXPECT_EQ(again.plan, reference.plan);
 }
 
-/// Deadline expiry mid-solve through the strided clock checks.
+/// Deadline expiry mid-solve through the strided clock checks: the
+/// deadline moves into the past when the first of n = 160 slabs commits.
 TEST(Cancellation, MidSolveDeadlineExpires) {
-  const auto chain = chain::make_uniform(400, 25000.0);
+  const auto chain = chain::make_uniform(160, 25000.0);
   const platform::CostModel costs{platform::hera()};
   DpContext ctx(chain, costs);
   CancelToken token;
-  token.set_deadline(CancelToken::Clock::now() + milliseconds(20));
+  token.set_deadline(CancelToken::Clock::now() + std::chrono::hours(1));
   ctx.set_cancel_token(&token);
+  const InterruptAtFirstSlab interrupt(token, [](CancelToken& t) {
+    t.set_deadline(CancelToken::Clock::now() - milliseconds(1));
+  });
   try {
     optimize(Algorithm::kADMVstar, ctx);
-    FAIL() << "an n = 400 two-level solve cannot finish in 20ms";
+    FAIL() << "the solve finished although its deadline expired at the "
+              "first slab commit";
   } catch (const SolveInterrupted& interrupted) {
     EXPECT_EQ(interrupted.reason(), InterruptReason::kDeadline);
   }

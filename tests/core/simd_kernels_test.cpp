@@ -24,6 +24,7 @@
 #include "core/simd/argmin_kernels.hpp"
 #include "core/simd/simd_dispatch.hpp"
 #include "platform/registry.hpp"
+#include "scan_counts.hpp"
 #include "util/rng.hpp"
 
 namespace chainckpt::core {
@@ -305,32 +306,28 @@ TEST(SimdDispatch, ContextOverrideClampsToSupported) {
 
 // ---------------------------------------------------------------------
 // End-to-end: every supported tier must reproduce the scalar solve --
-// objective, plan, and scan counters -- bit for bit.
+// objective, plan, and scan counters -- bit for bit, and the counters
+// must match the loops walked in scan_counts.hpp.
 
 void expect_same_scan(const ScanStats& a, const ScanStats& b,
                       const std::string& label) {
   EXPECT_EQ(a.dense_cells, b.dense_cells) << label;
   EXPECT_EQ(a.cells_scanned, b.cells_scanned) << label;
   EXPECT_EQ(a.steps, b.steps) << label;
-  EXPECT_EQ(a.guard_checks, b.guard_checks) << label;
-  EXPECT_EQ(a.guard_fallbacks, b.guard_fallbacks) << label;
-  EXPECT_EQ(a.gated_rows, b.gated_rows) << label;
-  EXPECT_EQ(a.order_fallback_rows, b.order_fallback_rows) << label;
-  EXPECT_EQ(a.windowed_rows, b.windowed_rows) << label;
 }
 
 void expect_tier_equivalence(Algorithm algorithm,
                              const chain::TaskChain& chain,
-                             const platform::CostModel& costs, ScanMode mode,
+                             const platform::CostModel& costs,
                              const std::string& label) {
   DpContext scalar_ctx(chain, costs);
-  scalar_ctx.set_scan_mode(mode);
   scalar_ctx.set_simd_tier(SimdTier::kScalar);
   const OptimizationResult want = optimize(algorithm, scalar_ctx);
+  expect_same_scan(want.scan, walked_scan_stats(algorithm, want.plan),
+                   label + " @scalar vs walked loops");
   for (SimdTier tier : supported_tiers()) {
     if (tier == SimdTier::kScalar) continue;
     DpContext ctx(chain, costs);
-    ctx.set_scan_mode(mode);
     ctx.set_simd_tier(tier);
     const OptimizationResult got = optimize(algorithm, ctx);
     const std::string who = label + " @" + simd::tier_name(tier);
@@ -347,10 +344,7 @@ TEST(SimdEquivalence, TableOnePlatformsAllAlgorithms) {
     const std::string label = platform.name;
     for (const Algorithm algorithm :
          {Algorithm::kAD, Algorithm::kADVstar, Algorithm::kADMVstar}) {
-      expect_tier_equivalence(algorithm, chain, costs, ScanMode::kDense,
-                              label);
-      expect_tier_equivalence(algorithm, chain, costs,
-                              ScanMode::kMonotonePruned, label);
+      expect_tier_equivalence(algorithm, chain, costs, label);
     }
   }
 }
@@ -365,10 +359,8 @@ TEST(SimdEquivalence, SeededRandomPlatformsSmallN) {
     const std::size_t n = sizes[trial % 3];
     const auto chain = chain::make_random(n, 25000.0 * n, rng);
     const std::string label = platform.describe();
-    const ScanMode mode =
-        trial % 2 == 0 ? ScanMode::kDense : ScanMode::kMonotonePruned;
-    expect_tier_equivalence(Algorithm::kADMVstar, chain, costs, mode, label);
-    expect_tier_equivalence(Algorithm::kADVstar, chain, costs, mode, label);
+    expect_tier_equivalence(Algorithm::kADMVstar, chain, costs, label);
+    expect_tier_equivalence(Algorithm::kADVstar, chain, costs, label);
   }
 }
 
@@ -381,10 +373,7 @@ TEST(SimdEquivalence, SingleLevelLargeN) {
     const platform::CostModel costs(platform);
     const auto chain = chain::make_random(n, 25000.0 * n, rng);
     const std::string label = "single n=" + std::to_string(n);
-    expect_tier_equivalence(Algorithm::kADVstar, chain, costs,
-                            ScanMode::kDense, label);
-    expect_tier_equivalence(Algorithm::kADVstar, chain, costs,
-                            ScanMode::kMonotonePruned, label);
+    expect_tier_equivalence(Algorithm::kADVstar, chain, costs, label);
   }
 }
 
@@ -399,10 +388,7 @@ TEST(SimdEquivalence, SlowTwoLevelLargeN) {
     const platform::CostModel costs(platform);
     const auto chain = chain::make_random(n, 25000.0 * n, rng);
     const std::string label = "two-level n=" + std::to_string(n);
-    expect_tier_equivalence(Algorithm::kADMVstar, chain, costs,
-                            ScanMode::kDense, label);
-    expect_tier_equivalence(Algorithm::kADMVstar, chain, costs,
-                            ScanMode::kMonotonePruned, label);
+    expect_tier_equivalence(Algorithm::kADMVstar, chain, costs, label);
   }
 }
 

@@ -2,7 +2,8 @@
 // multi-level DPs at every cooperative checkpoint (a fabricated
 // CancelToken tripping at poll k, for all k), resume on the retained
 // checkpoint, and require the final plan, objective, and scan counters to
-// be bit-identical to an uninterrupted solve -- while re-executing only
+// be bit-identical to an uninterrupted solve -- and the counters to match
+// the loops walked in scan_counts.hpp -- while re-executing only
 // the slabs the interrupted run did not finish (the paper's bounded
 // re-execution claim, applied to the solver itself).
 #include "core/solve_checkpoint.hpp"
@@ -18,6 +19,7 @@
 #include "core/cancellation.hpp"
 #include "core/optimizer.hpp"
 #include "platform/registry.hpp"
+#include "scan_counts.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -26,10 +28,8 @@ namespace {
 
 OptimizationResult solve_plain(Algorithm algorithm,
                                const chain::TaskChain& chain,
-                               const platform::CostModel& costs,
-                               ScanMode mode) {
+                               const platform::CostModel& costs) {
   DpContext ctx(chain, costs);
-  ctx.set_scan_mode(mode);
   return optimize(algorithm, ctx);
 }
 
@@ -37,11 +37,6 @@ void expect_same_scan(const ScanStats& a, const ScanStats& b) {
   EXPECT_EQ(a.dense_cells, b.dense_cells);
   EXPECT_EQ(a.cells_scanned, b.cells_scanned);
   EXPECT_EQ(a.steps, b.steps);
-  EXPECT_EQ(a.guard_checks, b.guard_checks);
-  EXPECT_EQ(a.guard_fallbacks, b.guard_fallbacks);
-  EXPECT_EQ(a.gated_rows, b.gated_rows);
-  EXPECT_EQ(a.order_fallback_rows, b.order_fallback_rows);
-  EXPECT_EQ(a.windowed_rows, b.windowed_rows);
 }
 
 /// Interrupts one solve at poll k, resumes it on the same checkpoint, and
@@ -49,15 +44,13 @@ void expect_same_scan(const ScanStats& a, const ScanStats& b) {
 /// run at k completed without interrupting (k is past the solve's last
 /// poll -- the sweep's termination signal).
 bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
-                          const platform::CostModel& costs, ScanMode mode,
-                          std::int64_t k,
+                          const platform::CostModel& costs, std::int64_t k,
                           const OptimizationResult& baseline) {
   const std::size_t n = chain.size();
   SolveCheckpoint ckpt;
   bool interrupted = false;
   {
     DpContext ctx(chain, costs);
-    ctx.set_scan_mode(mode);
     CancelToken token;
     token.trip_after_polls(k);
     ctx.set_cancel_token(&token);
@@ -78,7 +71,6 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
   const bool initialized = ckpt.slabs_total() > 0;
   const std::size_t done_at_interrupt = ckpt.slabs_completed();
   DpContext ctx(chain, costs);
-  ctx.set_scan_mode(mode);
   ctx.set_checkpoint(&ckpt);
   const OptimizationResult resumed = optimize(algorithm, ctx);
 
@@ -86,6 +78,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
       << "k=" << k;
   EXPECT_EQ(resumed.plan, baseline.plan) << "k=" << k;
   expect_same_scan(resumed.scan, baseline.scan);
+  expect_same_scan(resumed.scan, walked_scan_stats(algorithm, resumed.plan));
   // Bounded re-execution: the resume skipped exactly the committed slabs
   // and ran only the unfinished ones.
   EXPECT_EQ(ckpt.last_run_resumed(), initialized);
@@ -101,13 +94,11 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
 /// slab-frontier boundary, so the sweep hits every boundary when
 /// stride == 1.
 void sweep_interrupts(Algorithm algorithm, const chain::TaskChain& chain,
-                      const platform::CostModel& costs, ScanMode mode,
-                      std::int64_t stride) {
-  const OptimizationResult baseline =
-      solve_plain(algorithm, chain, costs, mode);
+                      const platform::CostModel& costs, std::int64_t stride) {
+  const OptimizationResult baseline = solve_plain(algorithm, chain, costs);
   std::size_t interrupted_runs = 0;
   for (std::int64_t k = 0;; k += stride) {
-    if (!interrupt_and_resume(algorithm, chain, costs, mode, k, baseline)) {
+    if (!interrupt_and_resume(algorithm, chain, costs, k, baseline)) {
       break;
     }
     ++interrupted_runs;
@@ -128,14 +119,7 @@ TEST(SolveCheckpoint, AdmvStarEveryBoundaryBitIdentical) {
   const SerialGuard serial;
   const platform::CostModel costs{platform::hera()};
   sweep_interrupts(Algorithm::kADMVstar, chain::make_uniform(32, 25000.0),
-                   costs, ScanMode::kDense, 1);
-}
-
-TEST(SolveCheckpoint, AdmvStarPrunedModeCountersSurviveResume) {
-  const SerialGuard serial;
-  const platform::CostModel costs{platform::hera()};
-  sweep_interrupts(Algorithm::kADMVstar, chain::make_decrease(32, 25000.0),
-                   costs, ScanMode::kMonotonePruned, 3);
+                   costs, 1);
 }
 
 TEST(SolveCheckpoint, AdmvEveryBoundaryBitIdentical) {
@@ -144,7 +128,7 @@ TEST(SolveCheckpoint, AdmvEveryBoundaryBitIdentical) {
   // ADMV at n = 32 is O(n^6) per resume, so the tier-1 sweep strides the
   // boundaries; the slow battery below walks them densely at n = 100.
   sweep_interrupts(Algorithm::kADMV, chain::make_highlow(32, 25000.0),
-                   costs, ScanMode::kDense, 17);
+                   costs, 17);
 }
 
 TEST(SolveCheckpoint, ParallelInterruptsResumeBitIdentical) {
@@ -154,10 +138,9 @@ TEST(SolveCheckpoint, ParallelInterruptsResumeBitIdentical) {
   const platform::CostModel costs{platform::hera()};
   const auto chain = chain::make_uniform(48, 25000.0);
   const OptimizationResult baseline =
-      solve_plain(Algorithm::kADMVstar, chain, costs, ScanMode::kDense);
+      solve_plain(Algorithm::kADMVstar, chain, costs);
   for (std::int64_t k : {1, 97, 400, 900}) {
-    interrupt_and_resume(Algorithm::kADMVstar, chain, costs,
-                         ScanMode::kDense, k, baseline);
+    interrupt_and_resume(Algorithm::kADMVstar, chain, costs, k, baseline);
   }
 }
 
@@ -172,15 +155,12 @@ TEST(SolveCheckpoint, RandomPlatformPropertySweep) {
     const auto chain = chain::make_uniform(n, 20000.0 + 500.0 * trial);
     const Algorithm algorithm =
         trial % 2 == 0 ? Algorithm::kADMVstar : Algorithm::kADMV;
-    const ScanMode mode =
-        trial % 3 == 0 ? ScanMode::kMonotonePruned : ScanMode::kDense;
-    const OptimizationResult baseline =
-        solve_plain(algorithm, chain, costs, mode);
+    const OptimizationResult baseline = solve_plain(algorithm, chain, costs);
     // Three interrupt points spread over the n(n+1)/2 slab steps.
     const std::int64_t total =
         static_cast<std::int64_t>(n * (n + 1) / 2);
     for (const std::int64_t k : {total / 5, total / 2, (4 * total) / 5}) {
-      interrupt_and_resume(algorithm, chain, costs, mode, k, baseline);
+      interrupt_and_resume(algorithm, chain, costs, k, baseline);
       if (::testing::Test::HasFailure()) return;
     }
   }
@@ -194,12 +174,11 @@ TEST(SolveCheckpoint, RandomPlatformN100) {
   const platform::CostModel costs{p};
   const auto chain = chain::make_uniform(n, 25000.0);
   const OptimizationResult baseline =
-      solve_plain(Algorithm::kADMVstar, chain, costs, ScanMode::kDense);
+      solve_plain(Algorithm::kADMVstar, chain, costs);
   const std::int64_t total = static_cast<std::int64_t>(n * (n + 1) / 2);
   for (const std::int64_t k :
        {std::int64_t{1}, total / 3, (2 * total) / 3}) {
-    interrupt_and_resume(Algorithm::kADMVstar, chain, costs,
-                         ScanMode::kDense, k, baseline);
+    interrupt_and_resume(Algorithm::kADMVstar, chain, costs, k, baseline);
   }
 }
 
@@ -219,12 +198,11 @@ TEST(SolveCheckpoint, SlowAdmvN100RandomPlatform) {
       bench::random_per_position_costs(p, n, rng);
   const auto chain = chain::make_uniform(n, 25000.0);
   const OptimizationResult baseline =
-      solve_plain(Algorithm::kADMV, chain, costs, ScanMode::kDense);
+      solve_plain(Algorithm::kADMV, chain, costs);
   const std::int64_t total = static_cast<std::int64_t>(n * (n + 1) / 2);
   for (const std::int64_t k : {std::int64_t{1}, total / 4, total / 2,
                                (3 * total) / 4, total - 1}) {
-    interrupt_and_resume(Algorithm::kADMV, chain, costs, ScanMode::kDense,
-                         k, baseline);
+    interrupt_and_resume(Algorithm::kADMV, chain, costs, k, baseline);
   }
 }
 
@@ -251,7 +229,7 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
   EXPECT_FALSE(ckpt.last_run_resumed());
   EXPECT_EQ(ckpt.last_run_slabs_skipped(), 0u);
   const OptimizationResult fresh =
-      solve_plain(Algorithm::kADMVstar, chain20, costs, ScanMode::kDense);
+      solve_plain(Algorithm::kADMVstar, chain20, costs);
   EXPECT_EQ(result.expected_makespan, fresh.expected_makespan);
   EXPECT_EQ(result.plan, fresh.plan);
 }
