@@ -1,7 +1,7 @@
 // Solver service: drive a mixed workload through the async
 // service::SolverService the way a long-lived planning daemon would --
 // submit a burst of priced jobs, poll and wait on handles, cancel one,
-// let a deadline expire, watch the LRU cache budget evict tables, and
+// let a deadline expire, watch the one LRU budget evict tables, and
 // prove the async results are bit-identical to a synchronous
 // core::BatchSolver run of the same jobs.
 //
@@ -26,7 +26,8 @@ int main(int argc, char** argv) {
   using namespace chainckpt;
   util::CliParser cli;
   cli.add_option("jobs", "24", "jobs in the burst");
-  cli.add_option("budget-mib", "8", "LRU table-cache budget (MiB)");
+  cli.add_option("budget-mib", "8",
+                 "one LRU budget over tables, checkpoints and plans (MiB)");
   cli.parse(argc, argv);
   if (cli.help_requested()) {
     std::cout << cli.help_text("solver_service: async SolverService demo");
@@ -36,8 +37,8 @@ int main(int argc, char** argv) {
   const auto budget_mib = static_cast<std::size_t>(cli.get_int("budget-mib"));
 
   // 1. Configure the service: admission pricing with a concurrency
-  //    budget, an LRU byte budget on the table cache, and a completion
-  //    callback counting terminal jobs.
+  //    budget, the one LRU byte budget (tables, checkpoints and plans
+  //    together), and a completion callback counting terminal jobs.
   service::ServiceOptions options;
   options.admission.budget_units = 256.0;
   options.admission.max_job_units = service::price_units(

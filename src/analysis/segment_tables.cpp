@@ -1,20 +1,14 @@
 #include "analysis/segment_tables.hpp"
 
 #include <cmath>
-#include <cstring>
 
 #include "analysis/segment_math.hpp"
-#include "util/assert.hpp"
 #include "util/math.hpp"
 #include "util/parallel.hpp"
 
 namespace chainckpt::analysis {
 
 namespace {
-
-bool bits_differ(double a, double b) noexcept {
-  return std::memcmp(&a, &b, sizeof(double)) != 0;
-}
 
 /// One interval's coefficients, as both orientations store them.  The
 /// e_right_step ingredients (ef, pf, tl) are filled only for the row
@@ -47,8 +41,7 @@ void set_shared(IntervalCoeffs& k, const Interval& seg) noexcept {
 /// a row j ascends.  This is the one place each planning law's expression
 /// trees live: the same trees as segment_math.cpp / WeightTable, so the
 /// stored coefficients are bitwise what the scalar path computes -- for
-/// full builds, masked patch rebuilds and the row table alike, at any
-/// thread count.
+/// the column and the row table alike, at any thread count.
 ///
 /// Law dispatch: a Weibull law at shape exactly 1 *delegates* to the
 /// exponential walk, which makes the k = 1 reduction bitwise (the raw
@@ -117,102 +110,24 @@ void for_each_interval(const chain::WeightTable& table,
 
 SegmentTables::SegmentTables(const chain::WeightTable& table,
                              const platform::CostModel& costs)
-    : n_(table.n()),
-      lambda_f_(table.lambda_f()),
-      lambda_s_(table.lambda_s()),
-      law_(costs.planning_law()) {
-  build(table, costs, kStreamAll, nullptr);
-}
-
-SegmentTables::SegmentTables(const SegmentTables& base,
-                             const chain::WeightTable& table,
-                             const platform::CostModel& costs,
-                             PatchSummary* summary)
-    : n_(table.n()),
-      lambda_f_(table.lambda_f()),
-      lambda_s_(table.lambda_s()),
-      law_(costs.planning_law()) {
-  CHAINCKPT_REQUIRE(base.n_ == n_,
-                    "segment-table patch donor has a different chain length");
-  const unsigned mask = stream_mask_for(base, table, costs);
-  build(table, costs, mask, &base);
-  if (summary != nullptr) {
-    std::size_t rebuilt = 0;
-    for (unsigned bit = 0; bit < kStreamCount; ++bit) {
-      if (mask & (1u << bit)) ++rebuilt;
-    }
-    summary->streams_rebuilt = rebuilt;
-    summary->streams_reused = kStreamCount - rebuilt;
-  }
-}
-
-unsigned SegmentTables::stream_mask_for(const SegmentTables& base,
-                                        const chain::WeightTable& table,
-                                        const platform::CostModel& costs) {
-  const bool lf_changed = bits_differ(table.lambda_f(), base.lambda_f_);
-  const bool ls_changed = bits_differ(table.lambda_s(), base.lambda_s_);
-  const platform::PlanningLaw& law = costs.planning_law();
-  // Laws compare by the build path they select: every exponential-reducing
-  // law (including Weibull at shape exactly 1) is one equivalence class.
-  bool law_changed = law.is_exponential() != base.law_.is_exponential();
-  if (!law_changed && !law.is_exponential()) {
-    law_changed = bits_differ(law.weibull_shape, base.law_.weibull_shape);
-  }
-  bool vg_changed = false;
-  for (std::size_t i = 1; i <= base.n_; ++i) {
-    vg_changed |= bits_differ(costs.v_guaranteed_after(i), base.vg_[i]);
-  }
-  unsigned mask = 0;
-  if (lf_changed || law_changed) {
-    mask |= kStreamExvg | kStreamB | kStreamC | kStreamFs;
-  }
-  if (ls_changed) {
-    mask |= kStreamExvg | kStreamB | kStreamC | kStreamD | kStreamFs;
-  }
-  if (vg_changed) mask |= kStreamExvg | kStreamVg;
-  return mask;
-}
-
-void SegmentTables::build(const chain::WeightTable& table,
-                          const platform::CostModel& costs, unsigned mask,
-                          const SegmentTables* base) {
+    : n_(table.n()) {
   const std::size_t stride = n_ + 1;
   const std::size_t cells = stride * stride;
-
-  // Allocate the streams the mask rebuilds; copy the rest from the donor
-  // byte for byte.  A null donor (the full build) must carry a full mask.
-  const auto prepare = [&](std::vector<double>& mine,
-                           const std::vector<double> SegmentTables::*member,
-                           unsigned bit, std::size_t size) {
-    if (mask & bit) {
-      mine.assign(size, 0.0);
-    } else {
-      mine = base->*member;
-    }
-  };
-  prepare(vg_, &SegmentTables::vg_, kStreamVg, stride);
-  if (mask & kStreamVg) {
-    for (std::size_t i = 1; i <= n_; ++i) vg_[i] = costs.v_guaranteed_after(i);
+  vg_.assign(stride, 0.0);
+  for (std::size_t i = 1; i <= n_; ++i) vg_[i] = costs.v_guaranteed_after(i);
+  for (auto* v : {&exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_}) {
+    v->assign(cells, 0.0);
   }
-
-  prepare(exvg_c_, &SegmentTables::exvg_c_, kStreamExvg, cells);
-  prepare(b_c_, &SegmentTables::b_c_, kStreamB, cells);
-  prepare(c_c_, &SegmentTables::c_c_, kStreamC, cells);
-  prepare(d_c_, &SegmentTables::d_c_, kStreamD, cells);
-  prepare(fs_c_, &SegmentTables::fs_c_, kStreamFs, cells);
-
-  if (mask & (kStreamExvg | kStreamB | kStreamC | kStreamD | kStreamFs)) {
-    for_each_interval<false>(
-        table, law_,
-        [&](std::size_t i, std::size_t j, const IntervalCoeffs& k) {
-          const std::size_t cm = j * stride + i;
-          if (mask & kStreamExvg) exvg_c_[cm] = k.es * (k.x + vg_[j]);
-          if (mask & kStreamB) b_c_[cm] = k.b;
-          if (mask & kStreamC) c_c_[cm] = k.c;
-          if (mask & kStreamD) d_c_[cm] = k.d;
-          if (mask & kStreamFs) fs_c_[cm] = k.fs;
-        });
-  }
+  for_each_interval<false>(
+      table, costs.planning_law(),
+      [&](std::size_t i, std::size_t j, const IntervalCoeffs& k) {
+        const std::size_t cm = j * stride + i;
+        exvg_c_[cm] = k.es * (k.x + vg_[j]);
+        b_c_[cm] = k.b;
+        c_c_[cm] = k.c;
+        d_c_[cm] = k.d;
+        fs_c_[cm] = k.fs;
+      });
 }
 
 std::size_t SegmentTables::resident_bytes() const noexcept {

@@ -51,38 +51,10 @@
 
 namespace chainckpt::analysis {
 
-/// What a patch rebuild actually did: how many coefficient streams were
-/// recomputed vs copied from the donor tables.  BatchSolver folds these
-/// into its stats; the equivalence tests assert the reuse is real.
-struct PatchSummary {
-  std::size_t streams_rebuilt = 0;
-  std::size_t streams_reused = 0;
-};
-
 class SegmentTables {
  public:
   SegmentTables(const chain::WeightTable& table,
                 const platform::CostModel& costs);
-
-  /// Incremental patch constructor: rebuilds only the streams the drifted
-  /// cost model actually changes, copying every other stream from `base`.
-  /// The dependency map (see stream_mask_for in segment_tables.cpp):
-  ///
-  ///   lambda_f / planning law -> exvg, b, c, fs
-  ///   lambda_s                -> exvg, b, c, d, fs
-  ///   V* stream (vg)          -> exvg, vg
-  ///   V, C_D/C_M/R_D/R_M, recall -> nothing (never baked into the tables)
-  ///
-  /// `table` must be built from the same chain weights as `base` (only
-  /// the rates may differ -- use the WeightTable patch constructor), and
-  /// rebuilt streams use the exact expression trees of the full build, so
-  /// the result is byte-identical (memcmp) to a from-scratch
-  /// SegmentTables(table, costs) -- the equivalence battery in
-  /// tests/analysis/segment_tables_patch_test.cpp pins this for both the
-  /// exponential and the Weibull build paths.
-  SegmentTables(const SegmentTables& base, const chain::WeightTable& table,
-                const platform::CostModel& costs,
-                PatchSummary* summary = nullptr);
 
   std::size_t n() const noexcept { return n_; }
 
@@ -105,42 +77,14 @@ class SegmentTables {
   std::size_t resident_bytes() const noexcept;
 
  private:
-  /// One bit per coefficient stream, naming what a (re)build writes.
-  enum StreamBit : unsigned {
-    kStreamExvg = 1u << 0,  ///< exvg_c (lambda_f, lambda_s, law, vg)
-    kStreamB = 1u << 1,     ///< b_c (lambda_f, lambda_s, law)
-    kStreamC = 1u << 2,     ///< c_c (lambda_f, lambda_s, law)
-    kStreamD = 1u << 3,     ///< d_c (lambda_s)
-    kStreamFs = 1u << 4,    ///< fs_c (lambda_f, lambda_s, law)
-    kStreamVg = 1u << 5,    ///< vg_ (vg stream)
-    kStreamCount = 6,
-    kStreamAll = (1u << kStreamCount) - 1,
-  };
-
   const double* row(const std::vector<double>& v,
                     std::size_t i) const noexcept {
     return v.data() + i * (n_ + 1);
   }
 
-  /// Streams the parameter drift from `base` to (table, costs) invalidates
-  /// (see the patch-constructor dependency map in the class comment).
-  static unsigned stream_mask_for(const SegmentTables& base,
-                                  const chain::WeightTable& table,
-                                  const platform::CostModel& costs);
-
   std::size_t n_;
-  /// What the streams were built from, for the patch constructor's diff:
-  /// the rates of the WeightTable and the planning law of the cost model.
-  double lambda_f_ = 0.0;
-  double lambda_s_ = 0.0;
-  platform::PlanningLaw law_{};
   std::vector<double> exvg_c_, b_c_, c_c_, d_c_, fs_c_;
   std::vector<double> vg_;
-
-  /// Shared tail of both constructors: allocates/copies per `mask` and
-  /// fills the masked streams through the law dispatch.
-  void build(const chain::WeightTable& table, const platform::CostModel& costs,
-             unsigned mask, const SegmentTables* base);
 };
 
 /// The row-oriented streams of the ADMV inner DP (paper Section III-B):

@@ -1,7 +1,6 @@
 #include "chain/weight_table.hpp"
 
 #include <cmath>
-#include <cstring>
 
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
@@ -24,39 +23,6 @@ WeightTable::WeightTable(const TaskChain& chain, double lambda_f,
       const double w = prefix_[j] - prefix_[i];
       em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
       em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
-    }
-  });
-}
-
-WeightTable::WeightTable(const WeightTable& base, double lambda_f,
-                         double lambda_s)
-    : n_(base.n_),
-      lambda_f_(lambda_f),
-      lambda_s_(lambda_s),
-      prefix_(base.prefix_) {
-  CHAINCKPT_REQUIRE(lambda_f >= 0.0 && lambda_s >= 0.0,
-                    "error rates must be non-negative");
-  const auto same_bits = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(double)) == 0;
-  };
-  const bool keep_f = same_bits(lambda_f, base.lambda_f_);
-  const bool keep_s = same_bits(lambda_s, base.lambda_s_);
-  if (keep_f) {
-    em1_f_ = base.em1_f_;
-  } else {
-    em1_f_.assign((n_ + 1) * (n_ + 1), 0.0);
-  }
-  if (keep_s) {
-    em1_s_ = base.em1_s_;
-  } else {
-    em1_s_.assign((n_ + 1) * (n_ + 1), 0.0);
-  }
-  if (keep_f && keep_s) return;
-  util::parallel_for_rows(n_ + 1, [&](std::size_t i) {
-    for (std::size_t j = i; j <= n_; ++j) {
-      const double w = prefix_[j] - prefix_[i];
-      if (!keep_f) em1_f_[idx(i, j)] = std::expm1(lambda_f * w);
-      if (!keep_s) em1_s_[idx(i, j)] = std::expm1(lambda_s * w);
     }
   });
 }

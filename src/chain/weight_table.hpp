@@ -22,16 +22,6 @@ class WeightTable {
  public:
   WeightTable(const TaskChain& chain, double lambda_f, double lambda_s);
 
-  /// Patch constructor: rebuilds only the streams the new rates actually
-  /// change, copying the rest from `base`.  The prefix sums depend on the
-  /// weights alone and are always reused; each em1 matrix is recomputed
-  /// with the exact expression tree of the full build only when its rate's
-  /// bit pattern differs, so the result is byte-identical to
-  /// WeightTable(chain, lambda_f, lambda_s) for the same chain
-  /// (tests/analysis/segment_tables_patch_test.cpp memcmp-pins this).
-  /// The caller asserts the chain is unchanged; only the rates may drift.
-  WeightTable(const WeightTable& base, double lambda_f, double lambda_s);
-
   std::size_t n() const noexcept { return n_; }
   double lambda_f() const noexcept { return lambda_f_; }
   double lambda_s() const noexcept { return lambda_s_; }

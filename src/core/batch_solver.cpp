@@ -1,5 +1,7 @@
 #include "core/batch_solver.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "util/arena.hpp"
@@ -34,6 +36,21 @@ bool is_checkpointable(Algorithm algorithm) {
   return algorithm == Algorithm::kADMVstar || algorithm == Algorithm::kADMV;
 }
 
+/// The entry of `store` with the smallest LRU stamp among those
+/// `evictable` accepts; store.end() when there is none.
+template <typename Store, typename Evictable>
+typename Store::iterator lru_entry(Store& store, Evictable evictable) {
+  auto victim = store.end();
+  for (auto it = store.begin(); it != store.end(); ++it) {
+    if (evictable(it->second) &&
+        (victim == store.end() ||
+         it->second.last_used < victim->second.last_used)) {
+      victim = it;
+    }
+  }
+  return victim;
+}
+
 /// solve_job()'s input checks, run over a whole batch before any job
 /// starts.
 void validate(const BatchJob& job, std::size_t max_n) {
@@ -46,9 +63,7 @@ void validate(const BatchJob& job, std::size_t max_n) {
 
 }  // namespace
 
-BatchSolver::BatchSolver(BatchOptions options)
-    : options_(options),
-      plan_cache_(PlanCacheConfig{options.plan_cache_budget_bytes}) {}
+BatchSolver::BatchSolver(BatchOptions options) : options_(options) {}
 
 std::vector<OptimizationResult> BatchSolver::solve(
     const std::vector<BatchJob>& jobs) {
@@ -111,9 +126,9 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
   {
     std::unique_lock<std::mutex> lock(mutex_);
     for (;;) {
-      TableEntry& entry = cache_.try_emplace(key).first->second;
+      TableEntry& entry = tables_.try_emplace(key).first->second;
       if (entry.seg != nullptr) {
-        entry.last_used = ++use_tick_;
+        entry.last_used = ++clock_;
         ++stats_.tables_reused;
         table = entry.table;
         seg = entry.seg;
@@ -124,41 +139,17 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
         continue;  // re-resolve: built, or even evicted
       }
       entry.building = true;
-      // Incremental path: any ready entry over the same chain weights
-      // donates whatever the parameter drift left untouched.  The patch
-      // constructors reproduce a from-scratch build byte for byte, so
-      // the determinism contract is unaffected.
-      std::shared_ptr<const analysis::SegmentTables> donor_seg;
-      std::shared_ptr<const chain::WeightTable> donor_table;
-      for (const auto& [other_key, other] : cache_) {
-        if (other.building || other.seg == nullptr) continue;
-        if (!same_chain_weights(other_key, key)) continue;
-        donor_table = other.table;
-        donor_seg = other.seg;
-        break;
-      }
       lock.unlock();
-      std::shared_ptr<const chain::WeightTable> built_table;
-      std::shared_ptr<const analysis::SegmentTables> built_seg;
-      analysis::PatchSummary patch_summary;
       try {
-        if (donor_seg != nullptr) {
-          built_table = std::make_shared<const chain::WeightTable>(
-              *donor_table, job.costs.lambda_f(), job.costs.lambda_s());
-          built_seg = std::make_shared<const analysis::SegmentTables>(
-              *donor_seg, *built_table, job.costs, &patch_summary);
-        } else {
-          built_table = std::make_shared<const chain::WeightTable>(
-              job.chain, job.costs.lambda_f(), job.costs.lambda_s());
-          built_seg = std::make_shared<const analysis::SegmentTables>(
-              *built_table, job.costs);
-        }
+        table = std::make_shared<const chain::WeightTable>(
+            job.chain, job.costs.lambda_f(), job.costs.lambda_s());
+        seg = std::make_shared<const analysis::SegmentTables>(*table,
+                                                              job.costs);
       } catch (...) {
         lock.lock();
         // The entry never got tables; drop it rather than leave an
         // unevictable zero-byte zombie.
-        const auto it = cache_.find(key);
-        if (it != cache_.end()) cache_.erase(it);
+        tables_.erase(key);
         build_done_.notify_all();
         throw;
       }
@@ -166,19 +157,16 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       // Re-resolve after re-locking: the unlocked build may have raced a
       // rehash (pointer-stable, but re-looking up is simpler to reason
       // about than held references across the gap).
-      TableEntry& built = cache_.try_emplace(key).first->second;
-      built.table = std::move(built_table);
-      built.seg = std::move(built_seg);
+      TableEntry& built = tables_.try_emplace(key).first->second;
+      built.table = table;
+      built.seg = seg;
       built.building = false;
-      built.last_used = ++use_tick_;
+      built.bytes = table->resident_bytes() + seg->resident_bytes();
+      built.last_used = ++clock_;
+      table_bytes_ += built.bytes;
       ++stats_.tables_built;
-      if (donor_seg != nullptr) {
-        ++stats_.tables_patched;
-        stats_.patched_streams_reused += patch_summary.streams_reused;
-      }
+      enforce_budget_locked();
       build_done_.notify_all();
-      table = built.table;
-      seg = built.seg;
       break;
     }
   }
@@ -197,6 +185,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       const auto it = checkpoints_.find(ckpt_key);
       if (it != checkpoints_.end()) {
         ckpt = std::move(it->second.checkpoint);
+        checkpoint_bytes_ -= it->second.bytes;
         checkpoints_.erase(it);
         resumed = ckpt->has_progress();
       }
@@ -223,12 +212,13 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
         // ran is superseded (ours is at least as fresh).
         CheckpointEntry& entry = checkpoints_[ckpt_key];
         if (entry.checkpoint != nullptr) ++stats_.checkpoints_dropped;
+        checkpoint_bytes_ -= entry.bytes;
         entry.checkpoint = std::move(ckpt);
-        entry.last_used = ++use_tick_;
+        entry.bytes = entry.checkpoint->resident_bytes();
+        entry.last_used = ++clock_;
+        checkpoint_bytes_ += entry.bytes;
         ++stats_.checkpoints_saved;
-        if (options_.checkpoint_budget_bytes != 0) {
-          evict_checkpoints_locked(options_.checkpoint_budget_bytes);
-        }
+        enforce_budget_locked();
       }
     }
     // The dead job's thread-local scratch on THIS thread is reusable but
@@ -260,53 +250,25 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
         result.expected_makespan > warm_bound * (1.0 + 1e-9)) {
       ++stats_.warm_bound_violations;
     }
-    if (options_.cache_budget_bytes != 0) {
-      evict_locked(options_.cache_budget_bytes);
+    if (options_.enable_plan_cache) {
+      plan_cache_.insert(job.algorithm, job.chain, job.costs, result);
+      enforce_budget_locked();
     }
-  }
-  if (options_.enable_plan_cache) {
-    plan_cache_.insert(job.algorithm, job.chain, job.costs, result);
   }
   return result;
 }
 
 std::size_t BatchSolver::release_scratch() {
-  std::size_t freed = 0;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    freed = cache_bytes_locked() + checkpoint_bytes_locked();
-    cache_.clear();
-    checkpoints_.clear();
-  }
-  freed += plan_cache_.clear();
-  freed += util::release_all_arenas();
+  const std::size_t arenas = util::release_all_arenas();
   const std::lock_guard<std::mutex> lock(mutex_);
+  const std::size_t freed =
+      arenas + table_bytes_ + checkpoint_bytes_ + plan_cache_.clear();
+  tables_.clear();
+  checkpoints_.clear();
+  table_bytes_ = 0;
+  checkpoint_bytes_ = 0;
   stats_.released_bytes += freed;
   return freed;
-}
-
-std::size_t BatchSolver::checkpoint_resident_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return checkpoint_bytes_locked();
-}
-
-std::size_t BatchSolver::evict_to(std::size_t budget_bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return evict_locked(budget_bytes);
-}
-
-void BatchSolver::set_cache_budget(std::size_t budget_bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  options_.cache_budget_bytes = budget_bytes;
-  if (budget_bytes != 0) evict_locked(budget_bytes);
-}
-
-void BatchSolver::set_plan_cache_budget(std::size_t budget_bytes) {
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    options_.plan_cache_budget_bytes = budget_bytes;
-  }
-  plan_cache_.set_budget(budget_bytes);
 }
 
 bool BatchSolver::probable_plan_cache_hit(const BatchJob& job) const {
@@ -325,92 +287,54 @@ PlanCacheStats BatchSolver::plan_cache_stats() const {
   return plan_cache_.stats_snapshot();
 }
 
-std::size_t BatchSolver::plan_cache_resident_bytes() const {
-  return plan_cache_.resident_bytes();
-}
-
-std::size_t BatchSolver::plan_cache_size() const {
-  return plan_cache_.size();
-}
-
 std::size_t BatchSolver::resident_bytes() const {
-  std::size_t total = util::arena_resident_bytes() +
-                      plan_cache_.resident_bytes();
+  const std::size_t arenas = util::arena_resident_bytes();
   const std::lock_guard<std::mutex> lock(mutex_);
-  return total + cache_bytes_locked() + checkpoint_bytes_locked();
-}
-
-std::size_t BatchSolver::cache_resident_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return cache_bytes_locked();
+  return arenas + budgeted_bytes_locked();
 }
 
 BatchStats BatchSolver::stats_snapshot() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return stats_;
+  BatchStats stats = stats_;
+  stats.budgeted_bytes = budgeted_bytes_locked();
+  return stats;
 }
 
-std::size_t BatchSolver::entry_bytes(const TableEntry& entry) noexcept {
-  std::size_t bytes = 0;
-  if (entry.table != nullptr) bytes += entry.table->resident_bytes();
-  if (entry.seg != nullptr) bytes += entry.seg->resident_bytes();
-  return bytes;
+std::size_t BatchSolver::budgeted_bytes_locked() const {
+  return table_bytes_ + checkpoint_bytes_ + plan_cache_.resident_bytes();
 }
 
-std::size_t BatchSolver::cache_bytes_locked() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : cache_) total += entry_bytes(entry);
-  return total;
-}
-
-std::size_t BatchSolver::checkpoint_bytes_locked() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : checkpoints_) {
-    if (entry.checkpoint != nullptr) total += entry.checkpoint->resident_bytes();
-  }
-  return total;
-}
-
-std::size_t BatchSolver::evict_checkpoints_locked(std::size_t budget_bytes) {
-  std::size_t freed = 0;
-  std::size_t resident = checkpoint_bytes_locked();
-  while (resident > budget_bytes && !checkpoints_.empty()) {
-    auto victim = checkpoints_.begin();
-    for (auto it = checkpoints_.begin(); it != checkpoints_.end(); ++it) {
-      if (it->second.last_used < victim->second.last_used) victim = it;
+void BatchSolver::enforce_budget_locked() {
+  constexpr std::uint64_t kNone = std::numeric_limits<std::uint64_t>::max();
+  while (budgeted_bytes_locked() > options_.cache_budget_bytes) {
+    // The oldest entry of any kind goes first.  Table entries mid-build
+    // hold no bytes yet and are skipped; checked-out checkpoints are not
+    // in the store at all.
+    const auto table_it = lru_entry(
+        tables_, [](const TableEntry& e) { return e.seg != nullptr; });
+    const auto ckpt_it =
+        lru_entry(checkpoints_, [](const CheckpointEntry&) { return true; });
+    const std::uint64_t table_stamp =
+        table_it == tables_.end() ? kNone : table_it->second.last_used;
+    const std::uint64_t ckpt_stamp =
+        ckpt_it == checkpoints_.end() ? kNone : ckpt_it->second.last_used;
+    if (plan_cache_.evict_oldest_before(std::min(table_stamp, ckpt_stamp)) >
+        0) {
+      continue;
     }
-    const std::size_t bytes = victim->second.checkpoint->resident_bytes();
-    checkpoints_.erase(victim);
-    resident -= bytes;
-    freed += bytes;
-    ++stats_.checkpoints_dropped;
-  }
-  return freed;
-}
-
-std::size_t BatchSolver::evict_locked(std::size_t budget_bytes) {
-  std::size_t freed = 0;
-  std::size_t resident = cache_bytes_locked();
-  while (resident > budget_bytes) {
-    // Oldest stamp first.  Entries mid-build are skipped: their bytes are
-    // claimed by the builder and will be accounted at its own evict pass.
-    auto victim = cache_.end();
-    for (auto it = cache_.begin(); it != cache_.end(); ++it) {
-      if (it->second.building || it->second.seg == nullptr) continue;
-      if (victim == cache_.end() ||
-          it->second.last_used < victim->second.last_used) {
-        victim = it;
-      }
+    if (table_stamp < ckpt_stamp) {
+      table_bytes_ -= table_it->second.bytes;
+      ++stats_.tables_evicted;
+      stats_.evicted_bytes += table_it->second.bytes;
+      tables_.erase(table_it);
+    } else if (ckpt_it != checkpoints_.end()) {
+      checkpoint_bytes_ -= ckpt_it->second.bytes;
+      ++stats_.checkpoints_dropped;
+      checkpoints_.erase(ckpt_it);
+    } else {
+      break;  // only entries mid-build are left
     }
-    if (victim == cache_.end()) break;
-    const std::size_t bytes = entry_bytes(victim->second);
-    cache_.erase(victim);
-    resident -= bytes;
-    freed += bytes;
-    ++stats_.tables_evicted;
-    stats_.evicted_bytes += bytes;
   }
-  return freed;
 }
 
 }  // namespace chainckpt::core

@@ -14,34 +14,35 @@
 //     built once per distinct core::table_key() (chain weights, error
 //     rates, planning law, guaranteed-verification costs) and shared by
 //     every job that matches, within a batch and across batches;
-//   * LRU eviction: an optional byte budget on that cache
-//     (BatchOptions::cache_budget_bytes) evicts least-recently-used
-//     entries after each solve instead of the all-or-nothing
-//     release_scratch(), so a long-lived service bounds table residency
-//     while hot keys stay cached;
+//   * one byte budget: BatchOptions::cache_budget_bytes bounds the table
+//     pairs, the retained interruption checkpoints and the memoized plans
+//     together, evicting the least recently used entry of any kind after
+//     every insert, so a long-lived service bounds what it retains while
+//     hot keys stay cached;
 //   * one thread-local arena pool: the solvers' grow-only scratch
 //     (util::ArenaBlock) is reused across the whole batch, so steady-state
 //     solving performs no per-job scratch allocation;
-//   * an explicit lifecycle: release_scratch() drops the cache and every
+//   * an explicit lifecycle: release_scratch() drops the stores and every
 //     arena, returning the memory between traffic bursts; the next solve
 //     simply rebuilds what it needs.
 //
 // Determinism: every job's result (plan and objective) is bit-identical to
 // a standalone core::optimize() call with the same inputs, whether the
-// batch runs serially or in parallel, cached or cold, and whether the
+// batch runs serially or in parallel, cached or cold, and whether an
 // entry survived eviction or was rebuilt -- except plan-cache
 // epsilon-hits, which BatchOptions::plan_cache_epsilon (0 by default)
 // must opt into.
 //
 // Thread-safety: solve() and solve_job() are thread-safe against each
-// other on the same instance (the caches, LRU state, and stats sit behind
-// internal mutexes; the DP itself runs outside them).  The arena pool behind
-// release_scratch() / resident_bytes() is PROCESS-WIDE (every solver's
-// thread-local scratch registers with it), so release_scratch() must not
-// overlap a running solve on ANY instance in the process, and the arena
-// byte counts cover all instances, not just this one.  A multi-solver
-// embedding should treat scratch release as a global quiescent-point
-// operation.
+// other on the same instance (the stores, the LRU clock and the stats sit
+// behind internal mutexes; the DP itself runs outside them).  Lock order:
+// the solver's mutex, then the plan cache's, never the reverse.  The
+// arena pool behind release_scratch() / resident_bytes() is PROCESS-WIDE
+// (every solver's thread-local scratch registers with it), so
+// release_scratch() must not overlap a running solve on ANY instance in
+// the process, and the arena byte counts cover all instances, not just
+// this one.  A multi-solver embedding should treat scratch release as a
+// global quiescent-point operation.
 #pragma once
 
 #include <condition_variable>
@@ -76,50 +77,45 @@ struct BatchJob {
 };
 
 struct BatchOptions {
+  /// Default cache_budget_bytes: 1 GiB.
+  static constexpr std::size_t kDefaultCacheBudgetBytes = std::size_t{1}
+                                                          << 30;
+
   /// Upper bound on chain length, guarding the dense O(n^3) DP tables
   /// (see DpContext::kDefaultMaxN).
   std::size_t max_n = DpContext::kDefaultMaxN;
-  /// Byte budget for the coefficient-table cache; 0 keeps it unbounded.
-  /// After every solve()/solve_job(), least-recently-used entries are
-  /// evicted until the cache fits (an entry larger than the whole budget
-  /// is evicted right after its solve).  Evicted keys simply rebuild on
-  /// their next use -- results are unaffected.  Runtime-adjustable via
-  /// set_cache_budget().
-  std::size_t cache_budget_bytes = 0;
-  /// LRU byte budget over retained interruption checkpoints; 0 keeps them
-  /// unbounded.  When a solve_job() for a multi-level DP (kADMVstar/kADMV)
-  /// is interrupted, its core::SolveCheckpoint is retained: a later
-  /// solve_job() of the same workload (same exact key -- every input the
-  /// algorithm's DP reads) resumes it, re-executing only the slabs the
-  /// interrupted run did not finish, with bit-identical results.  The
-  /// retained state is the job's O(n^2)-O(n^3) argmin/value tables, so a
-  /// service that interrupts large solves should bound it here;
-  /// release_scratch() always drops it.  Oldest-interrupted first; a
-  /// dropped checkpoint just means the job starts from scratch on its next
-  /// submission.
-  std::size_t checkpoint_budget_bytes = 0;
+  /// The one memory budget: a byte bound on the budgeted bytes -- the
+  /// coefficient-table pairs, the retained interruption checkpoints and
+  /// the memoized plans together (BatchStats::budgeted_bytes).  The
+  /// per-thread solver arenas are outside it.  The three stores share one
+  /// LRU clock; after every insert (a table build, a retained checkpoint,
+  /// a plan) the least recently used entries of any kind are evicted
+  /// until the budgeted bytes fit.  Entries still being built and
+  /// checkpoints checked out by a running solve are never evicted; an
+  /// entry larger than the whole budget goes right after its insert (the
+  /// solve that built it keeps its own reference).  An evicted table pair
+  /// is rebuilt, an evicted plan re-solved and a dropped checkpoint
+  /// restarted on next use, so results are unaffected.  A plain byte
+  /// count: 0 retains nothing.
+  std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes;
   /// Memoize final plans in a core::PlanCache and serve repeat
   /// submissions (solve() and solve_job() alike) from it: exact key
   /// matches return the stored result bitwise; near-misses may be served
   /// under an epsilon tolerance (see plan_cache_epsilon).
   bool enable_plan_cache = true;
-  /// LRU byte budget for the plan cache; 0 keeps it unbounded (plans are
-  /// a few hundred bytes each).  Runtime-adjustable via
-  /// set_plan_cache_budget().
-  std::size_t plan_cache_budget_bytes = 0;
   /// Default epsilon for jobs that leave BatchJob::cache_epsilon
   /// negative.  0 (the default) serves exact hits only.
   double plan_cache_epsilon = 0.0;
 };
 
-/// Counters accumulated over the solver's lifetime.
+/// Counters accumulated over the solver's lifetime, plus one gauge.
 struct BatchStats {
   std::size_t jobs_solved = 0;
   /// Distinct (WeightTable, SegmentTables) pairs constructed.
   std::size_t tables_built = 0;
   /// DP jobs served by a previously built pair (same batch or earlier).
   std::size_t tables_reused = 0;
-  /// Cache entries dropped by the LRU budget, and their bytes.
+  /// Table pairs dropped by the budget, and their bytes.
   std::size_t tables_evicted = 0;
   std::size_t evicted_bytes = 0;
   /// Total bytes given back so far: release_scratch() calls plus the
@@ -133,27 +129,28 @@ struct BatchStats {
   /// those solves unwound (also folded into released_bytes).
   std::size_t interrupted_released_bytes = 0;
   /// Interrupted solves whose partial progress was retained for resume,
-  /// and retained checkpoints dropped by the checkpoint budget (or
-  /// superseded by a concurrent solve of the same workload).
+  /// and retained checkpoints dropped by the budget (or superseded by a
+  /// concurrent solve of the same workload).
   std::size_t checkpoints_saved = 0;
   std::size_t checkpoints_dropped = 0;
   /// Solves that started from a retained checkpoint, and the slabs those
   /// resumes skipped instead of re-executing.
   std::size_t checkpoints_resumed = 0;
   std::size_t checkpoint_slabs_skipped = 0;
-  /// Table builds served by the incremental patch path: a same-shape
-  /// donor entry (same chain weights, different rates/costs) was found
-  /// and only the invalidated coefficient streams were recomputed.
-  /// Counted inside tables_built.
+  /// Always 0: every table pair is built from scratch.  Kept only for
+  /// readers of the former incremental patch path's counter.
   std::size_t tables_patched = 0;
-  /// Coefficient streams the patch builds copied instead of recomputing.
-  std::size_t patched_streams_reused = 0;
   /// Fresh solves whose objective exceeded the plan cache's warm upper
   /// bound (the evaluator re-score of a stale plan) beyond rounding: a
   /// certificate or solver bug.  Must stay 0.
   std::size_t warm_bound_violations = 0;
   /// Aggregated scan counters of every solved DP job.
   ScanStats scan;
+  /// Gauge: the budgeted bytes (table pairs, retained checkpoints and
+  /// memoized plans) when the snapshot was taken.  Every insert evicts
+  /// under the same lock, so no snapshot reads more than
+  /// BatchOptions::cache_budget_bytes.
+  std::size_t budgeted_bytes = 0;
 };
 
 class BatchSolver {
@@ -178,30 +175,13 @@ class BatchSolver {
                                const CancelToken* cancel = nullptr);
 
   /// Drops this solver's coefficient-table cache, its retained solve
-  /// checkpoints, and the backing memory of every thread-local solver
-  /// arena IN THE PROCESS (the arena pool is global -- see the header
-  /// comment); returns the number of bytes freed.  The solver stays
-  /// fully usable -- the next solve() rebuilds on demand and reproduces
-  /// identical results.  Must not overlap a running solve on any
-  /// BatchSolver or standalone optimizer call.
+  /// checkpoints, its memoized plans, and the backing memory of every
+  /// thread-local solver arena IN THE PROCESS (the arena pool is global --
+  /// see the header comment); returns the number of bytes freed.  The
+  /// solver stays fully usable -- the next solve() rebuilds on demand and
+  /// reproduces identical results.  Must not overlap a running solve on
+  /// any BatchSolver or standalone optimizer call.
   std::size_t release_scratch();
-
-  /// Bytes held by the retained interruption checkpoints.
-  std::size_t checkpoint_resident_bytes() const;
-
-  /// Evicts least-recently-used cache entries until the table cache holds
-  /// at most `budget_bytes`; returns the bytes freed.  Entries mid-build
-  /// by a concurrent solve_job() are skipped.  The LRU counterpart of
-  /// release_scratch() (which also drops the arenas).
-  std::size_t evict_to(std::size_t budget_bytes);
-
-  /// Replaces BatchOptions::cache_budget_bytes at runtime and applies it
-  /// immediately; 0 removes the bound.
-  void set_cache_budget(std::size_t budget_bytes);
-
-  /// Replaces BatchOptions::plan_cache_budget_bytes at runtime and
-  /// applies it immediately; 0 removes the bound.
-  void set_plan_cache_budget(std::size_t budget_bytes);
 
   /// Cheap probe for admission pricing: would solve_job(job) probably be
   /// served from the plan cache without running the DP?  (See
@@ -213,21 +193,14 @@ class BatchSolver {
   /// Plan-cache counters (hits/misses/evictions reconcile with
   /// stats_snapshot().jobs_solved; see PlanCacheStats).
   PlanCacheStats plan_cache_stats() const;
-  /// Bytes held by the memoized plans.
-  std::size_t plan_cache_resident_bytes() const;
-  /// Memoized plans currently resident.
-  std::size_t plan_cache_size() const;
 
-  /// Bytes currently held by this solver's table cache, its retained
-  /// checkpoints, and all solver arenas in the process.
+  /// The budgeted bytes (stats_snapshot().budgeted_bytes) plus every
+  /// solver arena in the process.
   std::size_t resident_bytes() const;
 
-  /// Bytes held by the table cache alone (the pool the LRU budget
-  /// governs), excluding the process-wide arenas.
-  std::size_t cache_resident_bytes() const;
-
   const BatchOptions& options() const noexcept { return options_; }
-  /// Consistent copy of the counters, taken under the cache lock.
+  /// Consistent copy of the counters and the budgeted-bytes gauge, taken
+  /// under the solver lock.
   BatchStats stats_snapshot() const;
 
  private:
@@ -237,10 +210,11 @@ class BatchSolver {
   struct TableEntry {
     std::shared_ptr<const chain::WeightTable> table;
     std::shared_ptr<const analysis::SegmentTables> seg;
-    /// LRU stamp: value of use_tick_ at the entry's last touch.  The
-    /// cache is small (one entry per distinct workload shape), so
-    /// eviction scans for the minimum stamp instead of maintaining an
-    /// intrusive list.
+    /// Both tables' resident bytes, set when the build lands.
+    std::size_t bytes = 0;
+    /// LRU stamp from clock_.  Eviction runs only over budget and scans
+    /// each store for its minimum stamp instead of keeping an intrusive
+    /// list.
     std::uint64_t last_used = 0;
     /// A solve_job() worker is building this entry; other workers wait on
     /// build_done_ and eviction skips it.
@@ -256,27 +230,30 @@ class BatchSolver {
   /// bit-identical for.
   struct CheckpointEntry {
     std::shared_ptr<SolveCheckpoint> checkpoint;
+    std::size_t bytes = 0;
     std::uint64_t last_used = 0;
   };
 
-  static std::size_t entry_bytes(const TableEntry& entry) noexcept;
-
   /// The following helpers require mutex_ to be held.
-  std::size_t cache_bytes_locked() const noexcept;
-  std::size_t evict_locked(std::size_t budget_bytes);
-  std::size_t checkpoint_bytes_locked() const noexcept;
-  std::size_t evict_checkpoints_locked(std::size_t budget_bytes);
+  std::size_t budgeted_bytes_locked() const;
+  /// The one eviction loop: drops least-recently-used entries of any
+  /// kind until the budgeted bytes fit options_.cache_budget_bytes.
+  void enforce_budget_locked();
 
-  BatchOptions options_;
-  BatchStats stats_;
-  /// Memoized final plans (own internal lock; never held together with
-  /// mutex_).
-  PlanCache plan_cache_;
-  std::unordered_map<CacheKey, TableEntry, CacheKeyHash> cache_;
+  const BatchOptions options_;
+  /// The LRU clock shared by all three stores.
+  LruClock clock_{0};
+  /// Memoized final plans.  Its own lock nests inside mutex_ (never the
+  /// other way round); lookups take it alone.  Inserts run under mutex_,
+  /// so an insert and its eviction are one step to every other thread.
+  PlanCache plan_cache_{clock_};
+  std::unordered_map<CacheKey, TableEntry, CacheKeyHash> tables_;
   std::unordered_map<CacheKey, CheckpointEntry, CacheKeyHash> checkpoints_;
-  std::uint64_t use_tick_ = 0;
-  /// Guards cache_, checkpoints_, stats_, use_tick_, and the budget
-  /// options.
+  /// Running byte totals of tables_ and checkpoints_.
+  std::size_t table_bytes_ = 0;
+  std::size_t checkpoint_bytes_ = 0;
+  BatchStats stats_;
+  /// Guards tables_, checkpoints_, their byte totals and stats_.
   mutable std::mutex mutex_;
   std::condition_variable build_done_;
 };

@@ -1,14 +1,13 @@
 #include "core/cache_key.hpp"
 
-#include <algorithm>
 #include <cstring>
 
 namespace chainckpt::core {
 
 namespace {
 
-/// Table keys start with n, both rates and two law words; the weights
-/// follow.
+/// Words ahead of the weights in every key push_rates_law_weights()
+/// starts: n, both rates and two law words.
 constexpr std::size_t kWeightsOffset = 5;
 
 std::uint64_t to_bits(double value) noexcept {
@@ -60,14 +59,6 @@ CacheKey table_key(const chain::TaskChain& chain,
     key.bits.push_back(to_bits(costs.v_guaranteed_after(i)));
   }
   return key;
-}
-
-bool same_chain_weights(const CacheKey& a, const CacheKey& b) noexcept {
-  const std::size_t n = static_cast<std::size_t>(a.bits[0]);
-  return a.bits[0] == b.bits[0] &&
-         std::equal(a.bits.begin() + kWeightsOffset,
-                    a.bits.begin() + kWeightsOffset + n,
-                    b.bits.begin() + kWeightsOffset);
 }
 
 CacheKey exact_key(Algorithm algorithm, const chain::TaskChain& chain,

@@ -5,8 +5,12 @@
 // construction and requests differing only in unread inputs share an
 // entry.  Bitwise comparison (not double ==) keeps hash and equality
 // consistent for every value, -0.0 and NaN included.
+//
+// The three stores also share one LRU clock, so one byte budget can
+// order entries of every kind (BatchOptions::cache_budget_bytes).
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -24,6 +28,11 @@ struct CacheKey {
   }
 };
 
+/// The stores' shared LRU clock: every insert or touch of an entry stamps
+/// it with the next tick, so the smallest stamp of any kind is the least
+/// recently used entry.
+using LruClock = std::atomic<std::uint64_t>;
+
 /// FNV-1a over the key words, byte by byte.
 struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const noexcept;
@@ -36,10 +45,6 @@ struct CacheKeyHash {
 /// solve, so jobs differing only there share one table pair.
 CacheKey table_key(const chain::TaskChain& chain,
                    const platform::CostModel& costs);
-
-/// True when two table keys cover the same chain weights: the test for a
-/// patch donor.
-bool same_chain_weights(const CacheKey& a, const CacheKey& b) noexcept;
 
 /// Every input `algorithm`'s DP reads: the table key's material plus the
 /// checkpoint/recovery cost streams, and for kADMV (the one engine that

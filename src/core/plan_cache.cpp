@@ -22,7 +22,9 @@ std::size_t key_bytes(const CacheKey& key) noexcept {
 
 }  // namespace
 
-PlanCache::PlanCache(PlanCacheConfig config) : config_(config) {}
+PlanCache::PlanCache() : clock_(own_clock_) {}
+
+PlanCache::PlanCache(LruClock& clock) : clock_(clock) {}
 
 std::size_t PlanCache::entry_bytes(const CacheKey& exact_key,
                                    const Entry& entry) noexcept {
@@ -50,7 +52,7 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
     ++stats_.lookups;
     const auto it = entries_.find(exact);
     if (it != entries_.end()) {
-      it->second->last_used = ++use_tick_;
+      it->second->last_used = ++clock_;
       ++stats_.exact_hits;
       out.outcome = CacheOutcome::kExactHit;
       out.result = it->second->result;
@@ -89,7 +91,7 @@ CacheLookup PlanCache::lookup(Algorithm algorithm,
                         score <= (1.0 + epsilon) * check.lower_bound;
   const std::lock_guard<std::mutex> lock(mutex_);
   if (servable) {
-    candidate->last_used = ++use_tick_;
+    candidate->last_used = ++clock_;
     ++stats_.epsilon_hits;
     out.outcome = CacheOutcome::kEpsilonHit;
     out.result.plan = candidate->result.plan;
@@ -112,8 +114,8 @@ void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
     const std::lock_guard<std::mutex> lock(mutex_);
     const auto it = entries_.find(exact);
     if (it != entries_.end()) {
-      it->second->last_used = ++use_tick_;
-      shape_index_.insert_or_assign(std::move(shape), it->second);
+      it->second->last_used = ++clock_;
+      index_shape_locked(std::move(shape), it->second);
       return;
     }
   }
@@ -130,17 +132,24 @@ void PlanCache::insert(Algorithm algorithm, const chain::TaskChain& chain,
   if (algorithm == Algorithm::kADMV) entry->cert.partial_framework = true;
   entry->bytes = entry_bytes(exact, *entry);
   const std::lock_guard<std::mutex> lock(mutex_);
-  entry->last_used = ++use_tick_;
   const auto [it, inserted] = entries_.try_emplace(std::move(exact), entry);
-  if (!inserted) {
-    // Raced another insert of the same key; the results are identical by
-    // the determinism contract, keep the incumbent.
-    it->second->last_used = use_tick_;
-  } else {
+  // Raced another insert of the same key: the results are identical by
+  // the determinism contract, so the incumbent stays and is touched.
+  it->second->last_used = ++clock_;
+  if (inserted) {
     ++stats_.inserts;
+    resident_bytes_ += entry->bytes;
   }
-  shape_index_.insert_or_assign(std::move(shape), it->second);
-  if (config_.budget_bytes != 0) evict_locked(config_.budget_bytes);
+  index_shape_locked(std::move(shape), it->second);
+}
+
+void PlanCache::index_shape_locked(CacheKey shape,
+                                   const std::shared_ptr<Entry>& entry) {
+  const auto [it, inserted] =
+      shape_index_.insert_or_assign(std::move(shape), entry);
+  if (inserted) {
+    resident_bytes_ += node_bytes<EntryMap>() + key_bytes(it->first);
+  }
 }
 
 bool PlanCache::probable_hit(Algorithm algorithm,
@@ -164,28 +173,18 @@ bool PlanCache::probable_hit(Algorithm algorithm,
   return check.outcome != DriftOutcome::kBeyondRadius;
 }
 
-std::size_t PlanCache::evict_to(std::size_t budget_bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return evict_locked(budget_bytes);
-}
-
-void PlanCache::set_budget(std::size_t budget_bytes) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  config_.budget_bytes = budget_bytes;
-  if (budget_bytes != 0) evict_locked(budget_bytes);
-}
-
 std::size_t PlanCache::clear() {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t freed = resident_bytes_locked();
+  const std::size_t freed = resident_bytes_;
   entries_.clear();
   shape_index_.clear();
+  resident_bytes_ = 0;
   return freed;
 }
 
 std::size_t PlanCache::resident_bytes() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return resident_bytes_locked();
+  return resident_bytes_;
 }
 
 std::size_t PlanCache::size() const {
@@ -198,40 +197,32 @@ PlanCacheStats PlanCache::stats_snapshot() const {
   return stats_;
 }
 
-std::size_t PlanCache::resident_bytes_locked() const noexcept {
-  std::size_t total = 0;
-  for (const auto& [key, entry] : entries_) total += entry->bytes;
-  for (const auto& [key, entry] : shape_index_) {
-    total += node_bytes<EntryMap>() + key_bytes(key);
-  }
-  return total;
-}
-
-std::size_t PlanCache::evict_locked(std::size_t budget_bytes) {
-  std::size_t freed = 0;
-  std::size_t resident = resident_bytes_locked();
-  while (resident > budget_bytes && !entries_.empty()) {
-    auto victim = entries_.begin();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second->last_used < victim->second->last_used) victim = it;
+std::size_t PlanCache::evict_oldest_before(std::uint64_t stamp) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  auto victim = entries_.end();
+  for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+    if (it->second->last_used < stamp &&
+        (victim == entries_.end() ||
+         it->second->last_used < victim->second->last_used)) {
+      victim = it;
     }
-    // Unhook the shape index if it points at the victim, so near-miss
-    // lookups never serve an evicted plan.
-    std::size_t bytes = victim->second->bytes;
-    for (auto it = shape_index_.begin(); it != shape_index_.end(); ++it) {
-      if (it->second == victim->second) {
-        bytes += node_bytes<EntryMap>() + key_bytes(it->first);
-        shape_index_.erase(it);
-        break;
-      }
-    }
-    resident -= bytes;
-    freed += bytes;
-    stats_.evicted_bytes += bytes;
-    ++stats_.evictions;
-    entries_.erase(victim);
   }
-  return freed;
+  if (victim == entries_.end()) return 0;
+  // Unhook the shape index if it points at the victim, so near-miss
+  // lookups never serve an evicted plan.
+  std::size_t bytes = victim->second->bytes;
+  for (auto it = shape_index_.begin(); it != shape_index_.end(); ++it) {
+    if (it->second == victim->second) {
+      bytes += node_bytes<EntryMap>() + key_bytes(it->first);
+      shape_index_.erase(it);
+      break;
+    }
+  }
+  entries_.erase(victim);
+  resident_bytes_ -= bytes;
+  stats_.evicted_bytes += bytes;
+  ++stats_.evictions;
+  return bytes;
 }
 
 }  // namespace chainckpt::core

@@ -32,10 +32,15 @@
 //     bound (any plan's score bounds the optimum from above), which
 //     BatchSolver uses as a post-solve oracle check.
 //
-// Eviction is LRU by bytes, mirroring the table cache.  Thread-safety:
-// all entry points are safe against each other; the evaluator re-score
-// runs outside the lock (entries are immutable after insert except for
-// their LRU stamp).
+// Eviction: the cache never evicts on its own.  core::BatchSolver bounds
+// it together with its table and checkpoint stores under one byte budget
+// (BatchOptions::cache_budget_bytes): the stores share one LRU clock, and
+// the solver's eviction loop drops plans through evict_oldest_before().
+// A standalone cache is unbounded.  Thread-safety: all entry points are
+// safe against each other; the evaluator re-score runs outside the lock
+// (entries are immutable after insert except for their LRU stamp).  The
+// cache never calls out while holding its lock, so a caller may hold its
+// own lock around any entry point.
 //
 // See docs/CACHING.md for the full contract and tuning guidance.
 #pragma once
@@ -54,11 +59,6 @@
 #include "platform/cost_model.hpp"
 
 namespace chainckpt::core {
-
-struct PlanCacheConfig {
-  /// LRU byte budget; 0 keeps the cache unbounded.
-  std::size_t budget_bytes = 0;
-};
 
 /// Monotone counters; every lookup() lands in exactly one of
 /// {exact_hits, epsilon_hits, cert_rejections, misses}, so
@@ -106,7 +106,12 @@ struct CacheLookup {
 
 class PlanCache {
  public:
-  explicit PlanCache(PlanCacheConfig config = {});
+  /// A cache with a clock of its own.
+  PlanCache();
+  /// A cache that stamps its entries from `clock`, shared with the other
+  /// stores one budget orders (see core::BatchSolver); `clock` must
+  /// outlive the cache.
+  explicit PlanCache(LruClock& clock);
 
   /// Looks the request up.  `epsilon` is the caller's relative-error
   /// tolerance for serving a drifted plan; <= 0 restricts the cache to
@@ -133,12 +138,10 @@ class PlanCache {
   bool probable_hit(Algorithm algorithm, const chain::TaskChain& chain,
                     const platform::CostModel& costs, double epsilon) const;
 
-  /// Evicts least-recently-used entries until at most `budget_bytes`
-  /// remain; returns the bytes freed.
-  std::size_t evict_to(std::size_t budget_bytes);
-
-  /// Replaces the byte budget and applies it immediately; 0 unbounds.
-  void set_budget(std::size_t budget_bytes);
+  /// Evicts the least recently used entry if its LRU stamp is below
+  /// `stamp` (counted in evictions); returns the bytes freed, 0 when no
+  /// entry is that old.  One step of core::BatchSolver's eviction loop.
+  std::size_t evict_oldest_before(std::uint64_t stamp);
 
   /// Drops every entry; returns the bytes freed (not counted as
   /// evictions).
@@ -146,7 +149,8 @@ class PlanCache {
 
   /// Bytes the cache holds: every entry (its map node and exact key, the
   /// shared entry block, the plan and any per-position cost streams) and
-  /// the shape index (a node and a shape key per shape).
+  /// the shape index (a node and a shape key per shape).  A running
+  /// total, so the call is O(1).
   std::size_t resident_bytes() const;
   std::size_t size() const;
   PlanCacheStats stats_snapshot() const;
@@ -170,18 +174,21 @@ class PlanCache {
   static std::size_t entry_bytes(const CacheKey& exact_key,
                                  const Entry& entry) noexcept;
 
-  std::size_t resident_bytes_locked() const noexcept;
-  std::size_t evict_locked(std::size_t budget_bytes);
+  /// Points `shape`'s index slot at `entry`, counting a new slot's bytes.
+  /// Requires mutex_.
+  void index_shape_locked(CacheKey shape, const std::shared_ptr<Entry>& entry);
 
-  PlanCacheConfig config_;
+  LruClock own_clock_{0};
+  LruClock& clock_;
   PlanCacheStats stats_;
+  /// Running total behind resident_bytes().
+  std::size_t resident_bytes_ = 0;
   /// Keyed by core::exact_key(): every input the algorithm's DP reads.
   EntryMap entries_;
   /// Most recent entry per core::shape_key() -- the candidate a near-miss
   /// lookup checks the certificate against.  Every value is also in
   /// entries_ (eviction unhooks it).
   EntryMap shape_index_;
-  std::uint64_t use_tick_ = 0;
   mutable std::mutex mutex_;
 };
 

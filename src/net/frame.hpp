@@ -80,7 +80,8 @@ enum class WireError : std::uint16_t {
   kBadType = 3,         ///< unknown FrameType value
   kPayloadTooLarge = 4, ///< declared length over the server's ceiling
   kBadPayload = 5,      ///< well-framed but undecodable payload
-  kUnknownRequest = 6,  ///< Poll/Cancel for an id this connection never sent
+  kUnknownRequest = 6,  ///< Poll/Cancel for an id not live on this
+                        ///< connection: never sent, or already retired
   kDuplicateRequest = 7,///< Submit reusing a live request id
   kTenantMismatch = 8,  ///< frame tenant differs from the connection's
   kNotAccepting = 9,    ///< server shutting down

@@ -40,6 +40,21 @@ void set_nonblocking(int fd) {
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
 }
 
+/// A live request of one connection.
+struct Request {
+  service::JobHandle handle;
+  /// Its terminal status goes out as a streamed kResult, not in a poll
+  /// reply.
+  bool streamed = false;
+};
+
+/// A streamed request whose kResult the completion callback queued.  The
+/// job id tells it apart from a later request that reuses the id.
+struct Finished {
+  std::uint64_t request_id = 0;
+  service::JobId job = 0;
+};
+
 struct Connection {
   int fd = -1;
   bool tenant_bound = false;
@@ -54,18 +69,24 @@ struct Connection {
   /// Flush what is queued, then close (kGoodbye or an unsyncable stream).
   bool closing = false;
   bool dead = false;  ///< socket error/EOF: close without flushing
-  /// Live request ids of this connection (I/O thread only).
-  std::map<std::uint64_t, service::JobHandle> requests;
+  /// Live requests of this connection by request id (I/O thread only).
+  /// A request leaves once the frame carrying its terminal status is
+  /// queued: its streamed kResult, or else a kStatus poll reply.
+  std::map<std::uint64_t, Request> requests;
+  /// Streamed requests the completion callback finished (State::mutex);
+  /// the I/O thread retires them from `requests` before it reads the
+  /// connection's next frames.
+  std::vector<Finished> finished;
 };
 
-/// Where a finished job's kResult frame goes.  `sent` is the exactly-once
-/// latch raced by the completion callback (worker thread) and the
-/// post-submit/poll handoff (I/O thread); both flip it under State::mutex.
+/// Where a finished job's kResult frame goes.  Whoever queues the kResult
+/// -- the completion callback (worker thread) or the post-submit handoff
+/// (I/O thread) -- erases the route under State::mutex, which makes the
+/// result exactly-once.
 struct Route {
   int fd = -1;
   std::uint64_t request_id = 0;
   std::uint64_t tenant = 0;
-  bool sent = false;
 };
 
 /// One quota-pending submission sitting in the DRR ingress.
@@ -180,19 +201,18 @@ void WireServer::start() {
   service_.on_completion([st](const service::JobStatus& status) {
     std::lock_guard<std::mutex> lock(st->mutex);
     const auto route_it = st->routes.find(status.id);
-    if (route_it == st->routes.end() || route_it->second.sent) return;
-    const auto conn_it = st->conns.find(route_it->second.fd);
-    if (conn_it == st->conns.end()) {
-      st->routes.erase(route_it);
-      return;
-    }
-    route_it->second.sent = true;
+    if (route_it == st->routes.end()) return;
+    const Route route = route_it->second;
+    st->routes.erase(route_it);
+    const auto conn_it = st->conns.find(route.fd);
+    if (conn_it == st->conns.end()) return;
     FrameHeader header;
     header.type = FrameType::kResult;
-    header.tenant_id = route_it->second.tenant;
-    header.request_id = route_it->second.request_id;
-    st->append_frame_locked(*conn_it->second, header,
-                            encode_job_status(status));
+    header.tenant_id = route.tenant;
+    header.request_id = route.request_id;
+    Connection& conn = *conn_it->second;
+    st->append_frame_locked(conn, header, encode_job_status(status));
+    conn.finished.push_back({route.request_id, status.id});
     ++st->stats.results_streamed;
     st->wake();
   });
@@ -425,9 +445,13 @@ void IoDriver::handle_frame(const std::shared_ptr<Connection>& conn,
                    to_string(WireError::kUnknownRequest));
         return;
       }
-      const service::JobStatus status = service_.poll(it->second);
+      const service::JobStatus status = service_.poll(it->second.handle);
       reply.type = FrameType::kStatus;
       send_frame(conn, reply, encode_job_status(status));
+      // This reply carries the terminal status unless a kResult will.
+      if (!it->second.streamed && service::is_terminal(status.state)) {
+        conn->requests.erase(it);
+      }
       return;
     }
     case FrameType::kCancel: {
@@ -440,7 +464,7 @@ void IoDriver::handle_frame(const std::shared_ptr<Connection>& conn,
       }
       // Unlocked on purpose: cancelling a queued job fires the
       // completion callback synchronously on this thread.
-      const bool cancelled = service_.cancel(it->second);
+      const bool cancelled = service_.cancel(it->second.handle);
       reply.type = FrameType::kCancelAck;
       send_frame(conn, reply, encode_cancel_ack(cancelled));
       return;
@@ -536,10 +560,12 @@ void IoDriver::drain_ingress() {
       continue;
     }
 
-    conn->requests[item.request_id] = handle;
     const bool accepted = status.state != service::JobState::kRejected;
     const bool wants_stream =
         accepted && (item.flags & kFlagStreamResult) != 0;
+    // A rejection or an unstreamed job stays until a poll reply carries
+    // its terminal status.
+    if (!wants_stream) conn->requests[item.request_id] = Request{handle};
 
     // Protocol guarantee: the kSubmitAck always precedes the streamed
     // kResult.  The route is therefore registered only AFTER the ack is
@@ -564,30 +590,31 @@ void IoDriver::drain_ingress() {
       if (service::is_terminal(status.state)) {
         // Finished before the ack: the callback ran with no route, so
         // stream directly -- every accepted streamed submit gets exactly
-        // one kResult.
+        // one kResult -- and never register the request.
         std::lock_guard<std::mutex> lock(st_.mutex);
         st_.append_frame_locked(*conn, result_header,
                                 encode_job_status(status));
         ++st_.stats.results_streamed;
       } else {
+        conn->requests[item.request_id] = Request{handle, true};
         {
           std::lock_guard<std::mutex> lock(st_.mutex);
-          st_.routes[handle.id()] =
-              Route{item.fd, item.request_id, tenant, false};
+          st_.routes[handle.id()] = Route{item.fd, item.request_id, tenant};
         }
         // The job may have finished between submit() and the route
         // registration, in which case the completion callback found no
         // route and sent nothing.  Re-poll and serve the route here;
-        // the `sent` latch makes the two paths exactly-once.
+        // erasing the route makes the two paths exactly-once.
         status = service_.poll(handle);
         if (service::is_terminal(status.state)) {
           std::lock_guard<std::mutex> lock(st_.mutex);
           const auto route_it = st_.routes.find(handle.id());
-          if (route_it != st_.routes.end() && !route_it->second.sent) {
-            route_it->second.sent = true;
+          if (route_it != st_.routes.end()) {
+            st_.routes.erase(route_it);
             st_.append_frame_locked(*conn, result_header,
                                     encode_job_status(status));
             ++st_.stats.results_streamed;
+            conn->requests.erase(item.request_id);
           }
         }
       }
@@ -695,11 +722,23 @@ void IoDriver::run() {
     for (std::size_t i = 0; i < conn_fds.size(); ++i) {
       const pollfd& pfd = fds[i + 2];
       std::shared_ptr<Connection> conn;
+      std::vector<Finished> finished;
       {
         std::lock_guard<std::mutex> lock(st_.mutex);
         const auto it = st_.conns.find(conn_fds[i]);
         if (it == st_.conns.end()) continue;
         conn = it->second;
+        finished.swap(conn->finished);
+      }
+      // Retire streamed requests whose kResult is queued before reading
+      // frames that may reuse their ids: the kResult is flushed after
+      // the callback recorded the request, so a client can only reuse
+      // the id in a frame this step has not read yet.
+      for (const Finished& done : finished) {
+        const auto it = conn->requests.find(done.request_id);
+        if (it != conn->requests.end() && it->second.handle.id() == done.job) {
+          conn->requests.erase(it);
+        }
       }
       if (pfd.revents & (POLLERR | POLLHUP | POLLNVAL)) conn->dead = true;
       if (!conn->dead && (pfd.revents & POLLIN)) {

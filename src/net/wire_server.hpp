@@ -8,11 +8,18 @@
 // parse, dispatch, write.  Solves happen on the service's worker pool;
 // the only cross-thread touch is the completion callback, which (under
 // the server mutex) appends a kResult frame to the owning connection's
-// outbox and pokes a self-pipe so the poll loop wakes to flush it.  The
-// mutex guards outboxes, the result-routing table, and stats -- never a
+// outbox, hands the finished request id to the I/O thread, and pokes a
+// self-pipe so the poll loop wakes to flush it.  The mutex guards
+// outboxes, finished ids, the result-routing table, and stats -- never a
 // socket read or a service call (submit's rejection callback fires
 // synchronously on the submitting thread, so calling submit under the
 // mutex would deadlock).
+//
+// Request retirement (docs/PROTOCOL.md): a request leaves the edge once
+// the frame carrying its terminal status is queued -- the streamed
+// kResult, or else a kStatus poll reply -- so an endless connection holds
+// only its unfinished requests.  Later polls and cancels of the id answer
+// kUnknownRequest, and the client may reuse it.
 //
 // Write aggregation: replies are queued per connection and flushed with
 // one gathering sendmsg, many frames per syscall.  WireServerStats counts frames_sent

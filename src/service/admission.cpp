@@ -125,8 +125,7 @@ bool AdmissionController::fits(double cost_units,
 }
 
 void AdmissionController::observe(core::Algorithm algorithm,
-                                  double cost_units, double seconds,
-                                  std::size_t resident_bytes) {
+                                  double cost_units, double seconds) {
   const std::lock_guard<std::mutex> lock(mutex_);
   ClassCalibration& cls = classes_[class_index(algorithm)];
   if (seconds > 0.0 && cost_units > 0.0) {
@@ -137,7 +136,6 @@ void AdmissionController::observe(core::Algorithm algorithm,
                                      kEwmaAlpha * rate;
   }
   ++cls.samples;
-  resident_bytes_ = resident_bytes;
 }
 
 AdmissionController::Estimate AdmissionController::estimate(
@@ -155,11 +153,6 @@ AdmissionController::Estimate AdmissionController::estimate_locked(
     est.seconds = est.cost_units / cls.units_per_second;
   }
   return est;
-}
-
-std::size_t AdmissionController::observed_resident_bytes() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return resident_bytes_;
 }
 
 std::size_t AdmissionController::class_index(

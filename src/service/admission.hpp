@@ -11,11 +11,11 @@
 // in-flight work stays under the configured concurrency budget.
 //
 // Pricing is a static model; calibration makes it actionable.  Every
-// completed job reports its observed wall time and the solver's resident
-// table bytes.  The controller folds these into per-class EWMA throughput
-// estimates, so estimate() can translate abstract units into expected
-// seconds once traffic has warmed it up -- the numbers an operator tunes
-// the budget against (see docs/SERVER.md).
+// completed job reports its observed wall time, which the controller
+// folds into per-class EWMA throughput estimates, so estimate() can
+// translate abstract units into expected seconds once traffic has warmed
+// it up -- the numbers an operator tunes the budget against (see
+// docs/SERVER.md).
 //
 // Calibration also closes the loop on deadlines: a submission that
 // carries one is checked against the class's calibrated estimate at
@@ -148,10 +148,9 @@ class AdmissionController {
   /// while `inflight_units` are already running?
   bool fits(double cost_units, double inflight_units) const noexcept;
 
-  /// Calibration feed, called per completed job: priced units, observed
-  /// wall seconds, and the solver's resident table bytes after the job.
-  void observe(core::Algorithm algorithm, double cost_units, double seconds,
-               std::size_t resident_bytes);
+  /// Calibration feed, called per completed job: priced units and
+  /// observed wall seconds.
+  void observe(core::Algorithm algorithm, double cost_units, double seconds);
 
   struct Estimate {
     double cost_units = 0.0;
@@ -162,9 +161,6 @@ class AdmissionController {
   static constexpr double kUncalibrated = -1.0;
 
   Estimate estimate(core::Algorithm algorithm, std::size_t n) const;
-
-  /// Most recent resident-table-bytes observation (0 before any).
-  std::size_t observed_resident_bytes() const;
 
  private:
   static std::size_t class_index(core::Algorithm algorithm) noexcept;
@@ -179,7 +175,6 @@ class AdmissionController {
   AdmissionConfig config_;
   mutable std::mutex mutex_;
   ClassCalibration classes_[6];
-  std::size_t resident_bytes_ = 0;
 };
 
 }  // namespace chainckpt::service

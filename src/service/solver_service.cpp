@@ -645,8 +645,7 @@ void SolverService::complete(const std::shared_ptr<detail::JobRecord>& record,
     callback = callback_;
   }
   if (state == JobState::kSucceeded) {
-    admission_.observe(record->work.algorithm, record->cost_units, seconds,
-                       solver_.cache_resident_bytes());
+    admission_.observe(record->work.algorithm, record->cost_units, seconds);
   }
   work_ready_.notify_all();  // freed budget may unblock queued jobs
   job_done_.notify_all();

@@ -32,10 +32,11 @@
 //     checkpoints as a core::CancelToken (core/cancellation.hpp), with
 //     deadline-infeasible submissions rejected up front once the class
 //     is calibrated (service/admission.hpp);
-//   * bounded memory: the table cache inherits BatchSolver's LRU budget
-//     (BatchOptions::cache_budget_bytes), interruption checkpoints are
-//     bounded by BatchOptions::checkpoint_budget_bytes, and
-//     release_scratch() remains available at quiescent points.
+//   * bounded memory: the embedded BatchSolver's one byte budget
+//     (BatchOptions::cache_budget_bytes, 1 GiB by default) bounds its
+//     table pairs, retained interruption checkpoints and memoized plans
+//     together under one LRU order, and release_scratch() remains
+//     available at quiescent points.
 //
 // Determinism: a job's result is bit-identical to a synchronous
 // core::BatchSolver::solve() (and standalone core::optimize()) run of the
@@ -71,10 +72,10 @@ struct ServiceOptions {
   /// util::hardware_parallelism().  Each solve also draws on the
   /// process-wide helper pool -- see the pool note in the header comment.
   std::size_t workers = 0;
-  /// Passed through to the embedded BatchSolver: max_n, the LRU cache
-  /// budget, the plan cache, and the budget for retained
-  /// interruption checkpoints (checkpoint_budget_bytes -- the checkpoints
-  /// are what make preempted jobs resume instead of restart).
+  /// Passed through to the embedded BatchSolver: max_n, the plan cache,
+  /// and the one byte budget over tables, plans and the retained
+  /// interruption checkpoints (the checkpoints are what make preempted
+  /// jobs resume instead of restart).
   core::BatchOptions solver;
   /// Admission pricing, budget, and the deadline-feasibility screen
   /// (service/admission.hpp).
@@ -131,8 +132,9 @@ struct TenantCounters {
 };
 
 /// Counters + gauges, snapshotted by stats().  The embedded solver's
-/// BatchStats (table builds/reuses/evictions, scan counters) ride along
-/// so one call exports everything docs/SERVER.md lists as metrics.
+/// BatchStats (table builds/reuses/evictions, scan counters, the
+/// budgeted-bytes gauge) ride along so one call exports everything
+/// docs/SERVER.md lists as metrics.
 struct ServiceStats {
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;
@@ -212,10 +214,11 @@ class SolverService {
   AdmissionController::Estimate estimate(core::Algorithm algorithm,
                                          std::size_t n) const;
 
-  /// Table-cache + arena residency of the embedded solver.
+  /// The embedded solver's budgeted bytes plus the process-wide arenas
+  /// (core::BatchSolver::resident_bytes).
   std::size_t resident_bytes() const;
 
-  /// Quiescent-point release of the embedded solver's cache and the
+  /// Quiescent-point release of the embedded solver's stores and the
   /// process-wide arenas; call only while drained (the arena pool
   /// contract -- see core::BatchSolver::release_scratch).
   std::size_t release_scratch();

@@ -5,6 +5,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -163,68 +164,199 @@ TEST(BatchSolver, EmptyBatchAndEmptyChainEdgeCases) {
                std::invalid_argument);
 }
 
-TEST(BatchSolver, EvictToDropsLeastRecentlyUsedFirst) {
+TEST(BatchSolver, BudgetDropsLeastRecentlyUsedTableFirst) {
   // Three distinct keys, then a re-touch of the first: LRU order is now
-  // B < C < A, so shaving one byte off the budget must evict exactly B.
+  // B < C < A.  A fourth key D then overflows a budget one byte short of
+  // all four pairs, which must evict exactly B.
   const platform::CostModel costs{platform::hera()};
   const auto chain_a = chain::make_uniform(120, 25000.0);
   const auto chain_b = chain::make_uniform(100, 25000.0);
   const auto chain_c = chain::make_uniform(80, 25000.0);
-  // Plan cache off: the re-touches must reach the table cache.
-  BatchOptions options;
-  options.enable_plan_cache = false;
-  BatchSolver solver{options};
-  solver.solve({{Algorithm::kADVstar, chain_a, costs}});
-  solver.solve({{Algorithm::kADVstar, chain_b, costs}});
-  solver.solve({{Algorithm::kADVstar, chain_c, costs}});
-  solver.solve({{Algorithm::kADVstar, chain_a, costs}});  // touch A
-  EXPECT_EQ(solver.stats_snapshot().tables_built, 3u);
+  const auto chain_d = chain::make_uniform(60, 25000.0);
+  const auto run = [&](BatchSolver& solver) {
+    for (const auto* chain : {&chain_a, &chain_b, &chain_c, &chain_a,
+                              &chain_d}) {
+      solver.solve({{Algorithm::kADVstar, *chain, costs}});
+      EXPECT_LE(solver.stats_snapshot().budgeted_bytes,
+                solver.options().cache_budget_bytes);
+    }
+  };
+  // Plan cache off: the re-touches must reach the table cache, and only
+  // table pairs count against the budget.
+  BatchSolver unbounded{{.enable_plan_cache = false}};
+  run(unbounded);
+  ASSERT_EQ(unbounded.stats_snapshot().tables_evicted, 0u);
+  const std::size_t all_four = unbounded.stats_snapshot().budgeted_bytes;
 
-  const std::size_t full = solver.cache_resident_bytes();
-  const std::size_t freed = solver.evict_to(full - 1);
-  EXPECT_GT(freed, 0u);
-  EXPECT_EQ(solver.stats_snapshot().tables_evicted, 1u);
-  EXPECT_EQ(solver.stats_snapshot().evicted_bytes, freed);
-  EXPECT_EQ(solver.cache_resident_bytes(), full - freed);
+  BatchSolver solver{
+      {.cache_budget_bytes = all_four - 1, .enable_plan_cache = false}};
+  run(solver);
+  const BatchStats stats = solver.stats_snapshot();
+  EXPECT_EQ(stats.tables_built, 4u);
+  EXPECT_EQ(stats.tables_evicted, 1u);
+  EXPECT_GT(stats.evicted_bytes, 0u);
+  EXPECT_EQ(stats.budgeted_bytes, all_four - stats.evicted_bytes);
 
   // A and C survived (cache hits); B -- the least recently used -- must
   // rebuild.
   solver.solve({{Algorithm::kADVstar, chain_a, costs},
                 {Algorithm::kADVstar, chain_c, costs}});
-  EXPECT_EQ(solver.stats_snapshot().tables_built, 3u);
-  solver.solve({{Algorithm::kADVstar, chain_b, costs}});
   EXPECT_EQ(solver.stats_snapshot().tables_built, 4u);
+  solver.solve({{Algorithm::kADVstar, chain_b, costs}});
+  EXPECT_EQ(solver.stats_snapshot().tables_built, 5u);
 }
 
 TEST(BatchSolver, CacheBudgetBoundsResidencyWithoutChangingResults) {
-  // A budget sized for roughly one table pair: every solve evicts down
-  // to it, results stay bit-identical to the unbounded solver.
+  // A budget sized for roughly one table pair: every insert evicts down
+  // to it, results stay bit-identical to the default-budget solver.
   const platform::CostModel costs{platform::hera()};
   std::vector<BatchJob> jobs;
   for (std::size_t n : {90, 110, 130}) {
     jobs.push_back({Algorithm::kADVstar, chain::make_uniform(n, 25000.0),
                     costs});
   }
-  BatchSolver unbounded;
+  // Plan cache off: only table pairs count, and the re-solve below must
+  // reach the table cache.
+  BatchSolver unbounded{{.enable_plan_cache = false}};
   const auto reference = unbounded.solve(jobs);
-  const std::size_t one_pair =
-      unbounded.evict_to(0) / jobs.size() + 1;  // avg entry, rounded up
+  EXPECT_EQ(unbounded.stats_snapshot().tables_evicted, 0u);
+  const std::size_t one_pair = unbounded.stats_snapshot().budgeted_bytes /
+                                   jobs.size() +
+                               1;  // avg entry, rounded up
 
-  // Plan cache off: the re-solve below must reach the table cache.
   BatchSolver bounded{
       {.cache_budget_bytes = one_pair, .enable_plan_cache = false}};
-  const auto results = bounded.solve(jobs);
-  EXPECT_LE(bounded.cache_resident_bytes(), one_pair);
-  EXPECT_GT(bounded.stats_snapshot().tables_evicted, 0u);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(results[i].expected_makespan, reference[i].expected_makespan);
-    EXPECT_EQ(results[i].plan, reference[i].plan);
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto results = bounded.solve(jobs);
+    EXPECT_LE(bounded.stats_snapshot().budgeted_bytes, one_pair);
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      EXPECT_EQ(results[i].expected_makespan,
+                reference[i].expected_makespan);
+      EXPECT_EQ(results[i].plan, reference[i].plan);
+    }
   }
-  // Runtime re-budgeting: widening stops eviction, zero removes the cap.
-  bounded.set_cache_budget(0);
-  bounded.solve(jobs);
-  EXPECT_EQ(bounded.cache_resident_bytes(),
+  EXPECT_GT(bounded.stats_snapshot().tables_evicted, 0u);
+  EXPECT_EQ(bounded.stats_snapshot().budgeted_bytes,
             bounded.resident_bytes() - util::arena_resident_bytes());
+
+  // A zero budget retains nothing, plans included, and changes nothing.
+  BatchSolver none{{.cache_budget_bytes = 0}};
+  const auto uncached = none.solve(jobs);
+  EXPECT_EQ(none.stats_snapshot().budgeted_bytes, 0u);
+  EXPECT_EQ(none.plan_cache_stats().evictions,
+            none.plan_cache_stats().inserts);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    EXPECT_EQ(uncached[i].expected_makespan, reference[i].expected_makespan);
+    EXPECT_EQ(uncached[i].plan, reference[i].plan);
+  }
+}
+
+/// One solve_job() of a mixed-kind LRU scenario; `interrupt` trips the
+/// job's cancel token mid-solve so it retains a checkpoint.
+struct Step {
+  BatchJob job;
+  bool interrupt = false;
+};
+
+/// Runs `steps` on `solver`, checking the budget after every solve_job().
+void run_steps(BatchSolver& solver, const std::vector<Step>& steps) {
+  for (const Step& step : steps) {
+    CancelToken token;
+    token.trip_after_polls(800);
+    if (step.interrupt) {
+      EXPECT_THROW(solver.solve_job(step.job, &token), SolveInterrupted);
+    } else {
+      solver.solve_job(step.job);
+    }
+    EXPECT_LE(solver.stats_snapshot().budgeted_bytes,
+              solver.options().cache_budget_bytes);
+  }
+}
+
+/// Solves `job` on `solver` and requires the standalone result, bitwise.
+void expect_resolves_bitwise(BatchSolver& solver, const BatchJob& job) {
+  const OptimizationResult got = solver.solve_job(job);
+  const OptimizationResult want = optimize(job.algorithm, job.chain,
+                                           job.costs);
+  EXPECT_EQ(got.expected_makespan, want.expected_makespan)
+      << to_string(job.algorithm);
+  EXPECT_EQ(got.plan, want.plan) << to_string(job.algorithm);
+  EXPECT_LE(solver.stats_snapshot().budgeted_bytes,
+            solver.options().cache_budget_bytes);
+}
+
+TEST(BatchSolver, OneBudgetEvictsTheOldestEntryOfAnyKind) {
+  // Table pairs, retained checkpoints and plans share one LRU clock.  Each
+  // scenario runs once under the default budget to measure everything it
+  // inserts, then again under a budget one byte short of that: exactly
+  // one entry -- the least recently used, whatever its kind -- goes at
+  // the last insert.  Serial, so the interrupts commit the same slabs in
+  // both runs.
+  util::set_parallelism(1);
+  const platform::CostModel costs{platform::hera()};
+  const auto chain_a = chain::make_uniform(40, 25000.0);
+  const auto chain_c = chain::make_uniform(48, 25000.0);
+  const BatchJob adv_a{Algorithm::kADVstar, chain_a, costs};
+  // Same table key as adv_a (the key holds no algorithm), another plan.
+  const BatchJob ad_a{Algorithm::kAD, chain_a, costs};
+  const BatchJob admv_c{Algorithm::kADMVstar, chain_c, costs};
+  const BatchJob adv_c{Algorithm::kADVstar, chain_c, costs};
+  const BatchJob adv_f{Algorithm::kADVstar, chain::make_uniform(30, 25000.0),
+                       costs};
+  const auto squeezed = [&](const std::vector<Step>& steps) {
+    BatchSolver unbounded;
+    run_steps(unbounded, steps);
+    EXPECT_EQ(unbounded.stats_snapshot().tables_evicted +
+                  unbounded.stats_snapshot().checkpoints_dropped +
+                  unbounded.plan_cache_stats().evictions,
+              0u);
+    const std::size_t all = unbounded.stats_snapshot().budgeted_bytes;
+    BatchOptions options;
+    options.cache_budget_bytes = all - 1;
+    auto solver = std::make_unique<BatchSolver>(options);
+    run_steps(*solver, steps);
+    return solver;
+  };
+
+  {
+    // T(a) < P(a) < T(c) < K(c) < T(f) < P(f): the table pair goes.
+    auto solver = squeezed({{adv_a}, {admv_c, true}, {adv_f}});
+    const BatchStats stats = solver->stats_snapshot();
+    EXPECT_EQ(stats.tables_evicted, 1u);
+    EXPECT_EQ(stats.checkpoints_dropped, 0u);
+    EXPECT_EQ(solver->plan_cache_stats().evictions, 0u);
+    // Its plan survived; a job that needs the pair rebuilds it.
+    expect_resolves_bitwise(*solver, adv_a);
+    EXPECT_EQ(solver->plan_cache_stats().exact_hits, 1u);
+    expect_resolves_bitwise(*solver, ad_a);
+    EXPECT_EQ(solver->stats_snapshot().tables_built, stats.tables_built + 1);
+  }
+  {
+    // T(c) < K(c) < T(a) < P(a) < T(c) touched < P(adv c) < T(f) < P(f):
+    // the checkpoint goes.
+    auto solver = squeezed({{admv_c, true}, {adv_a}, {adv_c}, {adv_f}});
+    const BatchStats stats = solver->stats_snapshot();
+    EXPECT_EQ(stats.checkpoints_dropped, 1u);
+    EXPECT_EQ(stats.tables_evicted, 0u);
+    EXPECT_EQ(solver->plan_cache_stats().evictions, 0u);
+    // The interrupted job restarts from scratch.
+    expect_resolves_bitwise(*solver, admv_c);
+    EXPECT_EQ(solver->stats_snapshot().checkpoints_resumed, 0u);
+  }
+  {
+    // T(a) < P(a) < T(a) touched < P(ad a) < T(c) < K(c) < T(f) < P(f):
+    // the plan goes.
+    auto solver = squeezed({{adv_a}, {ad_a}, {admv_c, true}, {adv_f}});
+    const BatchStats stats = solver->stats_snapshot();
+    EXPECT_EQ(solver->plan_cache_stats().evictions, 1u);
+    EXPECT_EQ(stats.tables_evicted, 0u);
+    EXPECT_EQ(stats.checkpoints_dropped, 0u);
+    // The job re-solves on its surviving table pair.
+    expect_resolves_bitwise(*solver, adv_a);
+    EXPECT_EQ(solver->plan_cache_stats().exact_hits, 0u);
+    EXPECT_EQ(solver->stats_snapshot().tables_reused, stats.tables_reused + 1);
+  }
+  util::set_parallelism(0);
 }
 
 TEST(BatchSolver, SolveJobMatchesBatchAndStandaloneBitwise) {
@@ -480,37 +612,49 @@ TEST(BatchSolverPlanCache, CountersReconcileAcrossHitMissAndEpsilon) {
 }
 
 TEST(BatchSolverPlanCache, BudgetEvictsLruAndEvictedJobsResolveBitwise) {
-  BatchOptions options;
-  BatchSolver solver{options};
   const platform::CostModel hera{platform::hera()};
   std::vector<BatchJob> jobs;
   for (std::size_t n = 10; n < 20; ++n) {
     jobs.push_back(
         {Algorithm::kADVstar, chain::make_uniform(n, 25000.0), hera});
   }
+  BatchSolver unbounded;
   std::vector<OptimizationResult> first;
-  for (const BatchJob& job : jobs) first.push_back(solver.solve_job(job));
-  const std::size_t resident = solver.plan_cache_resident_bytes();
-  ASSERT_GT(resident, 0u);
-  EXPECT_EQ(solver.plan_cache_size(), jobs.size());
+  for (const BatchJob& job : jobs) first.push_back(unbounded.solve_job(job));
+  ASSERT_EQ(unbounded.plan_cache_stats().evictions, 0u);
+  const std::size_t resident = unbounded.stats_snapshot().budgeted_bytes;
 
-  // Squeeze the budget at runtime: LRU entries go, the rest stay.
-  solver.set_plan_cache_budget(resident / 3);
-  EXPECT_LE(solver.plan_cache_resident_bytes(), resident / 3);
-  EXPECT_LT(solver.plan_cache_size(), jobs.size());
+  // A third of those bytes: LRU entries -- plans and table pairs alike --
+  // go, the rest stay, and every result is the unbounded one.
+  const std::size_t budget = resident / 3;
+  BatchSolver solver{{.cache_budget_bytes = budget}};
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const OptimizationResult result = solver.solve_job(jobs[i]);
+    EXPECT_EQ(result.expected_makespan, first[i].expected_makespan)
+        << "job " << i;
+    EXPECT_EQ(result.plan, first[i].plan) << "job " << i;
+    EXPECT_LE(solver.stats_snapshot().budgeted_bytes, budget);
+  }
   const PlanCacheStats cache = solver.plan_cache_stats();
   EXPECT_GT(cache.evictions, 0u);
   EXPECT_GT(cache.evicted_bytes, 0u);
+  EXPECT_LT(cache.inserts - cache.evictions, jobs.size());
 
+  // The newest plan stayed; the oldest went.
+  solver.solve_job(jobs.back());
+  EXPECT_EQ(solver.plan_cache_stats().exact_hits, 1u);
   // Evicted jobs re-solve bitwise-identically (and re-populate the
-  // cache under the new budget).
+  // cache under the budget).
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     const OptimizationResult again = solver.solve_job(jobs[i]);
+    if (i == 0) {
+      EXPECT_EQ(solver.plan_cache_stats().exact_hits, 1u);  // evicted
+    }
     EXPECT_EQ(again.expected_makespan, first[i].expected_makespan)
         << "job " << i;
     EXPECT_EQ(again.plan, first[i].plan) << "job " << i;
   }
-  EXPECT_LE(solver.plan_cache_resident_bytes(), resident / 3);
+  EXPECT_LE(solver.stats_snapshot().budgeted_bytes, budget);
   EXPECT_EQ(solver.stats_snapshot().warm_bound_violations, 0u);
 }
 

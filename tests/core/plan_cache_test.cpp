@@ -23,6 +23,7 @@
 
 #include "analysis/evaluator.hpp"
 #include "chain/patterns.hpp"
+#include "core/batch_solver.hpp"
 #include "platform/registry.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
@@ -337,34 +338,45 @@ TEST(PlanCache, SeededRandomDriftsPartitionAndSurviveTheOracle) {
 }
 
 TEST(PlanCache, LruEvictionByBytesKeepsTheHotEntry) {
+  // Plans are bounded by their BatchSolver's one budget, in one LRU order
+  // with its table pairs.
   const auto costs = costs_for(scaled_hera());
-  PlanCache cache;
-  // Insert plans for several chain lengths, unbounded.
-  std::vector<chain::TaskChain> chains;
+  std::vector<BatchJob> jobs;
   for (std::size_t n = 10; n < 18; ++n) {
-    chains.push_back(chain::make_uniform(n, 25000.0));
-    cache.insert(Algorithm::kADVstar, chains.back(), costs,
-                 fresh_solve(Algorithm::kADVstar, chains.back(), costs));
+    jobs.push_back({Algorithm::kADVstar, chain::make_uniform(n, 25000.0),
+                    costs});
   }
-  ASSERT_EQ(cache.size(), chains.size());
-  const std::size_t resident = cache.resident_bytes();
-  EXPECT_GT(resident, 0u);
+  const BatchJob big{Algorithm::kADVstar, chain::make_uniform(120, 25000.0),
+                     costs};
+  BatchSolver small_probe;
+  for (const BatchJob& job : jobs) small_probe.solve_job(job);
+  const std::size_t small = small_probe.stats_snapshot().budgeted_bytes;
+  BatchSolver big_probe;
+  big_probe.solve_job(big);
+  const std::size_t budget =
+      big_probe.stats_snapshot().budgeted_bytes + small / 4;
 
-  // Touch the FIRST entry so it is the most recently used...
-  ASSERT_EQ(cache.lookup(Algorithm::kADVstar, chains[0], costs, 0.0).outcome,
-            CacheOutcome::kExactHit);
-  // ...then squeeze to roughly a quarter of the bytes.
-  cache.set_budget(resident / 4);
-  EXPECT_LE(cache.resident_bytes(), resident / 4);
-  EXPECT_LT(cache.size(), chains.size());
-  const PlanCacheStats stats = cache.stats_snapshot();
+  BatchSolver solver{{.cache_budget_bytes = budget}};
+  for (const BatchJob& job : jobs) solver.solve_job(job);
+  ASSERT_EQ(solver.plan_cache_stats().inserts, jobs.size());
+  ASSERT_EQ(solver.plan_cache_stats().evictions, 0u);
+
+  // Touch the FIRST plan so it is the most recently used...
+  solver.solve_job(jobs[0]);
+  ASSERT_EQ(solver.plan_cache_stats().exact_hits, 1u);
+  // ...then squeeze the small jobs' entries to roughly a quarter of their
+  // bytes.
+  solver.solve_job(big);
+  EXPECT_LE(solver.stats_snapshot().budgeted_bytes, budget);
+  const PlanCacheStats stats = solver.plan_cache_stats();
   EXPECT_GT(stats.evictions, 0u);
   EXPECT_GT(stats.evicted_bytes, 0u);
   // The freshly touched entry survived; the oldest untouched did not.
-  EXPECT_EQ(cache.lookup(Algorithm::kADVstar, chains[0], costs, 0.0).outcome,
-            CacheOutcome::kExactHit);
-  EXPECT_EQ(cache.lookup(Algorithm::kADVstar, chains[1], costs, 0.0).outcome,
-            CacheOutcome::kMiss);
+  solver.solve_job(jobs[0]);
+  EXPECT_EQ(solver.plan_cache_stats().exact_hits, 2u);
+  solver.solve_job(jobs[1]);
+  EXPECT_EQ(solver.plan_cache_stats().exact_hits, 2u);
+  EXPECT_EQ(solver.plan_cache_stats().misses, jobs.size() + 2);
 }
 
 TEST(PlanCache, EvictThenResolveIsBitwiseStable) {

@@ -239,10 +239,15 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   const std::size_t n = 80;
   const BatchJob job{Algorithm::kADMVstar, chain::make_uniform(n, 25000.0),
                      platform::CostModel{platform::hera()}};
-  BatchSolver fresh_solver;
+  // Plan cache off: every solve below runs the DP, and only the table
+  // pair and the checkpoint count against the budget.
+  BatchOptions options;
+  options.enable_plan_cache = false;
+  BatchSolver fresh_solver(options);
   const OptimizationResult expected = fresh_solver.solve_job(job);
+  const std::size_t table_bytes = fresh_solver.stats_snapshot().budgeted_bytes;
 
-  BatchSolver solver;
+  BatchSolver solver(options);
   CancelToken token;
   // Deep into the n(n+1)/2 steps, so slabs have certainly committed.
   token.trip_after_polls(static_cast<std::int64_t>(n * (n + 1) / 2) * 3 / 4);
@@ -250,7 +255,7 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   BatchStats stats = solver.stats_snapshot();
   EXPECT_EQ(stats.jobs_interrupted, 1u);
   EXPECT_EQ(stats.checkpoints_saved, 1u);
-  EXPECT_GT(solver.checkpoint_resident_bytes(), 0u);
+  EXPECT_GT(stats.budgeted_bytes, table_bytes);
 
   // Resubmission of the identical workload resumes and matches bitwise.
   const OptimizationResult resumed = solver.solve_job(job);
@@ -260,7 +265,7 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   EXPECT_EQ(stats.checkpoints_resumed, 1u);
   EXPECT_GT(stats.checkpoint_slabs_skipped, 0u);
   // Consumed on success: nothing left to resume (or meter).
-  EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
+  EXPECT_EQ(stats.budgeted_bytes, table_bytes);
 
   // A third, identical solve starts from scratch and still matches.
   const OptimizationResult again = solver.solve_job(job);
@@ -270,19 +275,52 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
 }
 
 TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {
+  // Two interrupted workloads over one table pair (they differ only in
+  // checkpoint costs, which the tables never read): the LRU order is
+  // table < first checkpoint < table again < second checkpoint, so a
+  // budget one byte short of all three drops the first checkpoint.
   const SerialGuard serial;
+  platform::Platform pricey = platform::hera();
+  pricey.c_disk *= 2.0;
+  pricey.r_disk *= 2.0;
+  const auto chain = chain::make_uniform(48, 25000.0);
+  const BatchJob older{Algorithm::kADMVstar, chain,
+                       platform::CostModel{platform::hera()}};
+  const BatchJob newer{Algorithm::kADMVstar, chain,
+                       platform::CostModel{pricey}};
+  const auto interrupt_both = [&](BatchSolver& solver) {
+    for (const BatchJob* job : {&older, &newer}) {
+      CancelToken token;
+      token.trip_after_polls(800);
+      EXPECT_THROW(solver.solve_job(*job, &token), SolveInterrupted);
+      EXPECT_LE(solver.stats_snapshot().budgeted_bytes,
+                solver.options().cache_budget_bytes);
+    }
+  };
+  BatchSolver unbounded;
+  interrupt_both(unbounded);
   BatchOptions options;
-  options.checkpoint_budget_bytes = 1;  // nothing survives the budget
+  options.cache_budget_bytes = unbounded.stats_snapshot().budgeted_bytes - 1;
   BatchSolver solver(options);
-  const BatchJob job{Algorithm::kADMVstar, chain::make_uniform(48, 25000.0),
-                     platform::CostModel{platform::hera()}};
-  CancelToken token;
-  token.trip_after_polls(800);
-  EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
+  interrupt_both(solver);
   const BatchStats stats = solver.stats_snapshot();
-  EXPECT_EQ(stats.checkpoints_saved, 1u);
+  EXPECT_EQ(stats.checkpoints_saved, 2u);
   EXPECT_EQ(stats.checkpoints_dropped, 1u);
-  EXPECT_EQ(solver.checkpoint_resident_bytes(), 0u);
+  EXPECT_EQ(stats.tables_evicted, 0u);
+
+  // The newer checkpoint resumes; the older one restarts from scratch.
+  const OptimizationResult resumed = solver.solve_job(newer);
+  EXPECT_EQ(solver.stats_snapshot().checkpoints_resumed, 1u);
+  const OptimizationResult restarted = solver.solve_job(older);
+  EXPECT_EQ(solver.stats_snapshot().checkpoints_resumed, 1u);
+  const OptimizationResult want_newer =
+      solve_plain(Algorithm::kADMVstar, chain, newer.costs);
+  const OptimizationResult want_older =
+      solve_plain(Algorithm::kADMVstar, chain, older.costs);
+  EXPECT_EQ(resumed.expected_makespan, want_newer.expected_makespan);
+  EXPECT_EQ(resumed.plan, want_newer.plan);
+  EXPECT_EQ(restarted.expected_makespan, want_older.expected_makespan);
+  EXPECT_EQ(restarted.plan, want_older.plan);
 }
 
 }  // namespace

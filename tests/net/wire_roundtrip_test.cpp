@@ -277,5 +277,74 @@ TEST(WireRoundtrip, CancelReachesQueuedJobsOverTheWire) {
   server.stop();
 }
 
+TEST(WireRoundtrip, FinishedRequestsRetireAndTheirIdsCanBeReused) {
+  // A request leaves the edge once the frame carrying its terminal status
+  // is queued -- the streamed kResult, or else a terminal kStatus poll
+  // reply -- so one endless connection holds only unfinished requests.
+  service::SolverService svc;
+  WireServer server(svc);
+  server.start();
+  WireClient client(client_options(server.port()));
+
+  // Drifting rates: every request brings a new table pair and plan.
+  const auto job_for = [](std::uint64_t i) {
+    platform::Platform p = platform::hera();
+    p.lambda_f *= 1.0 + 1e-3 * static_cast<double>(i);
+    p.lambda_s *= 1.0 + 2e-3 * static_cast<double>(i);
+    return core::BatchJob{core::Algorithm::kADVstar,
+                          chain::make_uniform(8 + i % 5, 25000.0),
+                          platform::CostModel{p}};
+  };
+  const auto expect_standalone = [](const service::JobStatus& status,
+                                    const core::BatchJob& job) {
+    ASSERT_EQ(status.state, service::JobState::kSucceeded) << status.error;
+    const core::OptimizationResult want =
+        core::optimize(job.algorithm, job.chain, job.costs);
+    EXPECT_EQ(status.result.expected_makespan, want.expected_makespan);
+    EXPECT_TRUE(status.result.plan == want.plan);
+  };
+  const auto expect_unknown = [](auto&& frame) {
+    try {
+      frame();
+      ADD_FAILURE() << "expected kUnknownRequest";
+    } catch (const WireClientError& error) {
+      EXPECT_EQ(error.code(), WireError::kUnknownRequest) << error.what();
+    }
+  };
+
+  constexpr std::uint64_t kSubmits = 300;
+  for (std::uint64_t id = 1; id <= kSubmits; ++id) {
+    service::JobRequest request;
+    request.work = job_for(id);
+    ASSERT_FALSE(client.submit(request, id, /*stream=*/true).retry);
+    expect_standalone(client.wait_result(id), request.work);
+  }
+  // Every finished id is gone: polls and cancels answer kUnknownRequest.
+  for (std::uint64_t id = 1; id <= kSubmits; ++id) {
+    expect_unknown([&] { client.poll(id); });
+  }
+  expect_unknown([&] { client.cancel(1); });
+
+  // A reused id is accepted and streams its own result.
+  service::JobRequest reuse;
+  reuse.work = job_for(kSubmits + 1);
+  const SubmitOutcome outcome = client.submit(reuse, 1, /*stream=*/true);
+  ASSERT_FALSE(outcome.retry);
+  EXPECT_NE(outcome.status.state, service::JobState::kRejected);
+  expect_standalone(client.wait_result(1), reuse.work);
+
+  // An unstreamed request retires with the poll reply that first carries
+  // its terminal status.
+  reuse.work = job_for(kSubmits + 2);
+  ASSERT_FALSE(client.submit(reuse, 2).retry);
+  service::JobStatus polled = client.poll(2);
+  while (!service::is_terminal(polled.state)) polled = client.poll(2);
+  expect_standalone(polled, reuse.work);
+  expect_unknown([&] { client.poll(2); });
+
+  EXPECT_EQ(server.stats().results_streamed, kSubmits + 1);
+  server.stop();
+}
+
 }  // namespace
 }  // namespace chainckpt::net

@@ -106,7 +106,7 @@ TEST(Admission, DeadlineAlreadyPassedAtSubmitIsRejectedEvenCold) {
 TEST(Admission, CalibratedEstimateRejectsInfeasibleDeadlines) {
   AdmissionController controller;
   // Calibrate ADV* at 4 units/second.
-  controller.observe(core::Algorithm::kADVstar, 8.0, 2.0, 0);
+  controller.observe(core::Algorithm::kADVstar, 8.0, 2.0);
   const double cost = price_units(core::Algorithm::kADVstar, 200);
   const double seconds = cost / 4.0;
   // A deadline below the estimate rejects with the estimate surfaced...
@@ -138,8 +138,8 @@ TEST(Admission, DeadlineHeadroomScalesTheScreen) {
   strict.deadline_headroom = 2.0;
   AdmissionController loose_ctl;
   AdmissionController strict_ctl(strict);
-  loose_ctl.observe(core::Algorithm::kADVstar, 8.0, 2.0, 0);
-  strict_ctl.observe(core::Algorithm::kADVstar, 8.0, 2.0, 0);
+  loose_ctl.observe(core::Algorithm::kADVstar, 8.0, 2.0);
+  strict_ctl.observe(core::Algorithm::kADVstar, 8.0, 2.0);
   const double seconds = price_units(core::Algorithm::kADVstar, 200) / 4.0;
   const auto deadline = std::chrono::milliseconds(
       static_cast<int>(seconds * 1500.0));
@@ -154,7 +154,7 @@ TEST(Admission, DeadlineHeadroomScalesTheScreen) {
   AdmissionConfig off;
   off.reject_infeasible_deadlines = false;
   AdmissionController off_ctl(off);
-  off_ctl.observe(core::Algorithm::kADVstar, 8.0, 2.0, 0);
+  off_ctl.observe(core::Algorithm::kADVstar, 8.0, 2.0);
   EXPECT_EQ(off_ctl
                 .assess(core::Algorithm::kADVstar, 400, 0, 0.0,
                         std::chrono::milliseconds(1))
@@ -165,23 +165,23 @@ TEST(Admission, DeadlineHeadroomScalesTheScreen) {
 TEST(Admission, EwmaTracksOvershootAndUndershoot) {
   AdmissionController controller;
   // First sample seeds the EWMA outright: 4 units/second.
-  controller.observe(core::Algorithm::kADVstar, 8.0, 2.0, 0);
+  controller.observe(core::Algorithm::kADVstar, 8.0, 2.0);
   const double cost = price_units(core::Algorithm::kADVstar, 200);
   EXPECT_DOUBLE_EQ(controller.estimate(core::Algorithm::kADVstar, 200).seconds,
                    cost / 4.0);
   // Overshoot: a sample at 8 units/second pulls the rate to
   // 0.75 * 4 + 0.25 * 8 = 5 -- between old and new, nearer the old.
-  controller.observe(core::Algorithm::kADVstar, 16.0, 2.0, 0);
+  controller.observe(core::Algorithm::kADVstar, 16.0, 2.0);
   EXPECT_DOUBLE_EQ(controller.estimate(core::Algorithm::kADVstar, 200).seconds,
                    cost / 5.0);
   // Undershoot: a crawl at 1 unit/second drags it to 0.75 * 5 + 0.25 = 4.
-  controller.observe(core::Algorithm::kADVstar, 2.0, 2.0, 0);
+  controller.observe(core::Algorithm::kADVstar, 2.0, 2.0);
   EXPECT_DOUBLE_EQ(controller.estimate(core::Algorithm::kADVstar, 200).seconds,
                    cost / 4.0);
   // Degenerate samples (zero seconds, zero cost) must not poison the
   // rate -- the cold-start divide-by-zero chaos case.
-  controller.observe(core::Algorithm::kADVstar, 0.0, 0.0, 0);
-  controller.observe(core::Algorithm::kADVstar, 8.0, 0.0, 0);
+  controller.observe(core::Algorithm::kADVstar, 0.0, 0.0);
+  controller.observe(core::Algorithm::kADVstar, 8.0, 0.0);
   EXPECT_DOUBLE_EQ(controller.estimate(core::Algorithm::kADVstar, 200).seconds,
                    cost / 4.0);
 }
@@ -194,10 +194,9 @@ TEST(Admission, CalibrationTurnsUnitsIntoSeconds) {
   EXPECT_LT(cold.seconds, 0.0);  // kUncalibrated before any observation
 
   // One observed job: 8 units in 2 seconds -> 4 units/second.
-  controller.observe(core::Algorithm::kADVstar, 8.0, 2.0, 12345);
+  controller.observe(core::Algorithm::kADVstar, 8.0, 2.0);
   const auto warm = controller.estimate(core::Algorithm::kADVstar, 200);
   EXPECT_DOUBLE_EQ(warm.seconds, warm.cost_units / 4.0);
-  EXPECT_EQ(controller.observed_resident_bytes(), 12345u);
 
   // Calibration is per class: ADMV stays uncalibrated.
   EXPECT_LT(controller.estimate(core::Algorithm::kADMV, 50).seconds, 0.0);
