@@ -118,6 +118,18 @@ void BM_SingleLevelAvx512(benchmark::State& state) {
   run_algorithm_tier(state, core::Algorithm::kADVstar,
                      core::simd::SimdTier::kAvx512);
 }
+void BM_PartialScalar(benchmark::State& state) {
+  run_algorithm_tier(state, core::Algorithm::kADMV,
+                     core::simd::SimdTier::kScalar);
+}
+void BM_PartialAvx2(benchmark::State& state) {
+  run_algorithm_tier(state, core::Algorithm::kADMV,
+                     core::simd::SimdTier::kAvx2);
+}
+void BM_PartialAvx512(benchmark::State& state) {
+  run_algorithm_tier(state, core::Algorithm::kADMV,
+                     core::simd::SimdTier::kAvx512);
+}
 
 }  // namespace
 
@@ -142,5 +154,8 @@ BENCHMARK(BM_SingleLevelAvx2)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SingleLevelAvx512)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PartialScalar)->Arg(50)->Arg(75)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PartialAvx2)->Arg(50)->Arg(75)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PartialAvx512)->Arg(50)->Arg(75)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -26,7 +26,6 @@ struct PartialScratch final : util::ArenaBlock {
   // O(n) buffers of the right-to-left recursion.
   std::vector<double> ep;
   std::vector<double> er;
-  std::vector<double> cand;
   std::vector<std::int32_t> next;
   // O(n^2) fused coefficient planes, rebuilt once per (d1, m1, j) scan and
   // shared by all of its v1 solves (see build_planes).
@@ -39,7 +38,6 @@ struct PartialScratch final : util::ArenaBlock {
     if (ep.size() < n + 1) {
       ep.resize(n + 1);
       er.resize(n + 1);
-      cand.resize(n + 1);
       next.resize(n + 1);
       t0.resize(n + 1);
       pp.resize((n + 1) * (n + 1));
@@ -50,14 +48,13 @@ struct PartialScratch final : util::ArenaBlock {
 
   std::size_t resident_bytes() const noexcept override {
     return util::vector_bytes(ep) + util::vector_bytes(er) +
-           util::vector_bytes(cand) + util::vector_bytes(next) +
-           util::vector_bytes(pp) + util::vector_bytes(qq) +
-           util::vector_bytes(rr) + util::vector_bytes(t0);
+           util::vector_bytes(next) + util::vector_bytes(pp) +
+           util::vector_bytes(qq) + util::vector_bytes(rr) +
+           util::vector_bytes(t0);
   }
   void release() noexcept override {
     util::free_vector(ep);
     util::free_vector(er);
-    util::free_vector(cand);
     util::free_vector(next);
     util::free_vector(pp);
     util::free_vector(qq);
@@ -84,12 +81,15 @@ PartialScratch& partial_scratch() {
 /// with K1 = R_D + E_mem and RMh = (1-g) R_M.  build_planes materializes
 /// the three bracketed planes P/Q/R (plus the terminal base T0) once per
 /// scan; each of the scan's v1 solves then runs its O(len^2) hot loop over
-/// just five unit-stride streams:
+/// just five unit-stride streams, one K::partial fold per hop row p1:
 ///
 ///   cand[p2] = P[p2] + Q[p2]*E_verif + R[p2]*er[p2] + ep[p2]
 ///
 /// The planes are amortized: a scan costs O((j-m1)^2) to prepare and
-/// O((j-m1)^3) to solve.
+/// O((j-m1)^3) to solve.  K is the SIMD kernel facade
+/// (core/simd/argmin_kernels.hpp); every tier folds the same candidates
+/// in the same order to the same bits.
+template <typename K>
 struct PartialSegmentSolver {
   const DpContext& ctx;
   const analysis::SegmentRows& rows;
@@ -141,31 +141,20 @@ struct PartialSegmentSolver {
     const std::size_t stride = seg.n() + 1;
     double* ep = s.ep.data();
     double* er = s.er.data();
-    double* cand = s.cand.data();
     std::int32_t* next = s.next.data();
 
     er[v2] = left.r_mem;  // E_right(..., v2, v2) = R_M
     for (std::size_t p1 = v2; p1-- > v1;) {
-      const double* pp = s.pp.data() + p1 * stride;
-      const double* qq = s.qq.data() + p1 * stride;
-      const double* rr = s.rr.data() + p1 * stride;
-      // Candidate pass, elementwise over p2 so it vectorizes.  The simd
-      // pragma asserts the scratch buffers don't alias (too many streams
-      // for GCC's runtime alias checks).
-#pragma omp simd
-      for (std::size_t p2 = p1 + 1; p2 < v2; ++p2) {
-        cand[p2] = pp[p2] + qq[p2] * ev + rr[p2] * er[p2] + ep[p2];
-      }
+      // Seeded with the terminal choice p2 = v2, which only a strictly
+      // smaller hop candidate displaces.
       double best = s.t0[p1] + c_to_v2[p1] * ev;
-      std::size_t best_p2 = v2;
-      for (std::size_t p2 = p1 + 1; p2 < v2; ++p2) {
-        if (cand[p2] < best) {
-          best = cand[p2];
-          best_p2 = p2;
-        }
-      }
+      std::int32_t best_arg = static_cast<std::int32_t>(v2);
+      K::partial(s.pp.data() + p1 * stride, s.qq.data() + p1 * stride,
+                 s.rr.data() + p1 * stride, er, ep, ev, p1 + 1, v2, best,
+                 best_arg);
+      const auto best_p2 = static_cast<std::size_t>(best_arg);
       ep[p1] = best;
-      next[p1] = static_cast<std::int32_t>(best_p2);
+      next[p1] = best_arg;
       // E_right along the chosen chain: the error that slipped past the
       // partial verification at p1 is next screened at best_p2 -- one
       // table-driven step, no expm1 (see SegmentRows).
@@ -189,8 +178,8 @@ struct PartialSegmentSolver {
   /// register allocation of the fused loops followed whatever else that
   /// body held -- when the pruned scan mode's objects left that body, the
   /// candidate loop began reloading its pointers from the stack, and
-  /// BM_Partial ran 5-7 % slower (GCC 12, 4-vCPU AVX-512 Xeon).  One call per scan is noise against
-  /// its O(len^3) work.
+  /// BM_Partial ran 5-7 % slower (GCC 12, 4-vCPU AVX-512 Xeon).  One call
+  /// per scan is noise against its O(len^3) work.
   [[gnu::noinline]] void scan(std::size_t d1, std::size_t m1, std::size_t j,
                               double emem_at_m1, const double* everif_row,
                               double& best, std::int32_t& best_arg) const {
@@ -228,12 +217,14 @@ OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
   return optimize_with_partial(ctx);
 }
 
-OptimizationResult optimize_with_partial(const DpContext& ctx) {
-  // Entry checkpoint; the per-(d1, j) checkpoints of the O(n^6) engine
-  // run live in run_level_dp, outside this solver's fused kernels
-  // (whose call structure must not change -- see
-  // PartialSegmentSolver::scan).
-  if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
+namespace {
+
+/// The solve body, instantiated once per SIMD kernel tier K (dispatched in
+/// optimize_with_partial, as dp_two_level does): the inner hop rows fold
+/// on K::partial, and the level engine's m1 chain and E_disk pass on
+/// K::sum.  Every tier is bitwise identical to K = ScalarKernels.
+template <typename K>
+OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
   const std::size_t n = ctx.n();
   // ADMV keeps the E_verif value table (its partial reconstruction reads
   // it), so the checkpoint -- attached, or else solve-local -- holds
@@ -246,7 +237,7 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   // The inner DP's row streams are this solve's own: no other engine reads
   // them, so the shared column tables never carry them.
   const analysis::SegmentRows rows(ctx.table(), ctx.costs());
-  const PartialSegmentSolver solver{ctx, rows};
+  const PartialSegmentSolver<K> solver{ctx, rows};
   const auto& cm = ctx.costs();
   const double g = cm.miss();
 
@@ -255,18 +246,11 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
                         double& best, std::int32_t& best_arg) {
     solver.scan(d1, m1, j, emem_at_m1, everif_row, best, best_arg);
   };
-
-  // K is pinned to ScalarKernels: each of this scan's "candidates" is a
-  // full O(len^2) inner DP, not a stream element, so there is nothing for
-  // the vector argmin tiers to vectorize -- and the fused inner solver's
-  // codegen is sensitive to the v1-scan call structure, so
-  // re-instantiating the engine around it for each tier would only risk
-  // it.
-  detail::run_level_dp<simd::ScalarKernels>(ctx, ckpt, scan);
+  detail::run_level_dp<K>(ctx, ckpt, scan);
 
   // Partial positions of a winning segment are re-derived from the (now
   // final) E_verif / E_mem tables: same inputs, same deterministic inner
-  // DP, same argmin chain.
+  // DP on the same kernels, same argmin chain.
   const auto partials = [&](std::size_t d1, std::size_t m1, std::size_t v1,
                             std::size_t v2) {
     poll_cancellation(ctx.cancel_token());  // one inner solve per segment
@@ -288,6 +272,24 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
 
   return OptimizationResult{detail::extract_plan(ctx, tables, partials),
                             tables.edisk[n], detail::level_dp_scan_stats(n)};
+}
+
+}  // namespace
+
+OptimizationResult optimize_with_partial(const DpContext& ctx) {
+  // Entry checkpoint: a token that fired while the job sat in a queue
+  // aborts before the O(n^3) tables are even allocated.  The per-(d1, j)
+  // checkpoints live in run_level_dp, outside the out-of-line v1 scan
+  // (PartialSegmentSolver::scan).
+  if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
+  switch (ctx.simd_tier()) {
+    case simd::SimdTier::kAvx512:
+      return optimize_with_partial_impl<simd::Avx512Kernels>(ctx);
+    case simd::SimdTier::kAvx2:
+      return optimize_with_partial_impl<simd::Avx2Kernels>(ctx);
+    default:
+      return optimize_with_partial_impl<simd::ScalarKernels>(ctx);
+  }
 }
 
 }  // namespace chainckpt::core

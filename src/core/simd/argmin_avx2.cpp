@@ -160,6 +160,38 @@ void fold_min_update_avx2(const double* row, double base, std::int32_t arg,
   }
 }
 
+void argmin_partial_avx2(const double* pp, const double* qq,
+                         const double* rr, const double* er,
+                         const double* ep, double ev, std::size_t lo,
+                         std::size_t hi, double& best,
+                         std::int32_t& best_arg) noexcept {
+  std::size_t i = lo;
+  if (hi - lo >= 8) {
+    const __m256d vev = _mm256_set1_pd(ev);
+    __m256d vbest = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+    __m256i vidx = _mm256_set1_epi64x(-1);
+    __m256i cur = _mm256_setr_epi64x(
+        static_cast<long long>(lo), static_cast<long long>(lo + 1),
+        static_cast<long long>(lo + 2), static_cast<long long>(lo + 3));
+    const __m256i step = _mm256_set1_epi64x(4);
+    for (; i + 4 <= hi; i += 4) {
+      // ((pp + qq*ev) + rr*er) + ep -- the scalar order.
+      __m256d t = _mm256_add_pd(_mm256_loadu_pd(pp + i),
+                                _mm256_mul_pd(_mm256_loadu_pd(qq + i), vev));
+      t = _mm256_add_pd(t, _mm256_mul_pd(_mm256_loadu_pd(rr + i),
+                                         _mm256_loadu_pd(er + i)));
+      const __m256d cand = _mm256_add_pd(t, _mm256_loadu_pd(ep + i));
+      const __m256d lt = _mm256_cmp_pd(cand, vbest, _CMP_LT_OQ);
+      vbest = _mm256_blendv_pd(vbest, cand, lt);
+      vidx = _mm256_castpd_si256(_mm256_blendv_pd(
+          _mm256_castsi256_pd(vidx), _mm256_castsi256_pd(cur), lt));
+      cur = _mm256_add_epi64(cur, step);
+    }
+    merge_lanes(vbest, vidx, best, best_arg);
+  }
+  ScalarKernels::partial(pp, qq, rr, er, ep, ev, i, hi, best, best_arg);
+}
+
 #else  // !defined(__AVX2__): scalar forwarding stubs.
 
 bool avx2_kernels_compiled() noexcept { return false; }
@@ -180,6 +212,13 @@ void fold_min_update_avx2(const double* row, double base, std::int32_t arg,
                           double* run_best, std::int32_t* run_arg,
                           std::size_t lo, std::size_t hi) noexcept {
   ScalarKernels::fold(row, base, arg, run_best, run_arg, lo, hi);
+}
+void argmin_partial_avx2(const double* pp, const double* qq,
+                         const double* rr, const double* er,
+                         const double* ep, double ev, std::size_t lo,
+                         std::size_t hi, double& best,
+                         std::int32_t& best_arg) noexcept {
+  ScalarKernels::partial(pp, qq, rr, er, ep, ev, lo, hi, best, best_arg);
 }
 
 #endif

@@ -148,6 +148,37 @@ void fold_min_update_avx512(const double* row, double base, std::int32_t arg,
   }
 }
 
+void argmin_partial_avx512(const double* pp, const double* qq,
+                           const double* rr, const double* er,
+                           const double* ep, double ev, std::size_t lo,
+                           std::size_t hi, double& best,
+                           std::int32_t& best_arg) noexcept {
+  std::size_t i = lo;
+  if (hi - lo >= 16) {
+    const __m512d vev = _mm512_set1_pd(ev);
+    __m512d vbest = _mm512_set1_pd(std::numeric_limits<double>::infinity());
+    __m512i vidx = _mm512_set1_epi64(-1);
+    __m512i cur = _mm512_add_epi64(
+        _mm512_set1_epi64(static_cast<long long>(lo)),
+        _mm512_setr_epi64(0, 1, 2, 3, 4, 5, 6, 7));
+    const __m512i step = _mm512_set1_epi64(8);
+    for (; i + 8 <= hi; i += 8) {
+      // ((pp + qq*ev) + rr*er) + ep -- the scalar order.
+      __m512d t = _mm512_add_pd(_mm512_loadu_pd(pp + i),
+                                _mm512_mul_pd(_mm512_loadu_pd(qq + i), vev));
+      t = _mm512_add_pd(t, _mm512_mul_pd(_mm512_loadu_pd(rr + i),
+                                         _mm512_loadu_pd(er + i)));
+      const __m512d cand = _mm512_add_pd(t, _mm512_loadu_pd(ep + i));
+      const __mmask8 lt = _mm512_cmp_pd_mask(cand, vbest, _CMP_LT_OQ);
+      vbest = _mm512_mask_blend_pd(lt, vbest, cand);
+      vidx = _mm512_mask_blend_epi64(lt, vidx, cur);
+      cur = _mm512_add_epi64(cur, step);
+    }
+    merge_lanes(vbest, vidx, best, best_arg);
+  }
+  ScalarKernels::partial(pp, qq, rr, er, ep, ev, i, hi, best, best_arg);
+}
+
 #else  // no AVX-512F/VL toolchain support: scalar forwarding stubs.
 
 bool avx512_kernels_compiled() noexcept { return false; }
@@ -169,6 +200,13 @@ void fold_min_update_avx512(const double* row, double base, std::int32_t arg,
                             double* run_best, std::int32_t* run_arg,
                             std::size_t lo, std::size_t hi) noexcept {
   ScalarKernels::fold(row, base, arg, run_best, run_arg, lo, hi);
+}
+void argmin_partial_avx512(const double* pp, const double* qq,
+                           const double* rr, const double* er,
+                           const double* ep, double ev, std::size_t lo,
+                           std::size_t hi, double& best,
+                           std::int32_t& best_arg) noexcept {
+  ScalarKernels::partial(pp, qq, rr, er, ep, ev, lo, hi, best, best_arg);
 }
 
 #endif

@@ -1,8 +1,6 @@
 // Vectorized argmin primitives for the level-DP inner scans.
 //
-// Three fold shapes cover every SIMD-able scan of the engine (the ADMV
-// partial inner solver is excluded by design -- each of its candidates is
-// a full O(len^2) DP, not a stream element):
+// Four fold shapes cover every SIMD-able scan of the engine:
 //
 //   argmin_affine -- the fused Eq. (4) v1 scan of dp_two_level /
 //     dp_single_level:  cand[v1] = ev + (exvg + b*k1 + c*ev + d*k2)
@@ -12,13 +10,17 @@
 //   fold_min_update -- the streamed single-level E_disk fold:
 //     elementwise run_best[i] = min(run_best[i], base + row[i]) with the
 //     argmin row recorded where the update wins.
+//   argmin_partial -- one hop row of ADMV's inner partial DP:
+//     cand[p2] = ((pp + qq*ev) + rr*er) + ep, folded with min+index in
+//     the same pass (no candidate row is stored).
 //
 // Determinism contract (shared with the scalar engine, pinned by
 // tests/core/simd_kernels_test.cpp):
 //   * strict-less LEFTMOST argmin -- among equal minima the lowest index
 //     wins, including ties that straddle vector lanes or the scalar tail;
 //   * candidates are evaluated in the scalar association order
-//     (((exvg + b*k1) + c*ev) + d*k2, then ev + ...), with separate
+//     (((exvg + b*k1) + c*ev) + d*k2, then ev + ...; ((pp + qq*ev) +
+//     rr*er) + ep for argmin_partial), with separate
 //     mul/add (never FMA) so every lane rounds exactly like the scalar
 //     loop -- the library builds with -ffp-contract=off to keep the
 //     scalar instantiations from contracting either;
@@ -57,6 +59,11 @@ void argmin_sum_avx2(const double* a, const double* c, std::size_t lo,
 void fold_min_update_avx2(const double* row, double base, std::int32_t arg,
                           double* run_best, std::int32_t* run_arg,
                           std::size_t lo, std::size_t hi) noexcept;
+void argmin_partial_avx2(const double* pp, const double* qq,
+                         const double* rr, const double* er,
+                         const double* ep, double ev, std::size_t lo,
+                         std::size_t hi, double& best,
+                         std::int32_t& best_arg) noexcept;
 
 void argmin_affine_avx512(const double* ev_row, const double* exvg,
                           const double* b, const double* c, const double* d,
@@ -69,11 +76,16 @@ void argmin_sum_avx512(const double* a, const double* c, std::size_t lo,
 void fold_min_update_avx512(const double* row, double base, std::int32_t arg,
                             double* run_best, std::int32_t* run_arg,
                             std::size_t lo, std::size_t hi) noexcept;
+void argmin_partial_avx512(const double* pp, const double* qq,
+                           const double* rr, const double* er,
+                           const double* ep, double ev, std::size_t lo,
+                           std::size_t hi, double& best,
+                           std::int32_t& best_arg) noexcept;
 
 }  // namespace detail
 
 /// Reference scalar kernels.  These loops ARE the historic inner loops of
-/// dp_two_level / level_dp / dp_single_level, factored here verbatim so
+/// dp_two_level / level_dp / dp_single_level / dp_partial, factored here so
 /// (a) the ScalarKernels instantiations of the drivers keep their fused
 /// codegen (single call site, trivially inlined) and (b) the vector tiers
 /// have an in-crate oracle to be bit-compared against.
@@ -119,6 +131,20 @@ struct ScalarKernels {
       }
     }
   }
+
+  static inline void partial(const double* pp, const double* qq,
+                             const double* rr, const double* er,
+                             const double* ep, double ev, std::size_t lo,
+                             std::size_t hi, double& best,
+                             std::int32_t& best_arg) {
+    for (std::size_t p2 = lo; p2 < hi; ++p2) {
+      const double candidate = pp[p2] + qq[p2] * ev + rr[p2] * er[p2] + ep[p2];
+      if (candidate < best) {
+        best = candidate;
+        best_arg = static_cast<std::int32_t>(p2);
+      }
+    }
+  }
 };
 
 /// 4-lane AVX2 kernels (out-of-line; see argmin_avx2.cpp).
@@ -142,6 +168,14 @@ struct Avx2Kernels {
                           double* run_best, std::int32_t* run_arg,
                           std::size_t lo, std::size_t hi) {
     detail::fold_min_update_avx2(row, base, arg, run_best, run_arg, lo, hi);
+  }
+  static inline void partial(const double* pp, const double* qq,
+                             const double* rr, const double* er,
+                             const double* ep, double ev, std::size_t lo,
+                             std::size_t hi, double& best,
+                             std::int32_t& best_arg) {
+    detail::argmin_partial_avx2(pp, qq, rr, er, ep, ev, lo, hi, best,
+                                best_arg);
   }
 };
 
@@ -167,6 +201,14 @@ struct Avx512Kernels {
                           std::size_t lo, std::size_t hi) {
     detail::fold_min_update_avx512(row, base, arg, run_best, run_arg, lo,
                                    hi);
+  }
+  static inline void partial(const double* pp, const double* qq,
+                             const double* rr, const double* er,
+                             const double* ep, double ev, std::size_t lo,
+                             std::size_t hi, double& best,
+                             std::int32_t& best_arg) {
+    detail::argmin_partial_avx512(pp, qq, rr, er, ep, ev, lo, hi, best,
+                                  best_arg);
   }
 };
 

@@ -100,7 +100,7 @@ TEST(PartialDp, DeterministicAcrossThreadCounts) {
   util::set_parallelism(8);
   const auto parallel = optimize_with_partial(chain, costs);
   util::set_parallelism(0);
-  EXPECT_DOUBLE_EQ(serial.expected_makespan, parallel.expected_makespan);
+  EXPECT_EQ(serial.expected_makespan, parallel.expected_makespan);
   EXPECT_EQ(serial.plan, parallel.plan);
 }
 

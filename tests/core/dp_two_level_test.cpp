@@ -58,7 +58,7 @@ TEST(TwoLevelDp, DeterministicAcrossThreadCounts) {
   util::set_parallelism(8);
   const auto parallel = optimize_two_level(chain, hera_costs());
   util::set_parallelism(0);
-  EXPECT_DOUBLE_EQ(serial.expected_makespan, parallel.expected_makespan);
+  EXPECT_EQ(serial.expected_makespan, parallel.expected_makespan);
   EXPECT_EQ(serial.plan, parallel.plan);
 }
 

@@ -111,6 +111,37 @@ void run_fold(SimdTier tier, const std::vector<double>& row, double base,
   }
 }
 
+/// The five streams of one ADMV hop row (pp, qq, rr, er, ep).
+struct PartialRow {
+  std::vector<double> pp, qq, rr, er, ep;
+  explicit PartialRow(std::size_t len)
+      : pp(len), qq(len), rr(len), er(len), ep(len) {}
+};
+
+FoldResult run_partial(SimdTier tier, const PartialRow& row, double ev,
+                       std::size_t lo, std::size_t hi, double seed_best,
+                       std::int32_t seed_arg) {
+  FoldResult r{seed_best, seed_arg};
+  switch (tier) {
+    case SimdTier::kAvx512:
+      simd::Avx512Kernels::partial(row.pp.data(), row.qq.data(),
+                                   row.rr.data(), row.er.data(),
+                                   row.ep.data(), ev, lo, hi, r.best, r.arg);
+      break;
+    case SimdTier::kAvx2:
+      simd::Avx2Kernels::partial(row.pp.data(), row.qq.data(), row.rr.data(),
+                                 row.er.data(), row.ep.data(), ev, lo, hi,
+                                 r.best, r.arg);
+      break;
+    default:
+      simd::ScalarKernels::partial(row.pp.data(), row.qq.data(),
+                                   row.rr.data(), row.er.data(),
+                                   row.ep.data(), ev, lo, hi, r.best, r.arg);
+      break;
+  }
+  return r;
+}
+
 /// Fills `out` with values drawn from a tiny discrete set, so sums and
 /// affine combinations collide exactly (no rounding noise) and the
 /// streams are dense with ties -- the leftmost-argmin trap.
@@ -202,6 +233,89 @@ TEST(SimdKernels, SumMatchesScalarOnRandomAndTieDenseStreams) {
   }
 }
 
+TEST(SimdKernels, PartialMatchesScalarOnRandomAndTieDenseStreams) {
+  const auto tiers = supported_tiers();
+  util::Xoshiro256 rng(bench::kBenchSeed ^ 0x54);
+  for (int trial = 0; trial < 60; ++trial) {
+    const std::size_t len = 1 + rng() % 200;
+    PartialRow row(len);
+    double ev;
+    if (trial % 2 == 0) {
+      // Exact-tie regime: discrete levels and a power-of-two E_verif, so
+      // distinct p2 produce identical candidates.
+      for (auto* v : {&row.pp, &row.qq, &row.rr, &row.er, &row.ep}) {
+        fill_tie_dense(rng, *v);
+      }
+      ev = 2.0;
+    } else {
+      fill_random(rng, row.pp, 1e4);
+      fill_random(rng, row.qq, 2.0);
+      fill_random(rng, row.rr, 2.0);
+      fill_random(rng, row.er, 1e3);
+      fill_random(rng, row.ep, 1e5);
+      ev = 1e3 * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
+    }
+    const std::size_t lo = rng() % len;
+    const std::size_t hi = lo + rng() % (len - lo + 1);
+    // The terminal-choice seed sometimes sits inside the candidates'
+    // range: it beats some of them and ties or loses to others.
+    const double in_range = trial % 2 == 0 ? 2.0 : 5e4;
+    const double seed =
+        trial % 3 == 0 ? in_range : std::numeric_limits<double>::infinity();
+    const auto seed_arg = static_cast<std::int32_t>(hi);
+    const FoldResult want =
+        run_partial(SimdTier::kScalar, row, ev, lo, hi, seed, seed_arg);
+    for (SimdTier tier : tiers) {
+      const FoldResult got = run_partial(tier, row, ev, lo, hi, seed, seed_arg);
+      EXPECT_EQ(want.best, got.best)
+          << simd::tier_name(tier) << " trial " << trial;
+      EXPECT_EQ(want.arg, got.arg)
+          << simd::tier_name(tier) << " trial " << trial;
+    }
+  }
+}
+
+TEST(SimdKernels, PartialTwoEqualMinimaPinLeftmostAcrossLanesAndTail) {
+  // Every candidate 3.0 except two equal minima at a < b: the fold must
+  // return a on every tier, wherever the pair falls -- same lane, across
+  // lanes, across the vector body and the scalar tail.  lo = 1 keeps the
+  // window unaligned; windows shorter than one vector run the tail only.
+  const auto tiers = supported_tiers();
+  for (const std::size_t width : {std::size_t{3}, std::size_t{7},
+                                  std::size_t{21}, std::size_t{37}}) {
+    const std::size_t lo = 1;
+    const std::size_t hi = lo + width;
+    PartialRow row(hi);
+    for (std::size_t i = 0; i < hi; ++i) {
+      row.pp[i] = 1.0;  // 1 + 0.5*2 + 0.5*1 + 0.5 = 3
+      row.qq[i] = 0.5;
+      row.rr[i] = 0.5;
+      row.er[i] = 1.0;
+      row.ep[i] = 0.5;
+    }
+    for (std::size_t a = lo; a < hi; ++a) {
+      for (std::size_t b = a + 1; b < hi; ++b) {
+        row.ep[a] = row.ep[b] = -0.5;  // candidates 2.0
+        for (SimdTier tier : tiers) {
+          const FoldResult got =
+              run_partial(tier, row, 2.0, lo, hi,
+                          std::numeric_limits<double>::infinity(), -1);
+          EXPECT_EQ(got.best, 2.0) << simd::tier_name(tier);
+          EXPECT_EQ(got.arg, static_cast<std::int32_t>(a))
+              << simd::tier_name(tier) << " width " << width << " pair ("
+              << a << ", " << b << ")";
+          // A seed equal to the minimum must NOT be displaced.
+          const FoldResult kept = run_partial(tier, row, 2.0, lo, hi, 2.0,
+                                              static_cast<std::int32_t>(hi));
+          EXPECT_EQ(kept.arg, static_cast<std::int32_t>(hi))
+              << simd::tier_name(tier) << " width " << width;
+        }
+        row.ep[a] = row.ep[b] = 0.5;
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, AllEqualStreamPinsLeftmostIndex) {
   // Every candidate identical: the argmin MUST be the window's first
   // index on every tier (strict-less keeps the earliest).
@@ -210,6 +324,12 @@ TEST(SimdKernels, AllEqualStreamPinsLeftmostIndex) {
                                 std::size_t{17}, std::size_t{64},
                                 std::size_t{129}}) {
     const std::vector<double> a(len, 1.5), c(len, 2.5);
+    PartialRow row(len);  // 1.5 + 0.25*2 + 0.5*2 + 1 = 4
+    row.pp.assign(len, 1.5);
+    row.qq.assign(len, 0.25);
+    row.rr.assign(len, 0.5);
+    row.er.assign(len, 2.0);
+    row.ep.assign(len, 1.0);
     for (const std::size_t lo :
          {std::size_t{0}, std::size_t{1}, len / 2}) {
       for (SimdTier tier : tiers) {
@@ -219,12 +339,20 @@ TEST(SimdKernels, AllEqualStreamPinsLeftmostIndex) {
         EXPECT_EQ(got.best, 4.0) << simd::tier_name(tier);
         EXPECT_EQ(got.arg, static_cast<std::int32_t>(lo))
             << simd::tier_name(tier) << " len " << len;
+        const FoldResult hop =
+            run_partial(tier, row, 2.0, lo, len,
+                        std::numeric_limits<double>::infinity(), -1);
+        EXPECT_EQ(hop.best, 4.0) << simd::tier_name(tier);
+        EXPECT_EQ(hop.arg, static_cast<std::int32_t>(lo))
+            << simd::tier_name(tier) << " len " << len;
       }
     }
     // A seed equal to the stream minimum must NOT be displaced.
     for (SimdTier tier : tiers) {
       const FoldResult got = run_sum(tier, a, c, 0, len, 4.0, -9);
       EXPECT_EQ(got.arg, -9) << simd::tier_name(tier);
+      const FoldResult hop = run_partial(tier, row, 2.0, 0, len, 4.0, -9);
+      EXPECT_EQ(hop.arg, -9) << simd::tier_name(tier);
     }
   }
 }
@@ -343,7 +471,8 @@ TEST(SimdEquivalence, TableOnePlatformsAllAlgorithms) {
     const auto chain = chain::make_uniform(48, 25000.0);
     const std::string label = platform.name;
     for (const Algorithm algorithm :
-         {Algorithm::kAD, Algorithm::kADVstar, Algorithm::kADMVstar}) {
+         {Algorithm::kAD, Algorithm::kADVstar, Algorithm::kADMVstar,
+          Algorithm::kADMV}) {
       expect_tier_equivalence(algorithm, chain, costs, label);
     }
   }
@@ -361,6 +490,8 @@ TEST(SimdEquivalence, SeededRandomPlatformsSmallN) {
     const std::string label = platform.describe();
     expect_tier_equivalence(Algorithm::kADMVstar, chain, costs, label);
     expect_tier_equivalence(Algorithm::kADVstar, chain, costs, label);
+    // ADMV's O(n^6) DP joins at n <= 48 to keep tier 1 fast.
+    if (n <= 48) expect_tier_equivalence(Algorithm::kADMV, chain, costs, label);
   }
 }
 
@@ -379,7 +510,7 @@ TEST(SimdEquivalence, SingleLevelLargeN) {
 
 TEST(SimdEquivalence, SlowTwoLevelLargeN) {
   if (std::getenv("CHAINCKPT_SLOW_TESTS") == nullptr) {
-    GTEST_SKIP() << "two-level n=200/400 tier sweep; set "
+    GTEST_SKIP() << "two-level n=200/400 and partial n=100 tier sweep; set "
                     "CHAINCKPT_SLOW_TESTS=1";
   }
   util::Xoshiro256 rng(bench::kBenchSeed ^ 0x60);
@@ -390,6 +521,10 @@ TEST(SimdEquivalence, SlowTwoLevelLargeN) {
     const std::string label = "two-level n=" + std::to_string(n);
     expect_tier_equivalence(Algorithm::kADMVstar, chain, costs, label);
   }
+  const auto platform = bench::random_platform(rng);
+  const platform::CostModel costs(platform);
+  const auto chain = chain::make_random(100, 25000.0 * 100, rng);
+  expect_tier_equivalence(Algorithm::kADMV, chain, costs, "partial n=100");
 }
 
 }  // namespace
