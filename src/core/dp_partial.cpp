@@ -282,14 +282,9 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   // checkpoints live in run_level_dp, outside the out-of-line v1 scan
   // (PartialSegmentSolver::scan).
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
-  switch (ctx.simd_tier()) {
-    case simd::SimdTier::kAvx512:
-      return optimize_with_partial_impl<simd::Avx512Kernels>(ctx);
-    case simd::SimdTier::kAvx2:
-      return optimize_with_partial_impl<simd::Avx2Kernels>(ctx);
-    default:
-      return optimize_with_partial_impl<simd::ScalarKernels>(ctx);
-  }
+  return simd::with_kernels(ctx.simd_tier(), [&](auto kernels) {
+    return optimize_with_partial_impl<decltype(kernels)>(ctx);
+  });
 }
 
 }  // namespace chainckpt::core

@@ -221,14 +221,9 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
 OptimizationResult optimize_single_level(const DpContext& ctx,
                                          SingleLevelOptions options) {
   if (const CancelToken* cancel = ctx.cancel_token()) cancel->poll_now();
-  switch (ctx.simd_tier()) {
-    case simd::SimdTier::kAvx512:
-      return optimize_single_level_impl<simd::Avx512Kernels>(ctx, options);
-    case simd::SimdTier::kAvx2:
-      return optimize_single_level_impl<simd::Avx2Kernels>(ctx, options);
-    default:
-      return optimize_single_level_impl<simd::ScalarKernels>(ctx, options);
-  }
+  return simd::with_kernels(ctx.simd_tier(), [&](auto kernels) {
+    return optimize_single_level_impl<decltype(kernels)>(ctx, options);
+  });
 }
 
 OptimizationResult optimize_single_level(const chain::TaskChain& chain,

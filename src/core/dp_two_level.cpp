@@ -38,7 +38,7 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   // segment (v1, j] in context (d1, m1),
   //   E = es*(x + V*) + b*(R_D + E_mem) + c*E_verif + d*R_M
   // where exvg = es*(x + V*) and b/c/d depend only on (v1, j) and are read
-  // at unit stride -- exactly the argmin_affine kernel shape.
+  // at unit stride -- exactly the K::affine kernel shape.
   const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t j,
                         double emem_at_m1, const double* everif_row,
                         double& best, std::int32_t& best_arg) {
@@ -65,14 +65,9 @@ OptimizationResult optimize_two_level(const DpContext& ctx) {
   // aborts before the O(n^3) tables are even allocated.  The per-step
   // checkpoints live in run_level_dp.
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
-  switch (ctx.simd_tier()) {
-    case simd::SimdTier::kAvx512:
-      return optimize_two_level_impl<simd::Avx512Kernels>(ctx);
-    case simd::SimdTier::kAvx2:
-      return optimize_two_level_impl<simd::Avx2Kernels>(ctx);
-    default:
-      return optimize_two_level_impl<simd::ScalarKernels>(ctx);
-  }
+  return simd::with_kernels(ctx.simd_tier(), [&](auto kernels) {
+    return optimize_two_level_impl<decltype(kernels)>(ctx);
+  });
 }
 
 }  // namespace chainckpt::core

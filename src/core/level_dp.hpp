@@ -137,9 +137,10 @@ inline SlabScratch& slab_scratch() {
 /// Codegen discipline: even a dead runtime branch or an out-of-line call
 /// in the step body measurably deoptimizes the fused kernels GCC inlines
 /// into the slab (2x swings on the ADMV inner solver), so nothing but the
-/// two scans runs there.  The SIMD tier K is a compile-time kernel facade
-/// (core/simd/argmin_kernels.hpp), dispatched once at driver entry, never
-/// a runtime branch in the step body; every tier is bitwise identical.
+/// two scans runs there.  The SIMD tier K is a compile-time kernel type
+/// (core/simd/argmin_kernels.hpp), chosen once at driver entry by
+/// simd::with_kernels, never a runtime branch in the step body; every
+/// tier is bitwise identical.
 template <typename K, typename ColumnScanner>
 void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
                   const ColumnScanner& scan) {
@@ -202,38 +203,21 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
     ckpt.commit_slab(d1);
   });
 
-  // E_disk: sequential over d2 (cheap O(n^2) pass).
+  // E_disk: sequential over d2 (cheap O(n^2) pass).  The E_mem column
+  // emem_at(·, d2) strides by n + 1; gather it into the contiguous
+  // scratch column so K::sum runs unit stride.
   t.edisk[0] = 0.0;
   t.best_d1[0] = 0;
-  if constexpr (K::kVector) {
-    // The E_mem column emem_at(·, d2) strides by n + 1; gather it into
-    // the contiguous scratch column so the vector argmin_sum runs unit
-    // stride.  Same candidates in the same order => same bits.
-    SlabScratch& scratch = slab_scratch();
-    scratch.ensure(n);
-    double* col = scratch.column.data();
-    for (std::size_t d2 = 1; d2 <= n; ++d2) {
-      for (std::size_t d1 = 0; d1 < d2; ++d1) col[d1] = t.emem_at(d1, d2);
-      double best = std::numeric_limits<double>::infinity();
-      std::int32_t best_arg = -1;
-      K::sum(t.edisk.data(), col, 0, d2, best, best_arg);
-      t.edisk[d2] = best + costs.c_disk_after(d2);
-      t.best_d1[d2] = best_arg;
-    }
-  } else {
-    for (std::size_t d2 = 1; d2 <= n; ++d2) {
-      double best = std::numeric_limits<double>::infinity();
-      std::int32_t best_arg = -1;
-      for (std::size_t d1 = 0; d1 < d2; ++d1) {
-        const double candidate = t.edisk[d1] + t.emem_at(d1, d2);
-        if (candidate < best) {
-          best = candidate;
-          best_arg = static_cast<std::int32_t>(d1);
-        }
-      }
-      t.edisk[d2] = best + costs.c_disk_after(d2);
-      t.best_d1[d2] = best_arg;
-    }
+  SlabScratch& scratch = slab_scratch();
+  scratch.ensure(n);
+  double* col = scratch.column.data();
+  for (std::size_t d2 = 1; d2 <= n; ++d2) {
+    for (std::size_t d1 = 0; d1 < d2; ++d1) col[d1] = t.emem_at(d1, d2);
+    double best = std::numeric_limits<double>::infinity();
+    std::int32_t best_arg = -1;
+    K::sum(t.edisk.data(), col, 0, d2, best, best_arg);
+    t.edisk[d2] = best + costs.c_disk_after(d2);
+    t.best_d1[d2] = best_arg;
   }
 }
 

@@ -9,10 +9,12 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <stdexcept>
 #include <utility>
@@ -408,7 +410,8 @@ void IoDriver::handle_frame(const std::shared_ptr<Connection>& conn,
       WelcomePayload welcome;
       welcome.version = kProtocolVersion;
       welcome.max_payload_bytes = options_.max_payload_bytes;
-      welcome.max_n = options_.advertised_max_n;
+      welcome.max_n = static_cast<std::uint32_t>(std::min<std::size_t>(
+          service_.max_n(), std::numeric_limits<std::uint32_t>::max()));
       welcome.server = options_.server_name;
       reply.type = FrameType::kWelcome;
       send_frame(conn, reply, encode_welcome(welcome));

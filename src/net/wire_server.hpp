@@ -68,8 +68,6 @@ struct WireServerOptions {
   /// Quota for tenants without an explicit entry (default: unlimited).
   TenantQuota default_quota;
   std::map<std::uint64_t, TenantQuota> tenant_quotas;
-  /// Advertised in kWelcome; the solver's own max_n is authoritative.
-  std::uint32_t advertised_max_n = 900;
   std::string server_name = "chainckpt-wire/1";
 };
 

@@ -340,6 +340,10 @@ AdmissionController::Estimate SolverService::estimate(
   return admission_.estimate(algorithm, n);
 }
 
+std::size_t SolverService::max_n() const noexcept {
+  return options_.solver.max_n;
+}
+
 std::size_t SolverService::resident_bytes() const {
   return solver_.resident_bytes();
 }

@@ -214,6 +214,10 @@ class SolverService {
   AdmissionController::Estimate estimate(core::Algorithm algorithm,
                                          std::size_t n) const;
 
+  /// The longest chain submit() admits (ServiceOptions::solver.max_n);
+  /// longer chains are rejected with kChainTooLong.
+  std::size_t max_n() const noexcept;
+
   /// The embedded solver's budgeted bytes plus the process-wide arenas
   /// (core::BatchSolver::resident_bytes).
   std::size_t resident_bytes() const;

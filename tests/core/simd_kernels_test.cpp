@@ -56,20 +56,10 @@ FoldResult run_affine(SimdTier tier, const std::vector<double>& ev,
                       std::size_t lo, std::size_t hi, double seed_best,
                       std::int32_t seed_arg) {
   FoldResult r{seed_best, seed_arg};
-  switch (tier) {
-    case SimdTier::kAvx512:
-      simd::Avx512Kernels::affine(ev.data(), exvg.data(), b.data(), c.data(),
-                                  d.data(), k1, k2, lo, hi, r.best, r.arg);
-      break;
-    case SimdTier::kAvx2:
-      simd::Avx2Kernels::affine(ev.data(), exvg.data(), b.data(), c.data(),
-                                d.data(), k1, k2, lo, hi, r.best, r.arg);
-      break;
-    default:
-      simd::ScalarKernels::affine(ev.data(), exvg.data(), b.data(), c.data(),
-                                  d.data(), k1, k2, lo, hi, r.best, r.arg);
-      break;
-  }
+  simd::with_kernels(tier, [&](auto kernels) {
+    decltype(kernels)::affine(ev.data(), exvg.data(), b.data(), c.data(),
+                              d.data(), k1, k2, lo, hi, r.best, r.arg);
+  });
   return r;
 }
 
@@ -77,17 +67,9 @@ FoldResult run_sum(SimdTier tier, const std::vector<double>& a,
                    const std::vector<double>& c, std::size_t lo,
                    std::size_t hi, double seed_best, std::int32_t seed_arg) {
   FoldResult r{seed_best, seed_arg};
-  switch (tier) {
-    case SimdTier::kAvx512:
-      simd::Avx512Kernels::sum(a.data(), c.data(), lo, hi, r.best, r.arg);
-      break;
-    case SimdTier::kAvx2:
-      simd::Avx2Kernels::sum(a.data(), c.data(), lo, hi, r.best, r.arg);
-      break;
-    default:
-      simd::ScalarKernels::sum(a.data(), c.data(), lo, hi, r.best, r.arg);
-      break;
-  }
+  simd::with_kernels(tier, [&](auto kernels) {
+    decltype(kernels)::sum(a.data(), c.data(), lo, hi, r.best, r.arg);
+  });
   return r;
 }
 
@@ -95,20 +77,10 @@ void run_fold(SimdTier tier, const std::vector<double>& row, double base,
               std::int32_t arg, std::vector<double>& run_best,
               std::vector<std::int32_t>& run_arg, std::size_t lo,
               std::size_t hi) {
-  switch (tier) {
-    case SimdTier::kAvx512:
-      simd::Avx512Kernels::fold(row.data(), base, arg, run_best.data(),
-                                run_arg.data(), lo, hi);
-      break;
-    case SimdTier::kAvx2:
-      simd::Avx2Kernels::fold(row.data(), base, arg, run_best.data(),
-                              run_arg.data(), lo, hi);
-      break;
-    default:
-      simd::ScalarKernels::fold(row.data(), base, arg, run_best.data(),
-                                run_arg.data(), lo, hi);
-      break;
-  }
+  simd::with_kernels(tier, [&](auto kernels) {
+    decltype(kernels)::fold(row.data(), base, arg, run_best.data(),
+                            run_arg.data(), lo, hi);
+  });
 }
 
 /// The five streams of one ADMV hop row (pp, qq, rr, er, ep).
@@ -122,23 +94,11 @@ FoldResult run_partial(SimdTier tier, const PartialRow& row, double ev,
                        std::size_t lo, std::size_t hi, double seed_best,
                        std::int32_t seed_arg) {
   FoldResult r{seed_best, seed_arg};
-  switch (tier) {
-    case SimdTier::kAvx512:
-      simd::Avx512Kernels::partial(row.pp.data(), row.qq.data(),
-                                   row.rr.data(), row.er.data(),
-                                   row.ep.data(), ev, lo, hi, r.best, r.arg);
-      break;
-    case SimdTier::kAvx2:
-      simd::Avx2Kernels::partial(row.pp.data(), row.qq.data(), row.rr.data(),
-                                 row.er.data(), row.ep.data(), ev, lo, hi,
-                                 r.best, r.arg);
-      break;
-    default:
-      simd::ScalarKernels::partial(row.pp.data(), row.qq.data(),
-                                   row.rr.data(), row.er.data(),
-                                   row.ep.data(), ev, lo, hi, r.best, r.arg);
-      break;
-  }
+  simd::with_kernels(tier, [&](auto kernels) {
+    decltype(kernels)::partial(row.pp.data(), row.qq.data(), row.rr.data(),
+                               row.er.data(), row.ep.data(), ev, lo, hi,
+                               r.best, r.arg);
+  });
   return r;
 }
 
@@ -275,42 +235,103 @@ TEST(SimdKernels, PartialMatchesScalarOnRandomAndTieDenseStreams) {
   }
 }
 
-TEST(SimdKernels, PartialTwoEqualMinimaPinLeftmostAcrossLanesAndTail) {
-  // Every candidate 3.0 except two equal minima at a < b: the fold must
+/// The min+index shapes: affine, sum and partial share one vector loop.
+enum class Shape { kAffine, kSum, kPartial };
+
+const char* shape_name(Shape shape) {
+  switch (shape) {
+    case Shape::kAffine:
+      return "affine";
+    case Shape::kSum:
+      return "sum";
+    default:
+      return "partial";
+  }
+}
+
+/// Streams of every min+index shape over [0, len) on which each candidate
+/// is exactly 3.0; set_minimum(i, true) drops index i's to exactly 2.0
+/// and set_minimum(i, false) restores it.
+struct TieStreams {
+  static constexpr double kK1 = 2.0;
+  static constexpr double kK2 = 2.0;
+  static constexpr double kEv = 2.0;  // the partial shape's E_verif
+  // affine: 1 + (0.75 + 0.25*2 + 0.25*1 + 0.25*2) = 3
+  std::vector<double> ev, exvg, coef;
+  // sum: 1.5 + 1.5 = 3
+  std::vector<double> a, c;
+  // partial: 1 + 0.5*2 + 0.5*1 + 0.5 = 3
+  PartialRow row;
+
+  explicit TieStreams(std::size_t len)
+      : ev(len, 1.0),
+        exvg(len, 0.75),
+        coef(len, 0.25),
+        a(len, 1.5),
+        c(len, 1.5),
+        row(len) {
+    row.pp.assign(len, 1.0);
+    row.qq.assign(len, 0.5);
+    row.rr.assign(len, 0.5);
+    row.er.assign(len, 1.0);
+    row.ep.assign(len, 0.5);
+  }
+
+  void set_minimum(std::size_t i, bool on) {
+    exvg[i] = on ? -0.25 : 0.75;
+    a[i] = on ? 0.5 : 1.5;
+    row.ep[i] = on ? -0.5 : 0.5;
+  }
+
+  FoldResult run(Shape shape, SimdTier tier, std::size_t lo, std::size_t hi,
+                 double seed_best, std::int32_t seed_arg) const {
+    switch (shape) {
+      case Shape::kAffine:
+        return run_affine(tier, ev, exvg, coef, coef, coef, kK1, kK2, lo, hi,
+                          seed_best, seed_arg);
+      case Shape::kSum:
+        return run_sum(tier, a, c, lo, hi, seed_best, seed_arg);
+      default:
+        return run_partial(tier, row, kEv, lo, hi, seed_best, seed_arg);
+    }
+  }
+};
+
+TEST(SimdKernels, TwoEqualMinimaPinLeftmostAcrossLanesAndTail) {
+  // Every candidate 3.0 except two equal minima at a < b: each shape must
   // return a on every tier, wherever the pair falls -- same lane, across
-  // lanes, across the vector body and the scalar tail.  lo = 1 keeps the
-  // window unaligned; windows shorter than one vector run the tail only.
+  // lanes, across the vector body and the scalar tail.  Widths 2W - 1,
+  // 2W and 2W + 1 straddle the vector entry test of both lane counts
+  // (W = 4, 8); lo = 1 keeps the window unaligned.
   const auto tiers = supported_tiers();
-  for (const std::size_t width : {std::size_t{3}, std::size_t{7},
-                                  std::size_t{21}, std::size_t{37}}) {
+  for (const std::size_t width : {3, 7, 8, 9, 15, 16, 17, 21, 37}) {
     const std::size_t lo = 1;
     const std::size_t hi = lo + width;
-    PartialRow row(hi);
-    for (std::size_t i = 0; i < hi; ++i) {
-      row.pp[i] = 1.0;  // 1 + 0.5*2 + 0.5*1 + 0.5 = 3
-      row.qq[i] = 0.5;
-      row.rr[i] = 0.5;
-      row.er[i] = 1.0;
-      row.ep[i] = 0.5;
-    }
+    TieStreams streams(hi);
     for (std::size_t a = lo; a < hi; ++a) {
       for (std::size_t b = a + 1; b < hi; ++b) {
-        row.ep[a] = row.ep[b] = -0.5;  // candidates 2.0
-        for (SimdTier tier : tiers) {
-          const FoldResult got =
-              run_partial(tier, row, 2.0, lo, hi,
-                          std::numeric_limits<double>::infinity(), -1);
-          EXPECT_EQ(got.best, 2.0) << simd::tier_name(tier);
-          EXPECT_EQ(got.arg, static_cast<std::int32_t>(a))
-              << simd::tier_name(tier) << " width " << width << " pair ("
-              << a << ", " << b << ")";
-          // A seed equal to the minimum must NOT be displaced.
-          const FoldResult kept = run_partial(tier, row, 2.0, lo, hi, 2.0,
-                                              static_cast<std::int32_t>(hi));
-          EXPECT_EQ(kept.arg, static_cast<std::int32_t>(hi))
-              << simd::tier_name(tier) << " width " << width;
+        streams.set_minimum(a, true);
+        streams.set_minimum(b, true);
+        for (const Shape shape : {Shape::kAffine, Shape::kSum, Shape::kPartial}) {
+          for (SimdTier tier : tiers) {
+            const std::string who = std::string(shape_name(shape)) + " @" +
+                                    simd::tier_name(tier) + " width " +
+                                    std::to_string(width) + " pair (" +
+                                    std::to_string(a) + ", " +
+                                    std::to_string(b) + ")";
+            const FoldResult got =
+                streams.run(shape, tier, lo, hi,
+                            std::numeric_limits<double>::infinity(), -1);
+            EXPECT_EQ(got.best, 2.0) << who;
+            EXPECT_EQ(got.arg, static_cast<std::int32_t>(a)) << who;
+            // A seed equal to the minimum must NOT be displaced.
+            const FoldResult kept = streams.run(
+                shape, tier, lo, hi, 2.0, static_cast<std::int32_t>(hi));
+            EXPECT_EQ(kept.arg, static_cast<std::int32_t>(hi)) << who;
+          }
         }
-        row.ep[a] = row.ep[b] = 0.5;
+        streams.set_minimum(a, false);
+        streams.set_minimum(b, false);
       }
     }
   }
@@ -323,36 +344,23 @@ TEST(SimdKernels, AllEqualStreamPinsLeftmostIndex) {
   for (const std::size_t len : {std::size_t{3}, std::size_t{8},
                                 std::size_t{17}, std::size_t{64},
                                 std::size_t{129}}) {
-    const std::vector<double> a(len, 1.5), c(len, 2.5);
-    PartialRow row(len);  // 1.5 + 0.25*2 + 0.5*2 + 1 = 4
-    row.pp.assign(len, 1.5);
-    row.qq.assign(len, 0.25);
-    row.rr.assign(len, 0.5);
-    row.er.assign(len, 2.0);
-    row.ep.assign(len, 1.0);
-    for (const std::size_t lo :
-         {std::size_t{0}, std::size_t{1}, len / 2}) {
+    const TieStreams streams(len);
+    for (const Shape shape : {Shape::kAffine, Shape::kSum, Shape::kPartial}) {
       for (SimdTier tier : tiers) {
-        const FoldResult got =
-            run_sum(tier, a, c, lo, len,
-                    std::numeric_limits<double>::infinity(), -1);
-        EXPECT_EQ(got.best, 4.0) << simd::tier_name(tier);
-        EXPECT_EQ(got.arg, static_cast<std::int32_t>(lo))
-            << simd::tier_name(tier) << " len " << len;
-        const FoldResult hop =
-            run_partial(tier, row, 2.0, lo, len,
-                        std::numeric_limits<double>::infinity(), -1);
-        EXPECT_EQ(hop.best, 4.0) << simd::tier_name(tier);
-        EXPECT_EQ(hop.arg, static_cast<std::int32_t>(lo))
-            << simd::tier_name(tier) << " len " << len;
+        const std::string who = std::string(shape_name(shape)) + " @" +
+                                simd::tier_name(tier) + " len " +
+                                std::to_string(len);
+        for (const std::size_t lo :
+             {std::size_t{0}, std::size_t{1}, len / 2}) {
+          const FoldResult got =
+              streams.run(shape, tier, lo, len,
+                          std::numeric_limits<double>::infinity(), -1);
+          EXPECT_EQ(got.best, 3.0) << who;
+          EXPECT_EQ(got.arg, static_cast<std::int32_t>(lo)) << who;
+        }
+        // A seed equal to the stream minimum must NOT be displaced.
+        EXPECT_EQ(streams.run(shape, tier, 0, len, 3.0, -9).arg, -9) << who;
       }
-    }
-    // A seed equal to the stream minimum must NOT be displaced.
-    for (SimdTier tier : tiers) {
-      const FoldResult got = run_sum(tier, a, c, 0, len, 4.0, -9);
-      EXPECT_EQ(got.arg, -9) << simd::tier_name(tier);
-      const FoldResult hop = run_partial(tier, row, 2.0, 0, len, 4.0, -9);
-      EXPECT_EQ(hop.arg, -9) << simd::tier_name(tier);
     }
   }
 }

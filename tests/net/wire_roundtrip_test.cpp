@@ -64,13 +64,17 @@ std::vector<Row> coverage_rows() {
 }
 
 TEST(WireRoundtrip, EveryAlgorithmBitwiseIdenticalToInProcessSolve) {
-  service::SolverService svc;
+  // A non-default max_n that every row below still fits: kWelcome must
+  // advertise the limit the service enforces.
+  service::ServiceOptions options;
+  options.solver.max_n = 512;
+  service::SolverService svc(options);
   WireServer server(svc);
   server.start();
   WireClient client(client_options(server.port()));
   const WelcomePayload welcome = client.hello();
   EXPECT_EQ(welcome.version, kProtocolVersion);
-  EXPECT_GT(welcome.max_n, 0u);
+  EXPECT_EQ(welcome.max_n, 512u);
 
   core::BatchSolver reference;
   const platform::CostModel hera{platform::hera()};
