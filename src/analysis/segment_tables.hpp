@@ -37,9 +37,9 @@
 // kernels (dp_two_level, dp_single_level) consume them with the scalar
 // formulas' association order and reproduce those values bit for bit;
 // the ADMV kernels (dp_partial) additionally distribute the e^{(lf+ls)W}
-// chain factor across per-scan planes, which reassociates sums of
-// non-negative terms and may differ from the scalar path by a few ulps --
-// well inside the 1e-9 tolerance of the "DP objective == analytic
+// chain factor across each hop row's coefficients, which reassociates
+// sums of non-negative terms and may differ from the scalar path by a few
+// ulps -- well inside the 1e-9 tolerance of the "DP objective == analytic
 // evaluator" property tests.
 #pragma once
 
@@ -110,6 +110,9 @@ class SegmentRows {
   const double* pf_row(std::size_t i) const noexcept { return row(pf_, i); }
   const double* ef_row(std::size_t i) const noexcept { return row(ef_, i); }
   const double* w_row(std::size_t i) const noexcept { return row(w_, i); }
+
+  /// Distance between consecutive rows of the *_row views (n + 1).
+  std::size_t stride() const noexcept { return n_ + 1; }
 
   /// Partial-verification cost after task i (i >= 1).
   double vp_after(std::size_t i) const noexcept { return vp_[i]; }

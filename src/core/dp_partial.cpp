@@ -23,191 +23,114 @@ namespace {
 struct PartialScratch final : util::ArenaBlock {
   ~PartialScratch() override { unregister(); }
 
-  // O(n) buffers of the right-to-left recursion.
-  std::vector<double> ep;
-  std::vector<double> er;
-  std::vector<std::int32_t> next;
-  // O(n^2) fused coefficient planes, rebuilt once per (d1, m1, j) scan and
-  // shared by all of its v1 solves (see build_planes).
+  // O(n): the current hop row's P/Q/R and E_verif by lane.
   std::vector<double> pp;
   std::vector<double> qq;
   std::vector<double> rr;
-  std::vector<double> t0;
+  std::vector<double> ev;
+  // O(n^2): every lane's recursion state (simd::PartialLanes).
+  std::vector<double> ep;
+  std::vector<double> er;
+  std::vector<std::int32_t> next;
 
-  void ensure(std::size_t n) {
-    if (ep.size() < n + 1) {
-      ep.resize(n + 1);
-      er.resize(n + 1);
-      next.resize(n + 1);
-      t0.resize(n + 1);
-      pp.resize((n + 1) * (n + 1));
-      qq.resize((n + 1) * (n + 1));
-      rr.resize((n + 1) * (n + 1));
+  simd::PartialLanes ensure(std::size_t n) {
+    const std::size_t lanes = simd::partial_lane_stride(n);
+    if (pp.size() < n + 1) {
+      pp.resize(n + 1);
+      qq.resize(n + 1);
+      rr.resize(n + 1);
+      ev.resize(lanes);
+      ep.resize((n + 1) * lanes);
+      er.resize((n + 1) * lanes);
+      next.resize((n + 1) * lanes);
     }
+    return {pp.data(), qq.data(), rr.data(), ev.data(),
+            ep.data(), er.data(), next.data()};
   }
 
   std::size_t resident_bytes() const noexcept override {
-    return util::vector_bytes(ep) + util::vector_bytes(er) +
-           util::vector_bytes(next) + util::vector_bytes(pp) +
-           util::vector_bytes(qq) + util::vector_bytes(rr) +
-           util::vector_bytes(t0);
+    return util::vector_bytes(pp) + util::vector_bytes(qq) +
+           util::vector_bytes(rr) + util::vector_bytes(ev) +
+           util::vector_bytes(ep) + util::vector_bytes(er) +
+           util::vector_bytes(next);
   }
   void release() noexcept override {
-    util::free_vector(ep);
-    util::free_vector(er);
-    util::free_vector(next);
     util::free_vector(pp);
     util::free_vector(qq);
     util::free_vector(rr);
-    util::free_vector(t0);
+    util::free_vector(ev);
+    util::free_vector(ep);
+    util::free_vector(er);
+    util::free_vector(next);
   }
 };
 
-PartialScratch& partial_scratch() {
+simd::PartialLanes partial_lanes(std::size_t n) {
   static thread_local PartialScratch scratch;
-  return scratch;
+  return scratch.ensure(n);
 }
 
-/// The right-to-left inner DP over one verified segment (v1, v2].
+/// The inner DP of one (d1, m1, j) scan as simd::PartialScan sees it.
 ///
-/// For a fixed scan context (d1, m1, v2) the candidate score of a hop
-/// (p1, p2] decomposes as
+/// For a fixed scan context the candidate score of a hop (p1, p2] of a
+/// verified segment (v1, j] decomposes as
 ///
-///   E^-(p1,p2) * e^{(lf+ls) W_{p2,v2}}
+///   E^-(p1,p2) * e^{(lf+ls) W_{p2,j}}
 ///     = [es*(x+V) + b*K1 + d*RMh] * fs   (left-context terms, fixed)
 ///     + [c * fs] * E_verif               (varies with v1)
 ///     + [d*g * fs] * E_right(p2)         (varies along the recursion)
 ///
-/// with K1 = R_D + E_mem and RMh = (1-g) R_M.  build_planes materializes
-/// the three bracketed planes P/Q/R (plus the terminal base T0) once per
-/// scan; each of the scan's v1 solves then runs its O(len^2) hot loop over
-/// just five unit-stride streams, one K::partial fold per hop row p1:
-///
-///   cand[p2] = P[p2] + Q[p2]*E_verif + R[p2]*er[p2] + ep[p2]
-///
-/// The planes are amortized: a scan costs O((j-m1)^2) to prepare and
-/// O((j-m1)^3) to solve.  K is the SIMD kernel facade
+/// with K1 = R_D + E_mem and RMh = (1-g) R_M: every v1 of the scan shares
+/// the hop row's bracketed coefficients, so K::partial builds each row
+/// once and steps every v1 <= p1 on it.  K is the SIMD kernel facade
 /// (core/simd/argmin_kernels.hpp); every tier folds the same candidates
 /// in the same order to the same bits.
+simd::PartialScan partial_scan(const DpContext& ctx,
+                               const analysis::SegmentRows& rows,
+                               std::size_t d1, std::size_t m1, std::size_t j,
+                               double emem_at_m1) {
+  const auto& seg = ctx.seg_tables();
+  const auto& cm = ctx.costs();
+  const double g = cm.miss();
+  const double r_mem = cm.r_mem_after(m1);
+  return {rows.exv_row(0),
+          rows.b_row(0),
+          rows.c_row(0),
+          rows.d_row(0),
+          rows.tl_row(0),
+          rows.pf_row(0),
+          rows.ef_row(0),
+          rows.w_row(0),
+          rows.stride(),
+          rows.vp_data(),
+          seg.fs_col(j),
+          seg.c_col(j),
+          seg.vg_after(j) - rows.vp_after(j),
+          g,
+          cm.r_disk_after(d1) + emem_at_m1,
+          (1.0 - g) * r_mem,
+          r_mem};
+}
+
+/// The level engine's v1 scan (the ColumnScanner of core/level_dp.hpp)
+/// for context (d1, m1) and right endpoint j: folds
+/// E_verif(d1,m1,v1) + E_partial(d1,m1,v1,v1,j) over v1 in [m1, j) with
+/// the strict-less leftmost-argmin rule, in one K::partial call.
+///
+/// Out of line on purpose: inlined into run_level_dp's slab body, the
+/// register allocation of the fused loops followed whatever else that
+/// body held -- when the pruned scan mode's objects left that body, the
+/// candidate loop began reloading its pointers from the stack, and
+/// BM_Partial ran 5-7 % slower (GCC 12, 4-vCPU AVX-512 Xeon).  One call
+/// per scan is noise against its O(len^3) work.
 template <typename K>
-struct PartialSegmentSolver {
-  const DpContext& ctx;
-  const analysis::SegmentRows& rows;
-
-  /// Fills the scratch planes for the scan context (k1, rm_hit, r_mem)
-  /// with right endpoint j, covering hop rows p1 in [lo, j).
-  void build_planes(std::size_t lo, std::size_t j, double k1, double rm_hit,
-                    double r_mem, PartialScratch& s) const {
-    const auto& seg = ctx.seg_tables();
-    const double g = ctx.costs().miss();
-    const double vg_j = seg.vg_after(j);
-    const double vp_j = rows.vp_after(j);
-    const double* fs_to_j = seg.fs_col(j);
-    const std::size_t stride = seg.n() + 1;
-    for (std::size_t p1 = lo; p1 < j; ++p1) {
-      const double* exv = rows.exv_row(p1);
-      const double* b = rows.b_row(p1);
-      const double* c = rows.c_row(p1);
-      const double* d = rows.d_row(p1);
-      double* pp = s.pp.data() + p1 * stride;
-      double* qq = s.qq.data() + p1 * stride;
-      double* rr = s.rr.data() + p1 * stride;
-#pragma omp simd
-      for (std::size_t p2 = p1 + 1; p2 < j; ++p2) {
-        const double fs = fs_to_j[p2];
-        pp[p2] = (exv[p2] + b[p2] * k1 + d[p2] * rm_hit) * fs;
-        qq[p2] = c[p2] * fs;
-        rr[p2] = d[p2] * (g * fs);
-      }
-      // Terminal choice p2 = j: the guaranteed verification closes the
-      // segment; upgrade the verification cost by e^{(lf+ls)W}(V* - V).
-      s.t0[p1] = exv[j] + b[j] * k1 + d[j] * (rm_hit + g * r_mem) +
-                 fs_to_j[p1] * (vg_j - vp_j);
-    }
-  }
-
-  /// Fills s.ep[p] = E_partial(d1,m1,v1,p,v2) and s.next[p] = argmin p2
-  /// for p in [v1, v2); s.er[p] tracks E_right along the optimal chain.
-  /// Requires build_planes for the same (scan context, v2) first.
-  void solve(std::size_t v1, std::size_t v2,
-             const analysis::LeftContext& left, PartialScratch& s) const {
-    const auto& seg = ctx.seg_tables();
-    const double g = ctx.costs().miss();
-    const double* vp = rows.vp_data();
-    const double* c_to_v2 = seg.c_col(v2);
-    const double k1 = left.r_disk + left.e_mem;
-    const double rm_hit = (1.0 - g) * left.r_mem;
-    const double ev = left.e_verif;
-    const std::size_t stride = seg.n() + 1;
-    double* ep = s.ep.data();
-    double* er = s.er.data();
-    std::int32_t* next = s.next.data();
-
-    er[v2] = left.r_mem;  // E_right(..., v2, v2) = R_M
-    for (std::size_t p1 = v2; p1-- > v1;) {
-      // Seeded with the terminal choice p2 = v2, which only a strictly
-      // smaller hop candidate displaces.
-      double best = s.t0[p1] + c_to_v2[p1] * ev;
-      std::int32_t best_arg = static_cast<std::int32_t>(v2);
-      K::partial(s.pp.data() + p1 * stride, s.qq.data() + p1 * stride,
-                 s.rr.data() + p1 * stride, er, ep, ev, p1 + 1, v2, best,
-                 best_arg);
-      const auto best_p2 = static_cast<std::size_t>(best_arg);
-      ep[p1] = best;
-      next[p1] = best_arg;
-      // E_right along the chosen chain: the error that slipped past the
-      // partial verification at p1 is next screened at best_p2 -- one
-      // table-driven step, no expm1 (see SegmentRows).
-      const double v_at_next = vp[best_p2];
-      const double pf = rows.pf_row(p1)[best_p2];
-      const double tl = rows.tl_row(p1)[best_p2];
-      const double ef = rows.ef_row(p1)[best_p2];
-      const double w = rows.w_row(p1)[best_p2];
-      er[p1] = pf * (tl + k1) + (w + v_at_next + rm_hit + g * er[best_p2]) / ef;
-    }
-  }
-
-  /// The level engine's v1 scan (the ColumnScanner of core/level_dp.hpp)
-  /// for context (d1, m1) and right endpoint j: folds
-  /// E_verif(d1,m1,v1) + E_partial(d1,m1,v1,v1,j) over v1 in [m1, j) with
-  /// the strict-less leftmost-argmin rule.  The engine calls it exactly
-  /// once per (d1, m1, j) step, so the planes are built once per scan, as
-  /// the PartialScratch contract describes.
-  ///
-  /// Out of line on purpose: inlined into run_level_dp's slab body, the
-  /// register allocation of the fused loops followed whatever else that
-  /// body held -- when the pruned scan mode's objects left that body, the
-  /// candidate loop began reloading its pointers from the stack, and
-  /// BM_Partial ran 5-7 % slower (GCC 12, 4-vCPU AVX-512 Xeon).  One call
-  /// per scan is noise against its O(len^3) work.
-  [[gnu::noinline]] void scan(std::size_t d1, std::size_t m1, std::size_t j,
-                              double emem_at_m1, const double* everif_row,
-                              double& best, std::int32_t& best_arg) const {
-    const auto& cm = ctx.costs();
-    const double g = cm.miss();
-    PartialScratch& scratch = partial_scratch();
-    scratch.ensure(ctx.n());
-    analysis::LeftContext left{cm.r_disk_after(d1), cm.r_mem_after(m1),
-                               emem_at_m1, 0.0};
-    build_planes(m1, j, left.r_disk + left.e_mem, (1.0 - g) * left.r_mem,
-                 left.r_mem, scratch);
-    // Folded in locals: `best` could alias the scratch buffers solve()
-    // writes, which would force a store per improvement.
-    double fold = best;
-    std::int32_t fold_arg = best_arg;
-    for (std::size_t v1 = m1; v1 < j; ++v1) {
-      left.e_verif = everif_row[v1];
-      solve(v1, j, left, scratch);
-      const double candidate = everif_row[v1] + scratch.ep[v1];
-      if (candidate < fold) {
-        fold = candidate;
-        fold_arg = static_cast<std::int32_t>(v1);
-      }
-    }
-    best = fold;
-    best_arg = fold_arg;
-  }
-};
+[[gnu::noinline]] void partial_column_scan(
+    const DpContext& ctx, const analysis::SegmentRows& rows, std::size_t d1,
+    std::size_t m1, std::size_t j, double emem_at_m1,
+    const double* everif_row, double& best, std::int32_t& best_arg) {
+  K::partial(partial_scan(ctx, rows, d1, m1, j, emem_at_m1), everif_row, m1,
+             j, partial_lanes(ctx.n()), best, best_arg);
+}
 
 }  // namespace
 
@@ -237,34 +160,31 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
   // The inner DP's row streams are this solve's own: no other engine reads
   // them, so the shared column tables never carry them.
   const analysis::SegmentRows rows(ctx.table(), ctx.costs());
-  const PartialSegmentSolver<K> solver{ctx, rows};
-  const auto& cm = ctx.costs();
-  const double g = cm.miss();
 
   const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t j,
                         double emem_at_m1, const double* everif_row,
                         double& best, std::int32_t& best_arg) {
-    solver.scan(d1, m1, j, emem_at_m1, everif_row, best, best_arg);
+    partial_column_scan<K>(ctx, rows, d1, m1, j, emem_at_m1, everif_row,
+                           best, best_arg);
   };
   detail::run_level_dp<K>(ctx, ckpt, scan);
 
   // Partial positions of a winning segment are re-derived from the (now
-  // final) E_verif / E_mem tables: same inputs, same deterministic inner
-  // DP on the same kernels, same argmin chain.
+  // final) E_verif / E_mem tables: the same kernel over [v1, v2) gives
+  // lane 0 -- v1's own solve -- the same inputs, so the same argmin chain.
   const auto partials = [&](std::size_t d1, std::size_t m1, std::size_t v1,
                             std::size_t v2) {
     poll_cancellation(ctx.cancel_token());  // one inner solve per segment
-    PartialScratch& scratch = partial_scratch();
-    scratch.ensure(n);
-    const analysis::LeftContext left{
-        cm.r_disk_after(d1), cm.r_mem_after(m1), tables.emem_at(d1, m1),
-        tables.everif_at(d1, m1, v1)};
-    solver.build_planes(v1, v2, left.r_disk + left.e_mem,
-                        (1.0 - g) * left.r_mem, left.r_mem, scratch);
-    solver.solve(v1, v2, left, scratch);
+    const simd::PartialLanes lanes = partial_lanes(n);
+    double best = std::numeric_limits<double>::infinity();
+    std::int32_t best_arg = -1;
+    K::partial(partial_scan(ctx, rows, d1, m1, v2, tables.emem_at(d1, m1)),
+               tables.everif.data() + tables.idx3(d1, m1, 0), v1, v2, lanes,
+               best, best_arg);
+    const std::size_t lane_stride = simd::partial_lane_stride(v2 - v1);
     std::vector<std::size_t> positions;
-    for (std::size_t p = static_cast<std::size_t>(scratch.next[v1]); p < v2;
-         p = static_cast<std::size_t>(scratch.next[p])) {
+    for (auto p = static_cast<std::size_t>(lanes.next[0]); p < v2;
+         p = static_cast<std::size_t>(lanes.next[(p - v1) * lane_stride])) {
       positions.push_back(p);
     }
     return positions;
@@ -280,7 +200,7 @@ OptimizationResult optimize_with_partial(const DpContext& ctx) {
   // Entry checkpoint: a token that fired while the job sat in a queue
   // aborts before the O(n^3) tables are even allocated.  The per-(d1, j)
   // checkpoints live in run_level_dp, outside the out-of-line v1 scan
-  // (PartialSegmentSolver::scan).
+  // (partial_column_scan).
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
   return simd::with_kernels(ctx.simd_tier(), [&](auto kernels) {
     return optimize_with_partial_impl<decltype(kernels)>(ctx);

@@ -10,15 +10,18 @@
 // first, so an AVX-encoded copy would stand in for the baseline one in
 // code that must run on any x86-64 CPU -- at -O0, where nothing is
 // inlined, ScalarKernels::partial and numeric_limits<double>::infinity()
-// did.  So the scalar tails are always_inline, +inf is a constexpr
-// constant, every helper here has internal linkage, and the only
-// external symbols are VectorKernels<W> members, which no baseline file
-// defines.  CI's sanitize job checks the two objects with nm.
+// did.  So the scalar tails and the partial helpers of argmin_kernels.hpp
+// are always_inline, +inf is a constexpr constant, every helper here has
+// internal linkage, and the only external symbols are VectorKernels<W>
+// members, which no baseline file defines.  CI's sanitize job checks the
+// two objects with nm.
 //
-// Min+index: each lane keeps a running (value, index) pair, replaced only
-// by a strictly smaller candidate, so each lane holds the EARLIEST index
-// of its own minimum; merge_lanes then takes the lowest value, ties to the
-// lowest index.  Together that is the scalar leftmost strict-less argmin.
+// Min+index (affine, sum): each lane keeps a running (value, index) pair,
+// replaced only by a strictly smaller candidate, so each lane holds the
+// EARLIEST index of its own minimum; merge_lanes then takes the lowest
+// value, ties to the lowest index.  Together that is the scalar leftmost
+// strict-less argmin.  partial needs no merge: its lanes are separate
+// v1 solves, each folding its own hops exactly as the scalar loop does.
 #pragma once
 
 #include <cstring>
@@ -77,7 +80,7 @@ inline void merge_lanes(const typename Lanes<W>::Doubles& vbest,
   }
 }
 
-/// The min+index loop of affine, sum and partial: folds cand(i), the
+/// The min+index loop of affine and sum: folds cand(i), the
 /// candidates at i .. i + W - 1, for every whole vector in [lo, hi) into
 /// (best, best_arg) and returns where the scalar tail starts.  Windows
 /// shorter than two vectors run the scalar loop alone.
@@ -136,20 +139,56 @@ void VectorKernels<W>::sum(const double* a, const double* c, std::size_t lo,
 }
 
 template <int W>
-void VectorKernels<W>::partial(const double* pp, const double* qq,
-                               const double* rr, const double* er,
-                               const double* ep, double ev, std::size_t lo,
-                               std::size_t hi, double& best,
+void VectorKernels<W>::partial(const PartialScan& s, const double* everif_row,
+                               std::size_t lo, std::size_t hi,
+                               const PartialLanes& st, double& best,
                                std::int32_t& best_arg) noexcept {
   using Doubles = typename Lanes<W>::Doubles;
-  const std::size_t tail =
-      argmin_lanes<W>(lo, hi, best, best_arg, [&](std::size_t i) {
+  using Indices = typename Lanes<W>::Indices;
+  using Args = typename Lanes<W>::Args;
+  static_assert(kMaxLanes % W == 0, "lane groups must tile the stride");
+  const std::size_t len = hi - lo;
+  const std::size_t lane_stride = partial_lane_stride(len);
+  // E_verif by lane; padded lanes (v1 >= hi) get 0 and are never folded.
+  for (std::size_t k = 0; k < lane_stride; ++k) {
+    st.ev[k] = k < len ? everif_row[lo + k] : 0.0;
+  }
+  double* er_end = st.er + len * lane_stride;
+  for (std::size_t k = 0; k < len; ++k) er_end[k] = s.r_mem;
+  for (std::size_t p1 = hi; p1-- > lo;) {
+    const double t0 = detail::partial_row(s, p1, hi, st);
+    const double c0 = s.c_to_j[p1];
+    const std::size_t active = p1 - lo + 1;
+    double* ep_row = st.ep + (p1 - lo) * lane_stride;
+    std::int32_t* next_row = st.next + (p1 - lo) * lane_stride;
+    // W adjacent v1 per vector; lanes past p1 step too, on values no
+    // active lane reads.
+    for (std::size_t k = 0; k < active; k += W) {
+      const Doubles ev = load<Doubles>(st.ev + k);
+      Doubles vbest = t0 + c0 * ev;  // the terminal choice p2 = hi
+      Indices varg = Indices{} + static_cast<long long>(hi);
+      Indices cur = Indices{} + static_cast<long long>(p1 + 1);
+      const double* er = st.er + (p1 + 1 - lo) * lane_stride + k;
+      const double* ep = st.ep + (p1 + 1 - lo) * lane_stride + k;
+      for (std::size_t p2 = p1 + 1; p2 < hi; ++p2) {
         // ((pp + qq*ev) + rr*er) + ep -- the scalar order.
-        return load<Doubles>(pp + i) + load<Doubles>(qq + i) * ev +
-               load<Doubles>(rr + i) * load<Doubles>(er + i) +
-               load<Doubles>(ep + i);
-      });
-  ScalarKernels::partial(pp, qq, rr, er, ep, ev, tail, hi, best, best_arg);
+        const Doubles candidate = st.pp[p2] + st.qq[p2] * ev +
+                                  st.rr[p2] * load<Doubles>(er) +
+                                  load<Doubles>(ep);
+        const auto lt = candidate < vbest;
+        vbest = lt ? candidate : vbest;
+        varg = lt ? cur : varg;
+        cur += 1;
+        er += lane_stride;
+        ep += lane_stride;
+      }
+      store(ep_row + k, vbest);
+      store(next_row + k, __builtin_convertvector(varg, Args));
+    }
+    detail::partial_right_step(s, p1, lo, active, lane_stride, st);
+  }
+  detail::partial_fold(everif_row, lo, hi, lane_stride, st.ep, best,
+                       best_arg);
 }
 
 template <int W>

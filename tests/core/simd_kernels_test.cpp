@@ -12,6 +12,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <limits>
 #include <string>
 #include <vector>
@@ -81,25 +82,6 @@ void run_fold(SimdTier tier, const std::vector<double>& row, double base,
     decltype(kernels)::fold(row.data(), base, arg, run_best.data(),
                             run_arg.data(), lo, hi);
   });
-}
-
-/// The five streams of one ADMV hop row (pp, qq, rr, er, ep).
-struct PartialRow {
-  std::vector<double> pp, qq, rr, er, ep;
-  explicit PartialRow(std::size_t len)
-      : pp(len), qq(len), rr(len), er(len), ep(len) {}
-};
-
-FoldResult run_partial(SimdTier tier, const PartialRow& row, double ev,
-                       std::size_t lo, std::size_t hi, double seed_best,
-                       std::int32_t seed_arg) {
-  FoldResult r{seed_best, seed_arg};
-  simd::with_kernels(tier, [&](auto kernels) {
-    decltype(kernels)::partial(row.pp.data(), row.qq.data(), row.rr.data(),
-                               row.er.data(), row.ep.data(), ev, lo, hi,
-                               r.best, r.arg);
-  });
-  return r;
 }
 
 /// Fills `out` with values drawn from a tiny discrete set, so sums and
@@ -193,60 +175,11 @@ TEST(SimdKernels, SumMatchesScalarOnRandomAndTieDenseStreams) {
   }
 }
 
-TEST(SimdKernels, PartialMatchesScalarOnRandomAndTieDenseStreams) {
-  const auto tiers = supported_tiers();
-  util::Xoshiro256 rng(bench::kBenchSeed ^ 0x54);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t len = 1 + rng() % 200;
-    PartialRow row(len);
-    double ev;
-    if (trial % 2 == 0) {
-      // Exact-tie regime: discrete levels and a power-of-two E_verif, so
-      // distinct p2 produce identical candidates.
-      for (auto* v : {&row.pp, &row.qq, &row.rr, &row.er, &row.ep}) {
-        fill_tie_dense(rng, *v);
-      }
-      ev = 2.0;
-    } else {
-      fill_random(rng, row.pp, 1e4);
-      fill_random(rng, row.qq, 2.0);
-      fill_random(rng, row.rr, 2.0);
-      fill_random(rng, row.er, 1e3);
-      fill_random(rng, row.ep, 1e5);
-      ev = 1e3 * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
-    }
-    const std::size_t lo = rng() % len;
-    const std::size_t hi = lo + rng() % (len - lo + 1);
-    // The terminal-choice seed sometimes sits inside the candidates'
-    // range: it beats some of them and ties or loses to others.
-    const double in_range = trial % 2 == 0 ? 2.0 : 5e4;
-    const double seed =
-        trial % 3 == 0 ? in_range : std::numeric_limits<double>::infinity();
-    const auto seed_arg = static_cast<std::int32_t>(hi);
-    const FoldResult want =
-        run_partial(SimdTier::kScalar, row, ev, lo, hi, seed, seed_arg);
-    for (SimdTier tier : tiers) {
-      const FoldResult got = run_partial(tier, row, ev, lo, hi, seed, seed_arg);
-      EXPECT_EQ(want.best, got.best)
-          << simd::tier_name(tier) << " trial " << trial;
-      EXPECT_EQ(want.arg, got.arg)
-          << simd::tier_name(tier) << " trial " << trial;
-    }
-  }
-}
-
-/// The min+index shapes: affine, sum and partial share one vector loop.
-enum class Shape { kAffine, kSum, kPartial };
+/// The min+index shapes: affine and sum share one vector loop.
+enum class Shape { kAffine, kSum };
 
 const char* shape_name(Shape shape) {
-  switch (shape) {
-    case Shape::kAffine:
-      return "affine";
-    case Shape::kSum:
-      return "sum";
-    default:
-      return "partial";
-  }
+  return shape == Shape::kAffine ? "affine" : "sum";
 }
 
 /// Streams of every min+index shape over [0, len) on which each candidate
@@ -255,45 +188,27 @@ const char* shape_name(Shape shape) {
 struct TieStreams {
   static constexpr double kK1 = 2.0;
   static constexpr double kK2 = 2.0;
-  static constexpr double kEv = 2.0;  // the partial shape's E_verif
   // affine: 1 + (0.75 + 0.25*2 + 0.25*1 + 0.25*2) = 3
   std::vector<double> ev, exvg, coef;
   // sum: 1.5 + 1.5 = 3
   std::vector<double> a, c;
-  // partial: 1 + 0.5*2 + 0.5*1 + 0.5 = 3
-  PartialRow row;
 
   explicit TieStreams(std::size_t len)
-      : ev(len, 1.0),
-        exvg(len, 0.75),
-        coef(len, 0.25),
-        a(len, 1.5),
-        c(len, 1.5),
-        row(len) {
-    row.pp.assign(len, 1.0);
-    row.qq.assign(len, 0.5);
-    row.rr.assign(len, 0.5);
-    row.er.assign(len, 1.0);
-    row.ep.assign(len, 0.5);
-  }
+      : ev(len, 1.0), exvg(len, 0.75), coef(len, 0.25), a(len, 1.5),
+        c(len, 1.5) {}
 
   void set_minimum(std::size_t i, bool on) {
     exvg[i] = on ? -0.25 : 0.75;
     a[i] = on ? 0.5 : 1.5;
-    row.ep[i] = on ? -0.5 : 0.5;
   }
 
   FoldResult run(Shape shape, SimdTier tier, std::size_t lo, std::size_t hi,
                  double seed_best, std::int32_t seed_arg) const {
-    switch (shape) {
-      case Shape::kAffine:
-        return run_affine(tier, ev, exvg, coef, coef, coef, kK1, kK2, lo, hi,
-                          seed_best, seed_arg);
-      case Shape::kSum:
-        return run_sum(tier, a, c, lo, hi, seed_best, seed_arg);
-      default:
-        return run_partial(tier, row, kEv, lo, hi, seed_best, seed_arg);
+    if (shape == Shape::kAffine) {
+      return run_affine(tier, ev, exvg, coef, coef, coef, kK1, kK2, lo, hi,
+                        seed_best, seed_arg);
     }
+    return run_sum(tier, a, c, lo, hi, seed_best, seed_arg);
   }
 };
 
@@ -312,7 +227,7 @@ TEST(SimdKernels, TwoEqualMinimaPinLeftmostAcrossLanesAndTail) {
       for (std::size_t b = a + 1; b < hi; ++b) {
         streams.set_minimum(a, true);
         streams.set_minimum(b, true);
-        for (const Shape shape : {Shape::kAffine, Shape::kSum, Shape::kPartial}) {
+        for (const Shape shape : {Shape::kAffine, Shape::kSum}) {
           for (SimdTier tier : tiers) {
             const std::string who = std::string(shape_name(shape)) + " @" +
                                     simd::tier_name(tier) + " width " +
@@ -345,7 +260,7 @@ TEST(SimdKernels, AllEqualStreamPinsLeftmostIndex) {
                                 std::size_t{17}, std::size_t{64},
                                 std::size_t{129}}) {
     const TieStreams streams(len);
-    for (const Shape shape : {Shape::kAffine, Shape::kSum, Shape::kPartial}) {
+    for (const Shape shape : {Shape::kAffine, Shape::kSum}) {
       for (SimdTier tier : tiers) {
         const std::string who = std::string(shape_name(shape)) + " @" +
                                 simd::tier_name(tier) + " len " +
@@ -360,6 +275,298 @@ TEST(SimdKernels, AllEqualStreamPinsLeftmostIndex) {
         }
         // A seed equal to the stream minimum must NOT be displaced.
         EXPECT_EQ(streams.run(shape, tier, 0, len, 3.0, -9).arg, -9) << who;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
+// partial: one whole ADMV inner-DP scan, one v1 per lane.
+
+/// The streams of one partial scan over v1 in [lo, hi): SegmentRows-shaped
+/// rows at stride hi + 1, the columns to j = hi, E_verif by v1 (poisoned
+/// past hi), and the scan context.
+struct PartialStreams {
+  std::size_t stride;
+  std::vector<double> exv, b, c, d, tl, pf, ef, w;
+  std::vector<double> vp, fs_to_j, c_to_j, everif;
+  double upgrade = 0.0;
+  double g = 0.0;
+  double k1 = 0.0;
+  double rm_hit = 0.0;
+  double r_mem = 0.0;
+
+  explicit PartialStreams(std::size_t hi)
+      : stride(hi + 1),
+        exv(stride * stride), b(stride * stride), c(stride * stride),
+        d(stride * stride), tl(stride * stride), pf(stride * stride),
+        ef(stride * stride, 1.0), w(stride * stride), vp(stride),
+        fs_to_j(stride), c_to_j(stride),
+        // Past hi: a poison no fold may pick.
+        everif(hi + simd::kMaxLanes, kPoison) {}
+
+  simd::PartialScan scan() const {
+    return {exv.data(), b.data(),  c.data(),       d.data(),
+            tl.data(),  pf.data(), ef.data(),      w.data(),
+            stride,     vp.data(), fs_to_j.data(), c_to_j.data(),
+            upgrade,    g,         k1,             rm_hit,
+            r_mem};
+  }
+
+  static constexpr double kPoison = -1e300;
+};
+
+/// A partial scan's fold result and the lanes' state it leaves behind.
+struct PartialRun {
+  FoldResult fold;
+  std::size_t lane_stride;
+  std::vector<double> ep;
+  std::vector<std::int32_t> next;
+
+  /// Lane k's next chain from its own first row, v1 = lo + k.
+  std::vector<std::int32_t> chain(std::size_t lo, std::size_t hi,
+                                  std::size_t k) const {
+    std::vector<std::int32_t> out;
+    for (std::size_t p = lo + k; p < hi;) {
+      const std::int32_t to = next[(p - lo) * lane_stride + k];
+      out.push_back(to);
+      if (to <= static_cast<std::int32_t>(p)) break;  // broken chain
+      p = static_cast<std::size_t>(to);
+    }
+    return out;
+  }
+};
+
+/// Runs K::partial at `tier` on buffers poisoned everywhere, padded lanes
+/// and rows past the scan included: an active lane that read a cell no
+/// earlier row wrote, or a fold that read a padded lane, would surface.
+PartialRun run_partial(SimdTier tier, const PartialStreams& streams,
+                       std::size_t lo, std::size_t hi, double seed_best,
+                       std::int32_t seed_arg) {
+  const std::size_t lane_stride = simd::partial_lane_stride(hi - lo);
+  const std::size_t cells = (lane_stride + 1) * lane_stride;
+  std::vector<double> pp(hi + 1, PartialStreams::kPoison);
+  std::vector<double> qq = pp;
+  std::vector<double> rr = pp;
+  std::vector<double> ev(lane_stride, PartialStreams::kPoison);
+  std::vector<double> er(cells, PartialStreams::kPoison);
+  PartialRun run{{seed_best, seed_arg},
+                 lane_stride,
+                 std::vector<double>(cells, PartialStreams::kPoison),
+                 std::vector<std::int32_t>(cells, -5)};
+  const simd::PartialLanes lanes{pp.data(), qq.data(),     rr.data(),
+                                 ev.data(), run.ep.data(), er.data(),
+                                 run.next.data()};
+  simd::with_kernels(tier, [&](auto kernels) {
+    decltype(kernels)::partial(streams.scan(), streams.everif.data(), lo, hi,
+                               lanes, run.fold.best, run.fold.arg);
+  });
+  return run;
+}
+
+double unit(util::Xoshiro256& rng) {
+  return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+}
+
+/// Random streams at the DP's magnitudes, or (ties) streams drawn from a
+/// few dyadic levels, so that distinct hops and distinct v1 collide
+/// exactly.
+PartialStreams make_partial_streams(util::Xoshiro256& rng, std::size_t hi,
+                                    bool ties) {
+  PartialStreams s(hi);
+  const auto level = [&](std::initializer_list<double> levels) {
+    return *(levels.begin() + rng() % levels.size());
+  };
+  const auto fill = [&](std::vector<double>& v, std::size_t count,
+                        double scale, double lowest) {
+    for (std::size_t i = 0; i < count; ++i) {
+      v[i] = ties ? level({0.25, 0.5, 1.0}) : lowest + scale * unit(rng);
+    }
+  };
+  const std::size_t cells = s.stride * s.stride;
+  fill(s.exv, cells, 1e4, 0.0);
+  fill(s.b, cells, 2.0, 0.0);
+  fill(s.c, cells, 2.0, 0.0);
+  fill(s.d, cells, 2.0, 0.0);
+  fill(s.tl, cells, 1e3, 0.0);
+  fill(s.pf, cells, 1.0, 0.0);
+  fill(s.w, cells, 1e3, 0.0);
+  fill(s.vp, s.stride, 20.0, 0.0);
+  fill(s.c_to_j, s.stride, 2.0, 0.0);
+  fill(s.everif, hi, 1e4, 0.0);
+  for (std::size_t i = 0; i < cells; ++i) {
+    s.ef[i] = ties ? level({1.0, 2.0}) : 1.0 + unit(rng);
+  }
+  for (std::size_t i = 0; i < s.stride; ++i) {
+    s.fs_to_j[i] = ties ? level({1.0, 2.0}) : 1.0 + 2.0 * unit(rng);
+  }
+  s.g = ties ? 0.5 : unit(rng);
+  s.k1 = ties ? 2.0 : 1e3 * unit(rng);
+  s.r_mem = ties ? 1.0 : 1e2 * unit(rng);
+  s.rm_hit = (1.0 - s.g) * s.r_mem;
+  s.upgrade = ties ? 0.25 : 50.0 * unit(rng);
+  return s;
+}
+
+/// The scan lengths of the partial battery: every length through two
+/// 8-lane groups plus three (2W + 3 for W = 4 and 8), then 37.
+std::vector<std::size_t> partial_lengths() {
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 1; len <= 2 * simd::kMaxLanes + 3; ++len) {
+    lengths.push_back(len);
+  }
+  lengths.push_back(37);
+  return lengths;
+}
+
+TEST(SimdKernels, PartialMatchesScalarOnRandomAndTieDenseStreams) {
+  const auto tiers = supported_tiers();
+  util::Xoshiro256 rng(bench::kBenchSeed ^ 0x54);
+  for (const std::size_t len : partial_lengths()) {
+    for (const std::size_t lo : {std::size_t{0}, std::size_t{3}}) {
+      for (const bool ties : {false, true}) {
+        const std::size_t hi = lo + len;
+        const PartialStreams streams = make_partial_streams(rng, hi, ties);
+        const std::string where = std::string(ties ? "ties" : "random") +
+                                  " [" + std::to_string(lo) + ", " +
+                                  std::to_string(hi) + ")";
+        const PartialRun want = run_partial(
+            SimdTier::kScalar, streams, lo, hi,
+            std::numeric_limits<double>::infinity(), -1);
+        ASSERT_GE(want.fold.arg, static_cast<std::int32_t>(lo)) << where;
+        ASSERT_LT(want.fold.arg, static_cast<std::int32_t>(hi)) << where;
+        for (SimdTier tier : tiers) {
+          const std::string who = where + " @" + simd::tier_name(tier);
+          const PartialRun got =
+              run_partial(tier, streams, lo, hi,
+                          std::numeric_limits<double>::infinity(), -1);
+          EXPECT_EQ(want.fold.best, got.fold.best) << who;
+          EXPECT_EQ(want.fold.arg, got.fold.arg) << who;
+          for (std::size_t k = 0; k < len; ++k) {
+            EXPECT_EQ(want.chain(lo, hi, k), got.chain(lo, hi, k))
+                << who << " lane " << k;
+            EXPECT_EQ(want.ep[k * (want.lane_stride + 1)],
+                      got.ep[k * (got.lane_stride + 1)])
+                << who << " lane " << k;
+          }
+          // A seed equal to the fold's minimum must NOT be displaced.
+          const PartialRun kept =
+              run_partial(tier, streams, lo, hi, want.fold.best, -7);
+          EXPECT_EQ(kept.fold.arg, -7) << who;
+        }
+      }
+    }
+  }
+}
+
+/// Streams on which every hop row of [lo, hi) closes with the terminal
+/// choice at exactly 1.0 and every hop costs exactly 2.0, except on row
+/// `row`, where set_hop(p2, x) prices hop (row, p2] at exactly 1.0 + x.
+/// E_verif is 0 everywhere, so every v1 ties at 1.0 in the v1 fold
+/// unless row's E_partial drops below it.
+struct HopTieStreams {
+  PartialStreams s;
+  std::size_t row;
+
+  HopTieStreams(std::size_t lo, std::size_t hi, std::size_t row_in)
+      : s(hi), row(row_in) {
+    // b = c = d = 0: P = exv * fs with fs = 1, Q = R = 0, T = exv_j.
+    for (std::size_t p1 = 0; p1 < hi; ++p1) {
+      for (std::size_t p2 = p1 + 1; p2 <= hi; ++p2) {
+        s.exv[p1 * s.stride + p2] = 1.0;
+        s.pf[p1 * s.stride + p2] = 0.5;
+        s.tl[p1 * s.stride + p2] = 1.0;
+        s.w[p1 * s.stride + p2] = 1.0;
+      }
+    }
+    s.fs_to_j.assign(s.stride, 1.0);
+    s.vp.assign(s.stride, 1.0);
+    s.g = 0.5;
+    s.k1 = 2.0;
+    s.r_mem = 1.0;
+    s.rm_hit = 0.5;
+    for (std::size_t v1 = lo; v1 < hi; ++v1) s.everif[v1] = 0.0;
+  }
+
+  void set_hop(std::size_t p2, double x) {
+    s.exv[row * s.stride + p2] = x;
+  }
+};
+
+TEST(SimdKernels, PartialTiesKeepTheSeedAndTheLowerHop) {
+  // Every lane folds its own hops: on row `row`, two equal cheapest hops
+  // a < b must leave a as every active lane's choice, and a hop that only
+  // equals the terminal seed must leave the terminal choice p2 = hi --
+  // at every tier, wherever the lanes fall in their groups.
+  const auto tiers = supported_tiers();
+  for (const std::size_t len : partial_lengths()) {
+    const std::size_t lo = 1;
+    const std::size_t hi = lo + len;
+    for (const std::size_t row : {lo, lo + len / 2}) {
+      HopTieStreams streams(lo, hi, row);
+      for (std::size_t a = row + 1; a < hi; ++a) {
+        for (std::size_t b = a + 1; b < hi; b += 3) {
+          streams.set_hop(a, -0.5);
+          streams.set_hop(b, -0.5);
+          for (SimdTier tier : tiers) {
+            const std::string who =
+                std::string(simd::tier_name(tier)) + " [" +
+                std::to_string(lo) + ", " + std::to_string(hi) + ") row " +
+                std::to_string(row) + " hops " + std::to_string(a) + ", " +
+                std::to_string(b);
+            const PartialRun got =
+                run_partial(tier, streams.s, lo, hi,
+                            std::numeric_limits<double>::infinity(), -1);
+            for (std::size_t k = 0; k <= row - lo; ++k) {
+              EXPECT_EQ(got.next[(row - lo) * got.lane_stride + k],
+                        static_cast<std::int32_t>(a))
+                  << who << " lane " << k;
+            }
+            EXPECT_EQ(got.fold.best, 0.5) << who;
+            EXPECT_EQ(got.fold.arg, static_cast<std::int32_t>(row)) << who;
+          }
+          streams.set_hop(a, 1.0);
+          streams.set_hop(b, 1.0);
+        }
+        // Hop (row, a] ties the terminal choice at 1.0: the seed stays.
+        streams.set_hop(a, 0.0);
+        for (SimdTier tier : tiers) {
+          const PartialRun got =
+              run_partial(tier, streams.s, lo, hi,
+                          std::numeric_limits<double>::infinity(), -1);
+          for (std::size_t k = 0; k <= row - lo; ++k) {
+            EXPECT_EQ(got.next[(row - lo) * got.lane_stride + k],
+                      static_cast<std::int32_t>(hi))
+                << simd::tier_name(tier) << " row " << row << " hop " << a
+                << " lane " << k;
+          }
+        }
+        streams.set_hop(a, 1.0);
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, PartialAllEqualFoldPinsLowestV1AndNoPaddedLane) {
+  // Every v1 ties at 1.0: the fold MUST return lo on every tier, and no
+  // padded lane (v1 >= hi, poisoned to win any fold that read it) may
+  // ever be chosen.  A seed equal to the minimum stays.
+  const auto tiers = supported_tiers();
+  for (const std::size_t len : partial_lengths()) {
+    for (const std::size_t lo : {std::size_t{0}, std::size_t{1}}) {
+      const std::size_t hi = lo + len;
+      const HopTieStreams streams(lo, hi, lo);
+      for (SimdTier tier : tiers) {
+        const std::string who = std::string(simd::tier_name(tier)) + " [" +
+                                std::to_string(lo) + ", " +
+                                std::to_string(hi) + ")";
+        const PartialRun got =
+            run_partial(tier, streams.s, lo, hi,
+                        std::numeric_limits<double>::infinity(), -1);
+        EXPECT_EQ(got.fold.best, 1.0) << who;
+        EXPECT_EQ(got.fold.arg, static_cast<std::int32_t>(lo)) << who;
+        EXPECT_EQ(run_partial(tier, streams.s, lo, hi, 1.0, -9).fold.arg, -9)
+            << who;
       }
     }
   }
