@@ -202,15 +202,14 @@ TEST(SolverService, QueueCapacityRejectsTheOverflow) {
   options.admission.queue_capacity = 1;
   SolverService service(options);
   const platform::CostModel costs{platform::hera()};
-  // A solve long enough to pin the single worker while the queue fills;
-  // wait for dispatch so the capacity check sees a deterministic queue.
+  // The gate pins the single worker on the blocker while the queue fills,
+  // so the capacity check sees a deterministic queue however fast the
+  // blocker would otherwise finish.
+  SlabGate gate(1);
   const JobHandle blocker = service.submit(
       {{core::Algorithm::kADMVstar, chain::make_uniform(300, 25000.0),
         costs}});
-  for (int i = 0; i < 2000 && service.poll(blocker).state == JobState::kQueued;
-       ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
+  ASSERT_TRUE(gate.wait_parked(1));
   const JobHandle queued = service.submit(
       {{core::Algorithm::kADVstar, chain::make_uniform(50, 25000.0),
         costs}});
@@ -218,6 +217,7 @@ TEST(SolverService, QueueCapacityRejectsTheOverflow) {
       {{core::Algorithm::kADVstar, chain::make_uniform(60, 25000.0),
         costs}});
   EXPECT_EQ(service.poll(overflow).state, JobState::kRejected);
+  gate.release();
   EXPECT_EQ(service.wait(blocker).state, JobState::kSucceeded);
   EXPECT_EQ(service.wait(queued).state, JobState::kSucceeded);
 }
@@ -227,6 +227,9 @@ TEST(SolverService, CancelQueuedJobNeverRuns) {
   options.workers = 1;
   SolverService service(options);
   const platform::CostModel costs{platform::hera()};
+  // The gate holds the blocker on the single worker until the victim is
+  // cancelled, so the victim is still queued when the cancel lands.
+  SlabGate gate(1);
   const JobHandle blocker = service.submit(
       {{core::Algorithm::kADMVstar, chain::make_uniform(250, 25000.0),
         costs}});
@@ -236,6 +239,7 @@ TEST(SolverService, CancelQueuedJobNeverRuns) {
   EXPECT_TRUE(service.cancel(victim));
   const JobStatus status = service.wait(victim);
   EXPECT_EQ(status.state, JobState::kCancelled);
+  gate.release();
   EXPECT_EQ(service.wait(blocker).state, JobState::kSucceeded);
   // Terminal jobs cannot be re-cancelled; empty handles are a no-op.
   EXPECT_FALSE(service.cancel(victim));
@@ -247,16 +251,16 @@ TEST(SolverService, CancelRunningJobInterruptsTheSolve) {
   ServiceOptions options;
   options.workers = 1;
   SolverService service(options);
+  // The gate parks the solve after its first committed slab, so the
+  // cancel lands mid-solve however fast the solve would otherwise run.
+  SlabGate gate(1);
   const JobHandle handle = service.submit(
       {{core::Algorithm::kADMVstar, chain::make_uniform(400, 25000.0),
         platform::CostModel{platform::hera()}}});
-  // Spin until the worker picks it up (bounded; dispatch is quick).
-  for (int i = 0; i < 2000 && service.poll(handle).state == JobState::kQueued;
-       ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
+  ASSERT_TRUE(gate.wait_parked(1));
   ASSERT_EQ(service.poll(handle).state, JobState::kRunning);
   EXPECT_TRUE(service.cancel(handle));
+  gate.release();
   const JobStatus status = service.wait(handle);
   EXPECT_EQ(status.state, JobState::kCancelled);
   EXPECT_EQ(service.stats().cancelled, 1u);
@@ -268,7 +272,9 @@ TEST(SolverService, DeadlineExpiresQueuedAndRunningJobs) {
   options.workers = 1;
   SolverService service(options);
   const platform::CostModel costs{platform::hera()};
-  // Expires mid-solve: picked up immediately, far too short to finish.
+  // Expires mid-solve: the gate parks the solve after its first committed
+  // slab until both deadlines have passed on the tokens' clock.
+  SlabGate gate(1);
   const JobHandle running = service.submit(
       {{core::Algorithm::kADMVstar, chain::make_uniform(400, 25000.0),
         costs},
@@ -278,6 +284,10 @@ TEST(SolverService, DeadlineExpiresQueuedAndRunningJobs) {
       {{core::Algorithm::kADVstar, chain::make_uniform(200, 25000.0),
         costs},
        milliseconds(1)});
+  const auto both_passed = core::CancelToken::Clock::now() + milliseconds(25);
+  ASSERT_TRUE(gate.wait_parked(1));
+  std::this_thread::sleep_until(both_passed);
+  gate.release();
   EXPECT_EQ(service.wait(running).state, JobState::kExpired);
   EXPECT_EQ(service.wait(queued).state, JobState::kExpired);
   EXPECT_EQ(service.stats().expired, 2u);
@@ -389,18 +399,22 @@ TEST(SolverService, PriorityOrderingDispatchesHigherClassFirst) {
   options.workers = 1;
   SolverService service(options);
   const platform::CostModel costs{platform::hera()};
-  // Pin the single worker, then queue a batch job before an urgent one;
-  // dispatch rank (class first, FIFO within class) must start the urgent
-  // job first, observable through the service-wide event order.
+  // Pin the single worker (the gate holds the blocker until both jobs are
+  // queued), then queue a batch job before an urgent one; dispatch rank
+  // (class first, FIFO within class) must start the urgent job first,
+  // observable through the service-wide event order.
+  SlabGate gate(1);
   const JobHandle blocker = service.submit(
       {{core::Algorithm::kADMVstar, chain::make_uniform(250, 25000.0),
         costs}});
+  ASSERT_TRUE(gate.wait_parked(1));
   const JobHandle batch = service.submit(
       {{core::Algorithm::kADVstar, chain::make_uniform(60, 25000.0), costs},
        {Priority::kBatch}});
   const JobHandle urgent = service.submit(
       {{core::Algorithm::kADVstar, chain::make_uniform(50, 25000.0), costs},
        {Priority::kUrgent}});
+  gate.release();
   EXPECT_EQ(service.wait(blocker).state, JobState::kSucceeded);
   const JobStatus batch_status = service.wait(batch);
   const JobStatus urgent_status = service.wait(urgent);
@@ -641,20 +655,25 @@ TEST(SolverServicePlanCache, ProbableHitSkipsTheDeadlineFeasibilityScreen) {
   // Calibrate the ADMV class with a completed job, then submit one whose
   // deadline is half of what the screen accepts for a cold chain of its
   // size: rejected cold, but admitted (and served from cache) once the
-  // plan cache holds its key.
-  SolverService service;
+  // plan cache holds its key.  The screen compares estimate * headroom
+  // with the deadline, so its verdicts do not depend on the scale; a
+  // large headroom makes the deadline seconds long however fast the
+  // calibrating solve ran.
+  ServiceOptions options;
+  options.admission.deadline_headroom = 1000.0;
+  SolverService service(options);
   const core::BatchJob slow{core::Algorithm::kADMV,
                             chain::make_uniform(60, 25000.0),
                             platform::CostModel{platform::atlas()}};
   const JobHandle calibrate = service.submit({slow});
   ASSERT_EQ(service.wait(calibrate).state, JobState::kSucceeded);
 
-  // The screen rejects a deadline below estimate * deadline_headroom.  At
-  // n = 60 half of that is still tens of milliseconds, far more than an
-  // exact hit needs to be dispatched and served.
+  // The screen rejects a deadline below estimate * deadline_headroom.
+  // Half of that is still seconds, far more than an exact hit needs to
+  // be dispatched and served.
   const double accepted_ms =
       service.estimate(core::Algorithm::kADMV, 61).seconds * 1e3 *
-      AdmissionConfig{}.deadline_headroom;
+      options.admission.deadline_headroom;
   const milliseconds deadline(static_cast<long long>(accepted_ms / 2.0));
   ASSERT_GE(deadline, milliseconds(10));
 
