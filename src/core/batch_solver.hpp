@@ -81,8 +81,8 @@ struct BatchOptions {
   static constexpr std::size_t kDefaultCacheBudgetBytes = std::size_t{1}
                                                           << 30;
 
-  /// Upper bound on chain length, guarding the dense O(n^3) DP tables
-  /// (see DpContext::kDefaultMaxN).
+  /// Upper bound on chain length, guarding the O(n^4) and O(n^6) solve
+  /// times of the multi-level DPs (see DpContext::kDefaultMaxN).
   std::size_t max_n = DpContext::kDefaultMaxN;
   /// The one memory budget: a byte bound on the budgeted bytes -- the
   /// coefficient-table pairs, the retained interruption checkpoints and

@@ -12,8 +12,8 @@ void check_context(const chain::TaskChain& chain,
                    const platform::CostModel& costs, std::size_t max_n) {
   CHAINCKPT_REQUIRE(!chain.empty(), "optimizer needs a non-empty chain");
   CHAINCKPT_REQUIRE(chain.size() <= max_n,
-                    "chain too long for the dense DP tables; raise max_n "
-                    "explicitly if you have the memory");
+                    "chain longer than max_n (the multi-level DPs are "
+                    "O(n^4) and O(n^6) time); raise max_n explicitly");
   if (!costs.is_uniform()) {
     // Per-position cost models must cover every task of this chain; probe
     // the last position so failures surface at construction time.

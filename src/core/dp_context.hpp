@@ -62,11 +62,11 @@ class DpContext {
  public:
   static constexpr std::size_t kDefaultMaxN = 900;
 
-  /// `max_n` bounds the O(n^3) table memory of the multi-level DPs; the
-  /// default (900) corresponds to ~8.8 GiB across the value + argmin
-  /// tables of the largest DP.  The scratch-plane hot path keeps that
-  /// regime compute-bound; pass a larger max_n explicitly if you have the
-  /// memory.  The trailing bool is ignored (ADMV builds its row streams
+  /// `max_n` bounds the solve time of the multi-level DPs, whose memory
+  /// is O(n^2): the default (900) is an ADMV* solve of about a minute on
+  /// four cores (O(n^4), ~0.23 s at n = 400), while ADMV (O(n^6)) is
+  /// out of reach long before it.  Pass a larger max_n explicitly to
+  /// solve longer chains.  The trailing bool is ignored (ADMV builds its row streams
   /// per solve, see analysis::SegmentRows); it stays so that callers
   /// passing it still compile.
   DpContext(chain::TaskChain chain, platform::CostModel costs,

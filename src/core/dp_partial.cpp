@@ -6,6 +6,7 @@
 
 #include "core/cancellation.hpp"
 #include "core/level_dp.hpp"
+#include "core/optimizer.hpp"
 #include "util/arena.hpp"
 
 namespace chainckpt::core {
@@ -149,13 +150,12 @@ namespace {
 template <typename K>
 OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
   const std::size_t n = ctx.n();
-  // ADMV keeps the E_verif value table (its partial reconstruction reads
-  // it), so the checkpoint -- attached, or else solve-local -- holds
-  // everything a resumed run needs.
+  // The checkpoint -- attached, or else solve-local -- holds everything
+  // a resumed run needs.
   SolveCheckpoint local;
   SolveCheckpoint& ckpt =
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
-  ckpt.begin_run(n, /*keep_verif_values=*/true);
+  ckpt.begin_run(n, Algorithm::kADMV);
   const detail::LevelTables& tables = ckpt.tables();
   // The inner DP's row streams are this solve's own: no other engine reads
   // them, so the shared column tables never carry them.
@@ -169,18 +169,17 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
   };
   detail::run_level_dp<K>(ctx, ckpt, scan);
 
-  // Partial positions of a winning segment are re-derived from the (now
-  // final) E_verif / E_mem tables: the same kernel over [v1, v2) gives
-  // lane 0 -- v1's own solve -- the same inputs, so the same argmin chain.
+  // Partial positions of a winning segment are re-derived from the
+  // recomputed E_verif row: the same kernel over [v1, v2) gives lane 0 --
+  // v1's own solve -- the same inputs, so the same argmin chain.
   const auto partials = [&](std::size_t d1, std::size_t m1, std::size_t v1,
-                            std::size_t v2) {
+                            std::size_t v2, const double* everif_row) {
     poll_cancellation(ctx.cancel_token());  // one inner solve per segment
     const simd::PartialLanes lanes = partial_lanes(n);
     double best = std::numeric_limits<double>::infinity();
     std::int32_t best_arg = -1;
     K::partial(partial_scan(ctx, rows, d1, m1, v2, tables.emem_at(d1, m1)),
-               tables.everif.data() + tables.idx3(d1, m1, 0), v1, v2, lanes,
-               best, best_arg);
+               everif_row, v1, v2, lanes, best, best_arg);
     const std::size_t lane_stride = simd::partial_lane_stride(v2 - v1);
     std::vector<std::size_t> positions;
     for (auto p = static_cast<std::size_t>(lanes.next[0]); p < v2;
@@ -190,7 +189,7 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
     return positions;
   };
 
-  return OptimizationResult{detail::extract_plan(ctx, tables, partials),
+  return OptimizationResult{detail::extract_plan(ctx, tables, scan, partials),
                             tables.edisk[n], detail::level_dp_scan_stats(n)};
 }
 
@@ -198,9 +197,9 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
 
 OptimizationResult optimize_with_partial(const DpContext& ctx) {
   // Entry checkpoint: a token that fired while the job sat in a queue
-  // aborts before the O(n^3) tables are even allocated.  The per-(d1, j)
-  // checkpoints live in run_level_dp, outside the out-of-line v1 scan
-  // (partial_column_scan).
+  // aborts before the tables are even allocated.  The per-(d1, j)
+  // checkpoints live in run_level_dp and extract_plan, outside the
+  // out-of-line v1 scan (partial_column_scan).
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
   return simd::with_kernels(ctx.simd_tier(), [&](auto kernels) {
     return optimize_with_partial_impl<decltype(kernels)>(ctx);

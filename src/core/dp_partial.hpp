@@ -17,9 +17,9 @@
 // e^{(lf+ls) W_{p2,v2}} multiplier), and E_right -- the expected loss
 // while an undetected silent error propagates -- is evaluated along the
 // *optimal* next-verification chain, which is exactly why the inner DP
-// must run right to left.  O(n^6) time, O(n^3) memory (the O(n^5)
-// E_partial table is never materialized: winning segments are
-// re-derived during plan extraction).
+// must run right to left.  O(n^6) time, O(n^2) memory (neither the
+// O(n^3) E_verif table nor the O(n^5) E_partial table is materialized:
+// the winning rows and segments are re-derived during plan extraction).
 #pragma once
 
 #include "core/dp_context.hpp"

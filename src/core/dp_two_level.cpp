@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "core/level_dp.hpp"
+#include "core/optimizer.hpp"
 
 namespace chainckpt::core {
 
@@ -22,14 +23,12 @@ namespace {
 /// bitwise identical to it by the kernel determinism contract.
 template <typename K>
 OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
-  // ADMV* never re-reads E_verif values (plan extraction needs only the
-  // argmin tables), so skip the O(n^3) value table entirely.  The tables
-  // live in the attached checkpoint, so committed slabs survive an
-  // interruption, or else in a solve-local one.
+  // The tables live in the attached checkpoint, so committed slabs
+  // survive an interruption, or else in a solve-local one.
   SolveCheckpoint local;
   SolveCheckpoint& ckpt =
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
-  ckpt.begin_run(ctx.n(), /*keep_verif_values=*/false);
+  ckpt.begin_run(ctx.n(), Algorithm::kADMVstar);
   const detail::LevelTables& tables = ckpt.tables();
 
   const auto& seg = ctx.seg_tables();
@@ -50,10 +49,11 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   detail::run_level_dp<K>(ctx, ckpt, scan);
 
   const auto no_partials = [](std::size_t, std::size_t, std::size_t,
-                              std::size_t) {
+                              std::size_t, const double*) {
     return std::vector<std::size_t>{};
   };
-  return OptimizationResult{detail::extract_plan(ctx, tables, no_partials),
+  return OptimizationResult{
+      detail::extract_plan(ctx, tables, scan, no_partials),
                             tables.edisk[ctx.n()],
                             detail::level_dp_scan_stats(ctx.n())};
 }
@@ -62,8 +62,8 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
 
 OptimizationResult optimize_two_level(const DpContext& ctx) {
   // Entry checkpoint: a token that fired while the job sat in a queue
-  // aborts before the O(n^3) tables are even allocated.  The per-step
-  // checkpoints live in run_level_dp.
+  // aborts before the tables are even allocated.  The per-step
+  // checkpoints live in run_level_dp and extract_plan.
   if (const CancelToken* token = ctx.cancel_token()) token->poll_now();
   return simd::with_kernels(ctx.simd_tier(), [&](auto kernels) {
     return optimize_two_level_impl<decltype(kernels)>(ctx);

@@ -2,7 +2,7 @@
 //
 // Places disk checkpoints, additional memory checkpoints, and guaranteed
 // verifications to minimize the expected makespan of a linear task chain
-// under fail-stop + silent errors.  O(n^4) time, O(n^3) memory.
+// under fail-stop + silent errors.  O(n^4) time, O(n^2) memory.
 #pragma once
 
 #include "core/dp_context.hpp"

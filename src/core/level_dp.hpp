@@ -21,8 +21,8 @@
 // which is what the parallelization exploits.  Each slab runs on a
 // contiguous thread-local scratch plane (SlabScratch) so the v1 scans read
 // unit-stride rows and the m1-scan of the E_mem pass reads a gathered
-// contiguous column instead of striding through the global LevelTables.
-// The tables themselves always live in a SolveCheckpoint -- the one the
+// contiguous column.  E_verif lives only in that plane; the O(n^2) tables
+// (E_mem, E_disk, argmins) always live in a SolveCheckpoint -- the one the
 // caller attached, or a solve-local one -- so every solve commits its
 // slabs the same way.
 #pragma once
@@ -43,15 +43,6 @@ namespace chainckpt::core::detail {
 
 struct LevelTables {
   std::size_t n = 0;
-  /// E_verif(d1, m1, v2); valid for d1<=m1<=v2.  Flattened row-major per
-  /// idx3().  Empty when constructed with keep_verif_values = false: the
-  /// DP itself reads E_verif only from its slab scratch plane, so the
-  /// O(n^3) value table is needed solely by consumers that re-derive
-  /// segment interiors after the fact (ADMV's partial reconstruction) --
-  /// ADMV* skips it, which removes roughly two-thirds of its peak memory
-  /// and a hot-loop store stream.
-  std::vector<double> everif;
-  std::vector<std::int32_t> best_v1;
   /// E_mem(d1, m2), flattened over (n+1)^2; valid for d1<=m2.
   std::vector<double> emem;
   std::vector<std::int32_t> best_m1;
@@ -59,26 +50,17 @@ struct LevelTables {
   std::vector<double> edisk;
   std::vector<std::int32_t> best_d1;
 
-  LevelTables(std::size_t n_in, bool keep_verif_values)
+  explicit LevelTables(std::size_t n_in)
       : n(n_in),
-        everif(keep_verif_values ? (n + 1) * (n + 1) * (n + 1) : 0,
-               std::numeric_limits<double>::quiet_NaN()),
-        best_v1((n + 1) * (n + 1) * (n + 1), -1),
         emem((n + 1) * (n + 1), std::numeric_limits<double>::quiet_NaN()),
         best_m1((n + 1) * (n + 1), -1),
         edisk(n + 1, std::numeric_limits<double>::quiet_NaN()),
         best_d1(n + 1, -1) {}
 
-  std::size_t idx3(std::size_t d1, std::size_t m1, std::size_t v2) const {
-    return (d1 * (n + 1) + m1) * (n + 1) + v2;
-  }
   std::size_t idx2(std::size_t d1, std::size_t m2) const {
     return d1 * (n + 1) + m2;
   }
 
-  double everif_at(std::size_t d1, std::size_t m1, std::size_t v2) const {
-    return everif[idx3(d1, m1, v2)];
-  }
   double emem_at(std::size_t d1, std::size_t m2) const {
     return emem[idx2(d1, m2)];
   }
@@ -125,7 +107,8 @@ inline SlabScratch& slab_scratch() {
 ///   E_verif(d1, m1, v1) + <segment>(d1, m1, v1, j)
 /// for every v1 in [m1, j) into `best`/`best_arg` with the strict-less
 /// leftmost-argmin rule (matching the determinism contract); callers seed
-/// best = +inf, best_arg = -1.  It must be safe to call concurrently for
+/// best = +inf, best_arg = -1.  It must be a pure function of its
+/// arguments (extract_plan re-runs it) and safe to call concurrently for
 /// different d1.
 ///
 /// The tables are `ckpt`'s own (begin_run() must have sized them): every
@@ -150,7 +133,6 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
   LevelTables& t = ckpt.tables();
 
   // Independent d1 slabs: E_verif(d1, *, *) and E_mem(d1, *).
-  const bool keep_values = !t.everif.empty();
   util::parallel_for(0, n, [&](std::size_t d1) {
     if (ckpt.slab_done(d1)) {
       // An earlier (interrupted) run already committed this slab's rows
@@ -177,10 +159,7 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
       // E_verif(d1, m1, j) for all m1 in [d1, j).
       for (std::size_t m1 = d1; m1 < j; ++m1) {
         double* row = plane + m1 * stride;
-        if (m1 + 1 == j) {
-          row[m1] = 0.0;  // E_verif(d1, m1, m1) = 0
-          if (keep_values) t.everif[t.idx3(d1, m1, m1)] = 0.0;
-        }
+        if (m1 + 1 == j) row[m1] = 0.0;  // E_verif(d1, m1, m1) = 0
         const double emem_at_m1 = emem_row[m1];
         CHAINCKPT_ASSERT(emem_at_m1 == emem_at_m1,
                          "E_mem(d1, m1) must be finalized before use");
@@ -189,8 +168,6 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
         scan(d1, m1, j, emem_at_m1, row, best, best_arg);
         row[j] = best;
         column[m1] = best;
-        if (keep_values) t.everif[t.idx3(d1, m1, j)] = best;
-        t.best_v1[t.idx3(d1, m1, j)] = best_arg;
       }
       // E_mem(d1, j): contiguous scan over the gathered E_verif column.
       double best = std::numeric_limits<double>::infinity();
@@ -241,15 +218,24 @@ inline ScanStats level_dp_scan_stats(std::size_t n) {
   return stats;
 }
 
-/// Reconstructs the optimal plan from the argmin tables.
-/// `partials(d1, m1, v1, v2)` is called for every chosen verified segment
-/// and must return the partial-verification positions strictly inside
-/// (v1, v2); pass a lambda returning {} for the partial-free algorithms.
-template <typename PartialReconstructor>
+/// Reconstructs the optimal plan from the argmin tables.  For each chosen
+/// memory segment (d1, m1) -> m2 it recomputes E_verif(d1, m1, .) and its
+/// argmins up to m2 with run_level_dp's calls for plane row m1, in order:
+/// that row reads only E_mem(d1, m1) and its own earlier cells, so the
+/// bits are the DP's.  Each recomputed scan polls the token first.
+/// `partials(d1, m1, v1, v2, everif_row)` is called for every chosen
+/// verified segment and must return the partial-verification positions
+/// strictly inside (v1, v2); pass a lambda returning {} for the
+/// partial-free algorithms.
+template <typename ColumnScanner, typename PartialReconstructor>
 plan::ResiliencePlan extract_plan(const DpContext& ctx, const LevelTables& t,
+                                  const ColumnScanner& scan,
                                   const PartialReconstructor& partials) {
   const std::size_t n = ctx.n();
+  const CancelToken* cancel = ctx.cancel_token();
   plan::ResiliencePlan plan(n);
+  std::vector<double> row(n + 1);
+  std::vector<std::int32_t> best_v1(n + 1);
   std::size_t d2 = n;
   while (d2 > 0) {
     const auto d1 = static_cast<std::size_t>(t.best_d1[d2]);
@@ -261,15 +247,23 @@ plan::ResiliencePlan extract_plan(const DpContext& ctx, const LevelTables& t,
       CHAINCKPT_ASSERT(t.best_m1[t.idx2(d1, m2)] >= 0 && m1 >= d1 && m1 < m2,
                        "broken E_mem argmin");
       if (m2 != d2) plan.set_action(m2, plan::Action::kMemoryCheckpoint);
+      const double emem_at_m1 = t.emem_at(d1, m1);
+      row[m1] = 0.0;
+      for (std::size_t j = m1 + 1; j <= m2; ++j) {
+        poll_cancellation(cancel);
+        double best = std::numeric_limits<double>::infinity();
+        std::int32_t best_arg = -1;
+        scan(d1, m1, j, emem_at_m1, row.data(), best, best_arg);
+        row[j] = best;
+        best_v1[j] = best_arg;
+      }
       std::size_t v2 = m2;
       while (v2 > m1) {
-        const auto v1 =
-            static_cast<std::size_t>(t.best_v1[t.idx3(d1, m1, v2)]);
-        CHAINCKPT_ASSERT(
-            t.best_v1[t.idx3(d1, m1, v2)] >= 0 && v1 >= m1 && v1 < v2,
-            "broken E_verif argmin");
+        const auto v1 = static_cast<std::size_t>(best_v1[v2]);
+        CHAINCKPT_ASSERT(best_v1[v2] >= 0 && v1 >= m1 && v1 < v2,
+                         "broken E_verif argmin");
         if (v2 != m2) plan.set_action(v2, plan::Action::kGuaranteedVerif);
-        for (std::size_t p : partials(d1, m1, v1, v2)) {
+        for (std::size_t p : partials(d1, m1, v1, v2, row.data())) {
           CHAINCKPT_ASSERT(p > v1 && p < v2,
                            "partial verification outside its segment");
           plan.set_action(p, plan::Action::kPartialVerif);

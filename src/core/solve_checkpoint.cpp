@@ -14,9 +14,8 @@ void SolveCheckpoint::set_slab_commit_hook(SlabCommitHook hook) noexcept {
   g_slab_commit_hook.store(hook);
 }
 
-void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values) {
-  const bool matches =
-      valid_ && n_ == n && keep_verif_values_ == keep_verif_values;
+void SolveCheckpoint::begin_run(std::size_t n, Algorithm algorithm) {
+  const bool matches = valid_ && n_ == n && algorithm_ == algorithm;
   last_run_executed_ = 0;
   last_run_skipped_ = 0;
   last_run_resumed_ = matches;
@@ -24,11 +23,11 @@ void SolveCheckpoint::begin_run(std::size_t n, bool keep_verif_values) {
   // Shape change (or first run): any stored progress is for a different
   // solve -- drop it.  Callers keying checkpoints by workload (see
   // core::BatchSolver) never hit this reset on a resume.
-  tables_ = std::make_shared<detail::LevelTables>(n, keep_verif_values);
+  tables_ = std::make_shared<detail::LevelTables>(n);
   slab_done_.assign(n, 0);
   committed_ = 0;
   n_ = n;
-  keep_verif_values_ = keep_verif_values;
+  algorithm_ = algorithm;
   valid_ = true;
 }
 
@@ -54,8 +53,7 @@ std::size_t SolveCheckpoint::resident_bytes() const noexcept {
   std::size_t bytes = util::vector_bytes(slab_done_);
   if (tables_ != nullptr) {
     const detail::LevelTables& t = *tables_;
-    bytes += util::vector_bytes(t.everif) + util::vector_bytes(t.best_v1) +
-             util::vector_bytes(t.emem) + util::vector_bytes(t.best_m1) +
+    bytes += util::vector_bytes(t.emem) + util::vector_bytes(t.best_m1) +
              util::vector_bytes(t.edisk) + util::vector_bytes(t.best_d1);
   }
   return bytes;

@@ -7,11 +7,11 @@
 // when the job comes back.  SolveCheckpoint is the solver's own
 // checkpoint: the level-DP engine (detail::run_level_dp) works in
 // independent d1 slabs, and every slab that completes its full
-// (d1, j)-frontier commits its rows of the E_verif/E_mem tables.  When a
-// CancelToken fires mid-run, the completed slabs stay committed here; a
-// later run on the same checkpoint skips them and re-executes only the
-// unfinished ones.  The cheap sequential tail (the O(n^2) E_disk pass and
-// plan extraction) always reruns.
+// (d1, j)-frontier commits its row of the E_mem table and its argmins.
+// When a CancelToken fires mid-run, the completed slabs stay committed
+// here; a later run on the same checkpoint skips them and re-executes
+// only the unfinished ones.  The cheap sequential tail (the O(n^2) E_disk
+// pass and plan extraction, which recomputes its E_verif rows) reruns.
 //
 // Determinism: slabs are fully independent (each writes only its own
 // rows), so a resumed solve's tables -- and therefore its plan and
@@ -36,6 +36,8 @@
 
 namespace chainckpt::core {
 
+enum class Algorithm;  // core/optimizer.hpp
+
 namespace detail {
 struct LevelTables;
 }
@@ -48,10 +50,10 @@ class SolveCheckpoint {
   SolveCheckpoint& operator=(const SolveCheckpoint&) = delete;
 
   /// Called by the DP driver at solve entry.  Reuses the stored tables
-  /// and slab flags when the run shape matches the stored progress;
+  /// and slab flags when n and the algorithm match the stored progress;
   /// otherwise discards the progress and allocates fresh tables.  Resets
   /// the per-run counters either way.
-  void begin_run(std::size_t n, bool keep_verif_values);
+  void begin_run(std::size_t n, Algorithm algorithm);
 
   /// The level tables the run writes into; valid after begin_run().
   detail::LevelTables& tables() noexcept { return *tables_; }
@@ -105,8 +107,10 @@ class SolveCheckpoint {
   std::vector<std::uint8_t> slab_done_;
   std::size_t committed_ = 0;  ///< slabs with slab_done_ set
   /// Shape of the stored progress; a mismatch on begin_run() resets.
+  /// ADMV* and ADMV tables have the same shape: only algorithm_ keeps one
+  /// algorithm's slabs out of the other's solve.
   std::size_t n_ = 0;
-  bool keep_verif_values_ = false;
+  Algorithm algorithm_{};
   bool valid_ = false;
 
   std::size_t last_run_executed_ = 0;

@@ -12,6 +12,7 @@
 
 #include <cstdlib>
 #include <cstddef>
+#include <optional>
 
 #include "../../bench/bench_common.hpp"
 #include "chain/patterns.hpp"
@@ -40,12 +41,14 @@ void expect_same_scan(const ScanStats& a, const ScanStats& b) {
 }
 
 /// Interrupts one solve at poll k, resumes it on the same checkpoint, and
-/// checks the resumed result against `baseline`.  Returns false when the
-/// run at k completed without interrupting (k is past the solve's last
-/// poll -- the sweep's termination signal).
-bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
-                          const platform::CostModel& costs, std::int64_t k,
-                          const OptimizationResult& baseline) {
+/// checks the resumed result against `baseline`.  Returns the slabs
+/// committed when the trip fired, or nullopt when the run at k completed
+/// without interrupting (k is past the solve's last poll -- the sweep's
+/// termination signal).
+std::optional<std::size_t> interrupt_and_resume(
+    Algorithm algorithm, const chain::TaskChain& chain,
+    const platform::CostModel& costs, std::int64_t k,
+    const OptimizationResult& baseline) {
   const std::size_t n = chain.size();
   SolveCheckpoint ckpt;
   bool interrupted = false;
@@ -64,7 +67,7 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
       interrupted = true;
     }
   }
-  if (!interrupted) return false;
+  if (!interrupted) return std::nullopt;
 
   // A trip at the entry poll fires before the driver initializes the
   // checkpoint; the rerun then starts fresh rather than resuming.
@@ -86,27 +89,33 @@ bool interrupt_and_resume(Algorithm algorithm, const chain::TaskChain& chain,
   EXPECT_EQ(ckpt.last_run_slabs_executed(), n - done_at_interrupt)
       << "k=" << k;
   EXPECT_EQ(ckpt.slabs_completed(), n);
-  return true;
+  return done_at_interrupt;
 }
 
 /// Sweeps the trip point over the whole solve in `stride` steps.  Serial
 /// execution (set_parallelism(1)) makes poll k a deterministic (d1, j)
 /// slab-frontier boundary, so the sweep hits every boundary when
-/// stride == 1.
-void sweep_interrupts(Algorithm algorithm, const chain::TaskChain& chain,
-                      const platform::CostModel& costs, std::int64_t stride) {
+/// stride == 1.  Returns how many trips landed after all n slabs had
+/// committed, i.e. in plan extraction's recompute.
+std::size_t sweep_interrupts(Algorithm algorithm,
+                             const chain::TaskChain& chain,
+                             const platform::CostModel& costs,
+                             std::int64_t stride) {
   const OptimizationResult baseline = solve_plain(algorithm, chain, costs);
   std::size_t interrupted_runs = 0;
+  std::size_t late_runs = 0;
   for (std::int64_t k = 0;; k += stride) {
-    if (!interrupt_and_resume(algorithm, chain, costs, k, baseline)) {
-      break;
-    }
+    const std::optional<std::size_t> done =
+        interrupt_and_resume(algorithm, chain, costs, k, baseline);
+    if (!done) break;
     ++interrupted_runs;
-    if (::testing::Test::HasFailure()) return;
+    if (*done == chain.size()) ++late_runs;
+    if (::testing::Test::HasFailure()) return late_runs;
   }
   // The sweep must actually have exercised interruption, including at
   // least one mid-DP point (k = 0 interrupts at the entry poll).
   EXPECT_GE(interrupted_runs, 2u);
+  return late_runs;
 }
 
 class SerialGuard {
@@ -118,8 +127,12 @@ class SerialGuard {
 TEST(SolveCheckpoint, AdmvStarEveryBoundaryBitIdentical) {
   const SerialGuard serial;
   const platform::CostModel costs{platform::hera()};
-  sweep_interrupts(Algorithm::kADMVstar, chain::make_uniform(32, 25000.0),
-                   costs, 1);
+  // Plan extraction polls once per recomputed E_verif scan, so a deadline
+  // also bounds it: some trips land after every slab has committed, and
+  // their resume skips all n slabs.
+  EXPECT_GE(sweep_interrupts(Algorithm::kADMVstar,
+                             chain::make_uniform(32, 25000.0), costs, 1),
+            1u);
 }
 
 TEST(SolveCheckpoint, AdmvEveryBoundaryBitIdentical) {
@@ -210,28 +223,35 @@ TEST(SolveCheckpoint, ShapeMismatchResetsInsteadOfCorrupting) {
   const SerialGuard serial;
   const platform::CostModel costs{platform::hera()};
   const auto chain32 = chain::make_uniform(32, 25000.0);
-  SolveCheckpoint ckpt;
-  {
-    DpContext ctx(chain32, costs);
-    CancelToken token;
-    token.trip_after_polls(200);
-    ctx.set_cancel_token(&token);
+  // Interrupts ADMV* at n = 32, then runs `algorithm` on `chain` with the
+  // same checkpoint: the run must discard the stored progress, not
+  // resume into another solve's tables.
+  const auto expect_reset = [&](Algorithm algorithm,
+                                const chain::TaskChain& chain) {
+    SolveCheckpoint ckpt;
+    {
+      DpContext ctx(chain32, costs);
+      CancelToken token;
+      token.trip_after_polls(200);
+      ctx.set_cancel_token(&token);
+      ctx.set_checkpoint(&ckpt);
+      EXPECT_THROW(optimize(Algorithm::kADMVstar, ctx), SolveInterrupted);
+    }
+    ASSERT_TRUE(ckpt.has_progress());
+    DpContext ctx(chain, costs);
     ctx.set_checkpoint(&ckpt);
-    EXPECT_THROW(optimize(Algorithm::kADMVstar, ctx), SolveInterrupted);
-  }
-  ASSERT_TRUE(ckpt.has_progress());
-  // A different chain length must discard the stored progress, not
-  // resume into mismatched tables.
-  const auto chain20 = chain::make_uniform(20, 25000.0);
-  DpContext ctx(chain20, costs);
-  ctx.set_checkpoint(&ckpt);
-  const OptimizationResult result = optimize(Algorithm::kADMVstar, ctx);
-  EXPECT_FALSE(ckpt.last_run_resumed());
-  EXPECT_EQ(ckpt.last_run_slabs_skipped(), 0u);
-  const OptimizationResult fresh =
-      solve_plain(Algorithm::kADMVstar, chain20, costs);
-  EXPECT_EQ(result.expected_makespan, fresh.expected_makespan);
-  EXPECT_EQ(result.plan, fresh.plan);
+    const OptimizationResult result = optimize(algorithm, ctx);
+    EXPECT_FALSE(ckpt.last_run_resumed());
+    EXPECT_EQ(ckpt.last_run_slabs_skipped(), 0u);
+    const OptimizationResult fresh = solve_plain(algorithm, chain, costs);
+    EXPECT_EQ(result.expected_makespan, fresh.expected_makespan);
+    EXPECT_EQ(result.plan, fresh.plan);
+  };
+  // A different chain length.
+  expect_reset(Algorithm::kADMVstar, chain::make_uniform(20, 25000.0));
+  // ADMV on the same chain: ADMV* and ADMV tables have the same shape, so
+  // only the algorithm keeps ADMV*'s slabs out of the ADMV solve.
+  expect_reset(Algorithm::kADMV, chain32);
 }
 
 TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
@@ -256,6 +276,10 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   EXPECT_EQ(stats.jobs_interrupted, 1u);
   EXPECT_EQ(stats.checkpoints_saved, 1u);
   EXPECT_GT(stats.budgeted_bytes, table_bytes);
+  // The retained checkpoint is O(n^2): E_mem, E_disk and their argmins,
+  // 12 bytes per (d1, m2) cell.  The E_verif rows are recomputed at plan
+  // extraction, never stored.
+  EXPECT_LE(stats.budgeted_bytes - table_bytes, 16 * (n + 1) * (n + 1));
 
   // Resubmission of the identical workload resumes and matches bitwise.
   const OptimizationResult resumed = solver.solve_job(job);
@@ -272,6 +296,38 @@ TEST(SolveCheckpoint, BatchSolverRetainsAndResumesInterruptedJob) {
   EXPECT_EQ(again.expected_makespan, expected.expected_makespan);
   stats = solver.stats_snapshot();
   EXPECT_EQ(stats.checkpoints_resumed, 1u);
+}
+
+TEST(SolveCheckpoint, BatchSolverNeverResumesAnotherAlgorithmsCheckpoint) {
+  const SerialGuard serial;
+  const auto chain = chain::make_uniform(32, 25000.0);
+  const platform::CostModel costs{platform::hera()};
+  const BatchJob star{Algorithm::kADMVstar, chain, costs};
+  const BatchJob admv{Algorithm::kADMV, chain, costs};
+  BatchOptions options;
+  options.enable_plan_cache = false;
+  BatchSolver solver(options);
+  CancelToken token;
+  token.trip_after_polls(200);
+  EXPECT_THROW(solver.solve_job(star, &token), SolveInterrupted);
+  ASSERT_EQ(solver.stats_snapshot().checkpoints_saved, 1u);
+
+  // Same chain and costs, same table shapes: ADMV resumes nothing.
+  const OptimizationResult result = solver.solve_job(admv);
+  BatchStats stats = solver.stats_snapshot();
+  EXPECT_EQ(stats.checkpoints_resumed, 0u);
+  EXPECT_EQ(stats.checkpoint_slabs_skipped, 0u);
+  const OptimizationResult fresh = solve_plain(Algorithm::kADMV, chain, costs);
+  EXPECT_EQ(result.expected_makespan, fresh.expected_makespan);
+  EXPECT_EQ(result.plan, fresh.plan);
+
+  // The ADMV* checkpoint is still there for its own job.
+  const OptimizationResult resumed = solver.solve_job(star);
+  stats = solver.stats_snapshot();
+  EXPECT_EQ(stats.checkpoints_resumed, 1u);
+  const OptimizationResult want = solve_plain(Algorithm::kADMVstar, chain, costs);
+  EXPECT_EQ(resumed.expected_makespan, want.expected_makespan);
+  EXPECT_EQ(resumed.plan, want.plan);
 }
 
 TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {

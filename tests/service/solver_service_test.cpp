@@ -272,8 +272,10 @@ TEST(SolverService, DeadlineExpiresQueuedAndRunningJobs) {
   options.workers = 1;
   SolverService service(options);
   const platform::CostModel costs{platform::hera()};
-  // Expires mid-solve: the gate parks the solve after its first committed
-  // slab until both deadlines have passed on the tokens' clock.
+  // Expires mid-solve: the gate parks the solve's threads after their
+  // first committed slab until both deadlines have passed on the tokens'
+  // clock.  Under load the deadline may pass before any slab commits;
+  // the solve then expires at its next poll without parking.
   SlabGate gate(1);
   const JobHandle running = service.submit(
       {{core::Algorithm::kADMVstar, chain::make_uniform(400, 25000.0),
@@ -285,7 +287,6 @@ TEST(SolverService, DeadlineExpiresQueuedAndRunningJobs) {
         costs},
        milliseconds(1)});
   const auto both_passed = core::CancelToken::Clock::now() + milliseconds(25);
-  ASSERT_TRUE(gate.wait_parked(1));
   std::this_thread::sleep_until(both_passed);
   gate.release();
   EXPECT_EQ(service.wait(running).state, JobState::kExpired);
