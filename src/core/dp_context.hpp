@@ -63,10 +63,10 @@ class DpContext {
   static constexpr std::size_t kDefaultMaxN = 900;
 
   /// `max_n` bounds the solve time of the multi-level DPs, whose memory
-  /// is O(n^2): the default (900) is an ADMV* solve of about a minute on
-  /// four cores (O(n^4), ~0.23 s at n = 400), while ADMV (O(n^6)) is
-  /// out of reach long before it.  Pass a larger max_n explicitly to
-  /// solve longer chains.  The trailing bool is ignored (ADMV builds its row streams
+  /// is O(n^2): at the default (900) one ADMV* solve (O(n^4)) takes about
+  /// 6.5 s on a 4-vCPU AVX-512 Xeon, and ADMV (O(n^6)) is out of reach
+  /// long before it.  Pass a larger max_n explicitly to solve longer
+  /// chains.  The trailing bool is ignored (ADMV builds its row streams
   /// per solve, see analysis::SegmentRows); it stays so that callers
   /// passing it still compile.
   DpContext(chain::TaskChain chain, platform::CostModel costs,
