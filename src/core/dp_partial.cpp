@@ -189,8 +189,9 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
     return positions;
   };
 
-  return OptimizationResult{detail::extract_plan(ctx, tables, scan, partials),
-                            tables.edisk[n], detail::level_dp_scan_stats(n)};
+  return OptimizationResult{
+      detail::extract_plan(ctx, tables, scan, partials), tables.edisk[n],
+      detail::level_dp_scan_stats(n)};
 }
 
 }  // namespace

@@ -54,8 +54,7 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   };
   return OptimizationResult{
       detail::extract_plan(ctx, tables, scan, no_partials),
-                            tables.edisk[ctx.n()],
-                            detail::level_dp_scan_stats(ctx.n())};
+      tables.edisk[ctx.n()], detail::level_dp_scan_stats(ctx.n())};
 }
 
 }  // namespace

@@ -223,7 +223,8 @@ inline ScanStats level_dp_scan_stats(std::size_t n) {
 /// argmins up to m2 with run_level_dp's calls for plane row m1, in order:
 /// that row reads only E_mem(d1, m1) and its own earlier cells, so the
 /// bits are the DP's.  Each recomputed scan polls the token first.
-/// `partials(d1, m1, v1, v2, everif_row)` is called for every chosen
+/// `partials(d1, m1, v1, v2, everif_row)`, with everif_row[v] =
+/// E_verif(d1, m1, v) for v in [m1, v2], is called for every chosen
 /// verified segment and must return the partial-verification positions
 /// strictly inside (v1, v2); pass a lambda returning {} for the
 /// partial-free algorithms.

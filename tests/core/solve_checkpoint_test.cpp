@@ -325,7 +325,8 @@ TEST(SolveCheckpoint, BatchSolverNeverResumesAnotherAlgorithmsCheckpoint) {
   const OptimizationResult resumed = solver.solve_job(star);
   stats = solver.stats_snapshot();
   EXPECT_EQ(stats.checkpoints_resumed, 1u);
-  const OptimizationResult want = solve_plain(Algorithm::kADMVstar, chain, costs);
+  const OptimizationResult want =
+      solve_plain(Algorithm::kADMVstar, chain, costs);
   EXPECT_EQ(resumed.expected_makespan, want.expected_makespan);
   EXPECT_EQ(resumed.plan, want.plan);
 }
