@@ -8,13 +8,10 @@ namespace chainckpt::analysis {
 
 PlanEvaluator::PlanEvaluator(chain::TaskChain chain,
                              platform::CostModel costs)
-    : chain_(std::move(chain)),
-      costs_(std::move(costs)),
-      table_(chain_, costs_.lambda_f(), costs_.lambda_s()) {
+    : chain_(std::move(chain)), costs_(std::move(costs)) {
   CHAINCKPT_REQUIRE(!chain_.empty(), "evaluator needs a non-empty chain");
-  const platform::PlanningLaw& law = costs_.planning_law();
-  if (!law.is_exponential()) {
-    law_tasks_.emplace(table_, costs_.lambda_f(), law.weibull_shape);
+  if (!costs_.planning_law().is_exponential()) {
+    law_tasks_.emplace(chain_, costs_);
   }
 }
 
@@ -43,7 +40,8 @@ double PlanEvaluator::partial_segment_value(const plan::ResiliencePlan& plan,
     double ep;
     double er;
     if (law_tasks_) {
-      const LawInterval seg = make_law_interval(table_, *law_tasks_, p1, p2);
+      const LawInterval seg =
+          make_law_interval(chain_, costs_, *law_tasks_, p1, p2);
       if (terminal) {
         ep = e_partial_terminal(seg, costs_.v_partial_after(v2),
                                 costs_.v_guaranteed_after(v2), g, left);
@@ -52,7 +50,7 @@ double PlanEvaluator::partial_segment_value(const plan::ResiliencePlan& plan,
                           /*e_right_next=*/left.r_mem);
       } else {
         const double reexec =
-            make_law_interval(table_, *law_tasks_, p2, v2).exp_fs();
+            make_law_interval(chain_, costs_, *law_tasks_, p2, v2).exp_fs();
         ep = e_minus_segment(seg, costs_.v_partial_after(p2), g, left,
                              er_next) *
                  reexec +
@@ -61,7 +59,7 @@ double PlanEvaluator::partial_segment_value(const plan::ResiliencePlan& plan,
                           left.r_mem, left.e_mem, er_next);
       }
     } else {
-      const Interval seg = make_interval(table_, p1, p2);
+      const Interval seg = make_interval(chain_, costs_, p1, p2);
       if (terminal) {
         // The interval (p1, v2] is closed by the guaranteed verification at
         // v2: E_right there is R_M (immediate detection).
@@ -71,7 +69,7 @@ double PlanEvaluator::partial_segment_value(const plan::ResiliencePlan& plan,
                           left.r_disk, left.r_mem, left.e_mem,
                           /*e_right_next=*/left.r_mem);
       } else {
-        const double reexec = table_.exp_fs(p2, v2);
+        const double reexec = make_interval(chain_, costs_, p2, v2).exp_fs();
         ep = e_minus_segment(seg, lf, costs_.v_partial_after(p2), g, left,
                              er_next) *
                  reexec +
@@ -134,11 +132,11 @@ void PlanEvaluator::walk_segments(const plan::ResiliencePlan& plan,
           segment = partial_segment_value(plan, v1, vb, left);
         } else if (law_tasks_) {
           segment = expected_verified_segment(
-              make_law_interval(table_, *law_tasks_, v1, vb),
+              make_law_interval(chain_, costs_, *law_tasks_, v1, vb),
               costs_.v_guaranteed_after(vb), left);
         } else {
           segment = expected_verified_segment(
-              make_interval(table_, v1, vb), lf,
+              make_interval(chain_, costs_, v1, vb), lf,
               costs_.v_guaranteed_after(vb), left);
         }
         visit(SegmentValue{d1, m1, v1, vb, segment});

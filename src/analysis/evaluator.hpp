@@ -25,7 +25,6 @@
 
 #include "analysis/segment_math.hpp"
 #include "chain/chain.hpp"
-#include "chain/weight_table.hpp"
 #include "plan/plan.hpp"
 #include "platform/cost_model.hpp"
 
@@ -51,7 +50,9 @@ struct SegmentValue {
 
 class PlanEvaluator {
  public:
-  /// Copies the chain and cost model (both are small value types).
+  /// Copies the chain and cost model (both are small value types).  The
+  /// walk computes each interval it reads on demand (make_interval), so
+  /// construction is O(n) and a score costs only the plan's intervals.
   PlanEvaluator(chain::TaskChain chain, platform::CostModel costs);
 
   /// Expected makespan of `plan` on this chain/platform.  Throws
@@ -75,7 +76,6 @@ class PlanEvaluator {
 
   const chain::TaskChain& chain() const noexcept { return chain_; }
   const platform::CostModel& costs() const noexcept { return costs_; }
-  const chain::WeightTable& weight_table() const noexcept { return table_; }
 
  private:
   template <typename Visitor>
@@ -94,7 +94,6 @@ class PlanEvaluator {
 
   chain::TaskChain chain_;
   platform::CostModel costs_;
-  chain::WeightTable table_;
   /// Engaged when the cost model carries a non-exponential planning law
   /// (platform::FailureLaw::kWeibull with shape != 1); the walk then scores
   /// segments with the law-integrated formulas of segment_math.hpp, in the

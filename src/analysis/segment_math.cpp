@@ -7,10 +7,12 @@
 
 namespace chainckpt::analysis {
 
-Interval make_interval(const chain::WeightTable& table, std::size_t i,
+Interval make_interval(const chain::TaskChain& chain,
+                       const platform::CostModel& costs, std::size_t i,
                        std::size_t j) {
-  CHAINCKPT_ASSERT(i <= j && j <= table.n(), "interval indices out of order");
-  return Interval{table.weight(i, j), table.em1_f(i, j), table.em1_s(i, j)};
+  const double w = chain.weight_between(i, j);
+  return Interval{w, std::expm1(costs.lambda_f() * w),
+                  std::expm1(costs.lambda_s() * w)};
 }
 
 double em1f_over_lambda(const Interval& seg, double lambda_f) noexcept {
@@ -65,23 +67,24 @@ double e_partial_terminal(const Interval& seg, double lambda_f,
 
 // --- Law-integrated generalization (see header) ---------------------------
 
-WeibullLawTasks::WeibullLawTasks(const chain::WeightTable& table,
-                                 double lambda_f, double shape)
-    : shape_(shape) {
-  CHAINCKPT_REQUIRE(shape > 0.0, "Weibull shape must be positive");
-  const std::size_t n = table.n();
+WeibullLawTasks::WeibullLawTasks(const chain::TaskChain& chain,
+                                 const platform::CostModel& costs)
+    : shape_(costs.planning_law().weibull_shape) {
+  CHAINCKPT_REQUIRE(shape_ > 0.0, "Weibull shape must be positive");
+  const std::size_t n = chain.size();
+  const double lambda_f = costs.lambda_f();
   rho_.assign(n + 1, 0.0);
   p_fail_.assign(n + 1, 0.0);
   elapsed_failed_.assign(n + 1, 0.0);
   if (lambda_f <= 0.0) return;  // failure-free: all hazards stay zero
   // Mean-matched scale: theta Gamma(1 + 1/k) = 1/lambda_f, so one attempt's
   // MTTF equals the exponential law's.
-  const double a = 1.0 + 1.0 / shape;
+  const double a = 1.0 + 1.0 / shape_;
   const double theta = 1.0 / (lambda_f * std::tgamma(a));
   for (std::size_t t = 1; t <= n; ++t) {
-    const double w = table.weight(t - 1, t);
+    const double w = chain.weight_between(t - 1, t);
     if (w <= 0.0) continue;
-    const double rho = std::pow(w / theta, shape);
+    const double rho = std::pow(w / theta, shape_);
     rho_[t] = rho;
     p_fail_[t] = util::one_minus_exp_neg(rho);
     // E[T 1{T < w}] = theta Gamma(a) P(a, rho) = P(a, rho) / lambda_f.
@@ -89,30 +92,32 @@ WeibullLawTasks::WeibullLawTasks(const chain::WeightTable& table,
     if (!(elapsed >= 0.0) || !(elapsed <= w)) {
       // Closed form misbehaved (it should not, for a in (1, inf)): fall
       // back to the fixed-node quadrature oracle.
-      elapsed = util::weibull_elapsed_quadrature(shape, theta, w);
+      elapsed = util::weibull_elapsed_quadrature(shape_, theta, w);
     }
     elapsed_failed_[t] = elapsed;
   }
 }
 
-LawInterval make_law_interval(const chain::WeightTable& table,
+LawInterval make_law_interval(const chain::TaskChain& chain,
+                              const platform::CostModel& costs,
                               const WeibullLawTasks& tasks, std::size_t i,
                               std::size_t j) {
-  CHAINCKPT_ASSERT(i <= j && j <= table.n(), "interval indices out of order");
+  CHAINCKPT_ASSERT(i <= j && j <= tasks.n(), "interval indices out of order");
   // Left-to-right accumulation keeps every Lambda summand non-negative --
   // no cancellation, unlike the algebraically equal (M - qW)/(1 - q) form.
   double hazard = 0.0;
   double lambda_acc = 0.0;
   for (std::size_t t = i + 1; t <= j; ++t) {
     const double survive_prefix = std::exp(-hazard);
-    lambda_acc += survive_prefix * (tasks.p_fail(t) * table.weight(i, t - 1) +
-                                    tasks.elapsed_when_failed(t));
+    lambda_acc +=
+        survive_prefix * (tasks.p_fail(t) * chain.weight_between(i, t - 1) +
+                          tasks.elapsed_when_failed(t));
     hazard += tasks.rho(t);
   }
   LawInterval seg;
-  seg.w = table.weight(i, j);
+  seg.w = chain.weight_between(i, j);
   seg.em1_f = std::expm1(hazard);
-  seg.em1_s = table.em1_s(i, j);
+  seg.em1_s = std::expm1(costs.lambda_s() * seg.w);
   const double ef = 1.0 + seg.em1_f;
   seg.x = lambda_acc * ef + seg.w;
   const double p_fail = seg.em1_f / ef;

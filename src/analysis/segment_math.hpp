@@ -16,12 +16,15 @@
 #include <cstddef>
 #include <vector>
 
-#include "chain/weight_table.hpp"
+#include "chain/chain.hpp"
+#include "platform/cost_model.hpp"
 
 namespace chainckpt::analysis {
 
 /// Quantities of one interval of tasks T_{i+1}..T_j.  em1_x = e^{x W} - 1
-/// stored at full precision (see WeightTable).
+/// is kept at full precision: the closed forms multiply (e^{x W} - 1) by
+/// recovery costs, and subtracting 1 from an exponential would lose most
+/// significant bits in the realistic small-rate regime.
 struct Interval {
   double w = 0.0;      ///< W_{i,j}
   double em1_f = 0.0;  ///< e^{lambda_f W} - 1
@@ -36,7 +39,13 @@ struct Interval {
   double exp_fs() const noexcept { return 1.0 + em1_fs(); }
 };
 
-Interval make_interval(const chain::WeightTable& table, std::size_t i,
+/// The interval (i, j] of `chain` under `costs`' rates:
+/// w = chain.weight_between(i, j) (a prefix-sum difference) and
+/// em1_x = std::expm1(lambda_x * w).  Every interval value the library
+/// reads -- the SegmentTables/SegmentRows fills and the evaluator walk --
+/// comes from these expressions, which is what keeps them bitwise equal.
+Interval make_interval(const chain::TaskChain& chain,
+                       const platform::CostModel& costs, std::size_t i,
                        std::size_t j);
 
 /// Everything the formulas need to know about the segment's left context.
@@ -131,14 +140,17 @@ struct LawInterval {
   double exp_fs() const noexcept { return 1.0 + em1_fs(); }
 };
 
-/// Per-task hazard data of a chain under a mean-matched Weibull planning
-/// law: theta = 1 / (lambda_f * Gamma(1 + 1/shape)) so one attempt's mean
+/// Per-task hazard data of a chain under the mean-matched Weibull planning
+/// law of `costs` (shape k = costs.planning_law().weibull_shape):
+/// theta = 1 / (lambda_f * Gamma(1 + 1/k)) so one attempt's mean
 /// time-to-failure equals the exponential law's 1/lambda_f.  lambda_f <= 0
-/// degenerates to the failure-free law (all hazards zero).
+/// degenerates to the failure-free law (all hazards zero).  Task weights
+/// are read as prefix differences weight_between(t - 1, t), the same
+/// values every interval quantity is built from.
 class WeibullLawTasks {
  public:
-  WeibullLawTasks(const chain::WeightTable& table, double lambda_f,
-                  double shape);
+  WeibullLawTasks(const chain::TaskChain& chain,
+                  const platform::CostModel& costs);
 
   std::size_t n() const noexcept { return rho_.size() - 1; }
   double shape() const noexcept { return shape_; }
@@ -164,7 +176,8 @@ class WeibullLawTasks {
 /// the tasks.  The operation order matches the SegmentTables Weibull build
 /// exactly (one exp(-H) per task, Lambda summed in task order), so values
 /// computed here are bitwise equal to the stored streams.
-LawInterval make_law_interval(const chain::WeightTable& table,
+LawInterval make_law_interval(const chain::TaskChain& chain,
+                              const platform::CostModel& costs,
                               const WeibullLawTasks& tasks, std::size_t i,
                               std::size_t j);
 

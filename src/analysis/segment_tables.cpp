@@ -39,9 +39,10 @@ void set_shared(IntervalCoeffs& k, const Interval& seg) noexcept {
 /// Calls visit(i, j, coeffs) for every interval 0 <= i <= j <= n.  Rows i
 /// are independent, so they run as util::parallel_for_rows blocks; within
 /// a row j ascends.  This is the one place each planning law's expression
-/// trees live: the same trees as segment_math.cpp / WeightTable, so the
-/// stored coefficients are bitwise what the scalar path computes -- for
-/// the column and the row table alike, at any thread count.
+/// trees live: the same trees as segment_math.cpp (make_interval,
+/// make_law_interval), so the stored coefficients are bitwise what the
+/// scalar path computes -- for the column and the row table alike, at any
+/// thread count.
 ///
 /// Law dispatch: a Weibull law at shape exactly 1 *delegates* to the
 /// exponential walk, which makes the k = 1 reduction bitwise (the raw
@@ -49,17 +50,18 @@ void set_shared(IntervalCoeffs& k, const Interval& seg) noexcept {
 /// per-task hazards where the exponential path multiplies lambda_f by a
 /// prefix-difference weight).
 template <bool kStepTerms, typename Visit>
-void for_each_interval(const chain::WeightTable& table,
-                       const platform::PlanningLaw& law, Visit&& visit) {
-  const std::size_t n = table.n();
+void for_each_interval(const chain::TaskChain& chain,
+                       const platform::CostModel& costs, Visit&& visit) {
+  const std::size_t n = chain.size();
+  const double lambda_f = costs.lambda_f();
+  const double lambda_s = costs.lambda_s();
+  const platform::PlanningLaw& law = costs.planning_law();
   if (law.is_exponential()) {
     // Paper Eq. (4) coefficients.
-    const double lambda_f = table.lambda_f();
     util::parallel_for_rows(n + 1, [&](std::size_t i) {
       IntervalCoeffs k;
       for (std::size_t j = i; j <= n; ++j) {
-        const Interval seg{table.weight(i, j), table.em1_f(i, j),
-                           table.em1_s(i, j)};
+        const Interval seg = make_interval(chain, costs, i, j);
         set_shared(k, seg);
         k.x = em1f_over_lambda(seg, lambda_f);
         if constexpr (kStepTerms) {
@@ -76,7 +78,7 @@ void for_each_interval(const chain::WeightTable& table,
   // Law-integrated coefficients (platform::FailureLaw::kWeibull):
   // em1_f/x/tl/pf/ef/fs replaced by their renewal-law integrals -- see the
   // LawInterval block of segment_math.hpp.
-  const WeibullLawTasks tasks(table, table.lambda_f(), law.weibull_shape);
+  const WeibullLawTasks tasks(chain, costs);
   util::parallel_for_rows(n + 1, [&](std::size_t i) {
     // Incremental law accumulators over j, in the exact operation order of
     // make_law_interval so evaluator-side LawInterval values are bitwise
@@ -88,12 +90,12 @@ void for_each_interval(const chain::WeightTable& table,
       if (j > i) {
         const double survive_prefix = std::exp(-hazard);
         lambda_acc +=
-            survive_prefix * (tasks.p_fail(j) * table.weight(i, j - 1) +
+            survive_prefix * (tasks.p_fail(j) * chain.weight_between(i, j - 1) +
                               tasks.elapsed_when_failed(j));
         hazard += tasks.rho(j);
       }
-      const Interval seg{table.weight(i, j), std::expm1(hazard),
-                         table.em1_s(i, j)};
+      const double w = chain.weight_between(i, j);
+      const Interval seg{w, std::expm1(hazard), std::expm1(lambda_s * w)};
       set_shared(k, seg);
       k.ef = seg.exp_f();
       k.x = lambda_acc * k.ef + seg.w;
@@ -108,9 +110,9 @@ void for_each_interval(const chain::WeightTable& table,
 
 }  // namespace
 
-SegmentTables::SegmentTables(const chain::WeightTable& table,
+SegmentTables::SegmentTables(const chain::TaskChain& chain,
                              const platform::CostModel& costs)
-    : n_(table.n()) {
+    : n_(chain.size()) {
   const std::size_t stride = n_ + 1;
   const std::size_t cells = stride * stride;
   vg_.assign(stride, 0.0);
@@ -119,7 +121,7 @@ SegmentTables::SegmentTables(const chain::WeightTable& table,
     v->assign(cells, 0.0);
   }
   for_each_interval<false>(
-      table, costs.planning_law(),
+      chain, costs,
       [&](std::size_t i, std::size_t j, const IntervalCoeffs& k) {
         const std::size_t cm = j * stride + i;
         exvg_c_[cm] = k.es * (k.x + vg_[j]);
@@ -138,9 +140,9 @@ std::size_t SegmentTables::resident_bytes() const noexcept {
   return total;
 }
 
-SegmentRows::SegmentRows(const chain::WeightTable& table,
+SegmentRows::SegmentRows(const chain::TaskChain& chain,
                          const platform::CostModel& costs)
-    : n_(table.n()) {
+    : n_(chain.size()) {
   const std::size_t stride = n_ + 1;
   const std::size_t cells = stride * stride;
   vp_.assign(stride, 0.0);
@@ -149,7 +151,7 @@ SegmentRows::SegmentRows(const chain::WeightTable& table,
     v->assign(cells, 0.0);
   }
   for_each_interval<true>(
-      table, costs.planning_law(),
+      chain, costs,
       [&](std::size_t i, std::size_t j, const IntervalCoeffs& k) {
         const std::size_t rm = i * stride + j;
         exv_[rm] = k.es * (k.x + vp_[j]);

@@ -33,9 +33,12 @@
 //             scan), which only ADMV runs and builds per solve.
 //
 // Every entry is computed with the exact expression trees of
-// segment_math.cpp on the same WeightTable inputs.  The Eq. (4) level-DP
-// kernels (dp_two_level, dp_single_level) consume them with the scalar
-// formulas' association order and reproduce those values bit for bit;
+// segment_math.cpp on the same inputs: the chain's prefix-sum differences
+// and the cost model's rates (make_interval / make_law_interval), so each
+// fill evaluates its own expm1 values in its one pass over the cells.
+// The Eq. (4) level-DP kernels (dp_two_level, dp_single_level) consume
+// them with the scalar formulas' association order and reproduce those
+// values bit for bit;
 // the ADMV kernels (dp_partial) additionally distribute the e^{(lf+ls)W}
 // chain factor across each hop row's coefficients, which reassociates
 // sums of non-negative terms and may differ from the scalar path by a few
@@ -46,14 +49,14 @@
 #include <cstddef>
 #include <vector>
 
-#include "chain/weight_table.hpp"
+#include "chain/chain.hpp"
 #include "platform/cost_model.hpp"
 
 namespace chainckpt::analysis {
 
 class SegmentTables {
  public:
-  SegmentTables(const chain::WeightTable& table,
+  SegmentTables(const chain::TaskChain& chain,
                 const platform::CostModel& costs);
 
   std::size_t n() const noexcept { return n_; }
@@ -91,13 +94,13 @@ class SegmentTables {
 /// E^- coefficients with the partial-verification cost folded in
 /// (exv = es*(x + V_j)), the e_right_step ingredients (tl, pf, ef, w) and
 /// the V stream.  Only core::optimize_with_partial reads them; it builds
-/// one per solve from its context's WeightTable and cost model (an O(n^2)
-/// pass under an O(n^6) solve).  The fill walks the intervals with the
+/// one per solve from its context's chain and cost model (an O(n^2) pass
+/// under an O(n^6) solve).  The fill walks the intervals with the
 /// same expression trees as SegmentTables' column fill, so the b/c/d rows
 /// equal the columns bit for bit.
 class SegmentRows {
  public:
-  SegmentRows(const chain::WeightTable& table,
+  SegmentRows(const chain::TaskChain& chain,
               const platform::CostModel& costs);
 
   // Row views: pointer indexed by the absolute right endpoint j, valid for

@@ -117,11 +117,10 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
 
   const CacheKey key = table_key(job.chain, job.costs);
 
-  // Acquire (building if necessary) the shared table pair.  References
-  // into the map survive rehashes; the loop re-looks the key up after
-  // every wait, so a concurrent eviction of the entry just causes a
-  // rebuild instead of a dangling pointer.
-  std::shared_ptr<const chain::WeightTable> table;
+  // Acquire (building if necessary) the shared table.  References into
+  // the map survive rehashes; the loop re-looks the key up after every
+  // wait, so a concurrent eviction of the entry just causes a rebuild
+  // instead of a dangling pointer.
   std::shared_ptr<const analysis::SegmentTables> seg;
   {
     std::unique_lock<std::mutex> lock(mutex_);
@@ -130,7 +129,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       if (entry.seg != nullptr) {
         entry.last_used = ++clock_;
         ++stats_.tables_reused;
-        table = entry.table;
         seg = entry.seg;
         break;
       }
@@ -141,9 +139,7 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       entry.building = true;
       lock.unlock();
       try {
-        table = std::make_shared<const chain::WeightTable>(
-            job.chain, job.costs.lambda_f(), job.costs.lambda_s());
-        seg = std::make_shared<const analysis::SegmentTables>(*table,
+        seg = std::make_shared<const analysis::SegmentTables>(job.chain,
                                                               job.costs);
       } catch (...) {
         lock.lock();
@@ -158,10 +154,9 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
       // rehash (pointer-stable, but re-looking up is simpler to reason
       // about than held references across the gap).
       TableEntry& built = tables_.try_emplace(key).first->second;
-      built.table = table;
       built.seg = seg;
       built.building = false;
-      built.bytes = table->resident_bytes() + seg->resident_bytes();
+      built.bytes = seg->resident_bytes();
       built.last_used = ++clock_;
       table_bytes_ += built.bytes;
       ++stats_.tables_built;
@@ -193,10 +188,9 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
     if (ckpt == nullptr) ckpt = std::make_shared<SolveCheckpoint>();
   }
 
-  // The solve itself runs outside the lock -- the shared_ptrs keep the
-  // tables alive even if the entry is evicted mid-solve.
-  DpContext ctx(job.chain, job.costs, std::move(table), std::move(seg),
-                options_.max_n);
+  // The solve itself runs outside the lock -- the shared_ptr keeps the
+  // table alive even if the entry is evicted mid-solve.
+  DpContext ctx(job.chain, job.costs, std::move(seg), options_.max_n);
   ctx.set_cancel_token(cancel);
   ctx.set_checkpoint(ckpt.get());
   OptimizationResult result;

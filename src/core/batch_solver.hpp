@@ -9,13 +9,13 @@
 //     dynamic scheduling, so heterogeneous chains load-balance across
 //     workers (an n = 400 ADMV* job does not serialize behind twenty
 //     n = 50 ones);
-//   * a coefficient-table cache: the O(n^2) analysis::SegmentTables +
-//     chain::WeightTable pair -- the dominant per-solve setup cost -- is
-//     built once per distinct core::table_key() (chain weights, error
-//     rates, planning law, guaranteed-verification costs) and shared by
-//     every job that matches, within a batch and across batches;
-//   * one byte budget: BatchOptions::cache_budget_bytes bounds the table
-//     pairs, the retained interruption checkpoints and the memoized plans
+//   * a coefficient-table cache: the O(n^2) analysis::SegmentTables --
+//     the dominant per-solve setup cost -- is built once per distinct
+//     core::table_key() (chain weights, error rates, planning law,
+//     guaranteed-verification costs) and shared by every job that
+//     matches, within a batch and across batches;
+//   * one byte budget: BatchOptions::cache_budget_bytes bounds the
+//     tables, the retained interruption checkpoints and the memoized plans
 //     together, evicting the least recently used entry of any kind after
 //     every insert, so a long-lived service bounds what it retains while
 //     hot keys stay cached;
@@ -85,16 +85,16 @@ struct BatchOptions {
   /// times of the multi-level DPs (see DpContext::kDefaultMaxN).
   std::size_t max_n = DpContext::kDefaultMaxN;
   /// The one memory budget: a byte bound on the budgeted bytes -- the
-  /// coefficient-table pairs, the retained interruption checkpoints and
-  /// the memoized plans together (BatchStats::budgeted_bytes).  The
+  /// coefficient tables, the retained interruption checkpoints and the
+  /// memoized plans together (BatchStats::budgeted_bytes).  The
   /// per-thread solver arenas are outside it.  The three stores share one
   /// LRU clock; after every insert (a table build, a retained checkpoint,
   /// a plan) the least recently used entries of any kind are evicted
   /// until the budgeted bytes fit.  Entries still being built and
   /// checkpoints checked out by a running solve are never evicted; an
   /// entry larger than the whole budget goes right after its insert (the
-  /// solve that built it keeps its own reference).  An evicted table pair
-  /// is rebuilt, an evicted plan re-solved and a dropped checkpoint
+  /// solve that built it keeps its own reference).  An evicted table is
+  /// rebuilt, an evicted plan re-solved and a dropped checkpoint
   /// restarted on next use, so results are unaffected.  A plain byte
   /// count: 0 retains nothing.
   std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes;
@@ -111,11 +111,11 @@ struct BatchOptions {
 /// Counters accumulated over the solver's lifetime, plus one gauge.
 struct BatchStats {
   std::size_t jobs_solved = 0;
-  /// Distinct (WeightTable, SegmentTables) pairs constructed.
+  /// Distinct SegmentTables constructed.
   std::size_t tables_built = 0;
-  /// DP jobs served by a previously built pair (same batch or earlier).
+  /// DP jobs served by a previously built table (same batch or earlier).
   std::size_t tables_reused = 0;
-  /// Table pairs dropped by the budget, and their bytes.
+  /// Tables dropped by the budget, and their bytes.
   std::size_t tables_evicted = 0;
   std::size_t evicted_bytes = 0;
   /// Total bytes given back so far: release_scratch() calls plus the
@@ -137,7 +137,7 @@ struct BatchStats {
   /// resumes skipped instead of re-executing.
   std::size_t checkpoints_resumed = 0;
   std::size_t checkpoint_slabs_skipped = 0;
-  /// Always 0: every table pair is built from scratch.  Kept only for
+  /// Always 0: every table is built from scratch.  Kept only for
   /// readers of the former incremental patch path's counter.
   std::size_t tables_patched = 0;
   /// Fresh solves whose objective exceeded the plan cache's warm upper
@@ -146,7 +146,7 @@ struct BatchStats {
   std::size_t warm_bound_violations = 0;
   /// Aggregated scan counters of every solved DP job.
   ScanStats scan;
-  /// Gauge: the budgeted bytes (table pairs, retained checkpoints and
+  /// Gauge: the budgeted bytes (tables, retained checkpoints and
   /// memoized plans) when the snapshot was taken.  Every insert evicts
   /// under the same lock, so no snapshot reads more than
   /// BatchOptions::cache_budget_bytes.
@@ -206,11 +206,10 @@ class BatchSolver {
  private:
   /// A table-cache entry, keyed by core::table_key(): jobs differing only
   /// in inputs the tables never read (checkpoint/recovery costs, the
-  /// partial-verification stream, recall) share one pair.
+  /// partial-verification stream, recall) share one table.
   struct TableEntry {
-    std::shared_ptr<const chain::WeightTable> table;
     std::shared_ptr<const analysis::SegmentTables> seg;
-    /// Both tables' resident bytes, set when the build lands.
+    /// The table's resident bytes, set when the build lands.
     std::size_t bytes = 0;
     /// LRU stamp from clock_.  Eviction runs only over budget and scans
     /// each store for its minimum stamp instead of keeping an intrusive

@@ -38,11 +38,11 @@ struct CacheKeyHash {
   std::size_t operator()(const CacheKey& key) const noexcept;
 };
 
-/// What a WeightTable + SegmentTables build reads: n, the two error
-/// rates, the planning law (laws that reduce to the exponential build
-/// share a key), the chain weights and the guaranteed-verification
-/// stream.  Checkpoint/recovery costs, V and the recall are read per
-/// solve, so jobs differing only there share one table pair.
+/// What a SegmentTables build reads: n, the two error rates, the
+/// planning law (laws that reduce to the exponential build share a key),
+/// the chain weights and the guaranteed-verification stream.
+/// Checkpoint/recovery costs, V and the recall are read per solve, so
+/// jobs differing only there share one table.
 CacheKey table_key(const chain::TaskChain& chain,
                    const platform::CostModel& costs);
 

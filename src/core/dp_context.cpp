@@ -27,26 +27,21 @@ DpContext::DpContext(chain::TaskChain chain, platform::CostModel costs,
                      std::size_t max_n, bool /*ignored*/)
     : chain_(std::move(chain)), costs_(std::move(costs)) {
   check_context(chain_, costs_, max_n);
-  table_ = std::make_shared<const chain::WeightTable>(
-      chain_, costs_.lambda_f(), costs_.lambda_s());
   seg_tables_ =
-      std::make_shared<const analysis::SegmentTables>(*table_, costs_);
+      std::make_shared<const analysis::SegmentTables>(chain_, costs_);
 }
 
 DpContext::DpContext(chain::TaskChain chain, platform::CostModel costs,
-                     std::shared_ptr<const chain::WeightTable> table,
                      std::shared_ptr<const analysis::SegmentTables> seg_tables,
                      std::size_t max_n)
     : chain_(std::move(chain)),
       costs_(std::move(costs)),
-      table_(std::move(table)),
       seg_tables_(std::move(seg_tables)) {
   check_context(chain_, costs_, max_n);
-  CHAINCKPT_REQUIRE(table_ != nullptr && seg_tables_ != nullptr,
-                    "shared-table DpContext needs non-null tables");
-  CHAINCKPT_REQUIRE(
-      table_->n() == chain_.size() && seg_tables_->n() == chain_.size(),
-      "shared tables were built for a different chain length");
+  CHAINCKPT_REQUIRE(seg_tables_ != nullptr,
+                    "shared-table DpContext needs a non-null table");
+  CHAINCKPT_REQUIRE(seg_tables_->n() == chain_.size(),
+                    "shared table was built for a different chain length");
 }
 
 }  // namespace chainckpt::core

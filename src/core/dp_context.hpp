@@ -5,10 +5,8 @@
 #include <cstdint>
 #include <memory>
 
-#include "analysis/segment_math.hpp"
 #include "analysis/segment_tables.hpp"
 #include "chain/chain.hpp"
-#include "chain/weight_table.hpp"
 #include "core/cancellation.hpp"
 #include "core/simd/simd_dispatch.hpp"
 #include "plan/plan.hpp"
@@ -72,16 +70,14 @@ class DpContext {
   DpContext(chain::TaskChain chain, platform::CostModel costs,
             std::size_t max_n = kDefaultMaxN, bool /*ignored*/ = true);
 
-  /// Shared-table constructor: borrows a prebuilt (WeightTable,
-  /// SegmentTables) pair instead of building its own -- the O(n^2)
-  /// coefficient tables are the dominant per-solve setup cost, and
-  /// core::BatchSolver reuses one pair across every job with the same
-  /// (chain weights, cost model) key.  Both pointers must be non-null,
-  /// sized for this chain, and built from THIS chain and cost model
-  /// (byte-identical inputs); the constructor checks the sizes, the caller
-  /// owns the stronger contract.
+  /// Shared-table constructor: borrows a prebuilt SegmentTables instead
+  /// of building its own -- the O(n^2) coefficient table is the dominant
+  /// per-solve setup cost, and core::BatchSolver reuses one across every
+  /// job with the same (chain weights, cost model) key.  The pointer must
+  /// be non-null, sized for this chain, and built from THIS chain and cost
+  /// model (byte-identical inputs); the constructor checks the size, the
+  /// caller owns the stronger contract.
   DpContext(chain::TaskChain chain, platform::CostModel costs,
-            std::shared_ptr<const chain::WeightTable> table,
             std::shared_ptr<const analysis::SegmentTables> seg_tables,
             std::size_t max_n = kDefaultMaxN);
 
@@ -129,16 +125,11 @@ class DpContext {
   std::size_t n() const noexcept { return chain_.size(); }
   const chain::TaskChain& chain() const noexcept { return chain_; }
   const platform::CostModel& costs() const noexcept { return costs_; }
-  const chain::WeightTable& table() const noexcept { return *table_; }
   /// Hoisted SoA interval algebra for the DP inner kernels.
   const analysis::SegmentTables& seg_tables() const noexcept {
     return *seg_tables_;
   }
   double lambda_f() const noexcept { return costs_.lambda_f(); }
-
-  analysis::Interval interval(std::size_t i, std::size_t j) const {
-    return analysis::make_interval(*table_, i, j);
-  }
 
  private:
   chain::TaskChain chain_;
@@ -149,8 +140,7 @@ class DpContext {
   bool has_simd_override_ = false;
   /// shared_ptr so a BatchSolver cache entry and every context borrowing
   /// it stay valid independently of each other's lifetime; the
-  /// build-your-own constructors simply own the single reference.
-  std::shared_ptr<const chain::WeightTable> table_;
+  /// build-your-own constructor simply owns the single reference.
   std::shared_ptr<const analysis::SegmentTables> seg_tables_;
 };
 

@@ -159,7 +159,7 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
   const detail::LevelTables& tables = ckpt.tables();
   // The inner DP's row streams are this solve's own: no other engine reads
   // them, so the shared column tables never carry them.
-  const analysis::SegmentRows rows(ctx.table(), ctx.costs());
+  const analysis::SegmentRows rows(ctx.chain(), ctx.costs());
 
   const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t j,
                         double emem_at_m1, const double* everif_row,

@@ -34,8 +34,8 @@ OptimizationResult optimize_with_partial(const chain::TaskChain& chain,
 
 /// Same solver on a prebuilt context -- the shared-SegmentTables path used
 /// by core::BatchSolver.  The inner DP's row-oriented streams
-/// (analysis::SegmentRows) are built per solve from the context's
-/// WeightTable and cost model.
+/// (analysis::SegmentRows) are built per solve from the context's chain
+/// and cost model.
 OptimizationResult optimize_with_partial(const DpContext& ctx);
 
 }  // namespace chainckpt::core

@@ -34,8 +34,8 @@
 //     is calibrated (service/admission.hpp);
 //   * bounded memory: the embedded BatchSolver's one byte budget
 //     (BatchOptions::cache_budget_bytes, 1 GiB by default) bounds its
-//     table pairs, retained interruption checkpoints and memoized plans
-//     together under one LRU order, and release_scratch() remains
+//     coefficient tables, retained interruption checkpoints and memoized
+//     plans together under one LRU order, and release_scratch() remains
 //     available at quiescent points.
 //
 // Determinism: a job's result is bit-identical to a synchronous

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "chain/patterns.hpp"
+#include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
 #include "util/math.hpp"
 
@@ -16,6 +18,18 @@ Interval make(double w, double lf, double ls) {
   return Interval{w, std::expm1(lf * w), std::expm1(ls * w)};
 }
 
+/// Hera's costs with the given error rates.
+platform::CostModel with_rates(double lambda_f, double lambda_s) {
+  platform::Platform p = platform::hera();
+  p.lambda_f = lambda_f;
+  p.lambda_s = lambda_s;
+  return platform::CostModel(p);
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 TEST(Interval, DerivedQuantities) {
   const Interval seg = make(1000.0, 1e-4, 2e-4);
   EXPECT_NEAR(seg.exp_f(), std::exp(0.1), 1e-12);
@@ -24,35 +38,91 @@ TEST(Interval, DerivedQuantities) {
   EXPECT_NEAR(seg.exp_fs(), std::exp(0.3), 1e-12);
 }
 
-TEST(Interval, MakeIntervalReadsWeightTable) {
+TEST(Interval, MakeIntervalReadsChainPrefixSums) {
   const auto c = chain::make_uniform(4, 4000.0);
-  const chain::WeightTable t(c, 1e-5, 2e-5);
-  const Interval seg = make_interval(t, 1, 3);
+  const Interval seg = make_interval(c, with_rates(1e-5, 2e-5), 1, 3);
   EXPECT_DOUBLE_EQ(seg.w, 2000.0);
   EXPECT_NEAR(seg.em1_f, std::expm1(2e-2), 1e-15);
   EXPECT_NEAR(seg.em1_s, std::expm1(4e-2), 1e-15);
+}
+
+TEST(Interval, WeightsMatchChain) {
+  const chain::TaskChain c({1.0, 2.0, 4.0});
+  const platform::CostModel costs = with_rates(1e-6, 2e-6);
+  for (std::size_t i = 0; i <= 3; ++i)
+    for (std::size_t j = i; j <= 3; ++j)
+      EXPECT_TRUE(same_bits(make_interval(c, costs, i, j).w,
+                            c.weight_between(i, j)));
+}
+
+TEST(Interval, Em1ValuesAreExpm1OfPrefixDifferencesBitwise) {
+  const chain::TaskChain c({100.0, 500.0, 1000.0, 250.0});
+  const double lf = 9.46e-7, ls = 3.38e-6;
+  const platform::CostModel costs = with_rates(lf, ls);
+  for (std::size_t i = 0; i <= 4; ++i) {
+    for (std::size_t j = i; j <= 4; ++j) {
+      const double w = c.weight_between(i, j);
+      const Interval seg = make_interval(c, costs, i, j);
+      EXPECT_TRUE(same_bits(seg.em1_f, std::expm1(lf * w)))
+          << "(" << i << ", " << j << "]";
+      EXPECT_TRUE(same_bits(seg.em1_s, std::expm1(ls * w)))
+          << "(" << i << ", " << j << "]";
+      EXPECT_NEAR(seg.exp_f(), std::exp(lf * w), 1e-12);
+      EXPECT_NEAR(seg.exp_s(), std::exp(ls * w), 1e-12);
+      EXPECT_NEAR(seg.exp_fs(), std::exp((lf + ls) * w), 1e-12);
+    }
+  }
+}
+
+TEST(Interval, CombinedEm1HasNoCancellation) {
+  // em1_fs must stay fully accurate where exp_f*exp_s - 1 would lose
+  // precision: tiny rates over short intervals.
+  const chain::TaskChain c(std::vector<double>{1.0});
+  const Interval seg = make_interval(c, with_rates(1e-9, 1e-9), 0, 1);
+  // expm1(2e-9) = 2e-9 + 2e-18 + ...; the assembled form must keep the
+  // second-order term that exp_f * exp_s - 1 would destroy.
+  EXPECT_NEAR(seg.em1_fs(), std::expm1(2e-9), 1e-24);
+}
+
+TEST(Interval, ZeroRatesGiveZeroEm1) {
+  const chain::TaskChain c({1000.0, 2000.0});
+  const Interval seg = make_interval(c, with_rates(0.0, 0.0), 0, 2);
+  EXPECT_DOUBLE_EQ(seg.em1_f, 0.0);
+  EXPECT_DOUBLE_EQ(seg.em1_s, 0.0);
+  EXPECT_DOUBLE_EQ(seg.exp_fs(), 1.0);
+}
+
+TEST(Interval, DiagonalIsIdentity) {
+  const auto c = chain::make_uniform(20, 25000.0);
+  const platform::CostModel costs = with_rates(1e-6, 1e-5);
+  for (std::size_t i = 0; i <= 20; ++i) {
+    const Interval seg = make_interval(c, costs, i, i);
+    EXPECT_DOUBLE_EQ(seg.w, 0.0);
+    EXPECT_DOUBLE_EQ(seg.em1_f, 0.0);
+    EXPECT_DOUBLE_EQ(seg.exp_s(), 1.0);
+  }
 }
 
 TEST(Interval, PaperQuotedTaskFailureProbabilitiesOnHera) {
   // HighLow discussion: "a large task [3000s] will fail with probability
   // 1.3%, as opposed to ... 0.096% for small tasks [~222s]" on Hera.  The
   // combined fail-stop + silent probability is 1 - e^{-(lf + ls) W}.
-  const platform::Platform hera = platform::hera();
+  const platform::CostModel hera(platform::hera());
   const chain::TaskChain c(std::vector<double>{3000.0, 10000.0 / 45.0});
-  const chain::WeightTable t(c, hera.lambda_f, hera.lambda_s);
-  EXPECT_NEAR(1.0 - 1.0 / make_interval(t, 0, 1).exp_fs(), 0.013, 0.0005);
-  EXPECT_NEAR(1.0 - 1.0 / make_interval(t, 1, 2).exp_fs(), 0.00096,
+  EXPECT_NEAR(1.0 - 1.0 / make_interval(c, hera, 0, 1).exp_fs(), 0.013,
+              0.0005);
+  EXPECT_NEAR(1.0 - 1.0 / make_interval(c, hera, 1, 2).exp_fs(), 0.00096,
               0.00005);
 }
 
 TEST(LawInterval, PaperQuotedTimeLostOnHera) {
   // HighLow discussion: T_lost ~ 1500s for a 3000s task on Hera (Eq. (3)
   // through the shape-1 law integral).
-  const platform::Platform hera = platform::hera();
+  platform::CostModel hera(platform::hera());
+  hera.set_planning_law({platform::FailureLaw::kWeibull, 1.0});
   const chain::TaskChain c(std::vector<double>{3000.0});
-  const chain::WeightTable t(c, hera.lambda_f, hera.lambda_s);
-  const WeibullLawTasks tasks(t, hera.lambda_f, 1.0);
-  EXPECT_NEAR(make_law_interval(t, tasks, 0, 1).t_lost, 1500.0, 1.0);
+  const WeibullLawTasks tasks(c, hera);
+  EXPECT_NEAR(make_law_interval(c, hera, tasks, 0, 1).t_lost, 1500.0, 1.0);
 }
 
 TEST(Em1fOverLambda, MatchesBothBranches) {

@@ -28,7 +28,6 @@
 #include "analysis/segment_tables.hpp"
 #include "chain/chain.hpp"
 #include "chain/patterns.hpp"
-#include "chain/weight_table.hpp"
 #include "core/optimizer.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
@@ -106,8 +105,12 @@ TEST(WeibullLawTasks, IntervalIntegralsMatchBruteForceMonteCarlo) {
   const chain::TaskChain c(weights);
   const double lambda_f = 1e-4;
   const double shape = 0.7;
-  const chain::WeightTable table(c, lambda_f, 0.0);
-  const WeibullLawTasks tasks(table, lambda_f, shape);
+  platform::Platform p = platform::hera();
+  p.lambda_f = lambda_f;
+  p.lambda_s = 0.0;
+  platform::CostModel costs(p);
+  costs.set_planning_law({platform::FailureLaw::kWeibull, shape});
+  const WeibullLawTasks tasks(c, costs);
   const double theta = 1.0 / (lambda_f * std::tgamma(1.0 + 1.0 / shape));
   const double inv_shape = 1.0 / shape;
 
@@ -121,7 +124,7 @@ TEST(WeibullLawTasks, IntervalIntegralsMatchBruteForceMonteCarlo) {
 
   for (const auto& span : spans) {
     const std::size_t i = span.first, j = span.second;
-    const LawInterval seg = make_law_interval(table, tasks, i, j);
+    const LawInterval seg = make_law_interval(c, costs, tasks, i, j);
     long long fails = 0;
     double elapsed_sum = 0.0, elapsed_sq = 0.0;
     for (int r = 0; r < reps; ++r) {
@@ -164,12 +167,16 @@ TEST(WeibullLaw, ShapeOneReducesToExponentialAnalytically) {
                                        1600.0, 800.0, 2700.0, 1250.0};
   const chain::TaskChain c(weights);
   const double lf = 3e-5, ls = 1.2e-5;
-  const chain::WeightTable table(c, lf, ls);
-  const WeibullLawTasks tasks(table, lf, 1.0);
+  platform::Platform p = platform::hera();
+  p.lambda_f = lf;
+  p.lambda_s = ls;
+  platform::CostModel costs(p);
+  costs.set_planning_law({platform::FailureLaw::kWeibull, 1.0});
+  const WeibullLawTasks tasks(c, costs);
   for (std::size_t i = 0; i < c.size(); ++i) {
     for (std::size_t j = i + 1; j <= c.size(); ++j) {
-      const LawInterval law = make_law_interval(table, tasks, i, j);
-      const Interval ref = make_interval(table, i, j);
+      const LawInterval law = make_law_interval(c, costs, tasks, i, j);
+      const Interval ref = make_interval(c, costs, i, j);
       EXPECT_NEAR(law.em1_f, ref.em1_f, 1e-12 * (1.0 + ref.em1_f));
       EXPECT_NEAR(law.em1_s, ref.em1_s, 1e-12 * (1.0 + ref.em1_s));
       EXPECT_NEAR(law.x, em1f_over_lambda(ref, lf), 1e-11 * law.x);
@@ -193,9 +200,8 @@ TEST(SegmentTables, WeibullShapeOneStreamsAreByteIdenticalToExponential) {
   weib_costs.set_planning_law(
       {platform::FailureLaw::kWeibull, /*weibull_shape=*/1.0});
   const chain::TaskChain c = chain::make_uniform(20, 72000.0);
-  const chain::WeightTable table(c, p.lambda_f, p.lambda_s);
-  const SegmentTables a(table, exp_costs);
-  const SegmentTables b(table, weib_costs);
+  const SegmentTables a(c, exp_costs);
+  const SegmentTables b(c, weib_costs);
   const std::size_t row_bytes = (c.size() + 1) * sizeof(double);
   for (std::size_t j = 0; j <= c.size(); ++j) {
     EXPECT_EQ(std::memcmp(a.exvg_col(j), b.exvg_col(j), row_bytes), 0);
@@ -205,8 +211,8 @@ TEST(SegmentTables, WeibullShapeOneStreamsAreByteIdenticalToExponential) {
     EXPECT_EQ(std::memcmp(a.fs_col(j), b.fs_col(j), row_bytes), 0);
   }
   // ADMV's row table takes the same law dispatch.
-  const SegmentRows ra(table, exp_costs);
-  const SegmentRows rb(table, weib_costs);
+  const SegmentRows ra(c, exp_costs);
+  const SegmentRows rb(c, weib_costs);
   for (std::size_t i = 0; i <= c.size(); ++i) {
     EXPECT_EQ(std::memcmp(ra.exv_row(i), rb.exv_row(i), row_bytes), 0);
     EXPECT_EQ(std::memcmp(ra.tl_row(i), rb.tl_row(i), row_bytes), 0);

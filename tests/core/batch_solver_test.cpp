@@ -111,7 +111,7 @@ TEST(BatchSolver, JobsDifferingOnlyInCheckpointCostsShareTables) {
   // The coefficient tables read weights, error rates, and guaranteed-
   // verification costs only; checkpoint/recovery costs, V and recall
   // enter per job at solve time.  A checkpoint-price sweep must therefore
-  // share one table pair -- and still solve each job under its own cost
+  // share one table -- and still solve each job under its own cost
   // model.
   const auto chain = chain::make_uniform(30, 25000.0);
   platform::Platform pricey = platform::hera();
@@ -182,7 +182,7 @@ TEST(BatchSolver, BudgetDropsLeastRecentlyUsedTableFirst) {
     }
   };
   // Plan cache off: the re-touches must reach the table cache, and only
-  // table pairs count against the budget.
+  // tables count against the budget.
   BatchSolver unbounded{{.enable_plan_cache = false}};
   run(unbounded);
   ASSERT_EQ(unbounded.stats_snapshot().tables_evicted, 0u);
@@ -207,7 +207,7 @@ TEST(BatchSolver, BudgetDropsLeastRecentlyUsedTableFirst) {
 }
 
 TEST(BatchSolver, CacheBudgetBoundsResidencyWithoutChangingResults) {
-  // A budget sized for roughly one table pair: every insert evicts down
+  // A budget sized for roughly one table: every insert evicts down
   // to it, results stay bit-identical to the default-budget solver.
   const platform::CostModel costs{platform::hera()};
   std::vector<BatchJob> jobs;
@@ -215,20 +215,20 @@ TEST(BatchSolver, CacheBudgetBoundsResidencyWithoutChangingResults) {
     jobs.push_back({Algorithm::kADVstar, chain::make_uniform(n, 25000.0),
                     costs});
   }
-  // Plan cache off: only table pairs count, and the re-solve below must
+  // Plan cache off: only tables count, and the re-solve below must
   // reach the table cache.
   BatchSolver unbounded{{.enable_plan_cache = false}};
   const auto reference = unbounded.solve(jobs);
   EXPECT_EQ(unbounded.stats_snapshot().tables_evicted, 0u);
-  const std::size_t one_pair = unbounded.stats_snapshot().budgeted_bytes /
-                                   jobs.size() +
-                               1;  // avg entry, rounded up
+  const std::size_t one_table = unbounded.stats_snapshot().budgeted_bytes /
+                                    jobs.size() +
+                                1;  // avg entry, rounded up
 
   BatchSolver bounded{
-      {.cache_budget_bytes = one_pair, .enable_plan_cache = false}};
+      {.cache_budget_bytes = one_table, .enable_plan_cache = false}};
   for (int pass = 0; pass < 2; ++pass) {
     const auto results = bounded.solve(jobs);
-    EXPECT_LE(bounded.stats_snapshot().budgeted_bytes, one_pair);
+    EXPECT_LE(bounded.stats_snapshot().budgeted_bytes, one_table);
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       EXPECT_EQ(results[i].expected_makespan,
                 reference[i].expected_makespan);
@@ -319,7 +319,7 @@ TEST(BatchSolver, OneBudgetEvictsTheOldestEntryOfAnyKind) {
   };
 
   {
-    // T(a) < P(a) < T(c) < K(c) < T(f) < P(f): the table pair goes.
+    // T(a) < P(a) < T(c) < K(c) < T(f) < P(f): the table goes.
     auto solver = squeezed({{adv_a}, {admv_c, true}, {adv_f}});
     const BatchStats stats = solver->stats_snapshot();
     EXPECT_EQ(stats.tables_evicted, 1u);
@@ -351,7 +351,7 @@ TEST(BatchSolver, OneBudgetEvictsTheOldestEntryOfAnyKind) {
     EXPECT_EQ(solver->plan_cache_stats().evictions, 1u);
     EXPECT_EQ(stats.tables_evicted, 0u);
     EXPECT_EQ(stats.checkpoints_dropped, 0u);
-    // The job re-solves on its surviving table pair.
+    // The job re-solves on its surviving table.
     expect_resolves_bitwise(*solver, adv_a);
     EXPECT_EQ(solver->plan_cache_stats().exact_hits, 0u);
     EXPECT_EQ(solver->stats_snapshot().tables_reused, stats.tables_reused + 1);
@@ -624,7 +624,7 @@ TEST(BatchSolverPlanCache, BudgetEvictsLruAndEvictedJobsResolveBitwise) {
   ASSERT_EQ(unbounded.plan_cache_stats().evictions, 0u);
   const std::size_t resident = unbounded.stats_snapshot().budgeted_bytes;
 
-  // A third of those bytes: LRU entries -- plans and table pairs alike --
+  // A third of those bytes: LRU entries -- plans and tables alike --
   // go, the rest stay, and every result is the unbounded one.
   const std::size_t budget = resident / 3;
   BatchSolver solver{{.cache_budget_bytes = budget}};

@@ -339,7 +339,7 @@ TEST(PlanCache, SeededRandomDriftsPartitionAndSurviveTheOracle) {
 
 TEST(PlanCache, LruEvictionByBytesKeepsTheHotEntry) {
   // Plans are bounded by their BatchSolver's one budget, in one LRU order
-  // with its table pairs.
+  // with its tables.
   const auto costs = costs_for(scaled_hera());
   std::vector<BatchJob> jobs;
   for (std::size_t n = 10; n < 18; ++n) {

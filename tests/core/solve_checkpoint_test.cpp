@@ -332,7 +332,7 @@ TEST(SolveCheckpoint, BatchSolverNeverResumesAnotherAlgorithmsCheckpoint) {
 }
 
 TEST(SolveCheckpoint, CheckpointBudgetDropsOldestFirst) {
-  // Two interrupted workloads over one table pair (they differ only in
+  // Two interrupted workloads over one table (they differ only in
   // checkpoint costs, which the tables never read): the LRU order is
   // table < first checkpoint < table again < second checkpoint, so a
   // budget one byte short of all three drops the first checkpoint.

@@ -1,6 +1,6 @@
 // Soak of one endless wire connection (ctest label: stress): 50,000
 // small streamed requests over a single WireServer connection, with
-// drifting rates so new table pairs and plans keep arriving under a
+// drifting rates so new tables and plans keep arriving under a
 // small budget.  Asserts that every result is bitwise the standalone
 // core::optimize() result, that the solver's budgeted bytes stay within
 // BatchOptions::cache_budget_bytes after every completion, and that
@@ -35,7 +35,7 @@ constexpr std::uint64_t kWindow = 8;
 /// Request ids cycle through this range, so every id is reused after the
 /// edge retired its previous request.
 constexpr std::uint64_t kIdRange = 4096;
-/// Room for a handful of table pairs and plans at these sizes.
+/// Room for a handful of tables and plans at these sizes.
 constexpr std::size_t kBudgetBytes = 256 * 1024;
 
 /// Request i: a small DP job whose rates drift with i.  Every tenth

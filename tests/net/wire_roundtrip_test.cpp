@@ -290,7 +290,7 @@ TEST(WireRoundtrip, FinishedRequestsRetireAndTheirIdsCanBeReused) {
   server.start();
   WireClient client(client_options(server.port()));
 
-  // Drifting rates: every request brings a new table pair and plan.
+  // Drifting rates: every request brings a new table and plan.
   const auto job_for = [](std::uint64_t i) {
     platform::Platform p = platform::hera();
     p.lambda_f *= 1.0 + 1e-3 * static_cast<double>(i);

@@ -85,6 +85,9 @@ TEST(Platform, ValidateRejectsBadValues) {
   p.lambda_f = -1.0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p = hera();
+  p.lambda_s = -1.0;
+  EXPECT_THROW(p.validate(), std::invalid_argument);
+  p = hera();
   p.c_disk = -5.0;
   EXPECT_THROW(p.validate(), std::invalid_argument);
   p = hera();
