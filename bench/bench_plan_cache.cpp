@@ -5,7 +5,8 @@
 //   * BM_EpsilonHit       -- drifted re-submission served after the
 //                            certificate screen + evaluator re-score
 //   * BM_RejectAndResolve -- drift beyond the radii: certificate work plus
-//                            the re-solve (the cache's worst case)
+//                            the re-solve (the cache's worst case); every
+//                            iteration is checked to be a rejection
 //
 // The acceptance bar for PR 9 is exact-hit >= 50x faster than the full
 // DP at n = 200 (single-level ADV*); the hit path is two FNV-1a key
@@ -89,24 +90,35 @@ void BM_EpsilonHit(benchmark::State& state) {
 BENCHMARK(BM_EpsilonHit)->Arg(100)->Arg(200)->Arg(400)->Unit(benchmark::kMicrosecond);
 
 void BM_RejectAndResolve(benchmark::State& state) {
-  // Far drift: certificate rejection, warm-bound re-score, full re-solve
-  // (insert refreshes the same key every iteration).
+  // Far drift: certificate rejection, warm-bound re-score, full re-solve.
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   core::BatchSolver solver;
   solver.solve_job(job_for(n, core::Algorithm::kADVstar));  // populate
   // Every iteration needs a previously unseen key, or the first re-solve's
-  // insert turns the rest of the loop into exact hits.
+  // insert turns the rest of the loop into exact hits.  Each re-solve also
+  // re-points the shape index at its own job, so consecutive jobs must sit
+  // far apart as well: lambda_s alternates between x3 and x1/3, and the
+  // 1e-4 offset keeps each key unique.
   std::vector<core::BatchJob> far;
   for (std::size_t i = 0; i < 4096; ++i) {
+    const double factor = i % 2 == 0 ? 3.0 : 1.0 / 3.0;
     far.push_back(job_for(n, core::Algorithm::kADVstar,
-                          3.0 + 1e-4 * static_cast<double>(i)));
+                          factor + 1e-4 * static_cast<double>(i)));
     far.back().cache_epsilon = 0.10;
   }
+  const std::size_t rejections_before =
+      solver.plan_cache_stats().cert_rejections;
   std::size_t next = 0;
   for (auto _ : state) {
     const auto result = solver.solve_job(far[next]);
     next = (next + 1) % far.size();
     benchmark::DoNotOptimize(result.expected_makespan);
+  }
+  // Sanity: every iteration was a certificate rejection plus a re-solve.
+  const std::size_t rejections =
+      solver.plan_cache_stats().cert_rejections - rejections_before;
+  if (rejections != static_cast<std::size_t>(state.iterations())) {
+    state.SkipWithError("an iteration did not reject and re-solve");
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
