@@ -22,7 +22,11 @@ namespace {
 // consumes each row exactly once.  So instead of materializing the dense
 // (n+1)^2 value + argmin tables, the solver streams rows in blocks:
 //
-//   1. compute a block of E_verif rows in parallel (one O(n) row per d1);
+//   1. compute a block of E_verif rows in parallel, in groups of
+//      simd::kGroupRows consecutive d1 that step the right endpoint j
+//      together: each column j's coefficients are then read once per
+//      group instead of once per row, and the rows' own prefixes keep
+//      every candidate and argmin exactly the one-row scan's;
 //   2. fold the block into the running E_disk minima in ascending d1
 //      order, finalizing E_disk(d1) right before row d1 contributes --
 //      every contribution from d1' < d1 has landed by then, whether d1'
@@ -81,14 +85,17 @@ SingleLevelScratch& single_level_scratch() {
   return scratch;
 }
 
-/// Rows per streamed block: enough to keep every worker busy, at least 8
-/// and at most 256.  The block size only shapes the schedule -- the fold
-/// consumes rows in ascending d1 order regardless -- so results are
-/// identical for any value.
+constexpr std::size_t kGroupRows = simd::kGroupRows;
+
+/// Rows per streamed block: two whole row groups per worker, at most 256
+/// rows.  The block size only shapes the schedule -- the fold consumes
+/// rows in ascending d1 order regardless -- so results are identical for
+/// any value.
 std::size_t stream_block_rows(std::size_t n) {
+  static_assert(256 % (2 * kGroupRows) == 0, "the cap must hold whole groups");
   const auto workers =
       static_cast<std::size_t>(std::max(1, util::hardware_parallelism()));
-  return std::min(n, std::max<std::size_t>(8, std::min<std::size_t>(workers, 256)));
+  return std::min({n, 2 * kGroupRows * workers, std::size_t{256}});
 }
 
 /// Streams the E_verif(d1, ·) row of the m1 = d1 DP into row[d1..limit]:
@@ -118,6 +125,56 @@ void stream_everif_row(const DpContext& ctx, std::size_t d1,
               allow_extra_verifications ? j : d1 + 1, best, best_arg);
     row[j] = best;
     if (args != nullptr) args[j] = best_arg;
+  }
+}
+
+/// Streams the kGroupRows rows d1 = g0 ... g0 + kGroupRows - 1 of the
+/// ADV* DP into rows[(d1 - g0) * stride + ...], up to j = n: the same
+/// values as stream_everif_row on each row, computed a column at a time.
+/// At each j, row d1 scans v1 in [d1, j): its own prefix [d1, shared)
+/// through the scalar kernel, then the range [shared, j) that every row
+/// of the group scans, through one K::affine_rows call that reads column
+/// j once.  Prefix first and strict-less, so each row's candidates and
+/// leftmost argmin are the one-row scan's.
+template <typename K>
+void stream_everif_group(const DpContext& ctx, std::size_t g0,
+                         double* rows, std::size_t stride) {
+  const auto& cm = ctx.costs();
+  const auto& seg = ctx.seg_tables();
+  const std::size_t n = ctx.n();
+  const CancelToken* cancel = ctx.cancel_token();
+  const std::size_t shared = g0 + kGroupRows - 1;
+  double k1[kGroupRows];
+  double k2[kGroupRows];
+  for (std::size_t r = 0; r < kGroupRows; ++r) {
+    rows[r * stride + g0 + r] = 0.0;
+    k1[r] = cm.r_disk_after(g0 + r) + 0.0;  // left e_mem is 0 here
+    k2[r] = cm.r_mem_after(g0 + r);
+  }
+  for (std::size_t j = g0 + 1; j <= n; ++j) {
+    // Cancellation checkpoint: per group step, outside the kernel.
+    poll_cancellation(cancel);
+    const double* exvg = seg.exvg_col(j);
+    const double* b = seg.b_col(j);
+    const double* c = seg.c_col(j);
+    const double* d = seg.d_col(j);
+    double best[kGroupRows];
+    std::int32_t best_arg[kGroupRows];
+    for (std::size_t r = 0; r < kGroupRows; ++r) {
+      best[r] = std::numeric_limits<double>::infinity();
+      best_arg[r] = -1;
+      simd::ScalarKernels::affine(rows + r * stride, exvg, b, c, d, k1[r],
+                                  k2[r], g0 + r, std::min(j, shared),
+                                  best[r], best_arg[r]);
+    }
+    if (j > shared) {
+      K::affine_rows(rows, stride, exvg, b, c, d, k1, k2, shared, j, best,
+                     best_arg);
+    }
+    // Rows d1 >= j have no endpoint j yet (row g0 + r starts at its 0).
+    for (std::size_t r = 0; r < kGroupRows && g0 + r < j; ++r) {
+      rows[r * stride + j] = best[r];
+    }
   }
 }
 
@@ -155,7 +212,18 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
   for (std::size_t b0 = 0; b0 < n; b0 += block) {
     const std::size_t b1 = std::min(n, b0 + block);
     double* rows = s.rows.data();
-    util::parallel_for(b0, b1, [&](std::size_t d1) {
+    // Whole row groups first, then the rows left over at the chain's end
+    // one at a time.  AD scans one cell per step, so it has no column to
+    // share and streams every row alone.
+    const std::size_t groups = extra ? (b1 - b0) / kGroupRows : 0;
+    const std::size_t grouped = groups * kGroupRows;
+    util::parallel_for(0, groups + (b1 - b0 - grouped), [&](std::size_t t) {
+      if (t < groups) {
+        stream_everif_group<K>(ctx, b0 + t * kGroupRows,
+                               rows + t * kGroupRows * stride, stride);
+        return;
+      }
+      const std::size_t d1 = b0 + grouped + (t - groups);
       // Cancellation checkpoint: per streamed row (a row is O(n) scan
       // steps), keeping the fused Eq. (4) kernel itself untouched.
       poll_cancellation(cancel);

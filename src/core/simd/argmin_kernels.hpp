@@ -1,11 +1,15 @@
 // Argmin kernels for the level-DP inner scans, and the one switch that
 // turns a SIMD tier into a kernel type.
 //
-// Four fold shapes cover every SIMD-able scan of the engine:
+// Five fold shapes cover every SIMD-able scan of the engine:
 //
 //   affine  -- the fused Eq. (4) v1 scan of dp_two_level /
 //     dp_single_level:  cand[v1] = ev + (exvg + b*k1 + c*ev + d*k2)
 //     with ev = everif_row[v1], folded with min+index.
+//   affine_rows -- affine over kGroupRows E_verif rows at once, each
+//     with its own (k1, k2) and (best, best_arg), on one column j:
+//     dp_single_level's row groups, which read each column once per
+//     group instead of once per row.
 //   sum     -- the E_mem m1 chain and the E_disk d1 pass:
 //     cand[i] = a[i] + c[i], folded with min+index.
 //   fold    -- the streamed single-level E_disk fold:
@@ -33,7 +37,7 @@
 //     lane.
 //
 // ScalarKernels below is the reference: its loops are the drivers' inner
-// loops, inlined at every call site.  VectorKernels<W> is the same four
+// loops, inlined at every call site.  VectorKernels<W> is the same five
 // shapes over W double lanes, written once in argmin_vector.hpp and
 // instantiated at W = 4 in argmin_avx2.cpp and at W = 8 in
 // argmin_avx512.cpp, each compiled with its own -m flags.  Those members
@@ -96,6 +100,10 @@ struct PartialScan {
 /// The widest lane count: lane strides are multiples of it, so the state
 /// layout is the same at every tier.
 constexpr std::size_t kMaxLanes = 8;
+
+/// Rows of one affine_rows call: the E_verif rows dp_single_level steps
+/// through the right endpoints together.
+constexpr std::size_t kGroupRows = 8;
 
 /// Lane stride of a partial scan over `len` v1 lanes.
 [[gnu::always_inline]] constexpr std::size_t partial_lane_stride(
@@ -212,6 +220,19 @@ struct ScalarKernels {
     }
   }
 
+  /// affine on kGroupRows rows: row r is ev_rows + r * ev_stride, with
+  /// its own k1[r], k2[r] and (best[r], best_arg[r]).
+  [[gnu::always_inline]] static inline void affine_rows(
+      const double* ev_rows, std::size_t ev_stride, const double* exvg,
+      const double* b, const double* c, const double* d, const double* k1,
+      const double* k2, std::size_t lo, std::size_t hi, double* best,
+      std::int32_t* best_arg) {
+    for (std::size_t r = 0; r < kGroupRows; ++r) {
+      affine(ev_rows + r * ev_stride, exvg, b, c, d, k1[r], k2[r], lo, hi,
+             best[r], best_arg[r]);
+    }
+  }
+
   [[gnu::always_inline]] static inline void sum(const double* a,
                                                 const double* c,
                                                 std::size_t lo,
@@ -275,7 +296,7 @@ struct ScalarKernels {
   }
 };
 
-/// The four shapes over W double lanes (defined in argmin_vector.hpp,
+/// The five shapes over W double lanes (defined in argmin_vector.hpp,
 /// out of line in the per-ISA translation units).
 template <int W>
 struct VectorKernels {
@@ -283,6 +304,11 @@ struct VectorKernels {
                      const double* b, const double* c, const double* d,
                      double k1, double k2, std::size_t lo, std::size_t hi,
                      double& best, std::int32_t& best_arg) noexcept;
+  static void affine_rows(const double* ev_rows, std::size_t ev_stride,
+                          const double* exvg, const double* b,
+                          const double* c, const double* d, const double* k1,
+                          const double* k2, std::size_t lo, std::size_t hi,
+                          double* best, std::int32_t* best_arg) noexcept;
   static void sum(const double* a, const double* c, std::size_t lo,
                   std::size_t hi, double& best,
                   std::int32_t& best_arg) noexcept;

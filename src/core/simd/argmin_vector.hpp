@@ -1,4 +1,4 @@
-// The four argmin fold shapes of argmin_kernels.hpp over W double lanes,
+// The five argmin fold shapes of argmin_kernels.hpp over W double lanes,
 // written once with GCC vector types.  Included only by argmin_avx2.cpp
 // (W = 4) and argmin_avx512.cpp (W = 8); each is compiled with its own -m
 // flags, which decide whether this source lowers to 256- or 512-bit code.
@@ -16,11 +16,11 @@
 // members, which no baseline file defines.  CI's sanitize job checks the
 // two objects with nm.
 //
-// Min+index (affine, sum): each lane keeps a running (value, index) pair,
-// replaced only by a strictly smaller candidate, so each lane holds the
-// EARLIEST index of its own minimum; merge_lanes then takes the lowest
-// value, ties to the lowest index.  Together that is the scalar leftmost
-// strict-less argmin.  partial needs no merge: its lanes are separate
+// Min+index (affine, affine_rows, sum): each lane keeps a running (value,
+// index) pair, replaced only by a strictly smaller candidate, so each lane
+// holds the EARLIEST index of its own minimum; merge_lanes then takes the
+// lowest value, ties to the lowest index.  Together that is the scalar
+// leftmost strict-less argmin.  affine_rows keeps one such pair per row.  partial needs no merge: its lanes are separate
 // v1 solves, each folding its own hops exactly as the scalar loop does.
 #pragma once
 
@@ -124,6 +124,51 @@ void VectorKernels<W>::affine(const double* ev_row, const double* exvg,
       });
   ScalarKernels::affine(ev_row, exvg, b, c, d, k1, k2, tail, hi, best,
                         best_arg);
+}
+
+template <int W>
+void VectorKernels<W>::affine_rows(const double* ev_rows,
+                                   std::size_t ev_stride, const double* exvg,
+                                   const double* b, const double* c,
+                                   const double* d, const double* k1,
+                                   const double* k2, std::size_t lo,
+                                   std::size_t hi, double* best,
+                                   std::int32_t* best_arg) noexcept {
+  using Doubles = typename Lanes<W>::Doubles;
+  using Indices = typename Lanes<W>::Indices;
+  constexpr std::size_t R = kGroupRows;
+  std::size_t i = lo;
+  if (hi - lo >= 2 * W) {
+    Doubles vbest[R];
+    Indices vidx[R];
+    for (std::size_t r = 0; r < R; ++r) {
+      vbest[r] = Doubles{} + kInf;
+      vidx[r] = Indices{} - 1;
+    }
+    Indices cur = static_cast<long long>(lo) + load<Indices>(kIota);
+    for (; i + W <= hi; i += W) {
+      // Column j's coefficients, loaded once for every row of the group.
+      const Doubles vexvg = load<Doubles>(exvg + i);
+      const Doubles vb = load<Doubles>(b + i);
+      const Doubles vc = load<Doubles>(c + i);
+      const Doubles vd = load<Doubles>(d + i);
+#pragma GCC unroll 8
+      for (std::size_t r = 0; r < R; ++r) {
+        const Doubles ev = load<Doubles>(ev_rows + r * ev_stride + i);
+        // ((exvg + b*k1) + c*ev) + d*k2, then ev + ... -- the scalar order.
+        const Doubles cand = ev + (vexvg + vb * k1[r] + vc * ev + vd * k2[r]);
+        const auto lt = cand < vbest[r];
+        vbest[r] = lt ? cand : vbest[r];
+        vidx[r] = lt ? cur : vidx[r];
+      }
+      cur += W;
+    }
+    for (std::size_t r = 0; r < R; ++r) {
+      merge_lanes<W>(vbest[r], vidx[r], best[r], best_arg[r]);
+    }
+  }
+  ScalarKernels::affine_rows(ev_rows, ev_stride, exvg, b, c, d, k1, k2, i,
+                             hi, best, best_arg);
 }
 
 template <int W>

@@ -9,6 +9,8 @@
 // faked: the dispatch tests pin that clamping instead.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -99,6 +101,10 @@ void fill_random(util::Xoshiro256& rng, std::vector<double>& out,
   for (double& v : out) {
     v = scale * (static_cast<double>(rng() >> 11) * 0x1.0p-53);
   }
+}
+
+double unit(util::Xoshiro256& rng) {
+  return static_cast<double>(rng() >> 11) * 0x1.0p-53;
 }
 
 TEST(SimdKernels, AffineMatchesScalarOnRandomAndTieDenseStreams) {
@@ -281,6 +287,191 @@ TEST(SimdKernels, AllEqualStreamPinsLeftmostIndex) {
 }
 
 // ---------------------------------------------------------------------
+// affine_rows: kGroupRows affine folds on one column, one row each.
+
+constexpr std::size_t kRows = simd::kGroupRows;
+using RowFolds = std::array<FoldResult, kRows>;
+
+/// kRows E_verif rows at `stride`, one column's coefficients and each
+/// row's own (k1, k2).
+struct RowGroupStreams {
+  std::size_t stride;
+  std::vector<double> ev;
+  std::vector<double> exvg, b, c, d;
+  double k1[kRows];
+  double k2[kRows];
+
+  explicit RowGroupStreams(std::size_t len)
+      : stride(len + 3), ev(kRows * stride), exvg(len), b(len), c(len),
+        d(len) {}
+
+  double* row(std::size_t r) { return ev.data() + r * stride; }
+};
+
+RowFolds run_affine_rows(SimdTier tier, const RowGroupStreams& s,
+                         std::size_t lo, std::size_t hi,
+                         const RowFolds& seeds) {
+  double best[kRows];
+  std::int32_t arg[kRows];
+  for (std::size_t r = 0; r < kRows; ++r) {
+    best[r] = seeds[r].best;
+    arg[r] = seeds[r].arg;
+  }
+  simd::with_kernels(tier, [&](auto kernels) {
+    decltype(kernels)::affine_rows(s.ev.data(), s.stride, s.exvg.data(),
+                                   s.b.data(), s.c.data(), s.d.data(), s.k1,
+                                   s.k2, lo, hi, best, arg);
+  });
+  RowFolds out;
+  for (std::size_t r = 0; r < kRows; ++r) out[r] = {best[r], arg[r]};
+  return out;
+}
+
+/// The reference: kRows independent scalar affine folds.
+RowFolds independent_affine(const RowGroupStreams& s, std::size_t lo,
+                            std::size_t hi, const RowFolds& seeds) {
+  RowFolds out = seeds;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    simd::ScalarKernels::affine(s.ev.data() + r * s.stride, s.exvg.data(),
+                                s.b.data(), s.c.data(), s.d.data(), s.k1[r],
+                                s.k2[r], lo, hi, out[r].best, out[r].arg);
+  }
+  return out;
+}
+
+RowFolds unseeded() {
+  RowFolds seeds;
+  seeds.fill({std::numeric_limits<double>::infinity(), -1});
+  return seeds;
+}
+
+void expect_same_folds(const RowFolds& want, const RowFolds& got,
+                       const std::string& who) {
+  for (std::size_t r = 0; r < kRows; ++r) {
+    EXPECT_EQ(want[r].best, got[r].best) << who << " row " << r;
+    EXPECT_EQ(want[r].arg, got[r].arg) << who << " row " << r;
+  }
+}
+
+/// Windows of 0 ... 2W + 1 for both lane counts, then long ones.
+std::vector<std::size_t> row_group_widths() {
+  std::vector<std::size_t> widths;
+  for (std::size_t w = 0; w <= 2 * simd::kMaxLanes + 1; ++w) {
+    widths.push_back(w);
+  }
+  for (const std::size_t w : {37, 64, 129, 300}) widths.push_back(w);
+  return widths;
+}
+
+TEST(SimdKernels, AffineRowsMatchesIndependentScalarFolds) {
+  // Random and tie-dense streams, each row with its own (k1, k2); half
+  // the rows come in seeded with their own minimum, which an equal
+  // candidate must not displace.
+  const auto tiers = supported_tiers();
+  util::Xoshiro256 rng(bench::kBenchSeed ^ 0x55);
+  for (const std::size_t width : row_group_widths()) {
+    for (const std::size_t lo : {std::size_t{0}, std::size_t{3}}) {
+      for (const bool ties : {false, true}) {
+        const std::size_t hi = lo + width;
+        RowGroupStreams s(hi);
+        if (ties) {
+          fill_tie_dense(rng, s.ev);
+          fill_tie_dense(rng, s.exvg);
+          fill_tie_dense(rng, s.b);
+          fill_tie_dense(rng, s.c);
+          fill_tie_dense(rng, s.d);
+        } else {
+          fill_random(rng, s.ev, 1e4);
+          fill_random(rng, s.exvg, 1e4);
+          fill_random(rng, s.b, 2.0);
+          fill_random(rng, s.c, 2.0);
+          fill_random(rng, s.d, 2.0);
+        }
+        for (std::size_t r = 0; r < kRows; ++r) {
+          // Dyadic k's keep the tie-dense candidates exact.
+          s.k1[r] = ties ? 0.5 * static_cast<double>(1 + rng() % 4)
+                         : 1e3 * unit(rng);
+          s.k2[r] = ties ? 0.25 * static_cast<double>(1 + rng() % 4)
+                         : 1e2 * unit(rng);
+        }
+        const RowFolds fresh = independent_affine(s, lo, hi, unseeded());
+        RowFolds seeds = unseeded();
+        for (std::size_t r = 1; r < kRows; r += 2) {
+          seeds[r] = {fresh[r].best, -7};
+        }
+        const RowFolds want = independent_affine(s, lo, hi, seeds);
+        for (SimdTier tier : tiers) {
+          const std::string who = std::string(ties ? "ties" : "random") +
+                                  " [" + std::to_string(lo) + ", " +
+                                  std::to_string(hi) + ") @" +
+                                  simd::tier_name(tier);
+          expect_same_folds(fresh, run_affine_rows(tier, s, lo, hi,
+                                                   unseeded()),
+                            who);
+          expect_same_folds(want, run_affine_rows(tier, s, lo, hi, seeds),
+                            who + " seeded");
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdKernels, AffineRowsEqualMinimaPinLeftmostPerRow) {
+  // Every candidate of a row ties except two equal minima at a < b on one
+  // row: that row must return a and every other row its window's first
+  // index, on every tier, wherever the pair falls -- same lane, across
+  // lanes, across the vector body and the scalar tail.  A seed equal to a
+  // row's minimum stays.
+  const auto tiers = supported_tiers();
+  for (const std::size_t width : {3, 7, 8, 9, 15, 16, 17, 21, 37}) {
+    const std::size_t lo = 1;
+    const std::size_t hi = lo + width;
+    RowGroupStreams s(hi);
+    // ev = 1: 1 + (0.75 + 0.25*k1 + 0.25 + 0.25*k2); ev = 0.5 is lower.
+    std::fill(s.ev.begin(), s.ev.end(), 1.0);
+    std::fill(s.exvg.begin(), s.exvg.end(), 0.75);
+    std::fill(s.b.begin(), s.b.end(), 0.25);
+    std::fill(s.c.begin(), s.c.end(), 0.25);
+    std::fill(s.d.begin(), s.d.end(), 0.25);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      s.k1[r] = 0.5 * static_cast<double>(r + 1);
+      s.k2[r] = 2.0 - 0.125 * static_cast<double>(r);
+    }
+    std::size_t pair = 0;
+    for (std::size_t a = lo; a < hi; ++a) {
+      for (std::size_t b = a + 1; b < hi; ++b, ++pair) {
+        const std::size_t row = pair % kRows;
+        s.row(row)[a] = 0.5;
+        s.row(row)[b] = 0.5;
+        const RowFolds want = independent_affine(s, lo, hi, unseeded());
+        RowFolds kept;
+        for (std::size_t r = 0; r < kRows; ++r) {
+          kept[r] = {want[r].best, static_cast<std::int32_t>(hi)};
+        }
+        for (SimdTier tier : tiers) {
+          const std::string who = std::string(simd::tier_name(tier)) +
+                                  " width " + std::to_string(width) +
+                                  " row " + std::to_string(row) + " pair (" +
+                                  std::to_string(a) + ", " +
+                                  std::to_string(b) + ")";
+          const RowFolds got = run_affine_rows(tier, s, lo, hi, unseeded());
+          expect_same_folds(want, got, who);
+          for (std::size_t r = 0; r < kRows; ++r) {
+            EXPECT_EQ(got[r].arg,
+                      static_cast<std::int32_t>(r == row ? a : lo))
+                << who << " row " << r;
+          }
+          expect_same_folds(kept, run_affine_rows(tier, s, lo, hi, kept),
+                            who + " seeded");
+        }
+        s.row(row)[a] = 1.0;
+        s.row(row)[b] = 1.0;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------
 // partial: one whole ADMV inner-DP scan, one v1 per lane.
 
 /// The streams of one partial scan over v1 in [lo, hi): SegmentRows-shaped
@@ -362,10 +553,6 @@ PartialRun run_partial(SimdTier tier, const PartialStreams& streams,
                                lanes, run.fold.best, run.fold.arg);
   });
   return run;
-}
-
-double unit(util::Xoshiro256& rng) {
-  return static_cast<double>(rng() >> 11) * 0x1.0p-53;
 }
 
 /// Random streams at the DP's magnitudes, or (ties) streams drawn from a
