@@ -113,18 +113,50 @@ void parallel_for(std::size_t begin, std::size_t end, const Body& body) {
   detail::run_loop(loop, threads);
 }
 
-/// Rows per block of parallel_for_rows.
+/// A parallel_for_rows fill of at most this many rows runs serially.
 inline constexpr std::size_t kRowBlock = 64;
 
-/// Runs row(i) for i in [0, rows) as a parallel_for over fixed blocks of
-/// kRowBlock consecutive rows, so up to kRowBlock rows stay serial.  For
-/// table fills whose rows are independent of each other.
+namespace detail {
+
+/// First row of block `b` when a triangular fill of `rows` rows -- row i
+/// holds rows - i cells -- is cut into `blocks` blocks of equal cell
+/// count: the least i whose preceding rows hold b / blocks of the cells.
+inline std::size_t triangle_block_start(std::size_t rows, std::size_t blocks,
+                                        std::size_t b) {
+  const auto cells_before = [rows](std::size_t i) {
+    return i * rows - i * (i - 1) / 2;
+  };
+  const std::size_t want = b * (rows * (rows + 1) / 2);
+  std::size_t lo = 0;
+  std::size_t hi = rows;
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (cells_before(mid) * blocks >= want) {
+      hi = mid;
+    } else {
+      lo = mid + 1;
+    }
+  }
+  return lo;
+}
+
+}  // namespace detail
+
+/// Runs row(i) for i in [0, rows), where row i fills rows - i cells (the
+/// triangular table fills), as a parallel_for over ceil(rows / kRowBlock)
+/// blocks of consecutive rows that hold equal cell counts, so a fill of at
+/// most kRowBlock rows is one block and runs serially.  Blocks are claimed
+/// in ascending order, the largest rows first.  For fills whose rows are
+/// independent of each other; each row runs whole on one thread.
 template <typename Row>
 void parallel_for_rows(std::size_t rows, const Row& row) {
-  parallel_for(0, (rows + kRowBlock - 1) / kRowBlock, [&](std::size_t b) {
-    const std::size_t hi = rows < (b + 1) * kRowBlock ? rows
-                                                      : (b + 1) * kRowBlock;
-    for (std::size_t i = b * kRowBlock; i < hi; ++i) row(i);
+  const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+  parallel_for(0, blocks, [&](std::size_t b) {
+    const std::size_t hi = detail::triangle_block_start(rows, blocks, b + 1);
+    for (std::size_t i = detail::triangle_block_start(rows, blocks, b);
+         i < hi; ++i) {
+      row(i);
+    }
   });
 }
 

@@ -81,10 +81,12 @@ struct TableSet {
 };
 
 TEST(SegmentTablesParallelBuild, ByteIdenticalAtEveryThreadCount) {
-  // The fills run as parallel_for over 64-row blocks; n = 63 is one
-  // block, 64 and 65 straddle the first boundary, 300 has five blocks.
+  // The fills run as parallel_for over ceil((n + 1) / 64) blocks of equal
+  // cell counts (util::parallel_for_rows): n = 63 is one serial block,
+  // n = 64 the first split (at row 20), n = 127 and 128 step from two
+  // blocks to three, and n = 300 has five.
   const platform::Platform p = scaled_hera();
-  for (const std::size_t n : {63, 64, 65, 300}) {
+  for (const std::size_t n : {63, 64, 127, 128, 300}) {
     const chain::TaskChain chain = chain::make_decrease(n, 25000.0);
     for (const bool weibull : {false, true}) {
       platform::CostModel costs(p);

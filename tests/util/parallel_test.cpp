@@ -160,6 +160,46 @@ TEST(ParallelFor, ThreeNestingLevelsCompleteAtEveryThreadCount) {
   set_parallelism(0);
 }
 
+TEST(ParallelForRows, BlocksSplitTheTriangleIntoEqualCellCounts) {
+  // Row i of a triangular fill holds rows - i cells.  The blocks tile the
+  // rows in order, and each holds its share of the cells to within one
+  // row: the cut lands on the first row that reaches the share.
+  for (const std::size_t rows : {1, 64, 65, 128, 129, 301, 801}) {
+    const std::size_t blocks = (rows + kRowBlock - 1) / kRowBlock;
+    const std::size_t total = rows * (rows + 1) / 2;
+    std::size_t before = 0;  // cells of the rows before block b
+    for (std::size_t b = 0; b < blocks; ++b) {
+      const std::size_t lo = detail::triangle_block_start(rows, blocks, b);
+      const std::size_t hi = detail::triangle_block_start(rows, blocks, b + 1);
+      ASSERT_LT(lo, hi) << "rows " << rows << " block " << b;
+      for (std::size_t i = lo; i < hi; ++i) before += rows - i;
+      // before * blocks reaches (b + 1) * total at row hi, not at hi - 1.
+      EXPECT_GE(before * blocks, (b + 1) * total) << rows << " " << b;
+      EXPECT_LT((before - (rows - (hi - 1))) * blocks, (b + 1) * total)
+          << rows << " " << b;
+    }
+    EXPECT_EQ(detail::triangle_block_start(rows, blocks, blocks), rows);
+  }
+}
+
+TEST(ParallelForRows, VisitsEveryRowOnceAndSmallFillsStaySerial) {
+  set_parallelism(4);
+  const auto caller = std::this_thread::get_id();
+  for (const std::size_t rows : {0, 1, 64, 65, 801}) {
+    std::vector<std::atomic<int>> visits(rows);
+    std::atomic<int> off_caller{0};
+    parallel_for_rows(rows, [&](std::size_t i) {
+      visits[i].fetch_add(1);
+      if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+    });
+    for (std::size_t i = 0; i < rows; ++i) {
+      EXPECT_EQ(visits[i].load(), 1) << "rows " << rows << " row " << i;
+    }
+    if (rows <= kRowBlock) EXPECT_EQ(off_caller.load(), 0) << rows;
+  }
+  set_parallelism(0);
+}
+
 TEST(Parallelism, ForcedCountIsReported) {
   set_parallelism(3);
   EXPECT_EQ(hardware_parallelism(), 3);
