@@ -92,7 +92,7 @@ constexpr std::size_t kGroupRows = simd::kGroupRows;
 /// rows in ascending d1 order regardless -- so results are identical for
 /// any value.
 std::size_t stream_block_rows(std::size_t n) {
-  static_assert(256 % (2 * kGroupRows) == 0, "the cap must hold whole groups");
+  static_assert(256 % (2 * kGroupRows) == 0, "the cap holds whole groups");
   const auto workers =
       static_cast<std::size_t>(std::max(1, util::hardware_parallelism()));
   return std::min({n, 2 * kGroupRows * workers, std::size_t{256}});

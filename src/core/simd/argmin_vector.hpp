@@ -20,8 +20,9 @@
 // index) pair, replaced only by a strictly smaller candidate, so each lane
 // holds the EARLIEST index of its own minimum; merge_lanes then takes the
 // lowest value, ties to the lowest index.  Together that is the scalar
-// leftmost strict-less argmin.  affine_rows keeps one such pair per row.  partial needs no merge: its lanes are separate
-// v1 solves, each folding its own hops exactly as the scalar loop does.
+// leftmost strict-less argmin.  affine_rows keeps one such pair per row.
+// partial needs no merge: its lanes are separate v1 solves, each folding
+// its own hops exactly as the scalar loop does.
 #pragma once
 
 #include <cstring>
