@@ -133,8 +133,9 @@ void BM_PartialAvx512(benchmark::State& state) {
 
 }  // namespace
 
+// n = 800 is the largest ADV* solve of perfbench's wire_heavy workload.
 BENCHMARK(BM_SingleLevel)->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Arg(200)
-    ->Arg(400)->Unit(benchmark::kMillisecond);
+    ->Arg(400)->Arg(800)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevel)->Arg(10)->Arg(25)->Arg(50)->Arg(100)->Arg(200)
     ->Arg(300)->Arg(400)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Partial)->Arg(10)->Arg(25)->Arg(50)->Arg(75)->Arg(100)
@@ -148,11 +149,11 @@ BENCHMARK(BM_TwoLevelAvx2)->Arg(100)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_TwoLevelAvx512)->Arg(100)->Arg(200)->Arg(400)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SingleLevelScalar)->Arg(200)->Arg(400)
+BENCHMARK(BM_SingleLevelScalar)->Arg(200)->Arg(400)->Arg(800)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SingleLevelAvx2)->Arg(200)->Arg(400)
+BENCHMARK(BM_SingleLevelAvx2)->Arg(200)->Arg(400)->Arg(800)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SingleLevelAvx512)->Arg(200)->Arg(400)
+BENCHMARK(BM_SingleLevelAvx512)->Arg(200)->Arg(400)->Arg(800)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PartialScalar)->Arg(50)->Arg(75)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_PartialAvx2)->Arg(50)->Arg(75)->Unit(benchmark::kMillisecond);
