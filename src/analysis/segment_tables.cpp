@@ -1,6 +1,11 @@
 #include "analysis/segment_tables.hpp"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdint>
+#include <new>
 
 #include "analysis/segment_math.hpp"
 #include "util/math.hpp"
@@ -9,6 +14,42 @@
 namespace chainckpt::analysis {
 
 namespace {
+
+/// The x86-64 PMD huge-page size: a block of at least this many bytes
+/// gets a mapping of its own, aligned to it.
+constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
+
+/// `bytes` rounded up to whole base pages: the length a block maps.
+std::size_t mapped_length(std::size_t bytes) noexcept {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  return (bytes + page - 1) / page * page;
+}
+
+/// An uninitialized block of `bytes`: from operator new below
+/// kHugePageBytes, otherwise a private anonymous mapping whose start is
+/// kHugePageBytes-aligned (one huge page over-mapped, head and tail
+/// trimmed) and advised MADV_HUGEPAGE.
+double* allocate_block(std::size_t bytes) {
+  if (bytes < kHugePageBytes) {
+    return static_cast<double*>(::operator new(bytes));
+  }
+  const std::size_t span = mapped_length(bytes) + kHugePageBytes;
+  void* const raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (raw == MAP_FAILED) throw std::bad_alloc();
+  const auto base = reinterpret_cast<std::uintptr_t>(raw);
+  const std::uintptr_t start =
+      (base + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
+  const std::uintptr_t end = start + mapped_length(bytes);
+  if (start > base) ::munmap(raw, start - base);
+  if (base + span > end) {
+    ::munmap(reinterpret_cast<void*>(end), base + span - end);
+  }
+  // Only a hint: without transparent huge pages the block maps base pages.
+  ::madvise(reinterpret_cast<void*>(start), mapped_length(bytes),
+            MADV_HUGEPAGE);
+  return reinterpret_cast<double*>(start);
+}
 
 /// One interval's coefficients, as both orientations store them.  The
 /// e_right_step ingredients (ef, pf, tl) are filled only for the row
@@ -110,34 +151,39 @@ void for_each_interval(const chain::TaskChain& chain,
 
 }  // namespace
 
+void SegmentTables::BlockRelease::operator()(double* block) const noexcept {
+  if (bytes < kHugePageBytes) {
+    ::operator delete(block);
+  } else {
+    ::munmap(block, mapped_length(bytes));
+  }
+}
+
 SegmentTables::SegmentTables(const chain::TaskChain& chain,
                              const platform::CostModel& costs)
-    : n_(chain.size()) {
-  const std::size_t stride = n_ + 1;
-  const std::size_t cells = stride * stride;
-  vg_.assign(stride, 0.0);
-  for (std::size_t i = 1; i <= n_; ++i) vg_[i] = costs.v_guaranteed_after(i);
-  for (auto* v : {&exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_}) {
-    v->assign(cells, 0.0);
-  }
+    : n_(chain.size()),
+      cells_((n_ + 1) * (n_ + 2) / 2),
+      block_(nullptr,
+             BlockRelease{(kStreams * cells_ + n_ + 1) * sizeof(double)}) {
+  block_.reset(allocate_block(resident_bytes()));
+  double* const exvg = block_.get();
+  double* const b = exvg + cells_;
+  double* const c = b + cells_;
+  double* const d = c + cells_;
+  double* const fs = d + cells_;
+  double* const vg = fs + cells_;
+  vg[0] = 0.0;
+  for (std::size_t i = 1; i <= n_; ++i) vg[i] = costs.v_guaranteed_after(i);
   for_each_interval<false>(
       chain, costs,
       [&](std::size_t i, std::size_t j, const IntervalCoeffs& k) {
-        const std::size_t cm = j * stride + i;
-        exvg_c_[cm] = k.es * (k.x + vg_[j]);
-        b_c_[cm] = k.b;
-        c_c_[cm] = k.c;
-        d_c_[cm] = k.d;
-        fs_c_[cm] = k.fs;
+        const std::size_t cm = j * (j + 1) / 2 + i;
+        exvg[cm] = k.es * (k.x + vg[j]);
+        b[cm] = k.b;
+        c[cm] = k.c;
+        d[cm] = k.d;
+        fs[cm] = k.fs;
       });
-}
-
-std::size_t SegmentTables::resident_bytes() const noexcept {
-  std::size_t total = 0;
-  for (const auto* v : {&exvg_c_, &b_c_, &c_c_, &d_c_, &fs_c_, &vg_}) {
-    total += v->capacity() * sizeof(double);
-  }
-  return total;
 }
 
 SegmentRows::SegmentRows(const chain::TaskChain& chain,

@@ -47,6 +47,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "chain/chain.hpp"
@@ -54,6 +55,16 @@
 
 namespace chainckpt::analysis {
 
+/// Layout: each of the five streams is a packed triangle -- column j
+/// holds i in [0, j] from offset j(j+1)/2 -- because the level DPs read an
+/// interval's coefficients only for v1 <= j.  The five streams, then vg,
+/// share one uninitialized block that the fill writes cell by cell, each
+/// stored cell exactly once.  A block of at least 2 MiB (n >= 323) is a
+/// private anonymous mapping of its own: 2 MiB-aligned, advised
+/// MADV_HUGEPAGE, and unmapped when the table is destroyed (the last
+/// shared_ptr drops), so large tables neither pay a 4 KiB fault per page
+/// nor stay behind in an allocator's heap.  Smaller blocks come from
+/// operator new.
 class SegmentTables {
  public:
   SegmentTables(const chain::TaskChain& chain,
@@ -64,30 +75,41 @@ class SegmentTables {
   // Column views: pointer indexed by the absolute left endpoint i, valid
   // for i in [0, j].
   const double* exvg_col(std::size_t j) const noexcept {
-    return row(exvg_c_, j);
+    return col(kExvg, j);
   }
-  const double* b_col(std::size_t j) const noexcept { return row(b_c_, j); }
-  const double* c_col(std::size_t j) const noexcept { return row(c_c_, j); }
-  const double* d_col(std::size_t j) const noexcept { return row(d_c_, j); }
-  const double* fs_col(std::size_t j) const noexcept { return row(fs_c_, j); }
+  const double* b_col(std::size_t j) const noexcept { return col(kB, j); }
+  const double* c_col(std::size_t j) const noexcept { return col(kC, j); }
+  const double* d_col(std::size_t j) const noexcept { return col(kD, j); }
+  const double* fs_col(std::size_t j) const noexcept { return col(kFs, j); }
 
   /// Guaranteed-verification cost after task i (i >= 1), hoisted out of the
   /// CostModel's uniform/per-position branch.
-  double vg_after(std::size_t i) const noexcept { return vg_[i]; }
+  double vg_after(std::size_t i) const noexcept {
+    return block_[kStreams * cells_ + i];
+  }
 
-  /// Bytes held by the coefficient arrays -- what a BatchSolver cache
-  /// entry keeps resident and release_scratch() gives back.
-  std::size_t resident_bytes() const noexcept;
+  /// Bytes of the block -- what a BatchSolver cache entry keeps resident
+  /// and release_scratch() gives back.
+  std::size_t resident_bytes() const noexcept {
+    return block_.get_deleter().bytes;
+  }
 
  private:
-  const double* row(const std::vector<double>& v,
-                    std::size_t i) const noexcept {
-    return v.data() + i * (n_ + 1);
+  enum Stream : std::size_t { kExvg, kB, kC, kD, kFs, kStreams };
+
+  /// Unmaps a mapped block, deletes a heap one (segment_tables.cpp).
+  struct BlockRelease {
+    std::size_t bytes;
+    void operator()(double* block) const noexcept;
+  };
+
+  const double* col(Stream s, std::size_t j) const noexcept {
+    return block_.get() + s * cells_ + j * (j + 1) / 2;
   }
 
   std::size_t n_;
-  std::vector<double> exvg_c_, b_c_, c_c_, d_c_, fs_c_;
-  std::vector<double> vg_;
+  std::size_t cells_;  ///< (n + 1)(n + 2) / 2, one stream's stored cells
+  std::unique_ptr<double[], BlockRelease> block_;
 };
 
 /// The row-oriented streams of the ADMV inner DP (paper Section III-B):

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
@@ -40,16 +41,24 @@ bool same_doubles(const double* a, const double* b, std::size_t count) {
   return std::memcmp(a, b, count * sizeof(double)) == 0;
 }
 
-/// Full byte comparison of every stream the two tables expose.
+/// Byte comparison of every stored cell of every stream the two tables
+/// expose: column j holds i in [0, j], so j + 1 doubles per column.
 void expect_identical(const SegmentTables& a, const SegmentTables& b) {
   ASSERT_EQ(a.n(), b.n());
   const std::size_t n = a.n();
-  const std::size_t full = (n + 1) * (n + 1);
-  EXPECT_TRUE(same_doubles(a.exvg_col(0), b.exvg_col(0), full)) << "exvg";
-  EXPECT_TRUE(same_doubles(a.b_col(0), b.b_col(0), full)) << "b_col";
-  EXPECT_TRUE(same_doubles(a.c_col(0), b.c_col(0), full)) << "c_col";
-  EXPECT_TRUE(same_doubles(a.d_col(0), b.d_col(0), full)) << "d_col";
-  EXPECT_TRUE(same_doubles(a.fs_col(0), b.fs_col(0), full)) << "fs_col";
+  for (std::size_t j = 0; j <= n; ++j) {
+    const std::size_t stored = j + 1;
+    EXPECT_TRUE(same_doubles(a.exvg_col(j), b.exvg_col(j), stored))
+        << "exvg col " << j;
+    EXPECT_TRUE(same_doubles(a.b_col(j), b.b_col(j), stored))
+        << "b col " << j;
+    EXPECT_TRUE(same_doubles(a.c_col(j), b.c_col(j), stored))
+        << "c col " << j;
+    EXPECT_TRUE(same_doubles(a.d_col(j), b.d_col(j), stored))
+        << "d col " << j;
+    EXPECT_TRUE(same_doubles(a.fs_col(j), b.fs_col(j), stored))
+        << "fs col " << j;
+  }
   for (std::size_t i = 1; i <= n; ++i) {
     const double ag = a.vg_after(i), bg = b.vg_after(i);
     EXPECT_TRUE(same_doubles(&ag, &bg, 1)) << "vg[" << i << "]";
@@ -84,9 +93,11 @@ TEST(SegmentTablesParallelBuild, ByteIdenticalAtEveryThreadCount) {
   // The fills run as parallel_for over ceil((n + 1) / 64) blocks of equal
   // cell counts (util::parallel_for_rows): n = 63 is one serial block,
   // n = 64 the first split (at row 20), n = 127 and 128 step from two
-  // blocks to three, and n = 300 has five.
+  // blocks to three, and n = 300 has five.  n = 322 is the last table on
+  // the heap, n = 323 the first in a mapped block, and n = 800 spans six
+  // huge pages.
   const platform::Platform p = scaled_hera();
-  for (const std::size_t n : {63, 64, 127, 128, 300}) {
+  for (const std::size_t n : {63, 64, 127, 128, 300, 322, 323, 800}) {
     const chain::TaskChain chain = chain::make_decrease(n, 25000.0);
     for (const bool weibull : {false, true}) {
       platform::CostModel costs(p);
@@ -107,6 +118,25 @@ TEST(SegmentTablesParallelBuild, ByteIdenticalAtEveryThreadCount) {
     }
   }
   util::set_parallelism(0);
+}
+
+TEST(SegmentTablesBlock, HoldsThePackedStreamsAndAlignsMappedBlocks) {
+  // One block per table: five packed triangles of (n+1)(n+2)/2 cells plus
+  // the n + 1 vg entries.  From 2 MiB (n = 323) the block is a mapping of
+  // its own, aligned for huge pages; n <= 322 stays on the heap.
+  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  const platform::CostModel costs(scaled_hera());
+  for (const std::size_t n : {1, 40, 322, 323, 800}) {
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    const SegmentTables t(chain::make_decrease(n, 25000.0), costs);
+    const std::size_t cells = (n + 1) * (n + 2) / 2;
+    EXPECT_EQ(t.resident_bytes(), sizeof(double) * (5 * cells + (n + 1)));
+    EXPECT_EQ(t.resident_bytes() >= kHugePage, n >= 323);
+    if (t.resident_bytes() >= kHugePage) {
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.exvg_col(0)) % kHugePage,
+                0u);
+    }
+  }
 }
 
 /// Compares every cell of both orientations against the closed-form

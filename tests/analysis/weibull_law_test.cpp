@@ -204,11 +204,13 @@ TEST(SegmentTables, WeibullShapeOneStreamsAreByteIdenticalToExponential) {
   const SegmentTables b(c, weib_costs);
   const std::size_t row_bytes = (c.size() + 1) * sizeof(double);
   for (std::size_t j = 0; j <= c.size(); ++j) {
-    EXPECT_EQ(std::memcmp(a.exvg_col(j), b.exvg_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.b_col(j), b.b_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.c_col(j), b.c_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.d_col(j), b.d_col(j), row_bytes), 0);
-    EXPECT_EQ(std::memcmp(a.fs_col(j), b.fs_col(j), row_bytes), 0);
+    // Column j stores i in [0, j].
+    const std::size_t col_bytes = (j + 1) * sizeof(double);
+    EXPECT_EQ(std::memcmp(a.exvg_col(j), b.exvg_col(j), col_bytes), 0);
+    EXPECT_EQ(std::memcmp(a.b_col(j), b.b_col(j), col_bytes), 0);
+    EXPECT_EQ(std::memcmp(a.c_col(j), b.c_col(j), col_bytes), 0);
+    EXPECT_EQ(std::memcmp(a.d_col(j), b.d_col(j), col_bytes), 0);
+    EXPECT_EQ(std::memcmp(a.fs_col(j), b.fs_col(j), col_bytes), 0);
   }
   // ADMV's row table takes the same law dispatch.
   const SegmentRows ra(c, exp_costs);
