@@ -1,11 +1,6 @@
 #include "analysis/segment_tables.hpp"
 
-#include <sys/mman.h>
-#include <unistd.h>
-
 #include <cmath>
-#include <cstdint>
-#include <new>
 
 #include "analysis/segment_math.hpp"
 #include "util/math.hpp"
@@ -14,42 +9,6 @@
 namespace chainckpt::analysis {
 
 namespace {
-
-/// The x86-64 PMD huge-page size: a block of at least this many bytes
-/// gets a mapping of its own, aligned to it.
-constexpr std::size_t kHugePageBytes = std::size_t{2} << 20;
-
-/// `bytes` rounded up to whole base pages: the length a block maps.
-std::size_t mapped_length(std::size_t bytes) noexcept {
-  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-  return (bytes + page - 1) / page * page;
-}
-
-/// An uninitialized block of `bytes`: from operator new below
-/// kHugePageBytes, otherwise a private anonymous mapping whose start is
-/// kHugePageBytes-aligned (one huge page over-mapped, head and tail
-/// trimmed) and advised MADV_HUGEPAGE.
-double* allocate_block(std::size_t bytes) {
-  if (bytes < kHugePageBytes) {
-    return static_cast<double*>(::operator new(bytes));
-  }
-  const std::size_t span = mapped_length(bytes) + kHugePageBytes;
-  void* const raw = ::mmap(nullptr, span, PROT_READ | PROT_WRITE,
-                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  if (raw == MAP_FAILED) throw std::bad_alloc();
-  const auto base = reinterpret_cast<std::uintptr_t>(raw);
-  const std::uintptr_t start =
-      (base + kHugePageBytes - 1) & ~(kHugePageBytes - 1);
-  const std::uintptr_t end = start + mapped_length(bytes);
-  if (start > base) ::munmap(raw, start - base);
-  if (base + span > end) {
-    ::munmap(reinterpret_cast<void*>(end), base + span - end);
-  }
-  // Only a hint: without transparent huge pages the block maps base pages.
-  ::madvise(reinterpret_cast<void*>(start), mapped_length(bytes),
-            MADV_HUGEPAGE);
-  return reinterpret_cast<double*>(start);
-}
 
 /// One interval's coefficients, as both orientations store them.  The
 /// e_right_step ingredients (ef, pf, tl) are filled only for the row
@@ -151,21 +110,13 @@ void for_each_interval(const chain::TaskChain& chain,
 
 }  // namespace
 
-void SegmentTables::BlockRelease::operator()(double* block) const noexcept {
-  if (bytes < kHugePageBytes) {
-    ::operator delete(block);
-  } else {
-    ::munmap(block, mapped_length(bytes));
-  }
-}
-
 SegmentTables::SegmentTables(const chain::TaskChain& chain,
                              const platform::CostModel& costs)
     : n_(chain.size()),
       cells_((n_ + 1) * (n_ + 2) / 2),
-      block_(nullptr,
-             BlockRelease{(kStreams * cells_ + n_ + 1) * sizeof(double)}) {
-  block_.reset(allocate_block(resident_bytes()));
+      // Default-initialized, i.e. left unwritten: the fill below writes
+      // every cell once.
+      block_(new double[kStreams * cells_ + n_ + 1]) {
   double* const exvg = block_.get();
   double* const b = exvg + cells_;
   double* const c = b + cells_;

@@ -58,13 +58,8 @@ namespace chainckpt::analysis {
 /// Layout: each of the five streams is a packed triangle -- column j
 /// holds i in [0, j] from offset j(j+1)/2 -- because the level DPs read an
 /// interval's coefficients only for v1 <= j.  The five streams, then vg,
-/// share one uninitialized block that the fill writes cell by cell, each
-/// stored cell exactly once.  A block of at least 2 MiB (n >= 323) is a
-/// private anonymous mapping of its own: 2 MiB-aligned, advised
-/// MADV_HUGEPAGE, and unmapped when the table is destroyed (the last
-/// shared_ptr drops), so large tables neither pay a 4 KiB fault per page
-/// nor stay behind in an allocator's heap.  Smaller blocks come from
-/// operator new.
+/// share one uninitialized heap block that the fill writes cell by cell,
+/// each stored cell exactly once, so there is no zero-fill pass.
 class SegmentTables {
  public:
   SegmentTables(const chain::TaskChain& chain,
@@ -91,17 +86,11 @@ class SegmentTables {
   /// Bytes of the block -- what a BatchSolver cache entry keeps resident
   /// and release_scratch() gives back.
   std::size_t resident_bytes() const noexcept {
-    return block_.get_deleter().bytes;
+    return (kStreams * cells_ + n_ + 1) * sizeof(double);
   }
 
  private:
   enum Stream : std::size_t { kExvg, kB, kC, kD, kFs, kStreams };
-
-  /// Unmaps a mapped block, deletes a heap one (segment_tables.cpp).
-  struct BlockRelease {
-    std::size_t bytes;
-    void operator()(double* block) const noexcept;
-  };
 
   const double* col(Stream s, std::size_t j) const noexcept {
     return block_.get() + s * cells_ + j * (j + 1) / 2;
@@ -109,7 +98,7 @@ class SegmentTables {
 
   std::size_t n_;
   std::size_t cells_;  ///< (n + 1)(n + 2) / 2, one stream's stored cells
-  std::unique_ptr<double[], BlockRelease> block_;
+  std::unique_ptr<double[]> block_;
 };
 
 /// The row-oriented streams of the ADMV inner DP (paper Section III-B):

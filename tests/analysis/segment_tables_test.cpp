@@ -14,7 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdint>
+#include <cstddef>
 #include <cstring>
 #include <map>
 #include <string>
@@ -93,11 +93,10 @@ TEST(SegmentTablesParallelBuild, ByteIdenticalAtEveryThreadCount) {
   // The fills run as parallel_for over ceil((n + 1) / 64) blocks of equal
   // cell counts (util::parallel_for_rows): n = 63 is one serial block,
   // n = 64 the first split (at row 20), n = 127 and 128 step from two
-  // blocks to three, and n = 300 has five.  n = 322 is the last table on
-  // the heap, n = 323 the first in a mapped block, and n = 800 spans six
-  // huge pages.
+  // blocks to three, n = 300 has five, and n = 800 (wire_heavy's largest
+  // chain) has thirteen.
   const platform::Platform p = scaled_hera();
-  for (const std::size_t n : {63, 64, 127, 128, 300, 322, 323, 800}) {
+  for (const std::size_t n : {63, 64, 127, 128, 300, 800}) {
     const chain::TaskChain chain = chain::make_decrease(n, 25000.0);
     for (const bool weibull : {false, true}) {
       platform::CostModel costs(p);
@@ -120,22 +119,21 @@ TEST(SegmentTablesParallelBuild, ByteIdenticalAtEveryThreadCount) {
   util::set_parallelism(0);
 }
 
-TEST(SegmentTablesBlock, HoldsThePackedStreamsAndAlignsMappedBlocks) {
+TEST(SegmentTablesBlock, HoldsExactlyThePackedStreams) {
   // One block per table: five packed triangles of (n+1)(n+2)/2 cells plus
-  // the n + 1 vg entries.  From 2 MiB (n = 323) the block is a mapping of
-  // its own, aligned for huge pages; n <= 322 stays on the heap.
-  constexpr std::size_t kHugePage = std::size_t{2} << 20;
+  // the n + 1 vg entries, and each stream's column j starts j(j+1)/2 cells
+  // into it.
   const platform::CostModel costs(scaled_hera());
-  for (const std::size_t n : {1, 40, 322, 323, 800}) {
+  for (const std::size_t n : {1, 40, 800}) {
     SCOPED_TRACE(testing::Message() << "n=" << n);
     const SegmentTables t(chain::make_decrease(n, 25000.0), costs);
     const std::size_t cells = (n + 1) * (n + 2) / 2;
     EXPECT_EQ(t.resident_bytes(), sizeof(double) * (5 * cells + (n + 1)));
-    EXPECT_EQ(t.resident_bytes() >= kHugePage, n >= 323);
-    if (t.resident_bytes() >= kHugePage) {
-      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(t.exvg_col(0)) % kHugePage,
-                0u);
-    }
+    EXPECT_EQ(t.exvg_col(n) - t.exvg_col(0),
+              static_cast<std::ptrdiff_t>(n * (n + 1) / 2));
+    EXPECT_EQ(t.b_col(0) - t.exvg_col(0), static_cast<std::ptrdiff_t>(cells));
+    EXPECT_EQ(t.fs_col(0) - t.exvg_col(0),
+              static_cast<std::ptrdiff_t>(4 * cells));
   }
 }
 
