@@ -1,11 +1,8 @@
 // google-benchmark: throughput of core::BatchSolver on a mixed multi-chain
 // workload, in chains/sec, against solving the same jobs through
-// standalone core::optimize() calls in a plain loop.  Also tracks the
-// streamed single-level memory profile: the arena bytes left resident
-// after a solve, versus the dense (n+1)^2 value + argmin tables the
-// pre-streaming formulation allocated.  The `bench-batch-json` CMake
-// target runs this harness into BENCH_batch.json, the batch-throughput
-// snapshot consumed by PERFORMANCE.md and future PRs.
+// standalone core::optimize() calls in a plain loop.  The
+// `bench-batch-json` CMake target runs this harness into BENCH_batch.json,
+// the batch-throughput snapshot consumed by PERFORMANCE.md and future PRs.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -15,7 +12,6 @@
 #include "core/batch_solver.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
-#include "util/arena.hpp"
 
 namespace {
 
@@ -82,35 +78,9 @@ void BM_SequentialMixed(benchmark::State& state) {
       static_cast<double>(jobs.size()), benchmark::Counter::kIsIterationInvariantRate);
 }
 
-/// Single-level memory profile: solve one n-task ADV* chain and report the
-/// arena bytes the streamed DP keeps resident, next to the dense
-/// (n+1)^2 * (8 + 4) bytes the pre-streaming tables held.
-void BM_SingleLevelStreamedMemory(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto chain = chain::make_uniform(n, 25000.0);
-  const platform::CostModel costs{platform::hera()};
-  // Drop leftovers from earlier benchmarks so the resident count below is
-  // this solve's scratch alone.
-  util::release_all_arenas();
-  for (auto _ : state) {
-    const auto result = core::optimize(core::Algorithm::kADVstar, chain, costs);
-    benchmark::DoNotOptimize(result.expected_makespan);
-  }
-  state.counters["n"] = static_cast<double>(n);
-  state.counters["streamed_scratch_bytes"] =
-      static_cast<double>(util::arena_resident_bytes());
-  state.counters["dense_table_bytes"] = static_cast<double>(
-      (n + 1) * (n + 1) * (sizeof(double) + sizeof(std::int32_t)));
-  util::release_all_arenas();
-}
-
 }  // namespace
 
 BENCHMARK(BM_BatchMixed)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SequentialMixed)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SingleLevelStreamedMemory)
-    ->Arg(100)
-    ->Arg(400)
-    ->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -1,6 +1,6 @@
 // Batch server: drive a mixed multi-chain workload through one
 // core::BatchSolver the way a long-lived planning service would -- solve a
-// burst, report throughput and cache behavior, release the scratch memory
+// burst, report throughput and cache behavior, release the cached stores
 // between bursts, and show that the next burst reproduces identical plans.
 //
 //   $ ./batch_server [--waves 4] [--serial]
@@ -60,10 +60,10 @@ int main(int argc, char** argv) {
   const core::BatchStats stats = solver.stats_snapshot();
   std::cout << "Tables built: " << stats.tables_built
             << ", reused: " << stats.tables_reused
-            << ", resident: " << solver.resident_bytes() / (1024.0 * 1024.0)
+            << ", budgeted: " << stats.budgeted_bytes / (1024.0 * 1024.0)
             << " MiB\n\n";
 
-  // 3. Between bursts, a server gives the grow-only scratch back.
+  // 3. Between bursts, a server gives the cached stores back.
   const std::size_t freed = solver.release_scratch();
   std::cout << "release_scratch() freed " << freed / (1024.0 * 1024.0)
             << " MiB\n";

@@ -112,8 +112,8 @@ int main(int argc, char** argv) {
             << " reused=" << stats.solver.tables_reused
             << " evicted=" << stats.solver.tables_evicted << " ("
             << stats.solver.evicted_bytes / (1024.0 * 1024.0)
-            << " MiB); resident=" << svc.resident_bytes() / (1024.0 * 1024.0)
-            << " MiB\n";
+            << " MiB); budgeted="
+            << stats.solver.budgeted_bytes / (1024.0 * 1024.0) << " MiB\n";
   const auto est = svc.estimate(core::Algorithm::kADVstar, 300);
   std::cout << "calibrated ADV* n=300 estimate: " << est.cost_units
             << " units";

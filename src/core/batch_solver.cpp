@@ -4,7 +4,6 @@
 #include <limits>
 #include <utility>
 
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 
@@ -215,17 +214,6 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
         enforce_budget_locked();
       }
     }
-    // The dead job's thread-local scratch on THIS thread is reusable but
-    // idle from here on; give it back now instead of parking it until
-    // the next global release_scratch().  Scratch the job's slabs grew on
-    // helper threads stays resident until release_scratch(): those
-    // threads may already be running another solve.
-    const std::size_t freed = util::release_current_thread_arenas();
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stats_.released_bytes += freed;
-      stats_.interrupted_released_bytes += freed;
-    }
     throw;
   }
 
@@ -253,10 +241,9 @@ OptimizationResult BatchSolver::solve_job(const BatchJob& job,
 }
 
 std::size_t BatchSolver::release_scratch() {
-  const std::size_t arenas = util::release_all_arenas();
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t freed =
-      arenas + table_bytes_ + checkpoint_bytes_ + plan_cache_.clear();
+      table_bytes_ + checkpoint_bytes_ + plan_cache_.clear();
   tables_.clear();
   checkpoints_.clear();
   table_bytes_ = 0;
@@ -282,9 +269,8 @@ PlanCacheStats BatchSolver::plan_cache_stats() const {
 }
 
 std::size_t BatchSolver::resident_bytes() const {
-  const std::size_t arenas = util::arena_resident_bytes();
   const std::lock_guard<std::mutex> lock(mutex_);
-  return arenas + budgeted_bytes_locked();
+  return budgeted_bytes_locked();
 }
 
 BatchStats BatchSolver::stats_snapshot() const {

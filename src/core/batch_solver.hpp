@@ -19,12 +19,10 @@
 //     together, evicting the least recently used entry of any kind after
 //     every insert, so a long-lived service bounds what it retains while
 //     hot keys stay cached;
-//   * one thread-local arena pool: the solvers' grow-only scratch
-//     (util::ArenaBlock) is reused across the whole batch, so steady-state
-//     solving performs no per-job scratch allocation;
-//   * an explicit lifecycle: release_scratch() drops the stores and every
-//     arena, returning the memory between traffic bursts; the next solve
-//     simply rebuilds what it needs.
+//   * an explicit lifecycle: release_scratch() drops the stores, returning
+//     the memory between traffic bursts; the next solve simply rebuilds
+//     what it needs.  A solve's scratch is its own and goes when the
+//     solve returns or unwinds, so the stores are all the solver keeps.
 //
 // Determinism: every job's result (plan and objective) is bit-identical to
 // a standalone core::optimize() call with the same inputs, whether the
@@ -36,13 +34,8 @@
 // Thread-safety: solve() and solve_job() are thread-safe against each
 // other on the same instance (the stores, the LRU clock and the stats sit
 // behind internal mutexes; the DP itself runs outside them).  Lock order:
-// the solver's mutex, then the plan cache's, never the reverse.  The
-// arena pool behind release_scratch() / resident_bytes() is PROCESS-WIDE
-// (every solver's thread-local scratch registers with it), so
-// release_scratch() must not overlap a running solve on ANY instance in
-// the process, and the arena byte counts cover all instances, not just
-// this one.  A multi-solver embedding should treat scratch release as a
-// global quiescent-point operation.
+// the solver's mutex, then the plan cache's, never the reverse.
+// release_scratch() may run at any time, running solves included.
 #pragma once
 
 #include <condition_variable>
@@ -86,17 +79,16 @@ struct BatchOptions {
   std::size_t max_n = DpContext::kDefaultMaxN;
   /// The one memory budget: a byte bound on the budgeted bytes -- the
   /// coefficient tables, the retained interruption checkpoints and the
-  /// memoized plans together (BatchStats::budgeted_bytes).  The
-  /// per-thread solver arenas are outside it.  The three stores share one
-  /// LRU clock; after every insert (a table build, a retained checkpoint,
-  /// a plan) the least recently used entries of any kind are evicted
-  /// until the budgeted bytes fit.  Entries still being built and
-  /// checkpoints checked out by a running solve are never evicted; an
-  /// entry larger than the whole budget goes right after its insert (the
-  /// solve that built it keeps its own reference).  An evicted table is
-  /// rebuilt, an evicted plan re-solved and a dropped checkpoint
-  /// restarted on next use, so results are unaffected.  A plain byte
-  /// count: 0 retains nothing.
+  /// memoized plans together (BatchStats::budgeted_bytes).  The three
+  /// stores share one LRU clock; after every insert (a table build, a
+  /// retained checkpoint, a plan) the least recently used entries of any
+  /// kind are evicted until the budgeted bytes fit.  Entries still being
+  /// built and checkpoints checked out by a running solve are never
+  /// evicted; an entry larger than the whole budget goes right after its
+  /// insert (the solve that built it keeps its own reference).  An
+  /// evicted table is rebuilt, an evicted plan re-solved and a dropped
+  /// checkpoint restarted on next use, so results are unaffected.  A
+  /// plain byte count: 0 retains nothing.
   std::size_t cache_budget_bytes = kDefaultCacheBudgetBytes;
   /// Memoize final plans in a core::PlanCache and serve repeat
   /// submissions (solve() and solve_job() alike) from it: exact key
@@ -118,16 +110,11 @@ struct BatchStats {
   /// Tables dropped by the budget, and their bytes.
   std::size_t tables_evicted = 0;
   std::size_t evicted_bytes = 0;
-  /// Total bytes given back so far: release_scratch() calls plus the
-  /// eager per-thread releases of interrupted solves (the latter are
-  /// also broken out in interrupted_released_bytes).
+  /// Total bytes release_scratch() has given back so far.
   std::size_t released_bytes = 0;
   /// solve_job() calls that ended in SolveInterrupted (cancellation,
   /// deadline, or preemption) instead of a result.
   std::size_t jobs_interrupted = 0;
-  /// Scratch bytes released eagerly on the interrupting thread the moment
-  /// those solves unwound (also folded into released_bytes).
-  std::size_t interrupted_released_bytes = 0;
   /// Interrupted solves whose partial progress was retained for resume,
   /// and retained checkpoints dropped by the budget (or superseded by a
   /// concurrent solve of the same workload).
@@ -175,12 +162,10 @@ class BatchSolver {
                                const CancelToken* cancel = nullptr);
 
   /// Drops this solver's coefficient-table cache, its retained solve
-  /// checkpoints, its memoized plans, and the backing memory of every
-  /// thread-local solver arena IN THE PROCESS (the arena pool is global --
-  /// see the header comment); returns the number of bytes freed.  The
-  /// solver stays fully usable -- the next solve() rebuilds on demand and
-  /// reproduces identical results.  Must not overlap a running solve on
-  /// any BatchSolver or standalone optimizer call.
+  /// checkpoints and its memoized plans; returns the number of bytes
+  /// freed.  Safe at any time: a running solve keeps its own references
+  /// and scratch, and the next solve() rebuilds on demand and reproduces
+  /// identical results.
   std::size_t release_scratch();
 
   /// Cheap probe for admission pricing: would solve_job(job) probably be
@@ -194,8 +179,7 @@ class BatchSolver {
   /// stats_snapshot().jobs_solved; see PlanCacheStats).
   PlanCacheStats plan_cache_stats() const;
 
-  /// The budgeted bytes (stats_snapshot().budgeted_bytes) plus every
-  /// solver arena in the process.
+  /// The budgeted bytes, equal to stats_snapshot().budgeted_bytes.
   std::size_t resident_bytes() const;
 
   const BatchOptions& options() const noexcept { return options_; }

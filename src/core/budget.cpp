@@ -125,7 +125,6 @@ BudgetResult optimize_with_budget(Algorithm algorithm,
   out.expected_makespan = evaluator.expected_makespan(best);
   out.disk_penalty = disk_penalty;
   out.memory_penalty = memory_penalty;
-  out.feasible = true;
   return out;
 }
 

@@ -47,8 +47,6 @@ struct BudgetResult {
   /// Final Lagrange multipliers (seconds per placement).
   double disk_penalty = 0.0;
   double memory_penalty = 0.0;
-  /// Always true on return (kept for API symmetry / future constraints).
-  bool feasible = false;
 };
 
 /// Runs `algorithm` under the budget.  Throws std::invalid_argument for

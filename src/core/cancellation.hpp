@@ -13,9 +13,8 @@
 // The contract is cooperative and coarse: cancellation latency is one
 // checkpoint interval (microseconds for the single-level DP, up to a few
 // milliseconds for a large ADMV slab step), and an interrupted solve
-// produces no result -- the thread-local scratch arenas remain registered,
-// grow-only, and reusable, so a later util::release_all_arenas() (or
-// core::BatchSolver::release_scratch()) still reclaims every byte.
+// produces no result -- its scratch is freed as it unwinds, and only a
+// SolveCheckpoint the caller attached keeps its committed slabs.
 //
 // Thread-safety: request_cancel() / set_deadline() may race freely with
 // polls from any number of worker threads (relaxed atomics -- a poll may

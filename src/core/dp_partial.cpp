@@ -7,69 +7,10 @@
 #include "core/cancellation.hpp"
 #include "core/level_dp.hpp"
 #include "core/optimizer.hpp"
-#include "util/arena.hpp"
 
 namespace chainckpt::core {
 
 namespace {
-
-/// Scratch arenas for the inner DP, sized once per worker thread.  The
-/// solver used to heap-allocate its buffers per segment call -- O(n^3)
-/// allocations per run -- which dominated the malloc profile.  Deliberate
-/// tradeoff: the arenas live in thread_local storage and are only ever
-/// grown, so the O(n^2)-per-thread footprint of the largest chain stays
-/// resident between solves.  Long-lived embeddings reclaim it through the
-/// arena pool (util::release_all_arenas, reached via
-/// core::BatchSolver::release_scratch).
-struct PartialScratch final : util::ArenaBlock {
-  ~PartialScratch() override { unregister(); }
-
-  // O(n): the current hop row's P/Q/R and E_verif by lane.
-  std::vector<double> pp;
-  std::vector<double> qq;
-  std::vector<double> rr;
-  std::vector<double> ev;
-  // O(n^2): every lane's recursion state (simd::PartialLanes).
-  std::vector<double> ep;
-  std::vector<double> er;
-  std::vector<std::int32_t> next;
-
-  simd::PartialLanes ensure(std::size_t n) {
-    const std::size_t lanes = simd::partial_lane_stride(n);
-    if (pp.size() < n + 1) {
-      pp.resize(n + 1);
-      qq.resize(n + 1);
-      rr.resize(n + 1);
-      ev.resize(lanes);
-      ep.resize((n + 1) * lanes);
-      er.resize((n + 1) * lanes);
-      next.resize((n + 1) * lanes);
-    }
-    return {pp.data(), qq.data(), rr.data(), ev.data(),
-            ep.data(), er.data(), next.data()};
-  }
-
-  std::size_t resident_bytes() const noexcept override {
-    return util::vector_bytes(pp) + util::vector_bytes(qq) +
-           util::vector_bytes(rr) + util::vector_bytes(ev) +
-           util::vector_bytes(ep) + util::vector_bytes(er) +
-           util::vector_bytes(next);
-  }
-  void release() noexcept override {
-    util::free_vector(pp);
-    util::free_vector(qq);
-    util::free_vector(rr);
-    util::free_vector(ev);
-    util::free_vector(ep);
-    util::free_vector(er);
-    util::free_vector(next);
-  }
-};
-
-simd::PartialLanes partial_lanes(std::size_t n) {
-  static thread_local PartialScratch scratch;
-  return scratch.ensure(n);
-}
 
 /// The inner DP of one (d1, m1, j) scan as simd::PartialScan sees it.
 ///
@@ -123,14 +64,17 @@ simd::PartialScan partial_scan(const DpContext& ctx,
 /// body held -- when the pruned scan mode's objects left that body, the
 /// candidate loop began reloading its pointers from the stack, and
 /// BM_Partial ran 5-7 % slower (GCC 12, 4-vCPU AVX-512 Xeon).  One call
-/// per scan is noise against its O(len^3) work.
+/// per scan is noise against its O(len^3) work.  For the same reason the
+/// lane buffers are looked up here, not in the scan lambda that is
+/// inlined into the slab body.
 template <typename K>
 [[gnu::noinline]] void partial_column_scan(
-    const DpContext& ctx, const analysis::SegmentRows& rows, std::size_t d1,
-    std::size_t m1, std::size_t j, double emem_at_m1,
-    const double* everif_row, double& best, std::int32_t& best_arg) {
+    detail::SlabScratch& scratch, const DpContext& ctx,
+    const analysis::SegmentRows& rows, std::size_t d1, std::size_t m1,
+    std::size_t j, double emem_at_m1, const double* everif_row,
+    double& best, std::int32_t& best_arg) {
   K::partial(partial_scan(ctx, rows, d1, m1, j, emem_at_m1), everif_row, m1,
-             j, partial_lanes(ctx.n()), best, best_arg);
+             j, scratch.partial_lanes(ctx.n()), best, best_arg);
 }
 
 }  // namespace
@@ -157,25 +101,28 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
   ckpt.begin_run(n, Algorithm::kADMV);
   const detail::LevelTables& tables = ckpt.tables();
+  detail::SolveScratch scratch;
   // The inner DP's row streams are this solve's own: no other engine reads
   // them, so the shared column tables never carry them.
   const analysis::SegmentRows rows(ctx.chain(), ctx.costs());
 
-  const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t j,
-                        double emem_at_m1, const double* everif_row,
-                        double& best, std::int32_t& best_arg) {
-    partial_column_scan<K>(ctx, rows, d1, m1, j, emem_at_m1, everif_row,
-                           best, best_arg);
+  const auto scan = [&](detail::SlabScratch& slab, std::size_t d1,
+                        std::size_t m1, std::size_t j, double emem_at_m1,
+                        const double* everif_row, double& best,
+                        std::int32_t& best_arg) {
+    partial_column_scan<K>(slab, ctx, rows, d1, m1, j, emem_at_m1,
+                           everif_row, best, best_arg);
   };
-  detail::run_level_dp<K>(ctx, ckpt, scan);
+  detail::run_level_dp<K>(ctx, ckpt, scratch, scan);
 
   // Partial positions of a winning segment are re-derived from the
   // recomputed E_verif row: the same kernel over [v1, v2) gives lane 0 --
   // v1's own solve -- the same inputs, so the same argmin chain.
-  const auto partials = [&](std::size_t d1, std::size_t m1, std::size_t v1,
-                            std::size_t v2, const double* everif_row) {
+  const auto partials = [&](detail::SlabScratch& slab, std::size_t d1,
+                            std::size_t m1, std::size_t v1, std::size_t v2,
+                            const double* everif_row) {
     poll_cancellation(ctx.cancel_token());  // one inner solve per segment
-    const simd::PartialLanes lanes = partial_lanes(n);
+    const simd::PartialLanes lanes = slab.partial_lanes(n);
     double best = std::numeric_limits<double>::infinity();
     std::int32_t best_arg = -1;
     K::partial(partial_scan(ctx, rows, d1, m1, v2, tables.emem_at(d1, m1)),
@@ -190,7 +137,8 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
   };
 
   return OptimizationResult{
-      detail::extract_plan(ctx, tables, scan, partials), tables.edisk[n],
+      detail::extract_plan(ctx, tables, scratch, scan, partials),
+      tables.edisk[n],
       detail::level_dp_scan_stats(n)};
 }
 

@@ -8,7 +8,6 @@
 #include "analysis/segment_math.hpp"
 #include "core/cancellation.hpp"
 #include "core/simd/argmin_kernels.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 
@@ -43,47 +42,6 @@ namespace {
 // row per chosen disk segment (O((d2-d1)^2) work, O(n) scratch); the
 // chosen segments partition [0, n], so reconstruction costs at most one
 // extra row pass over the chain.
-
-/// Streamed scratch: the row block plus the O(n) disk-level arrays,
-/// registered with the arena pool (grow-only, reused across solves on the
-/// same thread, reclaimed via core::BatchSolver::release_scratch()).
-struct SingleLevelScratch final : util::ArenaBlock {
-  std::vector<double> rows;
-  std::vector<double> run_best;
-  std::vector<double> edisk;
-  std::vector<std::int32_t> best_d1;
-  std::vector<std::int32_t> row_args;
-
-  ~SingleLevelScratch() override { unregister(); }
-
-  void ensure(std::size_t n, std::size_t block) {
-    if (rows.size() < block * (n + 1)) rows.resize(block * (n + 1));
-    if (run_best.size() < n + 1) {
-      run_best.resize(n + 1);
-      edisk.resize(n + 1);
-      best_d1.resize(n + 1);
-      row_args.resize(n + 1);
-    }
-  }
-
-  std::size_t resident_bytes() const noexcept override {
-    return util::vector_bytes(rows) + util::vector_bytes(run_best) +
-           util::vector_bytes(edisk) + util::vector_bytes(best_d1) +
-           util::vector_bytes(row_args);
-  }
-  void release() noexcept override {
-    util::free_vector(rows);
-    util::free_vector(run_best);
-    util::free_vector(edisk);
-    util::free_vector(best_d1);
-    util::free_vector(row_args);
-  }
-};
-
-SingleLevelScratch& single_level_scratch() {
-  static thread_local SingleLevelScratch scratch;
-  return scratch;
-}
 
 constexpr std::size_t kGroupRows = simd::kGroupRows;
 
@@ -201,17 +159,17 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
   const std::size_t stride = n + 1;
   const std::size_t block = stream_block_rows(n);
   const bool extra = options.allow_extra_verifications;
-  SingleLevelScratch& s = single_level_scratch();
-  s.ensure(n, block);
-  std::fill(s.run_best.begin(), s.run_best.begin() + stride,
-            std::numeric_limits<double>::infinity());
-  std::fill(s.best_d1.begin(), s.best_d1.begin() + stride,
-            std::int32_t{-1});
-  s.edisk[0] = 0.0;
+  // The solve's scratch: the row block plus the O(n) disk-level arrays.
+  std::vector<double> row_block(block * stride);
+  std::vector<double> run_best(stride,
+                               std::numeric_limits<double>::infinity());
+  std::vector<double> edisk(stride);  // E_disk(0) = 0
+  std::vector<std::int32_t> best_d1(stride, -1);
+  std::vector<std::int32_t> row_args(stride);
+  double* rows = row_block.data();
 
   for (std::size_t b0 = 0; b0 < n; b0 += block) {
     const std::size_t b1 = std::min(n, b0 + block);
-    double* rows = s.rows.data();
     // Whole row groups first, then the rows left over at the chain's end
     // one at a time.  AD scans one cell per step, so it has no column to
     // share and streams every row alone.
@@ -235,19 +193,18 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
     // (ADV* bundles them), mirroring the dense pass term for term.
     for (std::size_t d1 = b0; d1 < b1; ++d1) {
       if (d1 > 0) {
-        CHAINCKPT_ASSERT(s.best_d1[d1] >= 0, "broken E_disk argmin");
-        s.edisk[d1] =
-            s.run_best[d1] + cm.c_mem_after(d1) + cm.c_disk_after(d1);
+        CHAINCKPT_ASSERT(best_d1[d1] >= 0, "broken E_disk argmin");
+        edisk[d1] = run_best[d1] + cm.c_mem_after(d1) + cm.c_disk_after(d1);
       }
-      const double base = s.edisk[d1];
+      const double base = edisk[d1];
       const double* row = rows + (d1 - b0) * stride;
-      K::fold(row, base, static_cast<std::int32_t>(d1), s.run_best.data(),
-              s.best_d1.data(), d1 + 1, n + 1);
+      K::fold(row, base, static_cast<std::int32_t>(d1), run_best.data(),
+              best_d1.data(), d1 + 1, n + 1);
     }
   }
-  CHAINCKPT_ASSERT(s.best_d1[n] >= 0, "broken E_disk argmin");
-  s.edisk[n] = s.run_best[n] + cm.c_mem_after(n) + cm.c_disk_after(n);
-  const double expected_makespan = s.edisk[n];
+  CHAINCKPT_ASSERT(best_d1[n] >= 0, "broken E_disk argmin");
+  edisk[n] = run_best[n] + cm.c_mem_after(n) + cm.c_disk_after(n);
+  const double expected_makespan = edisk[n];
 
   // The fold streamed row d1 over its n - d1 right endpoints, for every
   // d1 in [0, n): the sum over len in [1, n] of row_scan_stats(len).
@@ -261,13 +218,13 @@ OptimizationResult optimize_single_level_impl(const DpContext& ctx,
   // Plan extraction: walk the disk chain, re-streaming one E_verif row per
   // chosen segment to recover the v1 argmins.
   plan::ResiliencePlan plan(n);
-  double* row = s.rows.data();
-  std::int32_t* args = s.row_args.data();
+  double* row = rows;
+  std::int32_t* args = row_args.data();
   std::size_t d2 = n;
   while (d2 > 0) {
     poll_cancellation(cancel);  // one re-streamed row per chosen segment
-    const auto d1 = static_cast<std::size_t>(s.best_d1[d2]);
-    CHAINCKPT_ASSERT(s.best_d1[d2] >= 0 && d1 < d2, "broken E_disk argmin");
+    const auto d1 = static_cast<std::size_t>(best_d1[d2]);
+    CHAINCKPT_ASSERT(best_d1[d2] >= 0 && d1 < d2, "broken E_disk argmin");
     plan.set_action(d2, plan::Action::kDiskCheckpoint);
     stream_everif_row<K>(ctx, d1, d2, extra, row, args);
     scan_stats += row_scan_stats(d2 - d1, extra);

@@ -30,6 +30,7 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
   ckpt.begin_run(ctx.n(), Algorithm::kADMVstar);
   const detail::LevelTables& tables = ckpt.tables();
+  detail::SolveScratch scratch;
 
   const auto& seg = ctx.seg_tables();
   const auto& cm = ctx.costs();
@@ -38,22 +39,23 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
   //   E = es*(x + V*) + b*(R_D + E_mem) + c*E_verif + d*R_M
   // where exvg = es*(x + V*) and b/c/d depend only on (v1, j) and are read
   // at unit stride -- exactly the K::affine kernel shape.
-  const auto scan = [&](std::size_t d1, std::size_t m1, std::size_t j,
-                        double emem_at_m1, const double* everif_row,
-                        double& best, std::int32_t& best_arg) {
+  const auto scan = [&](detail::SlabScratch&, std::size_t d1, std::size_t m1,
+                        std::size_t j, double emem_at_m1,
+                        const double* everif_row, double& best,
+                        std::int32_t& best_arg) {
     const double k1 = cm.r_disk_after(d1) + emem_at_m1;
     const double k2 = cm.r_mem_after(m1);
     K::affine(everif_row, seg.exvg_col(j), seg.b_col(j), seg.c_col(j),
               seg.d_col(j), k1, k2, m1, j, best, best_arg);
   };
-  detail::run_level_dp<K>(ctx, ckpt, scan);
+  detail::run_level_dp<K>(ctx, ckpt, scratch, scan);
 
-  const auto no_partials = [](std::size_t, std::size_t, std::size_t,
-                              std::size_t, const double*) {
+  const auto no_partials = [](detail::SlabScratch&, std::size_t, std::size_t,
+                              std::size_t, std::size_t, const double*) {
     return std::vector<std::size_t>{};
   };
   return OptimizationResult{
-      detail::extract_plan(ctx, tables, scan, no_partials),
+      detail::extract_plan(ctx, tables, scratch, scan, no_partials),
       tables.edisk[ctx.n()], detail::level_dp_scan_stats(ctx.n())};
 }
 

@@ -19,23 +19,25 @@
 // E_verif(d1, m1, j) consumes E_mem(d1, m1) and E_verif(d1, m1, v1 < j),
 // both finalized at earlier j; different d1 slabs are fully independent,
 // which is what the parallelization exploits.  Each slab runs on a
-// contiguous thread-local scratch plane (SlabScratch) so the v1 scans read
-// unit-stride rows and the m1-scan of the E_mem pass reads a gathered
-// contiguous column.  E_verif lives only in that plane; the O(n^2) tables
+// contiguous scratch plane (SlabScratch, lent by the solve's SolveScratch)
+// so the v1 scans read unit-stride rows and the m1-scan of the E_mem pass
+// reads a gathered contiguous column.  E_verif lives only in that plane
+// (plan extraction recomputes the rows it needs); the O(n^2) tables
 // (E_mem, E_disk, argmins) always live in a SolveCheckpoint -- the one the
 // caller attached, or a solve-local one -- so every solve commits its
 // slabs the same way.
 #pragma once
 
 #include <cstdint>
+#include <forward_list>
 #include <limits>
+#include <mutex>
 #include <vector>
 
 #include "core/cancellation.hpp"
 #include "core/dp_context.hpp"
 #include "core/simd/argmin_kernels.hpp"
 #include "core/solve_checkpoint.hpp"
-#include "util/arena.hpp"
 #include "util/assert.hpp"
 #include "util/parallel.hpp"
 
@@ -67,43 +69,96 @@ struct LevelTables {
 };
 
 /// Per-slab scratch: the (m1, v1) plane of E_verif values for the current
-/// d1 kept contiguous and cache-hot, plus the E_verif(d1, ·, j) column
-/// gathered for the E_mem scan.  thread_local so each worker allocates the
-/// O(n^2) plane once, not once per slab; registered with the arena pool so
-/// a long-lived embedding can drop it (util::release_all_arenas, reached
-/// through core::BatchSolver::release_scratch).
-struct SlabScratch final : util::ArenaBlock {
+/// d1 kept contiguous and cache-hot, the E_verif(d1, ·, j) column gathered
+/// for the E_mem scan, and ADMV's lane buffers (simd::PartialLanes).  Each
+/// part is sized on first use; every user within one solve asks for the
+/// same n.
+struct SlabScratch {
   std::vector<double> plane;
   std::vector<double> column;
-
-  ~SlabScratch() override { unregister(); }
+  // O(n): the current hop row's P/Q/R and E_verif by lane.
+  std::vector<double> pp;
+  std::vector<double> qq;
+  std::vector<double> rr;
+  std::vector<double> ev;
+  // O(n^2): every lane's recursion state.
+  std::vector<double> ep;
+  std::vector<double> er;
+  std::vector<std::int32_t> next;
 
   void ensure(std::size_t n) {
-    const std::size_t cells = (n + 1) * (n + 1);
-    if (plane.size() < cells) plane.resize(cells);
-    if (column.size() < n + 1) column.resize(n + 1);
+    if (plane.empty()) {
+      plane.resize((n + 1) * (n + 1));
+      column.resize(n + 1);
+    }
   }
 
-  std::size_t resident_bytes() const noexcept override {
-    return util::vector_bytes(plane) + util::vector_bytes(column);
-  }
-  void release() noexcept override {
-    util::free_vector(plane);
-    util::free_vector(column);
+  simd::PartialLanes partial_lanes(std::size_t n) {
+    if (pp.empty()) {
+      const std::size_t lanes = simd::partial_lane_stride(n);
+      pp.resize(n + 1);
+      qq.resize(n + 1);
+      rr.resize(n + 1);
+      ev.resize(lanes);
+      ep.resize((n + 1) * lanes);
+      er.resize((n + 1) * lanes);
+      next.resize((n + 1) * lanes);
+    }
+    return {pp.data(), qq.data(), rr.data(), ev.data(),
+            ep.data(), er.data(), next.data()};
   }
 };
 
-inline SlabScratch& slab_scratch() {
-  static thread_local SlabScratch scratch;
-  return scratch;
-}
+/// One solve's slab scratch: a free list that lends one SlabScratch to
+/// each slab at slab entry and takes it back at slab exit, so a solve
+/// holds at most one per thread that ran its slabs.  Everything goes when
+/// the solve returns or unwinds.
+class SolveScratch {
+ public:
+  /// A slab's loan, returned to the free list on destruction (unwinding
+  /// included).
+  class Lease {
+   public:
+    explicit Lease(SolveScratch& pool) : pool_(pool) {
+      {
+        const std::lock_guard<std::mutex> lock(pool_.mutex_);
+        if (!pool_.free_.empty()) {
+          held_.splice_after(held_.before_begin(), pool_.free_,
+                             pool_.free_.before_begin());
+          return;
+        }
+      }
+      held_.emplace_front();
+    }
+    ~Lease() {
+      const std::lock_guard<std::mutex> lock(pool_.mutex_);
+      pool_.free_.splice_after(pool_.free_.before_begin(), held_);
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+
+    SlabScratch& operator*() noexcept { return held_.front(); }
+
+   private:
+    SolveScratch& pool_;
+    /// One node, spliced between this list and the pool's without
+    /// allocating.
+    std::forward_list<SlabScratch> held_;
+  };
+
+ private:
+  std::mutex mutex_;
+  std::forward_list<SlabScratch> free_;
+};
 
 /// ColumnScanner contract:
-///   void operator()(std::size_t d1, std::size_t m1, std::size_t j,
-///                   double emem_at_m1, const double* everif_row,
-///                   double& best, std::int32_t& best_arg) const;
+///   void operator()(SlabScratch& scratch, std::size_t d1, std::size_t m1,
+///                   std::size_t j, double emem_at_m1,
+///                   const double* everif_row, double& best,
+///                   std::int32_t& best_arg) const;
 /// where everif_row[v1] = E_verif(d1, m1, v1) for v1 in [m1, j), unit
-/// stride.  The scanner must fold the candidates
+/// stride, and `scratch` is the calling slab's loan (the scanner may use
+/// its lane buffers, never its plane or column).  The scanner must fold the candidates
 ///   E_verif(d1, m1, v1) + <segment>(d1, m1, v1, j)
 /// for every v1 in [m1, j) into `best`/`best_arg` with the strict-less
 /// leftmost-argmin rule (matching the determinism contract); callers seed
@@ -120,13 +175,14 @@ inline SlabScratch& slab_scratch() {
 /// Codegen discipline: even a dead runtime branch or an out-of-line call
 /// in the step body measurably deoptimizes the fused kernels GCC inlines
 /// into the slab (2x swings on the ADMV inner solver), so nothing but the
-/// two scans runs there.  The SIMD tier K is a compile-time kernel type
-/// (core/simd/argmin_kernels.hpp), chosen once at driver entry by
+/// two scans runs there; the slab's scratch loan is taken at slab entry
+/// and given back at slab exit.  The SIMD tier K is a compile-time kernel
+/// type (core/simd/argmin_kernels.hpp), chosen once at driver entry by
 /// simd::with_kernels, never a runtime branch in the step body; every
 /// tier is bitwise identical.
 template <typename K, typename ColumnScanner>
 void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
-                  const ColumnScanner& scan) {
+                  SolveScratch& pool, const ColumnScanner& scan) {
   const std::size_t n = ctx.n();
   const auto& costs = ctx.costs();
   const CancelToken* cancel = ctx.cancel_token();
@@ -140,7 +196,8 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
       ckpt.note_skipped_slab();
       return;
     }
-    SlabScratch& scratch = slab_scratch();
+    SolveScratch::Lease lease(pool);
+    SlabScratch& scratch = *lease;
     scratch.ensure(n);
     double* plane = scratch.plane.data();
     double* column = scratch.column.data();
@@ -165,7 +222,7 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
                          "E_mem(d1, m1) must be finalized before use");
         double best = std::numeric_limits<double>::infinity();
         std::int32_t best_arg = -1;
-        scan(d1, m1, j, emem_at_m1, row, best, best_arg);
+        scan(scratch, d1, m1, j, emem_at_m1, row, best, best_arg);
         row[j] = best;
         column[m1] = best;
       }
@@ -185,7 +242,8 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
   // scratch column so K::sum runs unit stride.
   t.edisk[0] = 0.0;
   t.best_d1[0] = 0;
-  SlabScratch& scratch = slab_scratch();
+  SolveScratch::Lease lease(pool);
+  SlabScratch& scratch = *lease;
   scratch.ensure(n);
   double* col = scratch.column.data();
   for (std::size_t d2 = 1; d2 <= n; ++d2) {
@@ -223,17 +281,21 @@ inline ScanStats level_dp_scan_stats(std::size_t n) {
 /// argmins up to m2 with run_level_dp's calls for plane row m1, in order:
 /// that row reads only E_mem(d1, m1) and its own earlier cells, so the
 /// bits are the DP's.  Each recomputed scan polls the token first.
-/// `partials(d1, m1, v1, v2, everif_row)`, with everif_row[v] =
+/// `partials(scratch, d1, m1, v1, v2, everif_row)`, with everif_row[v] =
 /// E_verif(d1, m1, v) for v in [m1, v2], is called for every chosen
 /// verified segment and must return the partial-verification positions
 /// strictly inside (v1, v2); pass a lambda returning {} for the
-/// partial-free algorithms.
+/// partial-free algorithms.  The scans and `partials` share one loan
+/// from `pool`.
 template <typename ColumnScanner, typename PartialReconstructor>
 plan::ResiliencePlan extract_plan(const DpContext& ctx, const LevelTables& t,
+                                  SolveScratch& pool,
                                   const ColumnScanner& scan,
                                   const PartialReconstructor& partials) {
   const std::size_t n = ctx.n();
   const CancelToken* cancel = ctx.cancel_token();
+  SolveScratch::Lease lease(pool);
+  SlabScratch& scratch = *lease;
   plan::ResiliencePlan plan(n);
   std::vector<double> row(n + 1);
   std::vector<std::int32_t> best_v1(n + 1);
@@ -254,7 +316,7 @@ plan::ResiliencePlan extract_plan(const DpContext& ctx, const LevelTables& t,
         poll_cancellation(cancel);
         double best = std::numeric_limits<double>::infinity();
         std::int32_t best_arg = -1;
-        scan(d1, m1, j, emem_at_m1, row.data(), best, best_arg);
+        scan(scratch, d1, m1, j, emem_at_m1, row.data(), best, best_arg);
         row[j] = best;
         best_v1[j] = best_arg;
       }
@@ -264,7 +326,7 @@ plan::ResiliencePlan extract_plan(const DpContext& ctx, const LevelTables& t,
         CHAINCKPT_ASSERT(best_v1[v2] >= 0 && v1 >= m1 && v1 < v2,
                          "broken E_verif argmin");
         if (v2 != m2) plan.set_action(v2, plan::Action::kGuaranteedVerif);
-        for (std::size_t p : partials(d1, m1, v1, v2, row.data())) {
+        for (std::size_t p : partials(scratch, d1, m1, v1, v2, row.data())) {
           CHAINCKPT_ASSERT(p > v1 && p < v2,
                            "partial verification outside its segment");
           plan.set_action(p, plan::Action::kPartialVerif);

@@ -33,10 +33,10 @@ OptimizationResult optimize(Algorithm algorithm,
 
 /// Runs the requested optimizer on a prebuilt context -- the
 /// shared-SegmentTables path used by core::BatchSolver.  Results are
-/// identical to the (chain, costs) overload.  kADMV requires a context
-/// built with row tables (throws std::invalid_argument otherwise); the
-/// heuristic baselines ignore the context's tables and read only its
-/// chain and cost model.
+/// identical to the (chain, costs) overload.  Every DP accepts any
+/// context (kADMV builds its row streams per solve); the heuristic
+/// baselines ignore the context's tables and read only its chain and
+/// cost model.
 OptimizationResult optimize(Algorithm algorithm, const DpContext& ctx);
 
 /// The three algorithms compared in the paper's evaluation, in paper

@@ -7,8 +7,15 @@
 namespace chainckpt::core {
 
 namespace {
+
 std::atomic<SolveCheckpoint::SlabCommitHook> g_slab_commit_hook{nullptr};
+
+template <typename T>
+std::size_t capacity_bytes(const std::vector<T>& v) noexcept {
+  return v.capacity() * sizeof(T);
 }
+
+}  // namespace
 
 void SolveCheckpoint::set_slab_commit_hook(SlabCommitHook hook) noexcept {
   g_slab_commit_hook.store(hook);
@@ -50,11 +57,11 @@ void SolveCheckpoint::note_skipped_slab() {
 }
 
 std::size_t SolveCheckpoint::resident_bytes() const noexcept {
-  std::size_t bytes = util::vector_bytes(slab_done_);
+  std::size_t bytes = capacity_bytes(slab_done_);
   if (tables_ != nullptr) {
     const detail::LevelTables& t = *tables_;
-    bytes += util::vector_bytes(t.emem) + util::vector_bytes(t.best_m1) +
-             util::vector_bytes(t.edisk) + util::vector_bytes(t.best_d1);
+    bytes += capacity_bytes(t.emem) + capacity_bytes(t.best_m1) +
+             capacity_bytes(t.edisk) + capacity_bytes(t.best_d1);
   }
   return bytes;
 }

@@ -344,10 +344,6 @@ std::size_t SolverService::max_n() const noexcept {
   return options_.solver.max_n;
 }
 
-std::size_t SolverService::resident_bytes() const {
-  return solver_.resident_bytes();
-}
-
 std::size_t SolverService::release_scratch() {
   return solver_.release_scratch();
 }

@@ -35,8 +35,8 @@
 //   * bounded memory: the embedded BatchSolver's one byte budget
 //     (BatchOptions::cache_budget_bytes, 1 GiB by default) bounds its
 //     coefficient tables, retained interruption checkpoints and memoized
-//     plans together under one LRU order, and release_scratch() remains
-//     available at quiescent points.
+//     plans together under one LRU order, and release_scratch() drops
+//     all three at any time.
 //
 // Determinism: a job's result is bit-identical to a synchronous
 // core::BatchSolver::solve() (and standalone core::optimize()) run of the
@@ -218,13 +218,8 @@ class SolverService {
   /// longer chains are rejected with kChainTooLong.
   std::size_t max_n() const noexcept;
 
-  /// The embedded solver's budgeted bytes plus the process-wide arenas
-  /// (core::BatchSolver::resident_bytes).
-  std::size_t resident_bytes() const;
-
-  /// Quiescent-point release of the embedded solver's stores and the
-  /// process-wide arenas; call only while drained (the arena pool
-  /// contract -- see core::BatchSolver::release_scratch).
+  /// Drops the embedded solver's stores (core::BatchSolver::
+  /// release_scratch) and returns the bytes freed; safe while jobs run.
   std::size_t release_scratch();
 
  private:

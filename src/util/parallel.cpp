@@ -97,8 +97,8 @@ class Pool {
 };
 
 Pool& pool() {
-  // Leaked on purpose, like the arena registry: helpers block on the
-  // pool's mutex and condition variable until the process exits.
+  // Leaked on purpose: helpers block on the pool's mutex and condition
+  // variable until the process exits.
   static Pool* p = new Pool;
   return *p;
 }

@@ -12,11 +12,12 @@
 // unclaimed indices.
 //
 // A caller whose indices are all claimed blocks until the helpers running
-// them finish, without taking other work: callers hold thread-local
-// scratch across the call (the single-level DP's row block), which
-// another loop's body on the same thread would reuse.  So a body may
-// block only on its own nested loops or on threads outside the pool --
-// which is why service jobs run on the service's own dispatch threads.
+// them finish, without taking other work: a body it took could wait on
+// what the caller has yet to finish (a batch job waiting on the table
+// build that called the loop), and the caller would return only after
+// that unrelated body.  So a body may block only on its own nested loops
+// or on threads outside the pool -- which is why service jobs run on the
+// service's own dispatch threads.
 //
 // parallel_for is a template over the body type: the caller's lambda is
 // invoked through its static type inside one trampoline per body type,

@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <exception>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -12,7 +14,6 @@
 #include "chain/patterns.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
-#include "util/arena.hpp"
 #include "util/parallel.hpp"
 
 namespace chainckpt::core {
@@ -93,9 +94,8 @@ TEST(BatchSolver, ReleaseScratchThenResolveReproducesResults) {
   const std::size_t freed = solver.release_scratch();
   EXPECT_GT(freed, 0u);
   EXPECT_EQ(solver.stats_snapshot().released_bytes, freed);
-  // The table cache is empty and the solver arenas hold no memory.
-  EXPECT_EQ(solver.resident_bytes(), util::arena_resident_bytes());
-  EXPECT_EQ(util::arena_resident_bytes(), 0u);
+  // The stores are empty, and they are all the solver holds.
+  EXPECT_EQ(solver.resident_bytes(), 0u);
 
   const auto after = solver.solve(jobs);
   ASSERT_EQ(after.size(), before.size());
@@ -237,7 +237,7 @@ TEST(BatchSolver, CacheBudgetBoundsResidencyWithoutChangingResults) {
   }
   EXPECT_GT(bounded.stats_snapshot().tables_evicted, 0u);
   EXPECT_EQ(bounded.stats_snapshot().budgeted_bytes,
-            bounded.resident_bytes() - util::arena_resident_bytes());
+            bounded.resident_bytes());
 
   // A zero budget retains nothing, plans included, and changes nothing.
   BatchSolver none{{.cache_budget_bytes = 0}};
@@ -501,41 +501,93 @@ TEST(BatchSolver, RetainedCheckpointResumesOnlyItsExactWorkload) {
   util::set_parallelism(0);
 }
 
-TEST(BatchSolver, InterruptedSolveReleasesItsScratchEagerly) {
-  // Regression for the interrupted-solve scratch accounting: the arena
-  // pool used to park a dead job's thread-local scratch until the next
-  // global release_scratch(); solve_job now gives the interrupting
-  // thread's scratch back the moment the solve unwinds.  Serial
-  // execution keeps the whole solve's scratch on this thread, so the
-  // eager release is fully observable.
-  util::set_parallelism(1);
-  // Plan cache off: the second submission must actually run (and be
-  // interrupted in) the DP, not return the memoized first result.
+TEST(BatchSolver, InterruptedSolveKeepsOnlyItsCheckpoint) {
+  // An interrupted solve's scratch goes with it: afterwards the solver
+  // holds only its budgeted stores, and the interrupt added exactly one
+  // retained checkpoint to them.  Plan cache off: the second submission
+  // must actually run (and be interrupted in) the DP, not return the
+  // memoized first result.
   BatchOptions options;
   options.enable_plan_cache = false;
   BatchSolver solver{options};
   const BatchJob job{Algorithm::kADMVstar, chain::make_uniform(120, 25000.0),
                      platform::CostModel{platform::hera()}};
-  ASSERT_NO_THROW(solver.solve_job(job));  // grow the scratch
-  const std::size_t resident_after_success = util::arena_resident_bytes();
-  EXPECT_GT(resident_after_success, 0u);
+  ASSERT_NO_THROW(solver.solve_job(job));  // caches the job's table
+  const std::size_t table_bytes = solver.stats_snapshot().budgeted_bytes;
 
   CancelToken token;
   token.trip_after_polls(3000);  // mid-solve (n(n+1)/2 = 7260 steps)
   EXPECT_THROW(solver.solve_job(job, &token), SolveInterrupted);
   const BatchStats stats = solver.stats_snapshot();
   EXPECT_EQ(stats.jobs_interrupted, 1u);
-  EXPECT_GT(stats.interrupted_released_bytes, 0u);
-  EXPECT_LT(util::arena_resident_bytes(), resident_after_success);
+  EXPECT_EQ(stats.checkpoints_saved, 1u);
+  SolveCheckpoint same_shape;
+  same_shape.begin_run(job.chain.size(), job.algorithm);
+  EXPECT_EQ(stats.budgeted_bytes, table_bytes + same_shape.resident_bytes());
+  EXPECT_EQ(solver.resident_bytes(), stats.budgeted_bytes);
 
-  // The released blocks regrow on demand: the retry resumes the retained
-  // checkpoint and reproduces the undisturbed result bitwise.
-  const OptimizationResult expected = solver.solve_job(job);
+  // The retry resumes the retained checkpoint and reproduces the
+  // undisturbed result bitwise.
+  const OptimizationResult resumed = solver.solve_job(job);
+  EXPECT_EQ(solver.stats_snapshot().checkpoints_resumed, 1u);
   BatchSolver fresh;
   const OptimizationResult reference = fresh.solve_job(job);
-  EXPECT_EQ(expected.expected_makespan, reference.expected_makespan);
-  EXPECT_EQ(expected.plan, reference.plan);
-  util::set_parallelism(0);
+  EXPECT_EQ(resumed.expected_makespan, reference.expected_makespan);
+  EXPECT_EQ(resumed.plan, reference.plan);
+}
+
+/// Releases completed by ReleaseScratchDuringSolvesKeepsResultsBitwise's
+/// second thread; its slab-commit hook parks a solve until one more lands.
+std::atomic<std::size_t> g_releases{0};
+
+void wait_for_a_release(const SolveCheckpoint& /*checkpoint*/,
+                        std::size_t committed) {
+  if (committed != 1) return;
+  const std::size_t seen = g_releases.load();
+  while (g_releases.load() == seen) std::this_thread::yield();
+}
+
+TEST(BatchSolver, ReleaseScratchDuringSolvesKeepsResultsBitwise) {
+  // release_scratch() drops only the stores, and a running solve holds
+  // its own table reference, checkpoint and scratch, so the release may
+  // overlap solves.  A second thread releases in a loop while the mixed
+  // batch runs twice (the second pass races plan-cache hits against the
+  // clears).  Each multi-level solve parks at its first slab commit until
+  // another release has completed, so releases land mid-solve on any
+  // machine and at any speed.
+  const auto jobs = mixed_batch();
+  BatchSolver solver;
+  std::atomic<bool> done{false};
+  std::thread releaser([&] {
+    while (!done.load()) {
+      solver.release_scratch();
+      g_releases.fetch_add(1);
+      std::this_thread::yield();
+    }
+  });
+  SolveCheckpoint::set_slab_commit_hook(&wait_for_a_release);
+  std::vector<std::vector<OptimizationResult>> passes;
+  try {
+    for (int pass = 0; pass < 2; ++pass) passes.push_back(solver.solve(jobs));
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << "solve threw: " << e.what();
+  }
+  SolveCheckpoint::set_slab_commit_hook(nullptr);
+  done.store(true);
+  releaser.join();
+  ASSERT_EQ(passes.size(), 2u);
+
+  EXPECT_GT(g_releases.load(), 0u);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const auto standalone =
+        optimize(jobs[i].algorithm, jobs[i].chain, jobs[i].costs);
+    for (const auto& results : passes) {
+      EXPECT_EQ(results[i].expected_makespan, standalone.expected_makespan)
+          << "job " << i << " (" << to_string(jobs[i].algorithm) << ")";
+      EXPECT_EQ(results[i].plan, standalone.plan)
+          << "job " << i << " (" << to_string(jobs[i].algorithm) << ")";
+    }
+  }
 }
 
 TEST(BatchSolverPlanCache, CountersReconcileAcrossHitMissAndEpsilon) {

@@ -11,7 +11,6 @@
 #include "core/solve_checkpoint.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
-#include "util/arena.hpp"
 
 namespace chainckpt::core {
 namespace {
@@ -114,11 +113,10 @@ class InterruptAtFirstSlab {
 
 /// Cancellation mid-solve: the token fires when the two-level DP commits
 /// its first of n = 160 slabs, and the solve unwinds at a checkpoint.
-/// The thread-local scratch an interrupted solve grew stays registered
-/// with the arena pool -- release_all_arenas() reclaims every byte (the
-/// ASan CI job turns this into a leak check) -- and a fresh solve on the
-/// same inputs reproduces the reference bitwise.
-TEST(Cancellation, MidSolveCancelReleasesScratchAndStaysReproducible) {
+/// The scratch the solve lent its slabs goes with it (the ASan CI job
+/// turns this into a leak check), and a fresh solve on the same inputs
+/// reproduces the reference bitwise.
+TEST(Cancellation, MidSolveCancelStaysReproducible) {
   const auto chain = chain::make_uniform(160, 25000.0);
   const platform::CostModel costs{platform::hera()};
   DpContext ctx(chain, costs);
@@ -135,12 +133,6 @@ TEST(Cancellation, MidSolveCancelReleasesScratchAndStaysReproducible) {
       EXPECT_EQ(interrupted.reason(), InterruptReason::kCancelled);
     }
   }
-
-  // Partial scratch is still pooled and fully reclaimable.
-  EXPECT_GT(util::arena_resident_bytes(), 0u);
-  EXPECT_GT(util::arena_block_count(), 0u);
-  EXPECT_GT(util::release_all_arenas(), 0u);
-  EXPECT_EQ(util::arena_resident_bytes(), 0u);
 
   // The interruption poisoned nothing: re-solving reproduces a clean
   // context's result bit for bit (smaller n keeps the re-check cheap).

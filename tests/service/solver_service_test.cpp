@@ -391,8 +391,10 @@ TEST(SolverService, CalibrationWarmsEstimatesAndScratchReleases) {
   EXPECT_GT(estimate.cost_units, 0.0);
   EXPECT_GE(estimate.seconds, 0.0);  // calibrated by the completed job
   service.drain();
-  EXPECT_GT(service.resident_bytes(), 0u);
-  EXPECT_GT(service.release_scratch(), 0u);
+  const std::size_t budgeted = service.stats().solver.budgeted_bytes;
+  EXPECT_GT(budgeted, 0u);
+  EXPECT_EQ(service.release_scratch(), budgeted);
+  EXPECT_EQ(service.stats().solver.budgeted_bytes, 0u);
 }
 
 TEST(SolverService, PriorityOrderingDispatchesHigherClassFirst) {
