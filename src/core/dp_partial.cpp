@@ -101,7 +101,6 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
   ckpt.begin_run(n, Algorithm::kADMV);
   const detail::LevelTables& tables = ckpt.tables();
-  detail::SolveScratch scratch;
   // The inner DP's row streams are this solve's own: no other engine reads
   // them, so the shared column tables never carry them.
   const analysis::SegmentRows rows(ctx.chain(), ctx.costs());
@@ -113,7 +112,7 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
     partial_column_scan<K>(slab, ctx, rows, d1, m1, j, emem_at_m1,
                            everif_row, best, best_arg);
   };
-  detail::run_level_dp<K>(ctx, ckpt, scratch, scan);
+  detail::run_level_dp<K>(ctx, ckpt, scan);
 
   // Partial positions of a winning segment are re-derived from the
   // recomputed E_verif row: the same kernel over [v1, v2) gives lane 0 --
@@ -137,7 +136,7 @@ OptimizationResult optimize_with_partial_impl(const DpContext& ctx) {
   };
 
   return OptimizationResult{
-      detail::extract_plan(ctx, tables, scratch, scan, partials),
+      detail::extract_plan(ctx, tables, scan, partials),
       tables.edisk[n],
       detail::level_dp_scan_stats(n)};
 }

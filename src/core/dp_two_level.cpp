@@ -30,7 +30,6 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
       ctx.checkpoint() != nullptr ? *ctx.checkpoint() : local;
   ckpt.begin_run(ctx.n(), Algorithm::kADMVstar);
   const detail::LevelTables& tables = ckpt.tables();
-  detail::SolveScratch scratch;
 
   const auto& seg = ctx.seg_tables();
   const auto& cm = ctx.costs();
@@ -48,14 +47,14 @@ OptimizationResult optimize_two_level_impl(const DpContext& ctx) {
     K::affine(everif_row, seg.exvg_col(j), seg.b_col(j), seg.c_col(j),
               seg.d_col(j), k1, k2, m1, j, best, best_arg);
   };
-  detail::run_level_dp<K>(ctx, ckpt, scratch, scan);
+  detail::run_level_dp<K>(ctx, ckpt, scan);
 
   const auto no_partials = [](detail::SlabScratch&, std::size_t, std::size_t,
                               std::size_t, std::size_t, const double*) {
     return std::vector<std::size_t>{};
   };
   return OptimizationResult{
-      detail::extract_plan(ctx, tables, scratch, scan, no_partials),
+      detail::extract_plan(ctx, tables, scan, no_partials),
       tables.edisk[ctx.n()], detail::level_dp_scan_stats(ctx.n())};
 }
 

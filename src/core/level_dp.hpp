@@ -19,19 +19,19 @@
 // E_verif(d1, m1, j) consumes E_mem(d1, m1) and E_verif(d1, m1, v1 < j),
 // both finalized at earlier j; different d1 slabs are fully independent,
 // which is what the parallelization exploits.  Each slab runs on a
-// contiguous scratch plane (SlabScratch, lent by the solve's SolveScratch)
-// so the v1 scans read unit-stride rows and the m1-scan of the E_mem pass
-// reads a gathered contiguous column.  E_verif lives only in that plane
-// (plan extraction recomputes the rows it needs); the O(n^2) tables
-// (E_mem, E_disk, argmins) always live in a SolveCheckpoint -- the one the
-// caller attached, or a solve-local one -- so every solve commits its
-// slabs the same way.
+// contiguous scratch plane (the SlabScratch of the participant that
+// claimed it) so the v1 scans read unit-stride rows and the m1-scan of the
+// E_mem pass reads a gathered contiguous column.  E_verif lives only in
+// that plane (plan extraction recomputes the rows it needs); the O(n^2)
+// tables (E_mem, E_disk, argmins) always live in a SolveCheckpoint -- the
+// one the caller attached, or a solve-local one -- so every solve commits
+// its slabs the same way.
 #pragma once
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
-#include <forward_list>
 #include <limits>
-#include <mutex>
 #include <vector>
 
 #include "core/cancellation.hpp"
@@ -109,55 +109,13 @@ struct SlabScratch {
   }
 };
 
-/// One solve's slab scratch: a free list that lends one SlabScratch to
-/// each slab at slab entry and takes it back at slab exit, so a solve
-/// holds at most one per thread that ran its slabs.  Everything goes when
-/// the solve returns or unwinds.
-class SolveScratch {
- public:
-  /// A slab's loan, returned to the free list on destruction (unwinding
-  /// included).
-  class Lease {
-   public:
-    explicit Lease(SolveScratch& pool) : pool_(pool) {
-      {
-        const std::lock_guard<std::mutex> lock(pool_.mutex_);
-        if (!pool_.free_.empty()) {
-          held_.splice_after(held_.before_begin(), pool_.free_,
-                             pool_.free_.before_begin());
-          return;
-        }
-      }
-      held_.emplace_front();
-    }
-    ~Lease() {
-      const std::lock_guard<std::mutex> lock(pool_.mutex_);
-      pool_.free_.splice_after(pool_.free_.before_begin(), held_);
-    }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    SlabScratch& operator*() noexcept { return held_.front(); }
-
-   private:
-    SolveScratch& pool_;
-    /// One node, spliced between this list and the pool's without
-    /// allocating.
-    std::forward_list<SlabScratch> held_;
-  };
-
- private:
-  std::mutex mutex_;
-  std::forward_list<SlabScratch> free_;
-};
-
 /// ColumnScanner contract:
 ///   void operator()(SlabScratch& scratch, std::size_t d1, std::size_t m1,
 ///                   std::size_t j, double emem_at_m1,
 ///                   const double* everif_row, double& best,
 ///                   std::int32_t& best_arg) const;
 /// where everif_row[v1] = E_verif(d1, m1, v1) for v1 in [m1, j), unit
-/// stride, and `scratch` is the calling slab's loan (the scanner may use
+/// stride, and `scratch` is the calling thread's own (the scanner may use
 /// its lane buffers, never its plane or column).  The scanner must fold the candidates
 ///   E_verif(d1, m1, v1) + <segment>(d1, m1, v1, j)
 /// for every v1 in [m1, j) into `best`/`best_arg` with the strict-less
@@ -175,29 +133,31 @@ class SolveScratch {
 /// Codegen discipline: even a dead runtime branch or an out-of-line call
 /// in the step body measurably deoptimizes the fused kernels GCC inlines
 /// into the slab (2x swings on the ADMV inner solver), so nothing but the
-/// two scans runs there; the slab's scratch loan is taken at slab entry
-/// and given back at slab exit.  The SIMD tier K is a compile-time kernel
+/// two scans runs there.  The SIMD tier K is a compile-time kernel
 /// type (core/simd/argmin_kernels.hpp), chosen once at driver entry by
 /// simd::with_kernels, never a runtime branch in the step body; every
 /// tier is bitwise identical.
+///
+/// Threads: min(n, hardware_parallelism()) participants, each with one
+/// SlabScratch of its own, claim the slabs in increasing d1 from one
+/// atomic counter; no slab takes a lock (the checkpoint's commit counters
+/// are atomic).
 template <typename K, typename ColumnScanner>
 void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
-                  SolveScratch& pool, const ColumnScanner& scan) {
+                  const ColumnScanner& scan) {
   const std::size_t n = ctx.n();
   const auto& costs = ctx.costs();
   const CancelToken* cancel = ctx.cancel_token();
   LevelTables& t = ckpt.tables();
 
   // Independent d1 slabs: E_verif(d1, *, *) and E_mem(d1, *).
-  util::parallel_for(0, n, [&](std::size_t d1) {
+  const auto run_slab = [&](SlabScratch& scratch, std::size_t d1) {
     if (ckpt.slab_done(d1)) {
       // An earlier (interrupted) run already committed this slab's rows
       // of the tables; they are final -- skip the whole frontier.
       ckpt.note_skipped_slab();
       return;
     }
-    SolveScratch::Lease lease(pool);
-    SlabScratch& scratch = *lease;
     scratch.ensure(n);
     double* plane = scratch.plane.data();
     double* column = scratch.column.data();
@@ -209,9 +169,9 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
     for (std::size_t j = d1 + 1; j <= n; ++j) {
       // Cancellation checkpoint: per (d1, j) step, OUTSIDE the fused m1/v1
       // kernels whose codegen must stay untouched (see the codegen note
-      // above).  A fired token unwinds this slab; the other slabs poll the
-      // same token and unwind too, and parallel_for rethrows the first
-      // SolveInterrupted on the calling thread.
+      // above).  A fired token unwinds this slab and its participant; the
+      // others poll the same token and unwind too, and parallel_for
+      // rethrows the first SolveInterrupted on the calling thread.
       poll_cancellation(cancel);
       // E_verif(d1, m1, j) for all m1 in [d1, j).
       for (std::size_t m1 = d1; m1 < j; ++m1) {
@@ -235,22 +195,28 @@ void run_level_dp(const DpContext& ctx, SolveCheckpoint& ckpt,
     }
     // Slab exit: its table rows are final from here on.
     ckpt.commit_slab(d1);
+  };
+  const auto participants = std::min<std::size_t>(
+      n, static_cast<std::size_t>(std::max(1, util::hardware_parallelism())));
+  std::atomic<std::size_t> next_slab{0};
+  util::parallel_for(0, participants, [&](std::size_t) {
+    SlabScratch scratch;
+    for (std::size_t d1 = next_slab++; d1 < n; d1 = next_slab++) {
+      run_slab(scratch, d1);
+    }
   });
 
   // E_disk: sequential over d2 (cheap O(n^2) pass).  The E_mem column
-  // emem_at(·, d2) strides by n + 1; gather it into the contiguous
-  // scratch column so K::sum runs unit stride.
+  // emem_at(·, d2) strides by n + 1; gather it into a contiguous column
+  // so K::sum runs unit stride.
   t.edisk[0] = 0.0;
   t.best_d1[0] = 0;
-  SolveScratch::Lease lease(pool);
-  SlabScratch& scratch = *lease;
-  scratch.ensure(n);
-  double* col = scratch.column.data();
+  std::vector<double> col(n + 1);
   for (std::size_t d2 = 1; d2 <= n; ++d2) {
     for (std::size_t d1 = 0; d1 < d2; ++d1) col[d1] = t.emem_at(d1, d2);
     double best = std::numeric_limits<double>::infinity();
     std::int32_t best_arg = -1;
-    K::sum(t.edisk.data(), col, 0, d2, best, best_arg);
+    K::sum(t.edisk.data(), col.data(), 0, d2, best, best_arg);
     t.edisk[d2] = best + costs.c_disk_after(d2);
     t.best_d1[d2] = best_arg;
   }
@@ -285,17 +251,15 @@ inline ScanStats level_dp_scan_stats(std::size_t n) {
 /// E_verif(d1, m1, v) for v in [m1, v2], is called for every chosen
 /// verified segment and must return the partial-verification positions
 /// strictly inside (v1, v2); pass a lambda returning {} for the
-/// partial-free algorithms.  The scans and `partials` share one loan
-/// from `pool`.
+/// partial-free algorithms.  The scans and `partials` share one local
+/// SlabScratch.
 template <typename ColumnScanner, typename PartialReconstructor>
 plan::ResiliencePlan extract_plan(const DpContext& ctx, const LevelTables& t,
-                                  SolveScratch& pool,
                                   const ColumnScanner& scan,
                                   const PartialReconstructor& partials) {
   const std::size_t n = ctx.n();
   const CancelToken* cancel = ctx.cancel_token();
-  SolveScratch::Lease lease(pool);
-  SlabScratch& scratch = *lease;
+  SlabScratch scratch;
   plan::ResiliencePlan plan(n);
   std::vector<double> row(n + 1);
   std::vector<std::int32_t> best_v1(n + 1);

@@ -39,22 +39,15 @@ void SolveCheckpoint::begin_run(std::size_t n, Algorithm algorithm) {
 }
 
 void SolveCheckpoint::commit_slab(std::size_t d1) {
-  std::size_t committed = 0;
-  {
-    const std::lock_guard<std::mutex> lock(commit_mutex_);
-    slab_done_[d1] = 1;
-    committed = ++committed_;
-    ++last_run_executed_;
-  }
+  slab_done_[d1] = 1;
+  ++last_run_executed_;
+  const std::size_t committed = ++committed_;
   if (const SlabCommitHook hook = g_slab_commit_hook.load()) {
     hook(*this, committed);
   }
 }
 
-void SolveCheckpoint::note_skipped_slab() {
-  const std::lock_guard<std::mutex> lock(commit_mutex_);
-  ++last_run_skipped_;
-}
+void SolveCheckpoint::note_skipped_slab() { ++last_run_skipped_; }
 
 std::size_t SolveCheckpoint::resident_bytes() const noexcept {
   std::size_t bytes = capacity_bytes(slab_done_);

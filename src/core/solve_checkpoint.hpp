@@ -23,15 +23,16 @@
 // solve -- the drivers run on the one attached through
 // DpContext::set_checkpoint(), or else on a solve-local one -- and it
 // belongs to exactly one solve at a time (the DP mutates it without
-// internal locking beyond the slab-commit mutex).  core::BatchSolver
+// locking; each slab writes only its own rows and flag, and the counters
+// are atomic).  core::BatchSolver
 // keeps interrupted checkpoints keyed alongside its cached tables and
 // checks one out per solve_job().
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 namespace chainckpt::core {
@@ -71,8 +72,8 @@ class SolveCheckpoint {
   void note_skipped_slab();
 
   /// Test seam, process-wide: when set, commit_slab() calls
-  /// hook(*this, committed) after releasing its lock, on the thread that
-  /// ran the slab, where `committed` is slabs_completed() right after the
+  /// hook(*this, committed) after the commit, on the thread that ran the
+  /// slab, where `committed` is slabs_completed() right after the
   /// commit.  A hook that blocks parks that thread between slabs -- it
   /// claims no new slab until the hook returns -- so a test can hold a
   /// solve at a known amount of committed progress.  No library code
@@ -105,7 +106,7 @@ class SolveCheckpoint {
  private:
   std::shared_ptr<detail::LevelTables> tables_;
   std::vector<std::uint8_t> slab_done_;
-  std::size_t committed_ = 0;  ///< slabs with slab_done_ set
+  std::atomic<std::size_t> committed_{0};  ///< slabs with slab_done_ set
   /// Shape of the stored progress; a mismatch on begin_run() resets.
   /// ADMV* and ADMV tables have the same shape: only algorithm_ keeps one
   /// algorithm's slabs out of the other's solve.
@@ -113,12 +114,9 @@ class SolveCheckpoint {
   Algorithm algorithm_{};
   bool valid_ = false;
 
-  std::size_t last_run_executed_ = 0;
-  std::size_t last_run_skipped_ = 0;
+  std::atomic<std::size_t> last_run_executed_{0};
+  std::atomic<std::size_t> last_run_skipped_{0};
   bool last_run_resumed_ = false;
-
-  /// Serializes commit_slab()/note_skipped_slab() across slab workers.
-  std::mutex commit_mutex_;
 };
 
 }  // namespace chainckpt::core

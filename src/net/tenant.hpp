@@ -112,7 +112,8 @@ class TenantGovernor {
 template <typename Item>
 class DrrScheduler {
  public:
-  explicit DrrScheduler(double quantum) : quantum_(quantum > 0.0 ? quantum : 1.0) {}
+  /// `quantum` must be positive.
+  explicit DrrScheduler(double quantum) : quantum_(quantum) {}
 
   void push(std::uint64_t tenant, double cost, Item item) {
     Queue& queue = queues_[tenant];

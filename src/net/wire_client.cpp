@@ -6,6 +6,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
@@ -111,32 +112,32 @@ ClientFrame WireClient::read_frame() {
   return frame;
 }
 
-ClientFrame WireClient::await_reply(std::uint64_t request_id) {
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (it->header.request_id == request_id) {
-      ClientFrame frame = std::move(*it);
-      stash_.erase(it);
-      if (frame.header.type == FrameType::kError) {
-        ErrorPayload error;
-        decode_error(frame.payload.data(), frame.payload.size(), error);
-        throw WireClientError(error.code, error.message);
-      }
-      return frame;
-    }
+ClientFrame WireClient::take_frame(std::uint64_t request_id, bool result) {
+  const auto wanted = [&](const ClientFrame& frame) {
+    return frame.header.request_id == request_id &&
+           (frame.header.type == FrameType::kResult) == result;
+  };
+  const auto stashed = std::find_if(stash_.begin(), stash_.end(), wanted);
+  if (stashed != stash_.end()) {
+    ClientFrame frame = std::move(*stashed);
+    stash_.erase(stashed);
+    return frame;
   }
   for (;;) {
     ClientFrame frame = read_frame();
-    if (frame.header.request_id != request_id) {
-      stash_.push_back(std::move(frame));
-      continue;
-    }
-    if (frame.header.type == FrameType::kError) {
-      ErrorPayload error;
-      decode_error(frame.payload.data(), frame.payload.size(), error);
-      throw WireClientError(error.code, error.message);
-    }
-    return frame;
+    if (wanted(frame)) return frame;
+    stash_.push_back(std::move(frame));
   }
+}
+
+ClientFrame WireClient::await_reply(std::uint64_t request_id) {
+  ClientFrame frame = take_frame(request_id, /*result=*/false);
+  if (frame.header.type == FrameType::kError) {
+    ErrorPayload error;
+    decode_error(frame.payload.data(), frame.payload.size(), error);
+    throw WireClientError(error.code, error.message);
+  }
+  return frame;
 }
 
 WelcomePayload WireClient::hello() {
@@ -191,36 +192,14 @@ service::JobStatus WireClient::poll(std::uint64_t request_id) {
 }
 
 service::JobStatus WireClient::wait_result(std::uint64_t request_id) {
-  // A kStatus stashed for this id (a poll raced the stream) does not
-  // satisfy wait_result; only the pushed kResult does.
-  for (auto it = stash_.begin(); it != stash_.end(); ++it) {
-    if (it->header.request_id == request_id &&
-        it->header.type == FrameType::kResult) {
-      ClientFrame frame = std::move(*it);
-      stash_.erase(it);
-      service::JobStatus status;
-      if (!decode_job_status(frame.payload.data(), frame.payload.size(),
-                             status)) {
-        throw WireClientError(WireError::kBadPayload,
-                              "malformed kResult payload");
-      }
-      return status;
-    }
+  const ClientFrame frame = take_frame(request_id, /*result=*/true);
+  service::JobStatus status;
+  if (!decode_job_status(frame.payload.data(), frame.payload.size(),
+                         status)) {
+    throw WireClientError(WireError::kBadPayload,
+                          "malformed kResult payload");
   }
-  for (;;) {
-    ClientFrame frame = read_frame();
-    if (frame.header.request_id == request_id &&
-        frame.header.type == FrameType::kResult) {
-      service::JobStatus status;
-      if (!decode_job_status(frame.payload.data(), frame.payload.size(),
-                             status)) {
-        throw WireClientError(WireError::kBadPayload,
-                              "malformed kResult payload");
-      }
-      return status;
-    }
-    stash_.push_back(std::move(frame));
-  }
+  return status;
 }
 
 bool WireClient::cancel(std::uint64_t request_id) {

@@ -1,7 +1,9 @@
 // Thin blocking client for the wire protocol: one TCP connection, one
-// tenant, synchronous request/reply with a stash for interleaved frames
-// (a streamed kResult may arrive while the caller awaits a kStatus;
-// the stash holds it until wait_result() asks).
+// tenant, synchronous request/reply with a stash for interleaved frames.
+// A streamed kResult is never the reply to a poll, cancel or submit, even
+// when it carries the same request id: it waits in the stash until
+// wait_result() asks, and the reply is the next other frame for the id
+// (kUnknownRequest for a poll sent after the kResult retired the id).
 //
 // This is deliberately the simplest correct client: blocking socket,
 // no internal threads, not thread-safe.  It exists for the loopback
@@ -101,8 +103,12 @@ class WireClient {
   ClientFrame read_frame();
 
  private:
-  /// Returns the next frame whose request id matches, stashing others.
-  /// Throws WireClientError when that frame is kError.
+  /// Returns the first stashed or newly read frame for `request_id` that
+  /// is a kResult (`result`) or is not one (`!result`), stashing the
+  /// frames read before it.
+  ClientFrame take_frame(std::uint64_t request_id, bool result);
+  /// take_frame(request_id, false); throws WireClientError when that
+  /// frame is kError.
   ClientFrame await_reply(std::uint64_t request_id);
   FrameHeader make_header(FrameType type, std::uint64_t request_id,
                           std::uint16_t flags = 0) const;

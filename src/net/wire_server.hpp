@@ -4,16 +4,21 @@
 // quotas, deficit-round-robin ingress fairness (net/tenant.hpp), and
 // result streaming.
 //
-// Threading model: ONE I/O thread owns every socket -- accept, read,
-// parse, dispatch, write.  Solves happen on the service's worker pool;
-// the only cross-thread touch is the completion callback, which (under
-// the server mutex) appends a kResult frame to the owning connection's
-// outbox, hands the finished request id to the I/O thread, and pokes a
-// self-pipe so the poll loop wakes to flush it.  The mutex guards
-// outboxes, finished ids, the result-routing table, and stats -- never a
-// socket read or a service call (submit's rejection callback fires
-// synchronously on the submitting thread, so calling submit under the
-// mutex would deadlock).
+// Threading model: ONE I/O thread owns the edge -- every socket,
+// connection, outbox, live request and result route; it accepts, reads,
+// parses, dispatches and writes.  Solves happen on the service's worker
+// pool, and the completion callback does one thing: it appends the
+// finished JobStatus to a mutex-guarded inbox and writes a wake byte to a
+// self-pipe.  Once per loop cycle, after the frames and the DRR ingress
+// are handled and before the flush, the I/O thread takes the inbox and
+// queues each streamed job's kResult on its connection, retiring the
+// request in the same step.  A streamed job's route is made right after
+// submit() returns, on the same thread, so a job that finishes before
+// its ack simply waits in the inbox: with one consumer, every streamed
+// job gets exactly one kResult, after its kSubmitAck and after any
+// kCancelAck for it.  The inbox lock is held only to append or to swap
+// the list out; submit's rejection and a queued job's cancel run the
+// callback on the I/O thread itself, which only appends.
 //
 // Request retirement (docs/PROTOCOL.md): a request leaves the edge once
 // the frame carrying its terminal status is queued -- the streamed
@@ -63,16 +68,17 @@ struct WireServerOptions {
   std::uint32_t max_payload_bytes = kDefaultMaxPayloadBytes;
   /// Retry hint attached to admission queue-full backpressure.
   std::uint32_t queue_full_retry_ms = 50;
-  /// DRR quantum in admission units (service::price_units currency).
-  double drr_quantum_units = 8.0;
   /// Quota for tenants without an explicit entry (default: unlimited).
   TenantQuota default_quota;
   std::map<std::uint64_t, TenantQuota> tenant_quotas;
   std::string server_name = "chainckpt-wire/1";
 };
 
-/// Edge-side counters (monotonic except where noted); all reads are a
-/// consistent snapshot under the server mutex.
+/// Edge-side counters, all monotonic.  The I/O thread bumps them as
+/// relaxed atomics, so stats() is safe from any thread and touches no
+/// connection state; each field is exact when read, but one stats() call
+/// racing the I/O thread is not a snapshot across fields (a kSubmitAck
+/// counts in frames_sent just before it counts in submits_accepted).
 struct WireServerStats {
   std::uint64_t connections_accepted = 0;
   std::uint64_t connections_closed = 0;
@@ -89,7 +95,8 @@ struct WireServerStats {
   std::uint64_t backpressured = 0;
   /// Non-retryable kSubmitAck rejections (bad chain, per-job cap, ...).
   std::uint64_t submits_rejected = 0;
-  /// kResult frames pushed by the completion callback / poll handoff.
+  /// kResult frames queued: one per streamed job that finished while its
+  /// connection was open.
   std::uint64_t results_streamed = 0;
   /// kError frames sent (bad magic/version/type/payload, unknown ids...).
   std::uint64_t protocol_errors = 0;
@@ -121,18 +128,13 @@ class WireServer {
   /// Per-tenant edge verdicts (quota admits/throttles/refunds).
   std::map<std::uint64_t, TenantEdgeStats> tenant_stats() const;
 
-  /// Shared I/O state (public only so the file-local I/O driver can name
-  /// it; the definition is internal to wire_server.cpp).
-  struct State;
-
  private:
-  void io_loop();
+  /// The I/O thread's state (wire_server.cpp).
+  class Edge;
 
   service::SolverService& service_;
   WireServerOptions options_;
-  /// Kept alive by the completion callback too (it may outlive stop()'s
-  /// connection teardown by a beat), hence shared_ptr.
-  std::shared_ptr<State> state_;
+  std::unique_ptr<Edge> edge_;
   std::thread io_thread_;
   bool started_ = false;
 };

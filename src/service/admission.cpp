@@ -64,10 +64,7 @@ AdmissionVerdict AdmissionController::assess(
     bool probable_cache_hit) const {
   AdmissionVerdict verdict;
   verdict.cost_units = price_units(algorithm, n);
-  if (probable_cache_hit && config_.cache_hit_unit_factor > 0.0 &&
-      config_.cache_hit_unit_factor < 1.0) {
-    verdict.cost_units *= config_.cache_hit_unit_factor;
-  }
+  if (probable_cache_hit) verdict.cost_units *= kCacheHitUnitFactor;
   if (config_.max_job_units > 0.0 &&
       verdict.cost_units > config_.max_job_units) {
     verdict.decision = AdmissionDecision::kReject;

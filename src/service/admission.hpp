@@ -70,17 +70,17 @@ struct AdmissionConfig {
   /// Values above 1 reject earlier (pessimistic); below 1 admit jobs the
   /// estimate says will likely expire.
   double deadline_headroom = 1.0;
-  /// Price multiplier applied when the solver's plan cache reports the
-  /// submission would probably be served from cache (exact key present,
-  /// or a certified near-miss within the advisory drift screen): a
-  /// cache hit skips the priced DP entirely, so charging the full n^k
-  /// price would reject or queue work that costs microseconds.  The
-  /// discount is advisory-priced, not a guarantee -- a probable hit that
-  /// falls through to a full solve still runs under its discounted
-  /// price, which the budget absorbs like any calibration error.
-  /// 1 = no discount; must be in (0, 1].
-  double cache_hit_unit_factor = 0.05;
 };
+
+/// Price multiplier applied when the solver's plan cache reports the
+/// submission would probably be served from cache (exact key present, or
+/// a certified near-miss within the advisory drift screen): a cache hit
+/// skips the priced DP entirely, so charging the full n^k price would
+/// reject or queue work that costs microseconds.  The discount is
+/// advisory-priced, not a guarantee -- a probable hit that falls through
+/// to a full solve still runs under its discounted price, which the
+/// budget absorbs like any calibration error.
+inline constexpr double kCacheHitUnitFactor = 0.05;
 
 /// Only kReject changes what happens to a submission; the kAdmit/kQueue
 /// split is advisory (would the job start right now?), because the
@@ -136,7 +136,7 @@ class AdmissionController {
   /// config, the calibration state, and its arguments -- the caller
   /// serializes load reads itself.  `probable_cache_hit` (from
   /// core::BatchSolver::probable_plan_cache_hit) discounts the price by
-  /// AdmissionConfig::cache_hit_unit_factor and skips the deadline
+  /// kCacheHitUnitFactor and skips the deadline
   /// feasibility screen, whose calibrated estimate models the full DP.
   AdmissionVerdict assess(core::Algorithm algorithm, std::size_t n,
                           std::size_t queued_now, double inflight_units,

@@ -143,8 +143,7 @@ SolverService::SolverService(ServiceOptions options)
     for (std::size_t i = 0; i < workers_; ++i) {
       dispatch_.emplace_back([this] { worker_loop(); });
     }
-    if (options_.enable_preemption &&
-        options_.watchdog_interval.count() > 0) {
+    if (options_.watchdog_interval.count() > 0) {
       watchdog_ = std::thread([this] { watchdog_loop(); });
     }
   } catch (...) {
@@ -173,7 +172,6 @@ JobHandle SolverService::submit(JobRequest request) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     record->id = ++next_id_;
-    ++counters_.submitted;
     TenantCounters& tenant = tenant_counters_[record->options.tenant];
     ++tenant.submitted;
     const char* reason = nullptr;
@@ -200,7 +198,6 @@ JobHandle SolverService::submit(JobRequest request) {
     if (reason != nullptr) {
       record->state = JobState::kRejected;
       record->error = reason;
-      ++counters_.rejected;
       ++tenant.rejected;
       rejected = true;
       rejected_status = snapshot_locked(*record);
@@ -262,7 +259,6 @@ bool SolverService::cancel(const JobHandle& handle) {
     settle_gauges_locked();
     record->state = JobState::kCancelled;
     record->error = "cancelled while queued";
-    ++counters_.cancelled;
     ++tenant_counters_[record->options.tenant].cancelled;
     status = snapshot_locked(*record);
     callback = callback_;
@@ -292,7 +288,6 @@ void SolverService::shutdown() {
     for (const auto& record : queue_) {
       record->state = JobState::kCancelled;
       record->error = "service shutdown";
-      ++counters_.cancelled;
       ++tenant_counters_[record->options.tenant].cancelled;
       dropped.push_back(snapshot_locked(*record));
     }
@@ -317,18 +312,22 @@ ServiceStats SolverService::stats() const {
   ServiceStats out;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    out.submitted = counters_.submitted;
-    out.rejected = counters_.rejected;
-    out.succeeded = counters_.succeeded;
-    out.failed = counters_.failed;
-    out.cancelled = counters_.cancelled;
-    out.expired = counters_.expired;
-    out.preempted = counters_.preempted;
     out.queued = queue_.size();
     out.running = running_jobs_.size();
     out.inflight_units = inflight_units_;
     out.queued_units = queued_units_;
     out.tenants = tenant_counters_;
+  }
+  // The global counters are the tenant slices' sums, so the
+  // reconciliation holds by construction.
+  for (const auto& [tenant, counters] : out.tenants) {
+    out.submitted += counters.submitted;
+    out.rejected += counters.rejected;
+    out.succeeded += counters.succeeded;
+    out.failed += counters.failed;
+    out.cancelled += counters.cancelled;
+    out.expired += counters.expired;
+    out.preempted += counters.preempted;
   }
   out.solver = solver_.stats_snapshot();
   out.plan_cache = solver_.plan_cache_stats();
@@ -422,8 +421,7 @@ std::shared_ptr<detail::JobRecord> SolverService::pop_runnable_locked() {
 }
 
 void SolverService::maybe_preempt_locked() {
-  if (!options_.enable_preemption || running_jobs_.empty() ||
-      queue_.empty() || stopping_) {
+  if (running_jobs_.empty() || queue_.empty() || stopping_) {
     return;
   }
   // The contender: the best-ranked queued job that carries a deadline and
@@ -522,7 +520,6 @@ bool SolverService::requeue_preempted(
     record->state = JobState::kQueued;
     record->queued_at = core::CancelToken::Clock::now();
     ++record->preemptions;
-    ++counters_.preempted;
     ++tenant_counters_[record->options.tenant].preempted;
     inflight_units_ -= record->cost_units;
     queued_units_ += record->cost_units;
@@ -623,19 +620,15 @@ void SolverService::complete(const std::shared_ptr<detail::JobRecord>& record,
     TenantCounters& tenant = tenant_counters_[record->options.tenant];
     switch (state) {
       case JobState::kSucceeded:
-        ++counters_.succeeded;
         ++tenant.succeeded;
         break;
       case JobState::kFailed:
-        ++counters_.failed;
         ++tenant.failed;
         break;
       case JobState::kCancelled:
-        ++counters_.cancelled;
         ++tenant.cancelled;
         break;
       case JobState::kExpired:
-        ++counters_.expired;
         ++tenant.expired;
         break;
       default:

@@ -80,13 +80,11 @@ struct ServiceOptions {
   /// Admission pricing, budget, and the deadline-feasibility screen
   /// (service/admission.hpp).
   AdmissionConfig admission;
-  /// Allow the dispatcher to preempt.  Preemption fires only when a
-  /// queued job of a STRICTLY higher priority class carries a deadline
-  /// the scheduler judges at risk (see preemption_slack) and no capacity
-  /// frees up by itself; the lowest-class running job is displaced,
-  /// re-queued, and resumed later.  Decisions are made at submit and
-  /// job-completion events.
-  bool enable_preemption = true;
+  /// Preemption (always on) fires only when a queued job of a STRICTLY
+  /// higher priority class carries a deadline the scheduler judges at
+  /// risk and no capacity frees up by itself; the lowest-class running
+  /// job is displaced, re-queued, and resumed later.  Decisions are made
+  /// at submit, dispatch and job-completion events, and by the watchdog.
   /// Deadline-risk factor: a queued job's deadline is at risk when its
   /// remaining time is below
   ///   (calibrated_estimate + expected_worker_wait) * preemption_slack,
@@ -117,10 +115,12 @@ struct ServiceOptions {
 };
 
 /// Per-tenant slice of the terminal counters: every job outcome is
-/// counted once globally and once under its SubmitOptions::tenant, so
+/// counted once, under its SubmitOptions::tenant, and stats() sums the
+/// slices into the global fields, so
 ///   sum over tenants == the global counter
-/// holds for each field in every snapshot -- the reconciliation invariant
-/// the multi-tenant batteries (tests/net/tenant_stress_test.cpp) assert.
+/// holds for each field in every snapshot by construction -- the
+/// reconciliation invariant the multi-tenant batteries
+/// (tests/net/tenant_stress_test.cpp) assert.
 struct TenantCounters {
   std::uint64_t submitted = 0;
   std::uint64_t rejected = 0;
@@ -268,20 +268,9 @@ class SolverService {
   /// the source of JobStatus::submit_seq/start_seq.
   std::uint64_t event_seq_ = 0;
   bool stopping_ = false;
-  /// Terminal counters only; the ServiceStats gauges and solver snapshot
-  /// are assembled fresh by stats().
-  struct Counters {
-    std::uint64_t submitted = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t succeeded = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t expired = 0;
-    std::uint64_t preempted = 0;
-  } counters_;
-  /// Per-tenant slices of counters_ (see ServiceStats::tenants); guarded
-  /// by mutex_ like the globals, updated at the same points, so the
-  /// sum-reconciliation invariant holds in every snapshot.
+  /// The terminal counters, one slice per tenant (see
+  /// ServiceStats::tenants); stats() sums them into the global fields and
+  /// assembles the gauges and solver snapshot fresh.
   std::map<std::uint64_t, TenantCounters> tenant_counters_;
 
   std::size_t workers_ = 1;

@@ -7,7 +7,9 @@
 // full admission queue answers kRetryAfter (backpressure, not failure).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "chain/patterns.hpp"
@@ -17,6 +19,7 @@
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
 #include "service/solver_service.hpp"
+#include "../service/slab_gate.hpp"
 
 namespace chainckpt::net {
 namespace {
@@ -27,6 +30,16 @@ WireClient::Options client_options(std::uint16_t port,
   options.port = port;
   options.tenant = tenant;
   return options;
+}
+
+/// Sends a body-less frame (kPoll, kCancel) for `request_id` past the
+/// client's request/reply layer, so the test reads the replies raw.
+void send_bare(WireClient& client, FrameType type, std::uint64_t request_id) {
+  FrameHeader header;
+  header.type = type;
+  header.tenant_id = 1;
+  header.request_id = request_id;
+  client.send_frame(header, {});
 }
 
 struct Row {
@@ -347,6 +360,104 @@ TEST(WireRoundtrip, FinishedRequestsRetireAndTheirIdsCanBeReused) {
   expect_unknown([&] { client.poll(2); });
 
   EXPECT_EQ(server.stats().results_streamed, kSubmits + 1);
+  server.stop();
+}
+
+TEST(WireRoundtrip, PollAfterTheStreamedResultAnswersUnknownRequest) {
+  // The kResult retires its request, so a poll sent after it answers
+  // kUnknownRequest.  The client reads the kResult on the way to that
+  // reply and keeps it for wait_result(): a kResult is never the reply
+  // to a poll.
+  service::SolverService svc;
+  WireServer server(svc);
+  server.start();
+  WireClient client(client_options(server.port()));
+
+  service::JobRequest request;
+  request.work = core::BatchJob{core::Algorithm::kAD,
+                                chain::make_uniform(24, 25000.0),
+                                platform::CostModel{platform::hera()}};
+  ASSERT_FALSE(client.submit(request, 1, /*stream=*/true).retry);
+  for (int i = 0; i < 60000 && server.stats().results_streamed == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.stats().results_streamed, 1u);  // the kResult is queued
+
+  // Any other outcome may have consumed the kResult: stop before
+  // wait_result() could block on it.
+  try {
+    client.poll(1);
+    FAIL() << "expected kUnknownRequest";
+  } catch (const WireClientError& error) {
+    ASSERT_EQ(error.code(), WireError::kUnknownRequest) << error.what();
+  }
+  const service::JobStatus status = client.wait_result(1);
+  EXPECT_EQ(status.state, service::JobState::kSucceeded) << status.error;
+  EXPECT_EQ(status.result.expected_makespan,
+            core::optimize(request.work.algorithm, request.work.chain,
+                           request.work.costs)
+                .expected_makespan);
+
+  server.stop();
+}
+
+TEST(WireRoundtrip, CancelAckPrecedesTheCancelledJobsOnlyResult) {
+  // docs/PROTOCOL.md: a kCancelAck never follows its own request's
+  // kResult.  Cancelling a queued job finishes it on the spot, yet the
+  // kResult goes out after the ack -- and only once.
+  service::ServiceOptions options;
+  options.workers = 1;
+  service::SolverService svc(options);
+  WireServer server(svc);
+  server.start();
+  WireClient client(client_options(server.port()));
+
+  // The gate parks the unstreamed blocker after its first slab commit,
+  // pinning the single worker, so the streamed job stays queued.
+  SlabGate gate(1);
+  service::JobRequest blocker;
+  blocker.work = core::BatchJob{core::Algorithm::kADMVstar,
+                                chain::make_uniform(60, 25000.0),
+                                platform::CostModel{platform::hera()}};
+  ASSERT_FALSE(client.submit(blocker, 1).retry);
+  ASSERT_TRUE(gate.wait_parked(1));
+  service::JobRequest queued;
+  queued.work = core::BatchJob{core::Algorithm::kAD,
+                               chain::make_uniform(24, 25000.0),
+                               platform::CostModel{platform::hera()}};
+  const SubmitOutcome outcome = client.submit(queued, 2, /*stream=*/true);
+  ASSERT_FALSE(outcome.retry);
+  ASSERT_EQ(outcome.status.state, service::JobState::kQueued);
+
+  // No other frame is in flight: the next two are the cancel's.
+  send_bare(client, FrameType::kCancel, 2);
+  const ClientFrame ack = client.read_frame();
+  ASSERT_EQ(ack.header.type, FrameType::kCancelAck);
+  EXPECT_EQ(ack.header.request_id, 2u);
+  bool cancelled = false;
+  ASSERT_TRUE(
+      decode_cancel_ack(ack.payload.data(), ack.payload.size(), cancelled));
+  EXPECT_TRUE(cancelled);
+  const ClientFrame result = client.read_frame();
+  ASSERT_EQ(result.header.type, FrameType::kResult);
+  EXPECT_EQ(result.header.request_id, 2u);
+  service::JobStatus status;
+  ASSERT_TRUE(decode_job_status(result.payload.data(), result.payload.size(),
+                                status));
+  EXPECT_EQ(status.state, service::JobState::kCancelled);
+
+  // The kResult retired the request: the next frame for id 2 answers a
+  // poll with kUnknownRequest, so no second kResult was queued.
+  send_bare(client, FrameType::kPoll, 2);
+  const ClientFrame unknown = client.read_frame();
+  ASSERT_EQ(unknown.header.type, FrameType::kError);
+  EXPECT_EQ(unknown.header.request_id, 2u);
+  ErrorPayload error;
+  ASSERT_TRUE(
+      decode_error(unknown.payload.data(), unknown.payload.size(), error));
+  EXPECT_EQ(error.code, WireError::kUnknownRequest);
+
+  gate.release();
   server.stop();
 }
 

@@ -438,7 +438,9 @@ TEST(SchedulerStress, EventOnlyDispatcherMissesEventFreeDeadlineRisk) {
 /// order).  Under strict priority it cannot (the backlog of urgent work
 /// outranks it until the storm drains); with aging enabled its effective
 /// class reaches kUrgent after 3 intervals and FIFO-by-submit_seq within
-/// the class puts it ahead of every storm job submitted after it.
+/// the class puts it ahead of every storm job submitted after it.  No job
+/// carries a deadline, so preemption never fires: dispatch order alone
+/// decides.
 bool run_aging_probe(milliseconds aging_interval) {
   const platform::CostModel costs{platform::hera()};
   const core::BatchJob work{core::Algorithm::kADMV,
@@ -447,7 +449,6 @@ bool run_aging_probe(milliseconds aging_interval) {
   ServiceOptions options;
   options.workers = 1;
   options.admission.budget_units = 0.0;
-  options.enable_preemption = false;  // isolate dispatch ordering
   options.aging_interval = aging_interval;
   // The storm resubmits one identical job; with the plan cache on,
   // every repeat exact-hits in microseconds and the backlog the probe

@@ -9,11 +9,14 @@ codecs) fails here.  Drives a live server (examples/wire_server.cpp):
   1. hello -> welcome handshake,
   2. a streamed solve round-trip that must succeed with a finite
      expected makespan and echo our tenant id,
-  3. a quota rejection: a throttled tenant's second submit must bounce
+  3. ordering under pipelining: 16 streamed submits of one job in a
+     single write; each request id must see its kSubmitAck, then exactly
+     one kResult, and every result must succeed with the same makespan,
+  4. a quota rejection: a throttled tenant's second submit must bounce
      with a kRetryAfter frame carrying a positive retry-after hint,
-  4. a stats round-trip: the kStatsReply JSON must parse with Python's
+  5. a stats round-trip: the kStatsReply JSON must parse with Python's
      own parser, and its per-tenant counters must reconcile with the
-     global ones and with steps 2-3.
+     global ones and with steps 2-4.
 
 Usage (the CI smoke lane):
   wire_server --port 7433 --quotas "2:0.000001:0.000001" &
@@ -37,6 +40,9 @@ FLAG_STREAM_RESULT = 1
 
 # JobState values (src/service/job.hpp).
 SUCCEEDED, REJECTED = 2, 6
+
+# Streamed submits sent in one write by the pipelining step.
+PIPELINED = 16
 
 # Counters kept both globally and per tenant (service::TenantCounters).
 TENANT_COUNTERS = ("submitted", "rejected", "succeeded", "failed",
@@ -135,7 +141,36 @@ def main():
               "finite positive expected makespan (%r)" % makespan)
         s.sendall(frame(GOODBYE, 1, 3))
 
-    # 2. Quota rejection: the throttled tenant's burst covers one admit,
+    # 2. Pipelining: the repeats of one job hit the plan cache and finish
+    #    within microseconds, so their results race their acks.
+    with socket.create_connection((args.host, args.port), timeout=30) as s:
+        ids = range(1, PIPELINED + 1)
+        s.sendall(b"".join(frame(SUBMIT, 1, i, submit_payload(1),
+                                 flags=FLAG_STREAM_RESULT) for i in ids))
+        frames = {i: [] for i in ids}
+        makespans = set()
+        succeeded = 0
+        for _ in range(2 * PIPELINED):
+            ftype, _, request_id, payload = read_frame(s)
+            frames.setdefault(request_id, []).append(ftype)
+            if ftype == RESULT:
+                state, _, _, makespan = parse_status(payload)
+                succeeded += state == SUCCEEDED
+                makespans.add(makespan)
+        check(all(frames[i] == [SUBMIT_ACK, RESULT] for i in ids),
+              "each pipelined submit: its ack, then one result")
+        check(succeeded == PIPELINED, "every pipelined result succeeded")
+        check(len(makespans) == 1, "every pipelined makespan is equal")
+        s.sendall(frame(GOODBYE, 1, 0))
+        rest = b""
+        while True:
+            chunk = s.recv(4096)
+            if not chunk:
+                break
+            rest += chunk
+        check(rest == b"", "no frame after the last result")
+
+    # 3. Quota rejection: the throttled tenant's burst covers one admit,
     #    then the bucket is in debt and the next submit must bounce.
     with socket.create_connection((args.host, args.port), timeout=30) as s:
         t = args.throttled_tenant
@@ -150,7 +185,7 @@ def main():
         check(retry_ms > 0, "positive retry-after hint (%d ms)" % retry_ms)
         s.sendall(frame(GOODBYE, t, 3))
 
-    # 3. Stats round-trip: the ServiceStats JSON reconciles with itself
+    # 4. Stats round-trip: the ServiceStats JSON reconciles with itself
     #    and with the traffic above.
     with socket.create_connection((args.host, args.port), timeout=30) as s:
         s.sendall(frame(STATS_REQUEST, 1, 1))
