@@ -8,11 +8,10 @@ namespace chainckpt::analysis {
 
 PlanEvaluator::PlanEvaluator(chain::TaskChain chain,
                              platform::CostModel costs)
-    : chain_(std::move(chain)), costs_(std::move(costs)) {
+    : chain_(std::move(chain)),
+      costs_(std::move(costs)),
+      source_(chain_, costs_) {
   CHAINCKPT_REQUIRE(!chain_.empty(), "evaluator needs a non-empty chain");
-  if (!costs_.planning_law().is_exponential()) {
-    law_tasks_.emplace(chain_, costs_);
-  }
 }
 
 double PlanEvaluator::partial_segment_value(const plan::ResiliencePlan& plan,
@@ -26,60 +25,30 @@ double PlanEvaluator::partial_segment_value(const plan::ResiliencePlan& plan,
   for (std::size_t p = v1 + 1; p < v2; ++p) {
     if (has_partial_verif(plan.action(p))) points.push_back(p);
   }
-  const double lf = costs_.lambda_f();
   const double g = costs_.miss();
 
   // Right-to-left accumulation of E_partial (ep) and E_right (er), exactly
-  // as the DP does with fixed choices (see dp_partial.cpp).
+  // as the DP does with fixed choices (see dp_partial.cpp).  The last
+  // interval (p1, v2] is closed by the guaranteed verification at v2:
+  // E_right there is R_M (immediate detection).
   double ep_next = 0.0;
   double er_next = left.r_mem;  // E_right(..., v2, v2) = R_M
   for (std::size_t k = points.size(); k-- > 0;) {
     const std::size_t p1 = points[k];
     const bool terminal = (k + 1 == points.size());
     const std::size_t p2 = terminal ? v2 : points[k + 1];
-    double ep;
-    double er;
-    if (law_tasks_) {
-      const LawInterval seg =
-          make_law_interval(chain_, costs_, *law_tasks_, p1, p2);
-      if (terminal) {
-        ep = e_partial_terminal(seg, costs_.v_partial_after(v2),
-                                costs_.v_guaranteed_after(v2), g, left);
-        er = e_right_step(seg, costs_.v_partial_after(v2), g, left.r_disk,
-                          left.r_mem, left.e_mem,
-                          /*e_right_next=*/left.r_mem);
-      } else {
-        const double reexec =
-            make_law_interval(chain_, costs_, *law_tasks_, p2, v2).exp_fs();
-        ep = e_minus_segment(seg, costs_.v_partial_after(p2), g, left,
-                             er_next) *
-                 reexec +
-             ep_next;
-        er = e_right_step(seg, costs_.v_partial_after(p2), g, left.r_disk,
-                          left.r_mem, left.e_mem, er_next);
-      }
-    } else {
-      const Interval seg = make_interval(chain_, costs_, p1, p2);
-      if (terminal) {
-        // The interval (p1, v2] is closed by the guaranteed verification at
-        // v2: E_right there is R_M (immediate detection).
-        ep = e_partial_terminal(seg, lf, costs_.v_partial_after(v2),
-                                costs_.v_guaranteed_after(v2), g, left);
-        er = e_right_step(seg, lf, costs_.v_partial_after(v2), g,
-                          left.r_disk, left.r_mem, left.e_mem,
-                          /*e_right_next=*/left.r_mem);
-      } else {
-        const double reexec = make_interval(chain_, costs_, p2, v2).exp_fs();
-        ep = e_minus_segment(seg, lf, costs_.v_partial_after(p2), g, left,
-                             er_next) *
-                 reexec +
-             ep_next;
-        er = e_right_step(seg, lf, costs_.v_partial_after(p2), g,
-                          left.r_disk, left.r_mem, left.e_mem, er_next);
-      }
-    }
+    const Interval seg = source_.step_interval(p1, p2);
+    const double v = costs_.v_partial_after(p2);
+    const double ep =
+        terminal
+            ? e_partial_terminal(seg, v, costs_.v_guaranteed_after(v2), g,
+                                 left)
+            : e_minus_segment(seg, v, g, left, er_next) *
+                      source_.interval(p2, v2).exp_fs() +
+                  ep_next;
+    er_next = e_right_step(seg, v, g, left.r_disk, left.r_mem, left.e_mem,
+                           er_next);
     ep_next = ep;
-    er_next = er;
   }
   return ep_next;
 }
@@ -108,7 +77,6 @@ void PlanEvaluator::walk_segments(const plan::ResiliencePlan& plan,
   mode = resolve_mode(plan, mode);
 
   const std::size_t n = chain_.size();
-  const double lf = costs_.lambda_f();
 
   std::size_t d1 = 0;  // last disk checkpoint
   for (std::size_t db = 1; db <= n; ++db) {
@@ -127,18 +95,12 @@ void PlanEvaluator::walk_segments(const plan::ResiliencePlan& plan,
         const LeftContext left{costs_.r_disk_after(d1),
                                costs_.r_mem_after(m1), e_mem_acc,
                                e_verif_acc};
-        double segment;
-        if (mode != FormulaMode::kTwoLevel) {
-          segment = partial_segment_value(plan, v1, vb, left);
-        } else if (law_tasks_) {
-          segment = expected_verified_segment(
-              make_law_interval(chain_, costs_, *law_tasks_, v1, vb),
-              costs_.v_guaranteed_after(vb), left);
-        } else {
-          segment = expected_verified_segment(
-              make_interval(chain_, costs_, v1, vb), lf,
-              costs_.v_guaranteed_after(vb), left);
-        }
+        const double segment =
+            mode == FormulaMode::kTwoLevel
+                ? expected_verified_segment(source_.interval(v1, vb),
+                                            costs_.v_guaranteed_after(vb),
+                                            left)
+                : partial_segment_value(plan, v1, vb, left);
         visit(SegmentValue{d1, m1, v1, vb, segment});
         e_verif_acc += segment;
         v1 = vb;

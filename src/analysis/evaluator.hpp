@@ -20,7 +20,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 #include <vector>
 
 #include "analysis/segment_math.hpp"
@@ -51,9 +50,12 @@ struct SegmentValue {
 class PlanEvaluator {
  public:
   /// Copies the chain and cost model (both are small value types).  The
-  /// walk computes each interval it reads on demand (make_interval), so
+  /// walk asks its IntervalSource for each interval it reads, so
   /// construction is O(n) and a score costs only the plan's intervals.
   PlanEvaluator(chain::TaskChain chain, platform::CostModel costs);
+  /// Not copyable: source_ reads this evaluator's own chain_.
+  PlanEvaluator(const PlanEvaluator&) = delete;
+  PlanEvaluator& operator=(const PlanEvaluator&) = delete;
 
   /// Expected makespan of `plan` on this chain/platform.  Throws
   /// std::invalid_argument when the plan size does not match the chain,
@@ -94,11 +96,9 @@ class PlanEvaluator {
 
   chain::TaskChain chain_;
   platform::CostModel costs_;
-  /// Engaged when the cost model carries a non-exponential planning law
-  /// (platform::FailureLaw::kWeibull with shape != 1); the walk then scores
-  /// segments with the law-integrated formulas of segment_math.hpp, in the
-  /// same operation order as the SegmentTables streams the DPs consume.
-  std::optional<WeibullLawTasks> law_tasks_;
+  /// The intervals under costs_' planning law, bitwise the values the
+  /// SegmentTables streams the DPs consume are built from.
+  IntervalSource source_;
 };
 
 }  // namespace chainckpt::analysis

@@ -1,4 +1,5 @@
-// Closed-form expected-time formulas of the paper (Section III).
+// Closed-form expected-time formulas of the paper (Section III), and the
+// one source of the interval quantities they read.
 //
 // These are the only place in the library where the paper's equations are
 // written down; the dynamic programs (src/core) and the analytic plan
@@ -13,7 +14,9 @@
 //   v2 : next guaranteed verification
 #pragma once
 
+#include <cmath>
 #include <cstddef>
+#include <optional>
 #include <vector>
 
 #include "chain/chain.hpp"
@@ -21,14 +24,19 @@
 
 namespace chainckpt::analysis {
 
-/// Quantities of one interval of tasks T_{i+1}..T_j.  em1_x = e^{x W} - 1
-/// is kept at full precision: the closed forms multiply (e^{x W} - 1) by
-/// recovery costs, and subtracting 1 from an exponential would lose most
-/// significant bits in the realistic small-rate regime.
+/// Quantities of one interval of tasks T_{i+1}..T_j under the planning
+/// law (see IntervalSource).  em1_x = e^{x W} - 1 is kept at full
+/// precision: the closed forms multiply (e^{x W} - 1) by recovery costs,
+/// and subtracting 1 from an exponential would lose most significant bits
+/// in the realistic small-rate regime.
 struct Interval {
-  double w = 0.0;      ///< W_{i,j}
-  double em1_f = 0.0;  ///< e^{lambda_f W} - 1
-  double em1_s = 0.0;  ///< e^{lambda_s W} - 1
+  double w = 0.0;       ///< W_{i,j}
+  double em1_f = 0.0;   ///< e^{lambda_f W} - 1, or e^{H} - 1 under a law
+  double em1_s = 0.0;   ///< e^{lambda_s W} - 1 (silent errors, either law)
+  double x = 0.0;       ///< (e^{lambda_f W} - 1)/lambda_f, or Lambda e^H + W
+  /// Eq. (3)'s T_lost, or Lambda / p_fail under a law: set only where
+  /// e_right_step reads it (IntervalSource::step_interval), else 0.
+  double t_lost = 0.0;
 
   double exp_f() const noexcept { return 1.0 + em1_f; }
   double exp_s() const noexcept { return 1.0 + em1_s; }
@@ -37,16 +45,9 @@ struct Interval {
     return em1_f + em1_s + em1_f * em1_s;
   }
   double exp_fs() const noexcept { return 1.0 + em1_fs(); }
+  /// P(a fail-stop error strikes the interval) = em1_f / e^{lambda_f W}.
+  double p_fail() const noexcept { return em1_f / exp_f(); }
 };
-
-/// The interval (i, j] of `chain` under `costs`' rates:
-/// w = chain.weight_between(i, j) (a prefix-sum difference) and
-/// em1_x = std::expm1(lambda_x * w).  Every interval value the library
-/// reads -- the SegmentTables/SegmentRows fills and the evaluator walk --
-/// comes from these expressions, which is what keeps them bitwise equal.
-Interval make_interval(const chain::TaskChain& chain,
-                       const platform::CostModel& costs, std::size_t i,
-                       std::size_t j);
 
 /// Everything the formulas need to know about the segment's left context.
 struct LeftContext {
@@ -56,20 +57,13 @@ struct LeftContext {
   double e_verif = 0.0;  ///< E_verif(d1, m1, v1): re-execute m1 -> v1
 };
 
-/// (e^{lambda_f W} - 1) / lambda_f, the first re-execution term of Eq. (4);
-/// continuous limit W as lambda_f -> 0.
-double em1f_over_lambda(const Interval& seg, double lambda_f) noexcept;
-
 /// Paper Eq. (4): expected time to successfully execute the tasks between
 /// two guaranteed verifications (interval (v1, v2]), including the cost
 /// v_guaranteed of the verification at v2.
 ///
-///   E = e^{ls W} ((e^{lf W} - 1)/lf + V*)
-///     + e^{ls W} (e^{lf W} - 1)(R_D + E_mem)
-///     + (e^{(ls+lf) W} - 1) E_verif
-///     + (e^{ls W} - 1) R_M
-double expected_verified_segment(const Interval& seg, double lambda_f,
-                                 double v_guaranteed,
+///   E = e^{ls W} (x + V*) + e^{ls W} (e^{lf W} - 1)(R_D + E_mem)
+///     + (e^{(ls+lf) W} - 1) E_verif + (e^{ls W} - 1) R_M
+double expected_verified_segment(const Interval& seg, double v_guaranteed,
                                  const LeftContext& left) noexcept;
 
 /// Paper Section III-B, E^-(d1,m1,v1,p1,p2,v2): expected time for the
@@ -77,16 +71,16 @@ double expected_verified_segment(const Interval& seg, double lambda_f,
 /// E_left(v1,p1) re-execution term removed (it is re-injected by the
 /// e^{(ls+lf) W_{p2,v2}} multiplier inside E_partial).  `e_right_next` is
 /// E_right(d1,m1,v1,p2,v2) and `miss` is g = 1 - recall.
-double e_minus_segment(const Interval& seg, double lambda_f, double v_partial,
-                       double miss, const LeftContext& left,
+double e_minus_segment(const Interval& seg, double v_partial, double miss,
+                       const LeftContext& left,
                        double e_right_next) noexcept;
 
 /// Paper Section III-B, one step of the E_right recursion: expected time
 /// lost executing (p1, p2] while an undetected silent error is present,
 /// where `e_right_next` is E_right at p2.  Initialization at p1 = v2 is
-/// E_right = R_M (handled by the caller).
-double e_right_step(const Interval& seg, double lambda_f, double v_partial,
-                    double miss, double r_disk, double r_mem, double e_mem,
+/// E_right = R_M (handled by the caller).  Reads seg.t_lost.
+double e_right_step(const Interval& seg, double v_partial, double miss,
+                    double r_disk, double r_mem, double e_mem,
                     double e_right_next) noexcept;
 
 /// Terminal choice of the E_partial recursion (p2 = v2): the interval
@@ -94,8 +88,8 @@ double e_right_step(const Interval& seg, double lambda_f, double v_partial,
 /// verification cost inside E^- is upgraded by
 /// e^{(ls+lf) W_{p1,v2}} (V* - V).
 /// `seg` is the interval (p1, v2] and `e_right_at_v2` is R_M.
-double e_partial_terminal(const Interval& seg, double lambda_f,
-                          double v_partial, double v_guaranteed, double miss,
+double e_partial_terminal(const Interval& seg, double v_partial,
+                          double v_guaranteed, double miss,
                           const LeftContext& left) noexcept;
 
 // ---------------------------------------------------------------------------
@@ -115,38 +109,23 @@ double e_partial_terminal(const Interval& seg, double lambda_f,
 //   T_lost (Eq. 3)       ->  Lambda / p_fail
 //
 // Silent errors stay per-task Bernoulli-exponential in both the model and
-// the simulator, so every lambda_s term is untouched; the four formulas
-// below keep the exact linear structure of their exponential counterparts,
-// which is what lets SegmentTables feed the same SoA coefficient streams
-// to the unmodified DP kernels.  At shape k = 1 the quantities reduce to
-// the exponential ones analytically (H = lf W, Lambda e^H + W = em1_f/lf);
-// bitwise equality of the streams is obtained by delegation, not by this
-// path (see segment_tables.cpp).
+// the simulator, so every lambda_s term is untouched, and the formulas
+// above read an Interval the same way under either law -- which is what
+// lets SegmentTables feed the same SoA coefficient streams to the
+// unmodified DP kernels.  At shape k = 1 the quantities reduce to the
+// exponential ones analytically (H = lf W, Lambda e^H + W = em1_f/lf);
+// bitwise equality there comes from IntervalSource taking the
+// exponential path, not from this one.
 // ---------------------------------------------------------------------------
 
-/// Interval quantities under an arbitrary per-attempt failure law.  em1_f
-/// carries expm1(H); x and t_lost carry the law integrals that the
-/// exponential formulas derive from lambda_f on the fly.
-struct LawInterval {
-  double w = 0.0;       ///< W_{i,j}
-  double em1_f = 0.0;   ///< e^{H(i,j)} - 1
-  double em1_s = 0.0;   ///< e^{lambda_s W} - 1 (silent errors unchanged)
-  double x = 0.0;       ///< Lambda e^{H} + W (law integral of (e^{lf W}-1)/lf)
-  double t_lost = 0.0;  ///< E[elapsed | the attempt fails] = Lambda / p_fail
-
-  double exp_f() const noexcept { return 1.0 + em1_f; }
-  double exp_s() const noexcept { return 1.0 + em1_s; }
-  double em1_fs() const noexcept { return em1_f + em1_s + em1_f * em1_s; }
-  double exp_fs() const noexcept { return 1.0 + em1_fs(); }
-};
-
 /// Per-task hazard data of a chain under the mean-matched Weibull planning
-/// law of `costs` (shape k = costs.planning_law().weibull_shape):
-/// theta = 1 / (lambda_f * Gamma(1 + 1/k)) so one attempt's mean
-/// time-to-failure equals the exponential law's 1/lambda_f.  lambda_f <= 0
-/// degenerates to the failure-free law (all hazards zero).  Task weights
-/// are read as prefix differences weight_between(t - 1, t), the same
-/// values every interval quantity is built from.
+/// law of `costs` (shape k = costs.planning_law().weibull_shape), and the
+/// law integrals of its intervals.  theta = 1 / (lambda_f * Gamma(1 + 1/k))
+/// so one attempt's mean time-to-failure equals the exponential law's
+/// 1/lambda_f.  lambda_f <= 0 degenerates to the failure-free law (all
+/// hazards zero).  Task weights are read as prefix differences
+/// weight_between(t - 1, t), the same values every interval quantity is
+/// built from.  Reads `chain` in place: the chain must outlive it.
 class WeibullLawTasks {
  public:
   WeibullLawTasks(const chain::TaskChain& chain,
@@ -165,40 +144,94 @@ class WeibullLawTasks {
     return elapsed_failed_[t];
   }
 
+  /// Calls visit(j, interval) for j = from..last (i <= from), where
+  /// `interval` holds the law quantities of (i, j], t_lost only when
+  /// kTLost.  H and Lambda are summed left to right from task i + 1 --
+  /// one exp(-H) per task, every Lambda summand non-negative, so there is
+  /// no cancellation -- and an interval's bits do not depend on `from`.
+  template <bool kTLost, typename Visit>
+  void walk(std::size_t i, std::size_t from, std::size_t last,
+            Visit&& visit) const {
+    double hazard = 0.0;      // H(i, j)
+    double lambda_acc = 0.0;  // Lambda(i, j)
+    for (std::size_t j = i; j <= last; ++j) {
+      if (j > i) {
+        const double survive_prefix = std::exp(-hazard);
+        lambda_acc += survive_prefix *
+                      (p_fail_[j] * chain_.weight_between(i, j - 1) +
+                       elapsed_failed_[j]);
+        hazard += rho_[j];
+      }
+      if (j >= from) visit(j, interval(i, j, hazard, lambda_acc, kTLost));
+    }
+  }
+
  private:
-  double shape_ = 1.0;
+  Interval interval(std::size_t i, std::size_t j, double hazard,
+                    double lambda_acc, bool with_t_lost) const;
+
+  const chain::TaskChain& chain_;
+  double lambda_s_;
+  double shape_;
   std::vector<double> rho_;
   std::vector<double> p_fail_;
   std::vector<double> elapsed_failed_;
 };
 
-/// Law quantities of the interval (i, j], accumulated left-to-right over
-/// the tasks.  The operation order matches the SegmentTables Weibull build
-/// exactly (one exp(-H) per task, Lambda summed in task order), so values
-/// computed here are bitwise equal to the stored streams.
-LawInterval make_law_interval(const chain::TaskChain& chain,
-                              const platform::CostModel& costs,
-                              const WeibullLawTasks& tasks, std::size_t i,
-                              std::size_t j);
+/// The one source of interval quantities, for both planning laws, and the
+/// one place the law is chosen: an exponential planning law (Weibull shape
+/// 1 included) takes the paper's exponential quantities, any other law the
+/// WeibullLawTasks integrals.  The SegmentTables / SegmentRows fills walk
+/// its rows and the evaluator asks it for the intervals a plan uses, so
+/// every interval value the library reads is computed by the same
+/// expressions on the same inputs -- the chain's prefix-sum differences
+/// and the cost model's rates -- and the two agree bit for bit.  Reads
+/// `chain` in place: the chain must outlive the source.
+class IntervalSource {
+ public:
+  IntervalSource(const chain::TaskChain& chain,
+                 const platform::CostModel& costs);
 
-/// Eq. (4) under the law integrals; same linear structure, with the x term
-/// carried inside `seg`.
-double expected_verified_segment(const LawInterval& seg, double v_guaranteed,
-                                 const LeftContext& left) noexcept;
+  /// The interval (i, j], 0 <= i <= j <= n, without t_lost.
+  Interval interval(std::size_t i, std::size_t j) const {
+    return at<false>(i, j);
+  }
+  /// interval(i, j) with t_lost, the one term only e_right_step reads (it
+  /// costs an extra expm1 under the exponential law).
+  Interval step_interval(std::size_t i, std::size_t j) const {
+    return at<true>(i, j);
+  }
 
-/// Section III-B E^- under the law integrals.
-double e_minus_segment(const LawInterval& seg, double v_partial, double miss,
-                       const LeftContext& left, double e_right_next) noexcept;
+  /// Calls visit(j, interval(i, j)) -- step_interval when kTLost -- for
+  /// j = i..n in ascending order.
+  template <bool kTLost, typename Visit>
+  void for_each_in_row(std::size_t i, Visit&& visit) const {
+    const std::size_t n = chain_.size();
+    if (law_) {
+      law_->walk<kTLost>(i, i, n, visit);
+      return;
+    }
+    for (std::size_t j = i; j <= n; ++j) visit(j, exponential(i, j, kTLost));
+  }
 
-/// Section III-B E_right step under the law integrals (t_lost is carried
-/// inside `seg`).
-double e_right_step(const LawInterval& seg, double v_partial, double miss,
-                    double r_disk, double r_mem, double e_mem,
-                    double e_right_next) noexcept;
+ private:
+  template <bool kTLost>
+  Interval at(std::size_t i, std::size_t j) const {
+    if (!law_) return exponential(i, j, kTLost);
+    Interval seg;
+    law_->walk<kTLost>(i, j, j,
+                       [&](std::size_t, const Interval& s) { seg = s; });
+    return seg;
+  }
 
-/// Terminal E_partial choice under the law integrals.
-double e_partial_terminal(const LawInterval& seg, double v_partial,
-                          double v_guaranteed, double miss,
-                          const LeftContext& left) noexcept;
+  /// The exponential law's quantities of (i, j]: W, std::expm1(lambda W)
+  /// of both rates, x, and Eq. (3)'s T_lost when `with_t_lost`.
+  Interval exponential(std::size_t i, std::size_t j, bool with_t_lost) const;
+
+  const chain::TaskChain& chain_;
+  double lambda_f_;
+  double lambda_s_;
+  std::optional<WeibullLawTasks> law_;  ///< engaged for a non-exponential law
+};
 
 }  // namespace chainckpt::analysis

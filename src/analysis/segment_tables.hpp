@@ -15,9 +15,10 @@
 //       b  = es * (e^{lf W} - 1)    c  = e^{(lf+ls) W} - 1
 //       d  = e^{ls W} - 1           fs = e^{(lf+ls) W}
 //       ef = e^{lf W}               pf = (e^{lf W} - 1) / ef
-//       tl = expected_time_lost(lf, W)
+//       tl = T_lost (Eq. 3)
 //
-// The O(n^4)/O(n^6) dynamic programs used to rebuild Interval/LeftContext
+// (or their law integrals under a non-exponential planning law).  The
+// O(n^4)/O(n^6) dynamic programs used to rebuild Interval/LeftContext
 // structs and re-derive these quantities -- including an expm1 per
 // e_right_step -- inside their innermost loops; this table materializes
 // them once per (chain, cost model) pair as flat SoA arrays.  The
@@ -32,14 +33,14 @@
 //             access pattern of the partial-verification inner DP (p2
 //             scan), which only ADMV runs and builds per solve.
 //
-// Every entry is computed with the exact expression trees of
-// segment_math.cpp on the same inputs: the chain's prefix-sum differences
-// and the cost model's rates (make_interval / make_law_interval), so each
-// fill evaluates its own expm1 values in its one pass over the cells.
-// The Eq. (4) level-DP kernels (dp_two_level, dp_single_level) consume
-// them with the scalar formulas' association order and reproduce those
-// values bit for bit;
-// the ADMV kernels (dp_partial) additionally distribute the e^{(lf+ls)W}
+// Both fills walk the rows of one analysis::IntervalSource
+// (segment_math.hpp), the source the evaluator asks for a plan's
+// intervals, and store the coefficients above as expressions on its
+// Interval values: every cell is bitwise what the scalar formulas read, at
+// any thread count, and only the row fill asks the source for T_lost.  The
+// Eq. (4) level-DP kernels (dp_two_level, dp_single_level) consume them
+// with the scalar formulas' association order and reproduce those values
+// bit for bit; the ADMV kernels (dp_partial) additionally distribute the e^{(lf+ls)W}
 // chain factor across each hop row's coefficients, which reassociates
 // sums of non-negative terms and may differ from the scalar path by a few
 // ulps -- well inside the 1e-9 tolerance of the "DP objective == analytic

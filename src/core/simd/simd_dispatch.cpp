@@ -1,11 +1,10 @@
 #include "core/simd/simd_dispatch.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <mutex>
 
 #include "core/simd/argmin_kernels.hpp"
-#include "util/log.hpp"
 
 namespace chainckpt::core::simd {
 
@@ -89,32 +88,28 @@ SimdTier clamp_tier(SimdTier requested) noexcept {
 
 namespace {
 
-/// Resolves detected tier + CHAINCKPT_SIMD once, logging the outcome.
+/// Resolves detected tier + CHAINCKPT_SIMD once, warning on stderr when
+/// the request cannot be honored.
 SimdTier resolve_active_tier() {
   const SimdTier detected = detected_tier();
-  SimdTier tier = detected;
-  const char* source = "detected";
-  if (const char* env = std::getenv("CHAINCKPT_SIMD")) {
-    SimdTier requested;
-    if (parse_tier(env, requested)) {
-      const SimdTier clamped = clamp_tier(requested);
-      if (clamped != requested) {
-        util::log_warn() << "simd: CHAINCKPT_SIMD=" << env
-                         << " not supported on this CPU/build; clamping to "
-                         << tier_name(clamped);
-      }
-      tier = clamped;
-      source = "CHAINCKPT_SIMD";
-    } else {
-      util::log_warn() << "simd: unrecognized CHAINCKPT_SIMD=\"" << env
-                       << "\" (want auto|avx512|avx2|scalar); using "
-                       << tier_name(detected);
-    }
+  const char* env = std::getenv("CHAINCKPT_SIMD");
+  if (env == nullptr) return detected;
+  SimdTier requested;
+  if (!parse_tier(env, requested)) {
+    std::fprintf(stderr,
+                 "[chainckpt warn] simd: unrecognized CHAINCKPT_SIMD=\"%s\" "
+                 "(want auto|avx512|avx2|scalar); using %s\n",
+                 env, tier_name(detected));
+    return detected;
   }
-  util::log_info() << "simd: dispatching " << tier_name(tier)
-                   << " argmin kernels (" << source << "; cpu best "
-                   << tier_name(detected) << ")";
-  return tier;
+  const SimdTier clamped = clamp_tier(requested);
+  if (clamped != requested) {
+    std::fprintf(stderr,
+                 "[chainckpt warn] simd: CHAINCKPT_SIMD=%s not supported on "
+                 "this CPU/build; clamping to %s\n",
+                 env, tier_name(clamped));
+  }
+  return clamped;
 }
 
 }  // namespace

@@ -19,8 +19,9 @@
 //   * DpContext::set_simd_tier(), a per-solve override for benches and
 //     the equivalence batteries (see core/dp_context.hpp).
 //
-// The first call to active_tier() logs one line reporting the dispatched
-// tier and why, so benches and bug reports pin the code path.
+// The first call to active_tier() warns on stderr when CHAINCKPT_SIMD is
+// unrecognized or names a tier this CPU/build lacks; the benches report
+// the tier that ran themselves (bench_perf_dp's `simd` counter).
 //
 // Every tier obeys the same determinism contract: strict-less LEFTMOST
 // argmin, candidates evaluated with the scalar association order and no
@@ -47,8 +48,8 @@ bool tier_supported(SimdTier tier) noexcept;
 SimdTier detected_tier() noexcept;
 
 /// The tier solves dispatch to: detected_tier() clamped by the
-/// CHAINCKPT_SIMD environment override.  Resolved and logged once per
-/// process (thread-safe); later env changes are not observed.
+/// CHAINCKPT_SIMD environment override.  Resolved once per process
+/// (thread-safe); later env changes are not observed.
 SimdTier active_tier() noexcept;
 
 /// Parses "auto"/"avx512"/"avx2"/"scalar" (case-sensitive).  Returns

@@ -107,8 +107,9 @@ class TenantGovernor {
 /// units of deficit, and the head item is served once the accumulated
 /// deficit covers its price.  Cheap jobs from polite tenants therefore
 /// overtake a flood of expensive jobs from a greedy one, while each
-/// tenant's own items stay FIFO.  Single-threaded by design (the wire
-/// server's I/O loop owns it).
+/// tenant's own items stay FIFO.  A tenant holds an entry only while it
+/// has queued items.  Single-threaded by design (the wire server's I/O
+/// loop owns it).
 template <typename Item>
 class DrrScheduler {
  public:
@@ -117,42 +118,41 @@ class DrrScheduler {
 
   void push(std::uint64_t tenant, double cost, Item item) {
     Queue& queue = queues_[tenant];
-    if (queue.items.empty() && !queue.active) {
-      queue.active = true;
-      round_.push_back(tenant);
-    }
+    if (queue.items.empty()) round_.push_back(tenant);
     queue.items.emplace_back(cost, std::move(item));
     ++size_;
   }
 
   bool empty() const noexcept { return size_ == 0; }
   std::size_t size() const noexcept { return size_; }
+  /// Tenants with at least one queued item.
+  std::size_t tenants() const noexcept { return queues_.size(); }
 
   /// Serves the next item in DRR order.  Requires !empty().  Terminates:
-  /// every full rotation adds `quantum_` to each active tenant's deficit,
+  /// every full rotation adds `quantum_` to each queued tenant's deficit,
   /// so some head item eventually becomes affordable.
   std::pair<std::uint64_t, Item> pop() {
     for (;;) {
       const std::uint64_t tenant = round_.front();
-      Queue& queue = queues_[tenant];
+      round_.pop_front();
+      const auto it = queues_.find(tenant);
+      Queue& queue = it->second;
       queue.deficit += quantum_;
-      if (!queue.items.empty() && queue.items.front().first <= queue.deficit) {
-        queue.deficit -= queue.items.front().first;
-        Item item = std::move(queue.items.front().second);
+      auto& head = queue.items.front();
+      if (head.first <= queue.deficit) {
+        queue.deficit -= head.first;
+        std::pair<std::uint64_t, Item> served{tenant, std::move(head.second)};
         queue.items.pop_front();
         --size_;
-        round_.pop_front();
         if (queue.items.empty()) {
-          // An empty queue forfeits its deficit -- credit must not be
+          // The emptied queue goes with its deficit: credit is not
           // hoarded across idle periods (textbook DRR).
-          queue.deficit = 0.0;
-          queue.active = false;
+          queues_.erase(it);
         } else {
           round_.push_back(tenant);
         }
-        return {tenant, std::move(item)};
+        return served;
       }
-      round_.pop_front();
       round_.push_back(tenant);
     }
   }
@@ -161,11 +161,10 @@ class DrrScheduler {
   struct Queue {
     std::deque<std::pair<double, Item>> items;
     double deficit = 0.0;
-    bool active = false;
   };
 
   double quantum_;
-  std::map<std::uint64_t, Queue> queues_;
+  std::map<std::uint64_t, Queue> queues_;  ///< never holds an empty queue
   std::deque<std::uint64_t> round_;
   std::size_t size_ = 0;
 };

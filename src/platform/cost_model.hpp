@@ -34,8 +34,9 @@ struct PlanningLaw {
   double weibull_shape = 1.0;
 
   /// True when the law collapses to the paper's memoryless case.  Shape
-  /// exactly 1 takes the exponential build verbatim, so its coefficient
-  /// streams are bitwise-identical to today's (see segment_tables.cpp).
+  /// exactly 1 takes the exponential path verbatim, so its coefficient
+  /// streams are bitwise-identical to the exponential law's (see
+  /// analysis::IntervalSource).
   bool is_exponential() const noexcept {
     return law == FailureLaw::kExponential || weibull_shape == 1.0;
   }

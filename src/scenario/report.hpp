@@ -15,7 +15,7 @@
 //     DP prediction is UNTRUSTED by construction.
 //   * within_ci / diverged -- per-algorithm: is the Monte-Carlo mean
 //     makespan inside the flagging interval around the DP prediction
-//     (z_flag sigmas + a relative floor)?
+//     (4.5 sigmas + a 0.5% relative floor)?
 //   * ok -- the cell-level verdict: all DP configurations bit-identical,
 //     and IF assumptions hold, no divergence.  A broken-assumption cell
 //     is ok even when diverged -- but the divergence is recorded and
@@ -75,7 +75,7 @@ struct SimLaneResult {
   double gap_sigmas = 0.0;      ///< |sim - dp| / stderr (0 when stderr=0)
   double relative_gap = 0.0;    ///< (sim - dp) / dp
   std::size_t replicas = 0;
-  bool within_ci = false;       ///< inside z_flag * stderr + rel floor
+  bool within_ci = false;       ///< inside 4.5 stderr + 0.5% of dp
 };
 
 /// The service lane of one traffic-carrying cell.  Only deterministic

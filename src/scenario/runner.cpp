@@ -36,6 +36,14 @@ const core::simd::SimdTier kConfigs[] = {
     core::simd::SimdTier::kAvx512,
 };
 
+/// Sim-lane flagging interval: in-model cells must satisfy
+/// |sim_mean - dp| <= kZFlag * stderr + kRelFloor * |dp|.  4.5 sigmas
+/// puts a per-lane false-flag probability around 7e-6, far below the
+/// matrix size, and the relative floor absorbs stderr collapse on
+/// near-deterministic cells.
+constexpr double kZFlag = 4.5;
+constexpr double kRelFloor = 0.005;
+
 std::string double_bits_hex(double v) {
   std::uint64_t bits;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -130,7 +138,7 @@ std::vector<core::OptimizationResult> run_dp_lane(const ScenarioSpec& spec,
 
 void run_sim_lane(const ScenarioSpec& spec, const MaterializedCell& cell,
                   const std::vector<core::OptimizationResult>& references,
-                  const RunnerOptions& options, CellReport& out) {
+                  CellReport& out) {
   const sim::Simulator simulator(cell.chain, cell.actual_costs);
   const sim::InjectorFactory factory = make_injector_factory(spec, cell);
   sim::ExperimentOptions eopts;
@@ -150,8 +158,8 @@ void run_sim_lane(const ScenarioSpec& spec, const MaterializedCell& cell,
         lane.sim_stderr > 0.0 ? std::abs(gap) / lane.sim_stderr : 0.0;
     lane.relative_gap =
         lane.dp_prediction != 0.0 ? gap / lane.dp_prediction : 0.0;
-    const double interval = options.z_flag * lane.sim_stderr +
-                            options.rel_floor * std::abs(lane.dp_prediction);
+    const double interval = kZFlag * lane.sim_stderr +
+                            kRelFloor * std::abs(lane.dp_prediction);
     lane.within_ci = std::abs(gap) <= interval;
     out.sim.push_back(std::move(lane));
   }
@@ -430,7 +438,7 @@ CellReport run_cell(const ScenarioSpec& spec, const RunnerOptions& options) {
 
   const std::vector<core::OptimizationResult> references =
       run_dp_lane(spec, cell, report);
-  run_sim_lane(spec, cell, references, options, report);
+  run_sim_lane(spec, cell, references, report);
   if (spec.traffic.kind != TrafficKind::kNone) {
     run_service_lane(spec, cell, references, options, report);
   }

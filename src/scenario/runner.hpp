@@ -36,13 +36,6 @@
 namespace chainckpt::scenario {
 
 struct RunnerOptions {
-  /// Divergence threshold in MC standard errors.  In-model cells must
-  /// satisfy |sim_mean - dp| <= z_flag * stderr + rel_floor * dp; 4.5
-  /// sigmas puts a per-lane false-flag probability around 7e-6, far
-  /// below the matrix size, and the relative floor absorbs stderr
-  /// collapse on near-deterministic cells.
-  double z_flag = 4.5;
-  double rel_floor = 0.005;
   /// Record wall-clock latency metrics in the service lane.  Opts the
   /// report OUT of byte determinism -- leave false for golden/CI runs.
   bool include_timing = false;

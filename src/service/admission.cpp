@@ -89,7 +89,7 @@ AdmissionVerdict AdmissionController::assess(
     verdict.reason = "deadline already passed at submit";
     return verdict;
   }
-  if (deadline.count() > 0 && config_.reject_infeasible_deadlines &&
+  if (deadline.count() > 0 && config_.deadline_headroom > 0.0 &&
       !probable_cache_hit) {
     const std::lock_guard<std::mutex> lock(mutex_);
     const Estimate est = estimate_locked(algorithm, n);

@@ -56,19 +56,17 @@ struct AdmissionConfig {
   double max_job_units = 0.0;
   /// Submissions rejected once this many jobs are already queued.
   std::size_t queue_capacity = 1024;
-  /// Reject a submission whose per-class calibrated estimate already
-  /// exceeds its deadline (scaled by deadline_headroom).  Only fires once
-  /// the class has completed at least one job -- a cold class admits
-  /// everything (the deadline still expires the job cooperatively
-  /// mid-solve if the guess was wrong).  Deadlines that are negative at
-  /// submit are rejected regardless of calibration AND of this flag --
-  /// admitting one would run the job unbounded, since only positive
-  /// deadlines arm the token.
-  bool reject_infeasible_deadlines = true;
-  /// Estimate-vs-deadline slack: reject when
+  /// Deadline screen: reject a submission whose per-class calibrated
+  /// estimate, scaled by this headroom, already exceeds its deadline:
   ///   estimated_seconds * deadline_headroom > deadline.
   /// Values above 1 reject earlier (pessimistic); below 1 admit jobs the
-  /// estimate says will likely expire.
+  /// estimate says will likely expire; 0 turns the screen off.  Only
+  /// fires once the class has completed at least one job -- a cold class
+  /// admits everything (the deadline still expires the job cooperatively
+  /// mid-solve if the guess was wrong).  Deadlines that are negative at
+  /// submit are rejected regardless of calibration AND of the headroom --
+  /// admitting one would run the job unbounded, since only positive
+  /// deadlines arm the token.
   double deadline_headroom = 1.0;
 };
 
@@ -132,7 +130,7 @@ class AdmissionController {
   /// Prices (algorithm, n) and decides against the caller's current load
   /// (queued job count, priced units in flight) and the submission's
   /// deadline (zero = none; the calibrated feasibility screen is
-  /// described on AdmissionConfig::reject_infeasible_deadlines).  Reads
+  /// described on AdmissionConfig::deadline_headroom).  Reads
   /// config, the calibration state, and its arguments -- the caller
   /// serializes load reads itself.  `probable_cache_hit` (from
   /// core::BatchSolver::probable_plan_cache_hit) discounts the price by

@@ -8,6 +8,11 @@
 namespace chainckpt::sim {
 
 namespace {
+
+/// Replicas per parallel work item.  The blocks merge in a fixed order, so
+/// results do not depend on the thread count.
+constexpr std::size_t kReplicasPerBlock = 256;
+
 struct BlockAccumulator {
   util::RunningStats makespan;
   double fail_stops = 0.0;
@@ -42,18 +47,16 @@ ExperimentResult run_experiment(const Simulator& simulator,
                                 const InjectorFactory& factory,
                                 const ExperimentOptions& options) {
   CHAINCKPT_REQUIRE(options.replicas >= 1, "need at least one replica");
-  CHAINCKPT_REQUIRE(options.block_size >= 1, "block size must be >= 1");
   CHAINCKPT_REQUIRE(static_cast<bool>(factory),
                     "injector factory must be callable");
 
   const std::size_t blocks =
-      (options.replicas + options.block_size - 1) / options.block_size;
+      (options.replicas + kReplicasPerBlock - 1) / kReplicasPerBlock;
   std::vector<BlockAccumulator> partial(blocks);
 
   util::parallel_for(0, blocks, [&](std::size_t b) {
-    const std::size_t lo = b * options.block_size;
-    const std::size_t hi =
-        std::min(options.replicas, lo + options.block_size);
+    const std::size_t lo = b * kReplicasPerBlock;
+    const std::size_t hi = std::min(options.replicas, lo + kReplicasPerBlock);
     BlockAccumulator& acc = partial[b];
     for (std::size_t r = lo; r < hi; ++r) {
       const auto injector = factory(r);

@@ -32,9 +32,6 @@ struct ExperimentResult {
 struct ExperimentOptions {
   std::size_t replicas = 10000;
   std::uint64_t seed = 42;
-  /// Replicas per parallel work item; only affects scheduling granularity,
-  /// never results.
-  std::size_t block_size = 256;
 };
 
 ExperimentResult run_experiment(const Simulator& simulator,

@@ -85,12 +85,13 @@ TEST(PlanEvaluator, TwoSegmentsCompose) {
   const PlanEvaluator ev(chain, costs);
   const auto with_verif = plan::PlanBuilder(2).guaranteed_verif_at(1).build();
 
+  const IntervalSource source(chain, costs);
   const LeftContext left0{0.0, 0.0, 0.0, 0.0};
-  const double seg1 = expected_verified_segment(
-      make_interval(chain, costs, 0, 1), p.lambda_f, p.v_guaranteed, left0);
+  const double seg1 = expected_verified_segment(source.interval(0, 1),
+                                                p.v_guaranteed, left0);
   const LeftContext left1{0.0, 0.0, 0.0, seg1};
-  const double seg2 = expected_verified_segment(
-      make_interval(chain, costs, 1, 2), p.lambda_f, p.v_guaranteed, left1);
+  const double seg2 = expected_verified_segment(source.interval(1, 2),
+                                                p.v_guaranteed, left1);
   EXPECT_NEAR(ev.expected_makespan(with_verif),
               seg1 + seg2 + p.c_mem + p.c_disk, 1e-9 * (seg1 + seg2));
 

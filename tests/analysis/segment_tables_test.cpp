@@ -6,8 +6,8 @@
 //     consume the streams verbatim, so byte-identity here is what keeps
 //     every solve's plan and objective independent of the thread count;
 //   * one interval source: every stored cell equals its closed-form
-//     expression on make_interval / make_law_interval of the same (i, j),
-//     bit for bit -- the equality the evaluator's "DP value == re-score"
+//     expression on the IntervalSource intervals of the same (i, j), bit
+//     for bit -- the equality the evaluator's "DP value == re-score"
 //     contract rests on.
 #include "analysis/segment_tables.hpp"
 
@@ -23,7 +23,6 @@
 #include "chain/patterns.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
-#include "util/math.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -138,14 +137,13 @@ TEST(SegmentTablesBlock, HoldsExactlyThePackedStreams) {
 }
 
 /// Compares every cell of both orientations against the closed-form
-/// expressions on `interval(i, j)` (an Interval or a LawInterval) and
-/// reports the first mismatch of each stream.  `x_of` and `tl_of` give
-/// the law's (e^{lf W} - 1)/lf and T_lost terms of an interval.
-template <typename MakeInterval, typename XOf, typename TlOf>
-void expect_cells_match_intervals(const TableSet& tables,
-                                  const platform::CostModel& costs,
-                                  std::size_t n, MakeInterval&& interval,
-                                  XOf&& x_of, TlOf&& tl_of) {
+/// expressions on the source's step_interval(i, j) -- the intervals the
+/// evaluator scores with -- and reports the first mismatch of each stream.
+void expect_cells_match_intervals(const chain::TaskChain& chain,
+                                  const platform::CostModel& costs) {
+  const TableSet tables(chain, costs);
+  const IntervalSource source(chain, costs);
+  const std::size_t n = chain.size();
   std::map<std::string, std::string> first_mismatch;  // stream -> (i, j]
   const auto check = [&](const char* stream, double got, double want,
                          std::size_t i, std::size_t j) {
@@ -157,19 +155,18 @@ void expect_cells_match_intervals(const TableSet& tables,
   const SegmentRows& rows = tables.rows;
   for (std::size_t j = 1; j <= n; ++j) {
     for (std::size_t i = 0; i <= j; ++i) {
-      const auto seg = interval(i, j);
-      const double x = x_of(seg);
+      const Interval seg = source.step_interval(i, j);
       check("d", cols.d_col(j)[i], seg.em1_s, i, j);
       check("c", cols.c_col(j)[i], seg.em1_fs(), i, j);
       check("fs", cols.fs_col(j)[i], seg.exp_fs(), i, j);
       check("b", cols.b_col(j)[i], seg.exp_s() * seg.em1_f, i, j);
       check("exvg", cols.exvg_col(j)[i],
-            seg.exp_s() * (x + costs.v_guaranteed_after(j)), i, j);
+            seg.exp_s() * (seg.x + costs.v_guaranteed_after(j)), i, j);
       check("exv", rows.exv_row(i)[j],
-            seg.exp_s() * (x + costs.v_partial_after(j)), i, j);
+            seg.exp_s() * (seg.x + costs.v_partial_after(j)), i, j);
       check("pf", rows.pf_row(i)[j], seg.em1_f / seg.exp_f(), i, j);
       check("ef", rows.ef_row(i)[j], seg.exp_f(), i, j);
-      check("tl", rows.tl_row(i)[j], tl_of(seg), i, j);
+      check("tl", rows.tl_row(i)[j], seg.t_lost, i, j);
       check("w", rows.w_row(i)[j], seg.w, i, j);
     }
   }
@@ -197,17 +194,7 @@ TEST(SegmentTablesIntervalSource, CellsEqualTheirIntervalExpressionsBitwise) {
   const platform::Platform p = scaled_hera();
   {
     SCOPED_TRACE("exponential");
-    const platform::CostModel costs(p);
-    const double lf = costs.lambda_f();
-    expect_cells_match_intervals(
-        TableSet(chain, costs), costs, n,
-        [&](std::size_t i, std::size_t j) {
-          return make_interval(chain, costs, i, j);
-        },
-        [&](const Interval& seg) { return em1f_over_lambda(seg, lf); },
-        [&](const Interval& seg) {
-          return util::expected_time_lost(lf, seg.w);
-        });
+    expect_cells_match_intervals(chain, platform::CostModel(p));
   }
   {
     SCOPED_TRACE("weibull");
@@ -224,13 +211,7 @@ TEST(SegmentTablesIntervalSource, CellsEqualTheirIntervalExpressionsBitwise) {
       const double got = tasks.rho(t);
       EXPECT_TRUE(same_doubles(&got, &want, 1)) << "rho(" << t << ")";
     }
-    expect_cells_match_intervals(
-        TableSet(chain, costs), costs, n,
-        [&](std::size_t i, std::size_t j) {
-          return make_law_interval(chain, costs, tasks, i, j);
-        },
-        [](const LawInterval& seg) { return seg.x; },
-        [](const LawInterval& seg) { return seg.t_lost; });
+    expect_cells_match_intervals(chain, costs);
   }
 }
 

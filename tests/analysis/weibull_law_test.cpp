@@ -7,7 +7,7 @@
 //     probability, expected elapsed-when-failed, E[elapsed | fail])
 //     against brute-force Monte-Carlo simulation of the renewal process
 //     at n <= 12 -- the oracle for the quantities the DP streams carry;
-//   * the analytic shape -> 1 reduction of LawInterval to the
+//   * the analytic shape -> 1 reduction of the law integrals to the
 //     exponential Interval quantities;
 //   * bitwise contracts: a Weibull planning law at shape exactly 1
 //     produces byte-identical SegmentTables streams AND bit-identical DP
@@ -96,8 +96,8 @@ TEST(WeibullElapsedQuadrature, MatchesTheClosedForm) {
 /// process the planning law models -- each task t of the interval draws
 /// one Weibull failure time, the first draw below its weight fails the
 /// attempt at elapsed = W(i, t-1) + T_t -- and compare the Monte-Carlo
-/// failure probability and conditional elapsed against the LawInterval
-/// integrals the SegmentTables streams are built from.
+/// failure probability and conditional elapsed against the law integrals
+/// the SegmentTables streams are built from.
 TEST(WeibullLawTasks, IntervalIntegralsMatchBruteForceMonteCarlo) {
   const std::vector<double> weights = {800.0,  1500.0, 400.0, 2500.0,
                                        1200.0, 600.0,  3000.0, 900.0,
@@ -110,7 +110,7 @@ TEST(WeibullLawTasks, IntervalIntegralsMatchBruteForceMonteCarlo) {
   p.lambda_s = 0.0;
   platform::CostModel costs(p);
   costs.set_planning_law({platform::FailureLaw::kWeibull, shape});
-  const WeibullLawTasks tasks(c, costs);
+  const IntervalSource source(c, costs);
   const double theta = 1.0 / (lambda_f * std::tgamma(1.0 + 1.0 / shape));
   const double inv_shape = 1.0 / shape;
 
@@ -124,7 +124,7 @@ TEST(WeibullLawTasks, IntervalIntegralsMatchBruteForceMonteCarlo) {
 
   for (const auto& span : spans) {
     const std::size_t i = span.first, j = span.second;
-    const LawInterval seg = make_law_interval(c, costs, tasks, i, j);
+    const Interval seg = source.step_interval(i, j);
     long long fails = 0;
     double elapsed_sum = 0.0, elapsed_sq = 0.0;
     for (int r = 0; r < reps; ++r) {
@@ -172,17 +172,19 @@ TEST(WeibullLaw, ShapeOneReducesToExponentialAnalytically) {
   p.lambda_s = ls;
   platform::CostModel costs(p);
   costs.set_planning_law({platform::FailureLaw::kWeibull, 1.0});
+  // The law walk itself: the source would take the exponential path here.
   const WeibullLawTasks tasks(c, costs);
+  const IntervalSource exponential(c, costs);
   for (std::size_t i = 0; i < c.size(); ++i) {
-    for (std::size_t j = i + 1; j <= c.size(); ++j) {
-      const LawInterval law = make_law_interval(c, costs, tasks, i, j);
-      const Interval ref = make_interval(c, costs, i, j);
+    tasks.walk<true>(i, i + 1, c.size(), [&](std::size_t j,
+                                             const Interval& law) {
+      const Interval ref = exponential.interval(i, j);
       EXPECT_NEAR(law.em1_f, ref.em1_f, 1e-12 * (1.0 + ref.em1_f));
       EXPECT_NEAR(law.em1_s, ref.em1_s, 1e-12 * (1.0 + ref.em1_s));
-      EXPECT_NEAR(law.x, em1f_over_lambda(ref, lf), 1e-11 * law.x);
+      EXPECT_NEAR(law.x, ref.x, 1e-11 * law.x);
       EXPECT_NEAR(law.t_lost, util::expected_time_lost(lf, law.w),
                   1e-9 * law.t_lost);
-    }
+    });
   }
 }
 

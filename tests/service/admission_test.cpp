@@ -95,7 +95,7 @@ TEST(Admission, DeadlineAlreadyPassedAtSubmitIsRejectedEvenCold) {
   // negative deadline would run the job with no deadline at all (only
   // positive deadlines arm the token).
   AdmissionConfig screen_off;
-  screen_off.reject_infeasible_deadlines = false;
+  screen_off.deadline_headroom = 0.0;
   const AdmissionController off(screen_off);
   EXPECT_EQ(off.assess(core::Algorithm::kADVstar, 50, 0, 0.0,
                        std::chrono::milliseconds(-3))
@@ -150,9 +150,10 @@ TEST(Admission, DeadlineHeadroomScalesTheScreen) {
                 .assess(core::Algorithm::kADVstar, 200, 0, 0.0, deadline)
                 .reject,
             RejectReason::kDeadlineInfeasible);
-  // Screen off: even a 1 ms deadline on a calibrated slow class admits.
+  // Headroom 0 turns the screen off: even a 1 ms deadline on a
+  // calibrated slow class admits.
   AdmissionConfig off;
-  off.reject_infeasible_deadlines = false;
+  off.deadline_headroom = 0.0;
   AdmissionController off_ctl(off);
   off_ctl.observe(core::Algorithm::kADVstar, 8.0, 2.0);
   EXPECT_EQ(off_ctl

@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <mutex>
@@ -36,8 +37,10 @@
 
 #include "chain/patterns.hpp"
 #include "core/batch_solver.hpp"
+#include "core/cancellation.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/registry.hpp"
+#include "slab_gate.hpp"
 #include "stress_harness.hpp"
 #include "util/rng.hpp"
 
@@ -225,18 +228,18 @@ TEST(SchedulerStress, SoakHardwareWorkers) {
 /// Targeted preemption storm: the random soak rarely preempts (the
 /// priority dispatcher keeps the highest class running, which is the
 /// point), so this scenario manufactures the inversion-risk moment --
-/// every worker pinned by batch-class ADMV solves, then urgent jobs with
-/// deadlines tight enough that waiting out a batch solve would miss
-/// them.  Asserts the preemption fired AND that every displaced batch
-/// job still finishes with a bitwise-exact result.
+/// every worker pinned by a batch-class ADMV solve the gate holds, then
+/// urgent jobs whose deadlines are already at risk when they are queued.
+/// Asserts the preemption fired AND that every displaced batch job still
+/// finishes with a bitwise-exact result.
 void run_preemption_storm(std::size_t workers) {
   const platform::CostModel costs{platform::hera()};
-  // Long enough (tens of ms) that all `workers` batch solves are
-  // observably co-resident and the urgent wave lands mid-solve.
   const core::BatchJob batch_work{core::Algorithm::kADMV,
                                   chain::make_uniform(40, 25000.0), costs};
+  // Large enough that preemption_slack times its estimate spans whole
+  // milliseconds: the urgent deadline below is one of them.
   const core::BatchJob urgent_work{core::Algorithm::kADVstar,
-                                   chain::make_uniform(150, 25000.0), costs};
+                                   chain::make_uniform(400, 25000.0), costs};
   core::BatchSolver reference;
   const auto batch_expected = reference.solve_job(batch_work);
   const auto urgent_expected = reference.solve_job(urgent_work);
@@ -255,33 +258,39 @@ void run_preemption_storm(std::size_t workers) {
   ASSERT_EQ(service.wait(service.submit({urgent_work})).state,
             JobState::kSucceeded);
 
-  // Pin every worker with batch-class work (plus a queued reserve so a
-  // finishing worker immediately picks up batch again).
+  // Pin every worker with a batch-class solve the gate holds after its
+  // first slab (plus a queued reserve so a freed worker immediately picks
+  // up batch again).
+  SlabGate gate(1);
   std::vector<JobHandle> batch_handles;
   for (std::size_t i = 0; i < 3 * workers; ++i) {
     batch_handles.push_back(
         service.submit({batch_work, {Priority::kBatch}}));
   }
-  for (int i = 0; i < 2000 && service.stats().running < workers; ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
+  ASSERT_TRUE(gate.wait_parked(workers));
   ASSERT_EQ(service.stats().running, workers);
 
-  // Urgent jobs whose deadline roughly equals their own estimate: too
-  // tight to also absorb a batch solve's remaining time, so the policy
-  // must displace batch work.  (Some may still expire -- the assert is
-  // on the preemptions and on every job reaching a sane terminal state.)
+  // Urgent jobs whose deadline -- the largest whole millisecond count
+  // below preemption_slack times their own estimate -- is at risk however
+  // soon a worker frees up, so each submit displaces a running batch job
+  // (until every one is marked).  The gate then lets the marked solves
+  // reach their next poll and yield.  (Some urgent jobs may still expire
+  // -- the assert is on the preemptions and on every job reaching a sane
+  // terminal state.)
   const double estimate =
-      service.estimate(core::Algorithm::kADVstar, 150).seconds;
-  ASSERT_GE(estimate, 0.0);
+      service.estimate(core::Algorithm::kADVstar, 400).seconds;
+  ASSERT_GT(estimate, 0.0);
   const auto deadline = milliseconds(
-      std::max<std::int64_t>(
-          5, static_cast<std::int64_t>(estimate * 3000.0)));
+      static_cast<std::int64_t>(
+          std::ceil(options.preemption_slack * estimate * 1000.0)) -
+      1);
+  ASSERT_GE(deadline.count(), 1);
   std::vector<JobHandle> urgent_handles;
   for (std::size_t i = 0; i < 2 * workers; ++i) {
     urgent_handles.push_back(service.submit(
         {urgent_work, {Priority::kUrgent, deadline}}));
   }
+  gate.release();
 
   for (const auto& handle : urgent_handles) {
     const JobStatus status = service.wait(handle);
@@ -328,18 +337,21 @@ TEST(SchedulerStress, PreemptionStormFourWorkers) {
 /// urgent deadline can be safe at submit (remaining >= slack * (own
 /// estimate + batch wait)) yet drift into the at-risk region later:
 /// remaining decays at rate 1 while the threshold decays at rate slack.
-/// Between the submit and the batch solve's completion there is NO
-/// scheduler event, so the event-only dispatcher provably misses the
-/// crossing and the urgent job expires in queue; the periodic watchdog
-/// tick catches it and displaces the batch job in time.  Every duration
-/// is derived from the service's own in-situ calibrated estimates, so
-/// the scenario scales with machine speed.
+/// The gate holds the batch solve, so between the submit and the gate's
+/// release there is NO scheduler event: the event-only dispatcher
+/// provably misses the crossing and the urgent job expires in queue; the
+/// periodic watchdog tick catches it and displaces the batch job in time.
+/// The batch class is calibrated on a solve the gate also holds, for one
+/// second, so its estimate -- and every duration derived from it below --
+/// spans dozens of watchdog ticks however fast this machine solves.
 void run_watchdog_probe(milliseconds watchdog, std::uint64_t* preempted,
                         JobState* urgent_state, JobState* batch_state) {
+  using Clock = core::CancelToken::Clock;
+  using Seconds = std::chrono::duration<double>;
   const platform::CostModel costs{platform::hera()};
   // Calibration work and probe work differ (weights 25000 vs 26000) so
-  // the probe solves rebuild their tables: the estimate then reflects a
-  // cold solve, which is what the probe runs.
+  // the probe solves rebuild their tables: the urgent estimate then
+  // reflects a cold solve, which is what the probe runs.
   const core::BatchJob batch_cal{core::Algorithm::kADMV,
                                  chain::make_uniform(72, 25000.0), costs};
   const core::BatchJob urgent_cal{core::Algorithm::kADVstar,
@@ -348,6 +360,7 @@ void run_watchdog_probe(milliseconds watchdog, std::uint64_t* preempted,
                                    chain::make_uniform(72, 26000.0), costs};
   const core::BatchJob urgent_probe{core::Algorithm::kADVstar,
                                     chain::make_uniform(150, 26000.0), costs};
+  const milliseconds hold(1000);
 
   ServiceOptions options;
   options.workers = 1;
@@ -359,35 +372,60 @@ void run_watchdog_probe(milliseconds watchdog, std::uint64_t* preempted,
   // Calibrate both algorithm classes: the at-risk math must run on real
   // estimates, or the uncalibrated-is-at-risk rule preempts at submit
   // and the event-free window never exists.
-  ASSERT_EQ(service.wait(service.submit({batch_cal})).state,
-            JobState::kSucceeded);
   ASSERT_EQ(service.wait(service.submit({urgent_cal})).state,
             JobState::kSucceeded);
+  {
+    SlabGate gate(1);
+    const JobHandle cal = service.submit({batch_cal});
+    ASSERT_TRUE(gate.wait_parked(1));
+    std::this_thread::sleep_for(hold);
+    gate.release();
+    ASSERT_EQ(service.wait(cal).state, JobState::kSucceeded);
+  }
   const double est_b = service.estimate(core::Algorithm::kADMV, 72).seconds;
   const double est_u =
       service.estimate(core::Algorithm::kADVstar, 150).seconds;
-  ASSERT_GT(est_b, 0.0);
+  ASSERT_GE(est_b, Seconds(hold).count());
   ASSERT_GE(est_u, 0.0);
 
-  // Pin the single worker with the batch probe.
+  // Pin the single worker with the batch probe, held at the gate.
+  SlabGate gate(1);
+  const auto batch_submitted = Clock::now();
   JobHandle batch = service.submit({batch_probe, {Priority::kBatch}});
-  for (int i = 0; i < 2000 && service.stats().running < 1; ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
-  }
-  ASSERT_EQ(service.stats().running, 1u);
+  ASSERT_TRUE(gate.wait_parked(1));
 
   // Deadline chosen between the submit-time threshold slack*(est_u +
-  // est_b) and the batch runtime est_b: safe now, at risk at
-  //   t* = (D - slack*(est_u + est_b)) / (1 - slack)  [40% into the
-  // batch solve for this D], expired before the batch solve's
-  // completion event.  Only the watchdog looks in between.
+  // est_b) and the batch estimate est_b: safe now, at risk once
+  //   elapsed > (urgent submit offset + 0.2 est_b) / (1 - slack)
+  // into the batch solve (about 40% of est_b), expired before the batch
+  // estimate runs out.  Only the watchdog looks in between.
   const double slack = options.preemption_slack;
   const double deadline_s = slack * (est_u + est_b) + 0.2 * est_b;
   ASSERT_LT(deadline_s, est_b);
-  JobHandle urgent = service.submit(
-      {urgent_probe,
-       {Priority::kUrgent,
-        milliseconds(static_cast<std::int64_t>(deadline_s * 1000.0))}});
+  const milliseconds deadline(static_cast<std::int64_t>(deadline_s * 1000.0));
+  const auto urgent_submitted = Clock::now();
+  JobHandle urgent =
+      service.submit({urgent_probe, {Priority::kUrgent, deadline}});
+  const auto queued = Clock::now();
+  // The crossing at the latest (the batch started no earlier than its
+  // submit, the deadline counts from no later than `queued`), and the
+  // expiry at the earliest.
+  const auto at_risk_by =
+      batch_submitted +
+      std::chrono::duration_cast<Clock::duration>(
+          (Seconds(queued - batch_submitted) + Seconds(0.2 * est_b)) /
+          (1.0 - slack));
+  const auto expires_from = urgent_submitted + deadline;
+  if (watchdog.count() > 0) {
+    // Release halfway between the two: the watchdog has had several ticks
+    // to mark the batch job, and the urgent job has as long again to run.
+    ASSERT_GE(expires_from - at_risk_by, 6 * watchdog);
+    std::this_thread::sleep_until(at_risk_by +
+                                  (expires_from - at_risk_by) / 2);
+  } else {
+    std::this_thread::sleep_until(queued + deadline + milliseconds(1));
+  }
+  gate.release();
 
   *urgent_state = service.wait(urgent).state;
   const JobStatus batch_status = service.wait(batch);
@@ -431,17 +469,19 @@ TEST(SchedulerStress, EventOnlyDispatcherMissesEventFreeDeadlineRisk) {
   EXPECT_EQ(batch_state, JobState::kSucceeded);
 }
 
-/// Bounded-starvation probe: one worker, a sustained kUrgent storm, and
-/// one kBatch job submitted just after the storm's first job pinned the
-/// worker.  Returns whether the batch job STARTED before the storm's
-/// last submission (start_seq vs submit_seq in the service-wide event
-/// order).  Under strict priority it cannot (the backlog of urgent work
-/// outranks it until the storm drains); with aging enabled its effective
-/// class reaches kUrgent after 3 intervals and FIFO-by-submit_seq within
-/// the class puts it ahead of every storm job submitted after it.  No job
-/// carries a deadline, so preemption never fires: dispatch order alone
-/// decides.
-bool run_aging_probe(milliseconds aging_interval) {
+/// Bounded-starvation probe: one worker, a kUrgent storm and one kBatch
+/// job, all queued while the gate holds the storm's first job on the
+/// worker.  Returns how many storm jobs STARTED before the batch job
+/// (start_seq in the service-wide event order).  Under strict priority
+/// every one of them does: the urgent backlog outranks the batch job
+/// until it drains.  With aging, the gate stays closed for three
+/// intervals, so the batch job's effective class has reached kUrgent
+/// when the worker frees up, and FIFO-by-submit_seq within the class puts
+/// it ahead of every storm job submitted after it.  No job carries a
+/// deadline, so preemption never fires: dispatch order alone decides.
+constexpr std::size_t kStormJobs = 60;
+
+std::size_t run_aging_probe(milliseconds aging_interval) {
   const platform::CostModel costs{platform::hera()};
   const core::BatchJob work{core::Algorithm::kADMV,
                             chain::make_uniform(40, 25000.0), costs};
@@ -456,40 +496,38 @@ bool run_aging_probe(milliseconds aging_interval) {
   options.solver.enable_plan_cache = false;
   SolverService service(options);
 
-  // Pin the worker.
-  std::vector<JobHandle> urgent;
-  urgent.push_back(service.submit({work, {Priority::kUrgent}}));
-  for (int i = 0; i < 2000 && service.stats().running < 1; ++i) {
-    std::this_thread::sleep_for(milliseconds(1));
+  SlabGate gate(1);
+  const JobHandle first = service.submit({work, {Priority::kUrgent}});
+  EXPECT_TRUE(gate.wait_parked(1));
+  const JobHandle batch = service.submit({work, {Priority::kBatch}});
+  const auto batch_queued = core::CancelToken::Clock::now();
+  std::vector<JobHandle> storm;
+  for (std::size_t i = 0; i < kStormJobs; ++i) {
+    storm.push_back(service.submit({work, {Priority::kUrgent}}));
   }
-  JobHandle batch = service.submit({work, {Priority::kBatch}});
+  // Three intervals raise kBatch to kUrgent (no wait without aging).
+  std::this_thread::sleep_until(batch_queued + 3 * aging_interval);
+  gate.release();
 
-  // The storm: a continuous urgent backlog for ~600ms of submissions
-  // (each solve is tens of ms, so the queue never empties mid-storm).
-  for (int i = 0; i < 60; ++i) {
-    urgent.push_back(service.submit({work, {Priority::kUrgent}}));
-    std::this_thread::sleep_for(milliseconds(10));
-  }
-
-  std::uint64_t last_storm_submit = 0;
-  for (const auto& handle : urgent) {
-    const JobStatus status = service.wait(handle);
-    EXPECT_EQ(status.state, JobState::kSucceeded);
-    last_storm_submit = std::max(last_storm_submit, status.submit_seq);
-  }
+  EXPECT_EQ(service.wait(first).state, JobState::kSucceeded);
   const JobStatus batch_status = service.wait(batch);
   EXPECT_EQ(batch_status.state, JobState::kSucceeded);
+  std::size_t started_before_batch = 0;
+  for (const auto& handle : storm) {
+    const JobStatus status = service.wait(handle);
+    EXPECT_EQ(status.state, JobState::kSucceeded);
+    if (status.start_seq < batch_status.start_seq) ++started_before_batch;
+  }
   service.shutdown();
-  return batch_status.start_seq != 0 &&
-         batch_status.start_seq < last_storm_submit;
+  return started_before_batch;
 }
 
 TEST(SchedulerStress, AgingBoundsBatchStarvationUnderUrgentStorm) {
   CHAINCKPT_REQUIRE_STRESS();
-  // With aging at 25ms/class the batch job reaches kUrgent rank ~75ms
-  // into a ~600ms storm and dispatches ahead of later arrivals: bounded
-  // starvation.
-  EXPECT_TRUE(run_aging_probe(milliseconds(25)));
+  // With aging at 25ms/class the batch job reaches kUrgent rank after
+  // three intervals in the queue and dispatches ahead of the whole
+  // storm: bounded starvation.
+  EXPECT_EQ(run_aging_probe(milliseconds(25)), 0u);
 }
 
 TEST(SchedulerStress, StrictPriorityStarvesBatchUnderUrgentStorm) {
@@ -498,7 +536,7 @@ TEST(SchedulerStress, StrictPriorityStarvesBatchUnderUrgentStorm) {
   // classes, and the same storm starves the batch job until it ends --
   // which is exactly why aging_interval stays opt-in (other batteries
   // assert zero inversions under strict priority).
-  EXPECT_FALSE(run_aging_probe(milliseconds(0)));
+  EXPECT_EQ(run_aging_probe(milliseconds(0)), kStormJobs);
 }
 
 TEST(SchedulerStress, BudgetedChaosDrainsEverything) {

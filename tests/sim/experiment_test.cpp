@@ -27,7 +27,7 @@ TEST(Experiment, ErrorFreeReplicasAreIdentical) {
   EXPECT_DOUBLE_EQ(result.mean_silent_corruptions, 0.0);
 }
 
-TEST(Experiment, DeterministicAcrossThreadCountsAndBlockSizes) {
+TEST(Experiment, DeterministicAcrossThreadCounts) {
   const auto chain = chain::make_uniform(10, 25000.0);
   const Simulator sim(chain, platform::CostModel(platform::hera()));
   const auto plan = plan::PlanBuilder(10).memory_checkpoint_at(5).build();
@@ -35,7 +35,6 @@ TEST(Experiment, DeterministicAcrossThreadCountsAndBlockSizes) {
   ExperimentOptions a;
   a.replicas = 2000;
   a.seed = 7;
-  a.block_size = 64;
   util::set_parallelism(1);
   const auto serial = run_experiment(sim, plan, a);
   util::set_parallelism(8);
@@ -44,17 +43,6 @@ TEST(Experiment, DeterministicAcrossThreadCountsAndBlockSizes) {
   EXPECT_DOUBLE_EQ(serial.makespan.mean(), parallel.makespan.mean());
   EXPECT_DOUBLE_EQ(serial.makespan.variance(),
                    parallel.makespan.variance());
-
-  // Different block size changes only the merge grouping, which the
-  // fixed-order merge keeps within floating-point noise of each other --
-  // the set of samples is identical, so min/max match exactly.
-  ExperimentOptions b = a;
-  b.block_size = 17;
-  const auto regrouped = run_experiment(sim, plan, b);
-  EXPECT_DOUBLE_EQ(serial.makespan.min(), regrouped.makespan.min());
-  EXPECT_DOUBLE_EQ(serial.makespan.max(), regrouped.makespan.max());
-  EXPECT_NEAR(serial.makespan.mean(), regrouped.makespan.mean(),
-              1e-9 * serial.makespan.mean());
 }
 
 TEST(Experiment, SeedChangesResults) {
@@ -93,9 +81,6 @@ TEST(Experiment, RejectsDegenerateOptions) {
   const auto plan = plan::ResiliencePlan(3);
   ExperimentOptions bad;
   bad.replicas = 0;
-  EXPECT_THROW(run_experiment(sim, plan, bad), std::invalid_argument);
-  bad.replicas = 10;
-  bad.block_size = 0;
   EXPECT_THROW(run_experiment(sim, plan, bad), std::invalid_argument);
 }
 
