@@ -1,14 +1,10 @@
-// Shared plumbing for the figure/table harnesses: CLI conventions, CSV
-// export, and the seeded random-scenario generators.  Every harness prints
-// the paper-shaped rows to stdout and optionally mirrors the series to CSV
-// with --csv <dir>.
+// Seeded random-scenario generators shared by bench_perf_dp and the
+// randomized test batteries.
 #pragma once
 
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
-#include <filesystem>
-#include <iostream>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,9 +12,6 @@
 #include "chain/patterns.hpp"
 #include "platform/cost_model.hpp"
 #include "platform/platform.hpp"
-#include "report/emit.hpp"
-#include "report/series.hpp"
-#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace chainckpt::bench {
@@ -67,45 +60,6 @@ inline platform::CostModel random_per_position_costs(
   }
   return platform::CostModel(base, std::move(c_disk), std::move(c_mem),
                              std::move(v_g), std::move(v_p));
-}
-
-struct HarnessOptions {
-  std::optional<std::string> csv_dir;
-  bool fast = false;  ///< reduced sweep for smoke runs
-};
-
-inline util::CliParser make_parser() {
-  util::CliParser parser;
-  parser.add_option("csv", "", "directory to write CSV series into");
-  parser.add_flag("fast", "reduced sweeps (smoke mode)");
-  return parser;
-}
-
-inline HarnessOptions parse_harness(util::CliParser& parser, int argc,
-                                    char** argv,
-                                    const std::string& summary) {
-  parser.parse(argc, argv);
-  if (parser.help_requested()) {
-    std::cout << parser.help_text(summary);
-    std::exit(0);
-  }
-  HarnessOptions options;
-  const std::string dir = parser.get("csv");
-  if (!dir.empty()) {
-    std::filesystem::create_directories(dir);
-    options.csv_dir = dir;
-  }
-  options.fast = parser.get_flag("fast");
-  return options;
-}
-
-inline void maybe_csv(const HarnessOptions& options,
-                      const std::string& filename,
-                      const std::vector<report::Series>& series) {
-  if (!options.csv_dir) return;
-  const std::string path = *options.csv_dir + "/" + filename;
-  report::write_series_csv(path, series);
-  std::cout << "  [csv] " << path << '\n';
 }
 
 }  // namespace chainckpt::bench

@@ -24,6 +24,7 @@
 //                          cross; combines with --mode full/smoke gates
 #include <algorithm>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -154,8 +155,13 @@ int main(int argc, char** argv) {
   parser.add_flag("timing", "include wall-clock service metrics");
   parser.add_flag("serial", "run on one thread");
   parser.add_flag("list", "print cell names and exit");
+  scenario::MatrixOptions mopts;
   try {
     parser.parse(argc, argv);
+    if (!parser.get("seed").empty()) {
+      mopts.master_seed =
+          static_cast<std::uint64_t>(parser.get_int("seed"));
+    }
   } catch (const std::exception& e) {
     std::cerr << e.what() << '\n';
     return 2;
@@ -164,12 +170,6 @@ int main(int argc, char** argv) {
     std::cout << parser.help_text(
         "bench_scenarios -- scenario matrix & failure-regime battery");
     return 0;
-  }
-
-  scenario::MatrixOptions mopts;
-  if (!parser.get("seed").empty()) {
-    mopts.master_seed =
-        static_cast<std::uint64_t>(parser.get_int("seed"));
   }
 
   scenario::RunnerOptions ropts;
@@ -191,8 +191,13 @@ int main(int argc, char** argv) {
   mopts.smoke = mode == "smoke";
   mopts.spec_dir = parser.get("spec-dir");
 
-  const std::vector<scenario::ScenarioSpec> specs =
-      scenario::build_matrix(mopts);
+  std::vector<scenario::ScenarioSpec> specs;
+  try {
+    specs = scenario::build_matrix(mopts);  // loads --spec-dir, if given
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
   if (parser.get_flag("list")) {
     for (const scenario::ScenarioSpec& spec : specs) {
       std::cout << spec.name << '\n';

@@ -5,7 +5,10 @@
 //
 //   $ ./batch_server [--waves 4] [--serial]
 #include <chrono>
+#include <cstdint>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <vector>
 
 #include "chain/patterns.hpp"
@@ -20,7 +23,16 @@ int main(int argc, char** argv) {
   util::CliParser cli;
   cli.add_option("waves", "4", "request waves in the batch");
   cli.add_flag("serial", "solve on one thread instead of the worker pool");
-  cli.parse(argc, argv);
+  std::size_t waves = 0;
+  try {
+    cli.parse(argc, argv);
+    const std::int64_t n = cli.get_int("waves");
+    if (n < 0) throw std::invalid_argument("--waves must not be negative");
+    waves = static_cast<std::size_t>(n);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help_text("batch_server: BatchSolver workload demo");
     return 0;
@@ -29,7 +41,6 @@ int main(int argc, char** argv) {
   // 1. A request: many independent chains of different lengths, weight
   //    patterns, platforms, and algorithms.  Waves repeat the same chain
   //    shapes -- the traffic pattern the coefficient-table cache serves.
-  const auto waves = static_cast<std::size_t>(cli.get_int("waves"));
   std::vector<core::BatchJob> jobs;
   for (std::size_t w = 0; w < waves; ++w) {
     for (const auto& p : platform::table1_platforms()) {

@@ -3,7 +3,10 @@
 // Monte-Carlo run.
 //
 //   $ ./quickstart [--platform Hera] [--tasks 20] [--weight 25000]
+#include <cstdint>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
 
 #include "analysis/breakdown.hpp"
 #include "analysis/evaluator.hpp"
@@ -22,19 +25,28 @@ int main(int argc, char** argv) {
   cli.add_option("platform", "Hera", "Table I platform name");
   cli.add_option("tasks", "20", "number of tasks in the chain");
   cli.add_option("weight", "25000", "total computational weight (s)");
-  cli.parse(argc, argv);
+  double weight = 0.0;
+  chain::TaskChain chain;
+  platform::Platform platform;
+  try {
+    cli.parse(argc, argv);
+    const std::int64_t tasks = cli.get_int("tasks");
+    if (tasks < 1) throw std::invalid_argument("--tasks must be at least 1");
+    weight = cli.get_double("weight");
+    // 1. Describe the application: a linear chain of equal-sized kernels
+    //    (make_uniform rejects a weight that is not positive and finite).
+    chain = chain::make_uniform(static_cast<std::size_t>(tasks), weight);
+    // 2. Pick a platform (error rates + resilience costs).
+    platform = platform::by_name(cli.get("platform"));
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help_text("quickstart: optimal two-level plan demo");
     return 0;
   }
 
-  // 1. Describe the application: a linear chain of equal-sized kernels.
-  const auto n = static_cast<std::size_t>(cli.get_int("tasks"));
-  const double weight = cli.get_double("weight");
-  const auto chain = chain::make_uniform(n, weight);
-
-  // 2. Pick a platform (error rates + resilience costs).
-  const auto platform = platform::by_name(cli.get("platform"));
   const platform::CostModel costs(platform);
   std::cout << "Platform: " << platform.describe() << "\n";
   std::cout << "Chain:    " << chain.describe() << "\n\n";

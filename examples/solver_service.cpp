@@ -11,7 +11,10 @@
 // the quickstart snippet in docs/SERVER.md.
 #include <atomic>
 #include <chrono>
+#include <cstdint>
+#include <exception>
 #include <iostream>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -28,13 +31,26 @@ int main(int argc, char** argv) {
   cli.add_option("jobs", "24", "jobs in the burst");
   cli.add_option("budget-mib", "8",
                  "one LRU budget over tables, checkpoints and plans (MiB)");
-  cli.parse(argc, argv);
+  std::size_t burst = 0;
+  std::size_t budget_mib = 0;
+  try {
+    cli.parse(argc, argv);
+    const std::int64_t jobs = cli.get_int("jobs");
+    const std::int64_t mib = cli.get_int("budget-mib");
+    if (jobs < 1) throw std::invalid_argument("--jobs must be at least 1");
+    if (mib < 0) {
+      throw std::invalid_argument("--budget-mib must not be negative");
+    }
+    burst = static_cast<std::size_t>(jobs);
+    budget_mib = static_cast<std::size_t>(mib);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << '\n';
+    return 2;
+  }
   if (cli.help_requested()) {
     std::cout << cli.help_text("solver_service: async SolverService demo");
     return 0;
   }
-  const auto burst = static_cast<std::size_t>(cli.get_int("jobs"));
-  const auto budget_mib = static_cast<std::size_t>(cli.get_int("budget-mib"));
 
   // 1. Configure the service: admission pricing with a concurrency
   //    budget, the one LRU byte budget (tables, checkpoints and plans

@@ -3,98 +3,13 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <limits>
 
 #include "analysis/first_order.hpp"
 #include "platform/cost_model.hpp"
 #include "util/assert.hpp"
-#include "util/table.hpp"
 
 namespace chainckpt::core {
-
-namespace {
-
-double optimized_makespan(const chain::TaskChain& chain,
-                          const platform::Platform& platform,
-                          Algorithm algorithm) {
-  platform::Platform p = platform;
-  p.validate();
-  const platform::CostModel costs(p);
-  return optimize(algorithm, chain, costs).expected_makespan;
-}
-
-using Mutator = std::function<void(platform::Platform&, double factor)>;
-
-SensitivityRow row_for(const chain::TaskChain& chain,
-                       const platform::Platform& base,
-                       const SensitivityOptions& options,
-                       const std::string& name, double base_value,
-                       const Mutator& scale) {
-  SensitivityRow row;
-  row.parameter = name;
-  row.base_value = base_value;
-  if (base_value == 0.0) return row;  // elasticity undefined; report 0
-  const double h = options.relative_step;
-  platform::Platform up = base;
-  scale(up, 1.0 + h);
-  platform::Platform down = base;
-  scale(down, 1.0 - h);
-  const double e_up = optimized_makespan(chain, up, options.algorithm);
-  const double e_down = optimized_makespan(chain, down, options.algorithm);
-  const double e_base = optimized_makespan(chain, base, options.algorithm);
-  // d log E / d log p ~ (E+ - E-) / (2 h E0).
-  row.elasticity = (e_up - e_down) / (2.0 * h * e_base);
-  return row;
-}
-
-}  // namespace
-
-std::vector<SensitivityRow> parameter_sensitivity(
-    const chain::TaskChain& chain, const platform::Platform& platform,
-    const SensitivityOptions& options) {
-  CHAINCKPT_REQUIRE(options.relative_step > 0.0 &&
-                        options.relative_step < 0.5,
-                    "relative step must lie in (0, 0.5)");
-  std::vector<SensitivityRow> rows;
-  rows.push_back(row_for(chain, platform, options, "lambda_f",
-                         platform.lambda_f,
-                         [](platform::Platform& p, double f) {
-                           p.lambda_f *= f;
-                         }));
-  rows.push_back(row_for(chain, platform, options, "lambda_s",
-                         platform.lambda_s,
-                         [](platform::Platform& p, double f) {
-                           p.lambda_s *= f;
-                         }));
-  rows.push_back(row_for(chain, platform, options, "C_D (=R_D)",
-                         platform.c_disk,
-                         [](platform::Platform& p, double f) {
-                           p.c_disk *= f;
-                           p.r_disk *= f;
-                         }));
-  rows.push_back(row_for(chain, platform, options, "C_M (=R_M)",
-                         platform.c_mem,
-                         [](platform::Platform& p, double f) {
-                           p.c_mem *= f;
-                           p.r_mem *= f;
-                         }));
-  rows.push_back(row_for(chain, platform, options, "V*",
-                         platform.v_guaranteed,
-                         [](platform::Platform& p, double f) {
-                           p.v_guaranteed *= f;
-                         }));
-  rows.push_back(row_for(chain, platform, options, "V", platform.v_partial,
-                         [](platform::Platform& p, double f) {
-                           p.v_partial *= f;
-                         }));
-  rows.push_back(row_for(chain, platform, options, "miss g = 1-r",
-                         platform.miss_probability(),
-                         [](platform::Platform& p, double f) {
-                           p.recall = 1.0 - (1.0 - p.recall) * f;
-                         }));
-  return rows;
-}
 
 namespace {
 
@@ -257,16 +172,6 @@ DriftCheck check_certificate(const ValidityCertificate& cert,
     }
   }
   return check;
-}
-
-std::string render_sensitivity(const std::vector<SensitivityRow>& rows) {
-  util::TextTable table(
-      {"parameter", "base value", "elasticity dlogE/dlogp"});
-  for (const auto& row : rows) {
-    table.add_row({row.parameter, util::TextTable::num(row.base_value, 6),
-                   util::TextTable::num(row.elasticity, 5)});
-  }
-  return table.render();
 }
 
 }  // namespace chainckpt::core

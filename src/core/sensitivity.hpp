@@ -1,51 +1,6 @@
-// Parameter sensitivity of the optimized expected makespan.
-//
-// For each model parameter p, reports the elasticity
-//
-//     d log E*(p) / d log p   (central difference, re-optimizing at each
-//                              perturbed value)
-//
-// where E* is the expected makespan of the *re-optimized* plan -- i.e.
-// the sensitivity a capacity planner cares about, envelope effects
-// included.  An elasticity of 0.1 means a 10% parameter increase costs
-// about 1% makespan.
-#pragma once
-
-#include <string>
-#include <vector>
-
-#include "chain/chain.hpp"
-#include "core/optimizer.hpp"
-#include "plan/plan.hpp"
-#include "platform/cost_model.hpp"
-#include "platform/platform.hpp"
-
-namespace chainckpt::core {
-
-struct SensitivityRow {
-  std::string parameter;
-  double base_value = 0.0;
-  double elasticity = 0.0;
-};
-
-struct SensitivityOptions {
-  /// Relative perturbation for the central difference.
-  double relative_step = 0.10;
-  Algorithm algorithm = Algorithm::kADMV;
-};
-
-/// Elasticities for lambda_f, lambda_s, C_D, C_M, V*, V and the miss
-/// probability g = 1 - r (g rather than r so zero-crossing recall does
-/// not break the log-scale perturbation).
-std::vector<SensitivityRow> parameter_sensitivity(
-    const chain::TaskChain& chain, const platform::Platform& platform,
-    const SensitivityOptions& options = {});
-
-/// ASCII table of the rows.
-std::string render_sensitivity(const std::vector<SensitivityRow>& rows);
-
-// ---------------------------------------------------------------------------
-// Validity certificates for cached plans (core::PlanCache).
+// Validity certificates for cached plans (core::PlanCache): how far a
+// cost model may drift from the one a plan was optimized under before the
+// cache must re-solve, and how good a re-scored plan must be to serve.
 //
 // A certificate answers two different questions about serving a cached
 // plan under a drifted cost model, with two very different strengths:
@@ -84,7 +39,15 @@ std::string render_sensitivity(const std::vector<SensitivityRow>& rows);
 //     error <= epsilon against the unknown optimum.
 //
 // See docs/CACHING.md for the full contract.
-// ---------------------------------------------------------------------------
+#pragma once
+
+#include <cstddef>
+
+#include "plan/plan.hpp"
+#include "platform/cost_model.hpp"
+#include "platform/platform.hpp"
+
+namespace chainckpt::core {
 
 struct ValidityCertificate {
   /// Advisory radii (relative drift) per parameter group.

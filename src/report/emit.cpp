@@ -5,23 +5,9 @@
 #include <map>
 #include <sstream>
 
-#include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace chainckpt::report {
-
-void write_series_csv(const std::string& path,
-                      const std::vector<Series>& series) {
-  util::CsvWriter csv(path, {"series", "x", "y"});
-  for (const auto& s : series) {
-    for (std::size_t k = 0; k < s.size(); ++k) {
-      std::ostringstream xs, ys;
-      xs << s.x[k];
-      ys << s.y[k];
-      csv.add_row({s.name, xs.str(), ys.str()});
-    }
-  }
-}
 
 std::string series_table(const std::string& x_header,
                          const std::vector<Series>& series, int precision) {

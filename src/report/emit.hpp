@@ -1,5 +1,4 @@
-// Emission of figure data: CSV files (one per figure, long format) and
-// text tables.
+// Emission of figure data as text tables.
 #pragma once
 
 #include <string>
@@ -8,10 +7,6 @@
 #include "report/series.hpp"
 
 namespace chainckpt::report {
-
-/// Writes all series in long format (series,x,y) to `path`.
-void write_series_csv(const std::string& path,
-                      const std::vector<Series>& series);
 
 /// Renders the series as a wide text table: one row per x value (the union
 /// of all x values), one column per series; missing points print "-".

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 
 namespace chainckpt::sim {
 
@@ -21,16 +20,12 @@ enum class EventKind {
   kDiskCheckpoint,
 };
 
-const char* to_string(EventKind kind);
-
 struct Event {
   EventKind kind;
   /// Simulated wall-clock time at which the event finished.
   double time = 0.0;
   /// Task position the event refers to (1-based; 0 = virtual T0).
   std::size_t position = 0;
-
-  std::string describe() const;
 };
 
 }  // namespace chainckpt::sim

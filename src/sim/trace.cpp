@@ -1,44 +1,6 @@
 #include "sim/trace.hpp"
 
-#include <sstream>
-
 namespace chainckpt::sim {
-
-const char* to_string(EventKind kind) {
-  switch (kind) {
-    case EventKind::kTaskCompleted:
-      return "task-completed";
-    case EventKind::kFailStop:
-      return "fail-stop";
-    case EventKind::kDiskRecovery:
-      return "disk-recovery";
-    case EventKind::kSilentCorruption:
-      return "silent-corruption";
-    case EventKind::kPartialVerifPass:
-      return "partial-verif-pass";
-    case EventKind::kPartialVerifMiss:
-      return "partial-verif-miss";
-    case EventKind::kPartialVerifDetect:
-      return "partial-verif-detect";
-    case EventKind::kGuaranteedVerifPass:
-      return "guaranteed-verif-pass";
-    case EventKind::kGuaranteedVerifDetect:
-      return "guaranteed-verif-detect";
-    case EventKind::kMemoryRecovery:
-      return "memory-recovery";
-    case EventKind::kMemoryCheckpoint:
-      return "memory-checkpoint";
-    case EventKind::kDiskCheckpoint:
-      return "disk-checkpoint";
-  }
-  return "?";
-}
-
-std::string Event::describe() const {
-  std::ostringstream os;
-  os << "t=" << time << "s " << to_string(kind) << " @T" << position;
-  return os.str();
-}
 
 TraceRecorder::TraceRecorder(std::size_t capacity) : capacity_(capacity) {
   events_.reserve(capacity > 4096 ? 4096 : capacity);
@@ -63,13 +25,6 @@ std::size_t TraceRecorder::count(EventKind kind) const noexcept {
   for (const auto& e : events_)
     if (e.kind == kind) ++c;
   return c;
-}
-
-std::string TraceRecorder::render() const {
-  std::ostringstream os;
-  for (const auto& e : events_) os << e.describe() << '\n';
-  if (dropped_ > 0) os << "(" << dropped_ << " events dropped)\n";
-  return os.str();
 }
 
 }  // namespace chainckpt::sim

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "sim/event.hpp"
@@ -25,9 +24,6 @@ class TraceRecorder {
 
   /// Number of recorded events of one kind.
   std::size_t count(EventKind kind) const noexcept;
-
-  /// Multi-line human-readable dump.
-  std::string render() const;
 
  private:
   std::size_t capacity_;

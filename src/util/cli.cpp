@@ -74,20 +74,30 @@ bool CliParser::get_flag(const std::string& name) const {
   return get(name) == "true";
 }
 
+// std::stoll / std::stod throw invalid_argument or out_of_range naming
+// only themselves; either becomes one invalid_argument naming the flag.
 std::int64_t CliParser::get_int(const std::string& name) const {
   const std::string v = get(name);
-  std::size_t pos = 0;
-  const std::int64_t out = std::stoll(v, &pos);
-  if (pos != v.size())
+  std::size_t pos = 0;  // stays 0 when std::stoll throws
+  std::int64_t out = 0;
+  try {
+    out = std::stoll(v, &pos);
+  } catch (const std::logic_error&) {
+  }
+  if (pos == 0 || pos != v.size())
     throw std::invalid_argument("not an integer for --" + name + ": " + v);
   return out;
 }
 
 double CliParser::get_double(const std::string& name) const {
   const std::string v = get(name);
-  std::size_t pos = 0;
-  const double out = std::stod(v, &pos);
-  if (pos != v.size())
+  std::size_t pos = 0;  // stays 0 when std::stod throws
+  double out = 0.0;
+  try {
+    out = std::stod(v, &pos);
+  } catch (const std::logic_error&) {
+  }
+  if (pos == 0 || pos != v.size())
     throw std::invalid_argument("not a number for --" + name + ": " + v);
   return out;
 }

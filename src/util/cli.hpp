@@ -30,6 +30,8 @@ class CliParser {
 
   std::string get(const std::string& name) const;
   bool get_flag(const std::string& name) const;
+  /// Throw std::invalid_argument naming the flag unless the whole value
+  /// parses.
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;
 

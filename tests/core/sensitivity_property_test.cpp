@@ -4,8 +4,7 @@
 //  * finite-difference cross-checks: every closed-form first-order
 //    derivative (Young/Daly periods + overhead) against central
 //    differences at THREE step sizes, on the Table I platforms and on
-//    seeded random platforms; the envelope elasticities of
-//    parameter_sensitivity are checked for step-size stability.
+//    seeded random platforms.
 //  * the soundness lemma behind ValidityCertificate's epsilon-hits:
 //    for any FIXED plan the evaluator objective is affine in the cost
 //    vector with non-negative slope and monotone non-decreasing in the
@@ -197,29 +196,6 @@ TEST(FirstOrderDerivatives, StabilityRadiusIsMonotoneAndClamped) {
     prev = r;
   }
   EXPECT_DOUBLE_EQ(analysis::stability_radius(1000), 0.02);
-}
-
-TEST(EnvelopeElasticities, AreStableAcrossThreeStepSizes) {
-  // parameter_sensitivity is itself a central difference over the
-  // RE-OPTIMIZED objective; the envelope theorem says the derivative
-  // exists, so shrinking the step must converge, not wander.
-  const auto chain = chain::make_uniform(10, 25000.0);
-  SensitivityOptions options;
-  options.algorithm = Algorithm::kADMVstar;
-  std::vector<std::vector<SensitivityRow>> runs;
-  for (const double step : {0.15, 0.10, 0.05}) {
-    options.relative_step = step;
-    runs.push_back(
-        parameter_sensitivity(chain, platform::hera(), options));
-  }
-  for (std::size_t r = 1; r < runs.size(); ++r) {
-    ASSERT_EQ(runs[r].size(), runs[0].size());
-    for (std::size_t i = 0; i < runs[0].size(); ++i) {
-      EXPECT_NEAR(runs[r][i].elasticity, runs[0][i].elasticity,
-                  0.02 + 0.25 * std::abs(runs[0][i].elasticity))
-          << runs[0][i].parameter;
-    }
-  }
 }
 
 // ---------------------------------------------------------------- lemma

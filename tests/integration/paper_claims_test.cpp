@@ -1,7 +1,7 @@
 // Qualitative claims of the paper's evaluation (Section IV), asserted as
 // regression tests.  Quantities are gated with generous margins around the
-// values this implementation reproduces (see EXPERIMENTS.md for the full
-// paper-vs-measured record).
+// values this implementation reproduces (bench/bench_paper.cpp prints the
+// full Table I and Figures 5-8 they come from).
 #include <gtest/gtest.h>
 
 #include "chain/patterns.hpp"

@@ -1,9 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "report/ascii_chart.hpp"
 #include "report/emit.hpp"
@@ -66,19 +64,6 @@ TEST(AsciiChart, SinglePointSeries) {
 
 TEST(AsciiChart, RejectsEmptyInput) {
   EXPECT_THROW(render_chart({}, {}), std::invalid_argument);
-}
-
-TEST(Emit, SeriesCsvLongFormat) {
-  const std::string path = ::testing::TempDir() + "/series_test.csv";
-  Series s;
-  s.name = "AD,MV";  // needs quoting
-  s.add(1.0, 1.5);
-  write_series_csv(path, {s});
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  EXPECT_EQ(ss.str(), "series,x,y\n\"AD,MV\",1,1.5\n");
-  std::remove(path.c_str());
 }
 
 TEST(Emit, SeriesTableAlignsOnXUnion) {

@@ -1,11 +1,7 @@
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 
-#include "util/csv.hpp"
 #include "util/table.hpp"
 
 namespace chainckpt::util {
@@ -35,41 +31,6 @@ TEST(TextTable, RendersAlignedColumns) {
 TEST(TextTable, NumFormatsPrecision) {
   EXPECT_EQ(TextTable::num(1.23456, 2), "1.23");
   EXPECT_EQ(TextTable::num(2.0, 0), "2");
-}
-
-TEST(CsvWriter, EscapesSpecialCharacters) {
-  EXPECT_EQ(CsvWriter::escape("plain"), "plain");
-  EXPECT_EQ(CsvWriter::escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(CsvWriter::escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(CsvWriter::escape("line\nbreak"), "\"line\nbreak\"");
-}
-
-TEST(CsvWriter, WritesRowsRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/chainckpt_test.csv";
-  {
-    CsvWriter csv(path, {"series", "x", "y"});
-    csv.add_row({"ADV*", "1", "1.114"});
-    csv.add_row({"with,comma", "2", "3"});
-  }
-  std::ifstream in(path);
-  std::stringstream ss;
-  ss << in.rdbuf();
-  const std::string content = ss.str();
-  EXPECT_EQ(content,
-            "series,x,y\nADV*,1,1.114\n\"with,comma\",2,3\n");
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, RejectsWrongWidth) {
-  const std::string path = ::testing::TempDir() + "/chainckpt_test2.csv";
-  CsvWriter csv(path, {"a", "b"});
-  EXPECT_THROW(csv.add_row({"x"}), std::invalid_argument);
-  std::remove(path.c_str());
-}
-
-TEST(CsvWriter, ThrowsOnUnwritablePath) {
-  EXPECT_THROW(CsvWriter("/nonexistent-dir-xyz/file.csv", {"a"}),
-               std::runtime_error);
 }
 
 }  // namespace

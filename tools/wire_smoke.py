@@ -18,14 +18,21 @@ codecs) fails here.  Drives a live server (examples/wire_server.cpp):
      own parser, and its per-tenant counters must reconcile with the
      global ones and with steps 2-4.
 
-Usage (the CI smoke lane):
-  wire_server --port 7433 --quotas "2:0.000001:0.000001" &
-  python3 tools/wire_smoke.py --port 7433
+Each run starts its own server from --server on an ephemeral port, with
+a near-zero quota for the throttled tenant, reads the bound port from
+the "wire 127.0.0.1:PORT" line the server prints, and stops the server
+on exit, pass or fail.  A run therefore never sees another run's quota
+debt.
+
+Usage (the CI smoke lane runs it twice in a row):
+  python3 tools/wire_smoke.py --server build/example_wire_server
 """
 import argparse
 import json
+import re
 import socket
 import struct
+import subprocess
 import sys
 
 MAGIC = b"CKPT"
@@ -43,6 +50,12 @@ SUCCEEDED, REJECTED = 2, 6
 
 # Streamed submits sent in one write by the pipelining step.
 PIPELINED = 16
+
+# The tenant the server is started with a near-zero quota for: its burst
+# covers one admit, and the debt that admit leaves refills at 1e-6
+# units/s.
+THROTTLED = 2
+QUOTAS = "%d:0.000001:0.000001" % THROTTLED
 
 # Counters kept both globally and per tenant (service::TenantCounters).
 TENANT_COUNTERS = ("submitted", "rejected", "succeeded", "failed",
@@ -109,17 +122,49 @@ def check(condition, message):
     print("ok:", message)
 
 
+def start_server(path):
+    """Boots `path` on an ephemeral port; returns (process, address)."""
+    server = subprocess.Popen([path, "--port", "0", "--quotas", QUOTAS],
+                              stdout=subprocess.PIPE, text=True)
+    line = server.stdout.readline()
+    match = re.fullmatch(r"wire ([0-9.]+):([0-9]+)\n", line)
+    if not match:
+        stop_server(server)
+        print("FAIL: server printed %r, not its port" % line)
+        sys.exit(1)
+    return server, (match.group(1), int(match.group(2)))
+
+
+def stop_server(server):
+    """SIGTERM, then wait; the server prints its frame counts on the way
+    out."""
+    server.terminate()
+    try:
+        rest, _ = server.communicate(timeout=30)
+    except subprocess.TimeoutExpired:
+        server.kill()
+        rest, _ = server.communicate()
+    print("server:", rest.strip() or "(no output)",
+          "[exit %d]" % server.returncode)
+
+
 def main():
     parser = argparse.ArgumentParser()
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, required=True)
-    parser.add_argument("--throttled-tenant", type=int, default=2,
-                        help="tenant the server was started with a "
-                             "near-zero quota for")
+    parser.add_argument("--server", required=True,
+                        help="path to the example_wire_server binary")
     args = parser.parse_args()
 
+    server, address = start_server(args.server)
+    try:
+        run_steps(address)
+    finally:
+        stop_server(server)
+    print("wire smoke passed")
+
+
+def run_steps(address):
     # 1. Handshake + solve round-trip as an unthrottled tenant.
-    with socket.create_connection((args.host, args.port), timeout=30) as s:
+    with socket.create_connection(address, timeout=30) as s:
         s.sendall(frame(HELLO, 1, 1, wire_string("wire_smoke.py")))
         ftype, _, _, _ = read_frame(s)
         check(ftype == WELCOME, "hello answered with welcome")
@@ -143,7 +188,7 @@ def main():
 
     # 2. Pipelining: the repeats of one job hit the plan cache and finish
     #    within microseconds, so their results race their acks.
-    with socket.create_connection((args.host, args.port), timeout=30) as s:
+    with socket.create_connection(address, timeout=30) as s:
         ids = range(1, PIPELINED + 1)
         s.sendall(b"".join(frame(SUBMIT, 1, i, submit_payload(1),
                                  flags=FLAG_STREAM_RESULT) for i in ids))
@@ -172,8 +217,8 @@ def main():
 
     # 3. Quota rejection: the throttled tenant's burst covers one admit,
     #    then the bucket is in debt and the next submit must bounce.
-    with socket.create_connection((args.host, args.port), timeout=30) as s:
-        t = args.throttled_tenant
+    with socket.create_connection(address, timeout=30) as s:
+        t = THROTTLED
         s.sendall(frame(SUBMIT, t, 1, submit_payload(t)))
         ftype, _, _, _ = read_frame(s)
         check(ftype == SUBMIT_ACK, "throttled tenant's first submit admitted")
@@ -187,7 +232,7 @@ def main():
 
     # 4. Stats round-trip: the ServiceStats JSON reconciles with itself
     #    and with the traffic above.
-    with socket.create_connection((args.host, args.port), timeout=30) as s:
+    with socket.create_connection(address, timeout=30) as s:
         s.sendall(frame(STATS_REQUEST, 1, 1))
         ftype, _, request_id, payload = read_frame(s)
         check(ftype == STATS_REPLY and request_id == 1, "stats replied")
@@ -199,11 +244,9 @@ def main():
                   "per-tenant %s sums to the global count (%d)"
                   % (counter, stats[counter]))
         check(tenants["1"]["succeeded"] >= 1, "tenant 1 shows a success")
-        check(tenants[str(args.throttled_tenant)]["submitted"] == 1,
+        check(tenants[str(THROTTLED)]["submitted"] == 1,
               "throttled tenant shows exactly one submission")
         s.sendall(frame(GOODBYE, 1, 2))
-
-    print("wire smoke passed")
 
 
 if __name__ == "__main__":
